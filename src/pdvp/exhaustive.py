@@ -1,15 +1,17 @@
-"""Brute-force enumeration over all permutations of S_n or words of {1..t}^n.
+"""Exhaustive enumeration over all permutations of S_n or words of {1..t}^n.
 
 These scans are the ground truth that every closed formula and generating
-function in the toolkit is validated against.  Iteration uses the standard
-lexicographic successor generators, so nothing is materialised.
+function in the toolkit is validated against.  All of them are one
+depth-first walk over prefixes (`prefix_walk`): a prefix of length p already
+decides every occurrence that ends at p, so each step adds the occurrences
+ending at the new position, and a branch is dropped as soon as an avoided
+pattern ends there.  Only the walk's buffer is ever materialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import matcher
 from .pattern import Mode, Pdvp
@@ -63,16 +65,75 @@ def _check_word(pats: Sequence[Pdvp], t: int, n: int, budget: int | None):
             raise ValueError("word scan needs word-mode patterns")
 
 
+def prefix_walk(
+    n: int,
+    t: int | None = None,
+    avoid: Sequence[Pdvp] = (),
+    count: Sequence[Pdvp] = (),
+    cap: int | None = None,
+) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """Walk S_n (t None) or {1..t}^n in lexicographic order, one position at a time.
+
+    Yields (entries, counts) for every object that no pattern in `avoid`
+    occurs in: `counts` holds the occurrences of each pattern in `count`.
+    A branch is dropped once an avoided pattern ends at its last position,
+    or once a count exceeds `cap`.  `entries` is the walk's own buffer: it
+    is valid until the next item is drawn.  The walk keeps an explicit
+    stack, so n is not bounded by the recursion limit.
+    """
+    perm = t is None
+    upper = n + 1 if perm else t
+    letters = range(1, (n if perm else t) + 1)
+    stops = [matcher.search_ending_at(p, n, upper, first=True) for p in avoid]
+    tallies = [matcher.search_ending_at(p, n, upper) for p in count]
+    buf = [0] * n
+    used = [False] * (n + 1)
+    totals = [(0,) * len(tallies)] * (n + 1)  # totals[d]: counts within buf[:d]
+    if n == 0:
+        yield buf, totals[0]
+        return
+    stack = [iter(letters)]
+    while stack:
+        d = len(stack)  # the position being filled
+        for v in stack[-1]:
+            if perm and used[v]:
+                continue
+            buf[d - 1] = v
+            for stop in stops:
+                if stop(buf, d):
+                    break  # to the next candidate v
+            else:
+                got = totals[d - 1]
+                if tallies:
+                    got = tuple([c + tally(buf, d) for c, tally in zip(got, tallies)])
+                    if cap is not None and max(got) > cap:
+                        continue
+                break  # v is placed
+        else:
+            stack.pop()
+            if perm and stack:
+                used[buf[d - 2]] = False
+            continue
+        if d == n:
+            yield buf, got
+            continue
+        if perm:
+            used[v] = True
+        totals[d] = got
+        stack.append(iter(letters))
+
+
+def _histogram(walk) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for _, (c,) in walk:
+        counts[c] = counts.get(c, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def perm_distribution(pat: Pdvp, n: int, limit: int | None = None) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all of S_n."""
     _check_perm([pat], n, limit)
-    prep = matcher._prepare(pat)
-    counts: dict[int, int] = {}
-    upper = n + 1
-    for pi in permutations(range(1, n + 1)):
-        c = matcher._count(prep, pi, upper)
-        counts[c] = counts.get(c, 0) + 1
-    return DistributionTable(n, counts)
+    return DistributionTable(n, _histogram(prefix_walk(n, count=[pat])))
 
 
 def word_distribution(
@@ -80,25 +141,14 @@ def word_distribution(
 ) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all words in {1..t}^n."""
     _check_word([pat], t, n, budget)
-    prep = matcher._prepare(pat)
-    counts: dict[int, int] = {}
-    for w in product(range(1, t + 1), repeat=n):
-        c = matcher._count(prep, w, t)
-        counts[c] = counts.get(c, 0) + 1
-    return DistributionTable(n, counts)
+    return DistributionTable(n, _histogram(prefix_walk(n, t, count=[pat])))
 
 
 def perm_multi_avoiders(pats: Sequence[Pdvp], n: int, limit: int | None = None) -> int:
     """Number of permutations in S_n avoiding every listed pattern."""
     pats = list(pats)
     _check_perm(pats, n, limit)
-    preps = [matcher._prepare(p) for p in pats]
-    upper = n + 1
-    total = 0
-    for pi in permutations(range(1, n + 1)):
-        if not any(matcher._exists(p, pi, upper) for p in preps):
-            total += 1
-    return total
+    return sum(1 for _ in prefix_walk(n, avoid=pats))
 
 
 def word_multi_avoiders(
@@ -107,9 +157,4 @@ def word_multi_avoiders(
     """Number of words in {1..t}^n avoiding every listed pattern."""
     pats = list(pats)
     _check_word(pats, t, n, budget)
-    preps = [matcher._prepare(p) for p in pats]
-    total = 0
-    for w in product(range(1, t + 1), repeat=n):
-        if not any(matcher._exists(p, w, t) for p in preps):
-            total += 1
-    return total
+    return sum(1 for _ in prefix_walk(n, t, avoid=pats))

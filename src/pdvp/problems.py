@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations
 
-from . import exhaustive, matcher, transfer
+from . import exhaustive, transfer
 from .dsl import parse_pattern
 from .pattern import Mode, make_classical
 
@@ -167,16 +166,18 @@ def two_stack_sortable_count(
             f"n = {n} exceeds the permutation scan limit {limit}"
         )
     identity = tuple(range(1, n + 1))
-    upper = n + 1
+    walk = exhaustive.prefix_walk(
+        n,
+        avoid=[_CLASSICAL_132] if require_avoid_132 else [],
+        count=[_CLASSICAL_123] if require_exactly_one_123 else [],
+        cap=1,
+    )
     total = 0
-    for pi in permutations(identity):
-        if require_avoid_132 and not matcher.avoids_entries(_CLASSICAL_132, pi, upper):
-            continue
-        if require_exactly_one_123 and matcher.count_entries(_CLASSICAL_123, pi, upper) != 1:
-            continue
-        if stack_sort(stack_sort(pi)) != identity:
-            continue
-        total += 1
+    for pi, counts in walk:
+        if counts == (0,):
+            continue  # one occurrence of 123 is required, and this has none
+        if stack_sort(stack_sort(tuple(pi))) == identity:
+            total += 1
     return total
 
 

@@ -465,7 +465,7 @@ def solve_transfer_system(
         return matcher.count_entries(pat, word, t)
 
     def occ_first(word: tuple[int, ...]) -> int:
-        return sum(1 for ix in matcher._search(pat, word, t) if ix[0] == 1)
+        return matcher.count_entries_starting_at(pat, word, t, 1)
 
     # M = I - q*T with T[u][tail(u)c] accumulating z^e(u, c)
     m = [[ZERO] * size for _ in range(size)]

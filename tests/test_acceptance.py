@@ -214,6 +214,19 @@ def test_criterion_09_d4(check):
     }
 
 
+def test_d4_scan_note_follows_the_scans(check, monkeypatch):
+    """The d4 check says the series is confirmed by word scans only after
+    running them; scans that disagree give a MISMATCH line instead."""
+    note = "  the computed series is confirmed by exhaustive word scans"
+    assert note in check("d4").lines
+    monkeypatch.setattr(checks.exhaustive, "word_multi_avoiders", lambda pats, t, n: 0)
+    result = checks.run_check("d4")
+    assert note not in result.lines
+    assert _mismatch_labels(result) == _mismatch_labels(check("d4")) | {
+        "d4 avoidance series vs word scans, n <= 7"
+    }
+
+
 def test_criterion_10_e4(check):
     """Solver expansion equals dp; avoidance series 1,4,15,54,193,688."""
     _assert_ok(check("e4"))

@@ -1,15 +1,22 @@
+from collections import Counter
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
 
+from conftest import naive_occurrences, random_pattern
+
+from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.dsl import parse_gp, parse_pattern
 from pdvp.exhaustive import (
     EnumerationLimitError,
     perm_distribution,
     perm_multi_avoiders,
+    prefix_walk,
     word_distribution,
     word_multi_avoiders,
 )
+from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, make_classical
 
 
@@ -91,3 +98,71 @@ def test_word_pair_avoiders_small():
     assert word_multi_avoiders(pats, 3, 1) == 3
     assert word_multi_avoiders(pats, 3, 2) == 7
     assert word_multi_avoiders(pats, 3, 5) == 46
+
+
+def _objects(mode, n, t):
+    if mode is Mode.PERMUTATION:
+        return [PermSequence(pi) for pi in permutations(range(1, n + 1))]
+    return [WordSequence(w, t) for w in product(range(1, t + 1), repeat=n)]
+
+
+def _naive_histogram(pat, seqs):
+    return dict(Counter(len(naive_occurrences(pat, s)) for s in seqs))
+
+
+def test_scans_equal_per_object_recount_on_fixtures():
+    for text in sorted({text for text, _ in STAT_ALPHABETS.values()}):
+        for n in range(7):
+            pat = parse_pattern(text)
+            hist = _naive_histogram(pat, _objects(Mode.PERMUTATION, n, None))
+            assert dict(perm_distribution(pat, n).counts) == hist, (text, n)
+            assert perm_multi_avoiders([pat], n) == hist.get(0, 0), (text, n)
+            pat = parse_pattern(text, Mode.WORD)
+            for t in range(1, 4):
+                hist = _naive_histogram(pat, _objects(Mode.WORD, n, t))
+                assert dict(word_distribution(pat, t, n).counts) == hist, (text, t, n)
+                assert word_multi_avoiders([pat], t, n) == hist.get(0, 0), (text, t, n)
+
+
+def test_prefix_walk_equals_per_object_filter(rng):
+    for _ in range(40):
+        mode = Mode.PERMUTATION if rng.random() < 0.5 else Mode.WORD
+        avoid = [random_pattern(rng, mode) for _ in range(rng.randrange(3))]
+        counted = [random_pattern(rng, mode) for _ in range(rng.randrange(3))]
+        cap = rng.choice([None, 0, 1, 2])
+        n = rng.randint(0, 5)
+        t = None if mode is Mode.PERMUTATION else rng.randint(1, 3)
+        want = []
+        for seq in _objects(mode, n, t):
+            if any(naive_occurrences(p, seq) for p in avoid):
+                continue
+            counts = tuple(len(naive_occurrences(p, seq)) for p in counted)
+            if cap is not None and any(c > cap for c in counts):
+                continue
+            want.append((seq.entries, counts))
+        got = [(tuple(e), c) for e, c in prefix_walk(n, t, avoid, counted, cap)]
+        assert got == want
+
+
+def test_long_one_letter_words():
+    # one object of length 3000: the walk must not recurse once per position
+    adjacent_equal = parse_pattern("11|P,{1},P|-|P,P", Mode.WORD)
+    rise = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
+    assert dict(word_distribution(adjacent_equal, 1, 3000).counts) == {2999: 1}
+    assert dict(word_distribution(rise, 1, 3000).counts) == {0: 1}
+    assert word_multi_avoiders([rise], 1, 3000) == 1
+    assert word_multi_avoiders([adjacent_equal], 1, 3000) == 0
+
+
+def test_ank_scan_equals_per_object_recount():
+    blocks = [parse_gp("231"), parse_gp("132")]
+    for n in range(1, 8):
+        want = {k: [0, 0] for k in (1, 2, 3)}
+        for seq in _objects(Mode.PERMUTATION, n, None):
+            if any(naive_occurrences(b, seq) for b in blocks):
+                continue
+            for k in (1, 2, 3):
+                c = len(naive_occurrences(_shifted_rise_pattern(k), seq))
+                if c <= 1:
+                    want[k][c] += 1
+        assert _ank_scan(n) == {k: tuple(v) for k, v in want.items()}, n

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import naive_occurrences, random_pattern, random_sequence
 
+from pdvp import matcher
 from pdvp.dsl import parse_gp, parse_pattern
 from pdvp.matcher import (
     Occurrence,
@@ -11,8 +12,11 @@ from pdvp.matcher import (
     WordSequence,
     avoids,
     count,
+    count_entries_ending_at,
+    count_entries_starting_at,
     iter_occurrences,
     occurrences,
+    search_ending_at,
 )
 from pdvp.pattern import Mode, Pdvp, make_classical
 
@@ -197,3 +201,42 @@ def test_matches_naive_filter(rng):
 def test_occurrence_values_helper():
     occ = Occurrence((2, 4))
     assert occ.values(PermSequence((3, 1, 4, 2))) == (1, 2)
+
+
+def _upper(pat, seq):
+    return len(seq.entries) + 1 if pat.mode is Mode.PERMUTATION else seq.alphabet
+
+
+def test_ending_at_matches_naive_and_search(rng):
+    # the right-to-left core, per last index, against both left-to-right oracles
+    for _ in range(150):
+        mode = Mode.PERMUTATION if rng.random() < 0.5 else Mode.WORD
+        pat = random_pattern(rng, mode)
+        seq = random_sequence(rng, mode, n_max=6)
+        entries, upper = seq.entries, _upper(pat, seq)
+        naive = naive_occurrences(pat, seq)
+        listed = [o.indices for o in occurrences(pat, seq)]
+        n = len(entries)
+        ending_at = search_ending_at(pat, n, upper)
+        exists_at = search_ending_at(pat, n, upper, first=True)
+        for p in range(1, n + 1):
+            want = sum(1 for ix in naive if ix[-1] == p)
+            assert count_entries_ending_at(pat, entries, upper, p) == want
+            assert sum(1 for ix in listed if ix[-1] == p) == want
+            assert ending_at(entries, p) == want
+            assert exists_at(entries, p) == min(want, 1)
+            # only entries[:p] may be read
+            assert ending_at(list(entries[:p]) + [0] * (n - p), p) == want
+            start = sum(1 for ix in naive if ix[0] == p)
+            assert count_entries_starting_at(pat, entries, upper, p) == start
+
+
+def test_prep_cache_is_bounded():
+    probe = make_classical((2, 1))
+    seq = PermSequence((3, 1, 4, 2))
+    before = count(probe, seq)
+    for k in range(1000):
+        count(parse_pattern(f"1|P,P|-|{{{k}}}"), seq)
+    assert len(matcher._PREP_CACHE) <= matcher._PREP_CACHE_SIZE
+    assert probe not in matcher._PREP_CACHE
+    assert count(probe, seq) == before == 3

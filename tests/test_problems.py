@@ -1,6 +1,9 @@
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
+
+from conftest import naive_occurrences
 
 from pdvp.matcher import PermSequence, avoids
 from pdvp.pattern import make_classical
@@ -76,6 +79,23 @@ def test_two_stack_sortable_counts():
     assert [two_stack_sortable_count(n) for n in range(1, 7)] == [1, 2, 6, 22, 91, 408]
     assert two_stack_sortable_count(1, True, True) == 0
     assert two_stack_sortable_count(3, True, True) == 1
+
+
+def test_two_stack_sortable_count_equals_per_object_recount():
+    p132, p123 = make_classical((1, 3, 2)), make_classical((1, 2, 3))
+    for n in range(1, 8):
+        identity = tuple(range(1, n + 1))
+        want = Counter()
+        for pi in permutations(identity):
+            if stack_sort(stack_sort(pi)) != identity:
+                continue
+            seq = PermSequence(pi)
+            avoids_132 = not naive_occurrences(p132, seq)
+            one_123 = len(naive_occurrences(p123, seq)) == 1
+            for flags in product((False, True), repeat=2):
+                want[flags] += (avoids_132 or not flags[0]) and (one_123 or not flags[1])
+        for flags in product((False, True), repeat=2):
+            assert two_stack_sortable_count(n, *flags) == want[flags], (n, flags)
 
 
 def test_two_stack_sortable_limit():
