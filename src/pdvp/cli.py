@@ -11,7 +11,7 @@ number of words scanned directly, and bounds permutation scans by the largest
 n with n! within the budget.
 
 Exit codes: 0 on success (verify: all checks pass), 1 when a verify check
-fails, 2 on usage or pattern parse errors.
+fails, 2 on usage, pattern parse or file errors.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"pattern parse error {exc}", file=sys.stderr)
         return 2
-    except (exhaustive.EnumerationLimitError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # EnumerationLimitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -210,27 +210,21 @@ def parse_gp(text: str, mode: Mode = Mode.PERMUTATION) -> Pdvp:
         raise ParseError(0, "a valid dashed pattern", str(exc)) from exc
 
 
-_ATOM_ORDER = {"P": 0, "E": 1, "O": 2, "kP": 3, "fin": 4}
-
-
 def render_set(s: IntSet) -> str:
-    """Canonical text: atoms ordered P, E, O, kP (ascending k), merged finite set."""
-    plain: list[tuple] = []
-    fin_members: set[int] = set()
-    for atom in s.atoms:
-        if atom[0] == "fin":
-            fin_members.update(atom[1])
-        elif atom not in plain:
-            plain.append(atom)
-    plain.sort(key=lambda a: (_ATOM_ORDER[a[0]], a[1] if len(a) > 1 else 0))
-    parts = []
-    for atom in plain:
-        if atom[0] == "kP":
-            parts.append(f"{atom[1]}P")
+    """Canonical text from the normal form: P, E, O, kP (ascending k), then {rest}.
+
+    Equal sets render alike, so "O+P" renders as "P" and "2P+{0}" as "E".
+    """
+    rest = set(s.extra)
+    parts = ["O"] if s.odd else []  # under O every step is >= 3: no P or E to precede it
+    for k in s.steps:
+        if k == 2 and 0 in rest:
+            rest.discard(0)
+            parts.append("E")
         else:
-            parts.append(atom[0])
-    if fin_members:
-        parts.append("{" + ",".join(str(v) for v in sorted(fin_members)) + "}")
+            parts.append("P" if k == 1 else f"{k}P")
+    if rest:
+        parts.append("{" + ",".join(str(v) for v in sorted(rest)) + "}")
     return "+".join(parts)
 
 

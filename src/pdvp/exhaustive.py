@@ -43,6 +43,8 @@ class DistributionTable:
 
 def _check_perm(pats: Sequence[Pdvp], n: int, limit: int | None):
     limit = DEFAULT_PERM_LIMIT if limit is None else limit
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
     if n > limit:
         raise EnumerationLimitError(
             f"n = {n} exceeds the permutation scan limit {limit}"
@@ -56,6 +58,8 @@ def _check_word(pats: Sequence[Pdvp], t: int, n: int, budget: int | None):
     budget = DEFAULT_WORD_BUDGET if budget is None else budget
     if t < 1:
         raise ValueError("alphabet size must be positive")
+    if n < 0:
+        raise ValueError(f"length must be non-negative, got {n}")
     if t**n > budget:
         raise EnumerationLimitError(
             f"{t}^{n} words exceed the scan budget {budget}"

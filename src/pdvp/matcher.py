@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .intset import IntSet
 from .pattern import Mode, Pdvp
 
 
@@ -78,6 +79,12 @@ class Occurrence:
         return tuple(entries[i - 1] for i in self.indices)
 
 
+def _unless_all_positive(s: IntSet) -> IntSet | None:
+    """None for a set holding every positive integer: indices, gaps and
+    values are all >= 1, so such a set never rejects and its test is skipped."""
+    return None if s.steps == (1,) else s
+
+
 class _Prep:
     """Flattened pattern tables for the two searches.
 
@@ -87,9 +94,9 @@ class _Prep:
     condition on that slot's value alone (`y_value`); a triple between the
     two sentinels depends on the high sentinel only (`y_global`).
     `rslots[j]` holds everything the right-to-left search checks when it
-    fills slot j: the Z set (None for P), the order signs against the slots
-    to its right, and the triples keyed by slot j.  Gap candidate tuples are
-    memoised per (X set, room).
+    fills slot j: the Z set (None if it holds every positive integer), the
+    order signs against the slots to its right, and the triples keyed by
+    slot j.  Gap candidate tuples are memoised per (X set, room).
     """
 
     __slots__ = (
@@ -103,9 +110,8 @@ class _Prep:
         self.m = m
         self.x = pat.x
         self.z = pat.z
-        # indices and values are always >= 1, so a set equal to P never rejects
-        self.x_first = None if pat.x[0].is_positives else pat.x[0]
-        self.x_last = None if pat.x[m].is_positives else pat.x[m]
+        self.x_first = _unless_all_positive(pat.x[0])
+        self.x_last = _unless_all_positive(pat.x[m])
 
         def signs(j: int, others: range) -> tuple:
             return tuple((a, (base[j] > base[a]) - (base[j] < base[a])) for a in others)
@@ -130,7 +136,7 @@ class _Prep:
         self.y_global = tuple(glob)
         self.rslots = tuple(
             (
-                None if pat.z[j].is_positives else pat.z[j],
+                _unless_all_positive(pat.z[j]),
                 signs(j, range(j + 1, m)),
                 tuple(lower[j]),
                 self.y_value[j],

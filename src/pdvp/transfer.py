@@ -357,7 +357,8 @@ DEFAULT_STATE_BUDGET = 4096
 class StatPattern:
     """A word pattern usable as a bounded-window statistic.
 
-    Requires X_0 = X_m = P, finite interior X sets, and Y triples on pattern
+    Requires boundary sets X_0 and X_m that hold every positive integer
+    (P, however written), finite interior X sets, and Y triples on pattern
     indices only (no sentinels), so that occurrence checks are translation
     invariant.  The window width W = 1 + sum of interior gap maxima bounds
     the span of any occurrence.
@@ -369,7 +370,8 @@ class StatPattern:
         pat = self.pattern
         if pat.mode is not Mode.WORD:
             raise ValueError("statistic patterns are word patterns")
-        if not (pat.x[0].is_positives and pat.x[-1].is_positives):
+        # gaps are >= 1, so a boundary set holding every positive integer is P
+        if not (pat.x[0].steps == (1,) and pat.x[-1].steps == (1,)):
             raise ValueError("boundary gap sets must both be P")
         for xs in pat.x[1:-1]:
             if xs.finite_bound() is None:
@@ -479,9 +481,7 @@ def solve_transfer_system(
             j = index[word[-keep:] if keep else ()]
             m[i][j] = m[i][j] - Q * BivarPoly.mono(1, 0, e)
 
-    d1 = det_bareiss(m)
-    if not d1:
-        raise RuntimeError("singular transfer system: zero determinant")
+    d1 = det_bareiss(m)  # never zero: det(I - qT) has constant term 1
 
     # rank-one update det(M + q^(W-1) b 1^T) = det(M) (1 + sum_u A(u))
     b = [BivarPoly.mono(1, keep, occ_total(u)) for u in states]

@@ -71,6 +71,39 @@ def test_gf_solve_text(capsys):
     assert "/" in out and "q" in out
 
 
+@pytest.mark.parametrize("method", ["--solve", "--dp"])
+def test_gf_accepts_boundary_sets_written_unusually(capsys, method):
+    outs = [
+        run(capsys, "gf", "--pattern", text, "--alphabet", "3", method)
+        for text in ("12|P,{1},P|(1,2,{2})|P,P", "12|P+E,{1},P|(1,2,{2})|P,P")
+    ]
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0]
+
+
+def _one_line_error(rc, out, err):
+    return rc == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out.txt")
+    got = run(capsys, "--out", target, "dist", "--pattern", "gp:21", "--perm-n", "3")
+    assert _one_line_error(*got)
+
+
+def test_missing_patterns_file_exits_2(tmp_path, capsys):
+    got = run(capsys, "avoid", "--patterns", str(tmp_path / "missing"), "--perm-n", "3")
+    assert _one_line_error(*got)
+
+
+@pytest.mark.parametrize("command", ["dist", "avoid"])
+@pytest.mark.parametrize("size", [["--perm-n", "-1"], ["--word-n", "-1", "--alphabet", "2"]])
+def test_negative_length_exits_2(capsys, command, size):
+    got = run(capsys, command, "--pattern", "gp:21", *size)
+    assert _one_line_error(*got)
+    assert "non-negative" in got[2]
+
+
 def test_avoid_repeated_flags(capsys):
     rc, out, _ = run(
         capsys, "avoid", "--pattern", "gp:231", "--pattern", "gp:132", "--perm-n", "6"

@@ -82,7 +82,7 @@ def test_render_canonical_forms():
 
 def test_render_set_orders_atoms():
     p = parse_pattern("12|{3}+E,P,P|-|O+P,P")
-    assert render_pattern(p) == "12|E+{3},P,P|-|P+O,P"
+    assert render_pattern(p) == "12|E+{3},P,P|-|P,P"
 
 
 def test_leading_zero_base_rejected():

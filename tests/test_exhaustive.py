@@ -59,6 +59,18 @@ def test_word_budget_error():
         word_distribution(pat, 3, 9, budget=3**8)
 
 
+def test_negative_lengths_rejected():
+    perm, word = make_classical((1, 2)), parse_pattern("12|P,P,P|-|P,P", Mode.WORD)
+    for scan in (
+        lambda: perm_distribution(perm, -1),
+        lambda: perm_multi_avoiders([perm], -1),
+        lambda: word_distribution(word, 2, -1),
+        lambda: word_multi_avoiders([word], 2, -1),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            scan()
+
+
 def test_word_distribution_examples():
     pat = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
     assert word_distribution(pat, 3, 2)[0] == 9

@@ -123,6 +123,17 @@ def test_stat_pattern_validation():
     assert sp.window_width == 3
 
 
+def test_boundary_sets_written_unusually_are_p():
+    # gaps are >= 1, so P+E and O+P put no limit on the boundary gaps
+    plain = StatPattern(parse_pattern("12|P,{1},P|(1,2,{2})|P,P", Mode.WORD))
+    for text in ("12|P+E,{1},P|(1,2,{2})|P,P", "12|P,{1},O+P+{0}|(1,2,{2})|P,P"):
+        sp = StatPattern(parse_pattern(text, Mode.WORD))
+        assert dp_series(sp, 3, 10) == dp_series(plain, 3, 10)
+        assert solve_transfer_system(sp, 3) == solve_transfer_system(plain, 3)
+    with pytest.raises(ValueError, match="boundary"):
+        StatPattern(parse_pattern("12|P+{0}+2P,{1},E|(1,2,{2})|P,P", Mode.WORD))
+
+
 def test_dp_series_published_slices():
     assert checks._dp_table("a3", 4).coefficient(4, 0) == 64
     assert checks._dp_table("a4", 6).coefficient(6, 0) == 2304
