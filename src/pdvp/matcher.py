@@ -7,18 +7,14 @@ i_0 = 0 and i_{m+1} = n + 1), every Y triple is satisfied on absolute value
 differences (sentinel values: 0 below; n + 1 above for permutations, the
 alphabet size for words), and every chosen value lies in its Z set.
 
-Patterns are compiled once into flat lookup tables, and two depth-first
-searches run over them, pruning on gap feasibility, Z membership, order
-consistency and Y triples as soon as both endpoints are known:
-
-* `_ending_at` fixes the last index p and fills the other slots right to
-  left, so it reads only the entries up to p and needs the final length n
-  only for the closing gap.  Counting, avoidance and the prefix walks of the
-  exhaustive scans all go through it: a prefix of length p already decides
-  every occurrence that ends at p.
-* `_search` enumerates whole occurrences left to right in lexicographic
-  index order.  It lists occurrences and is the tests' cross-check of
-  `_ending_at`.
+Patterns are compiled once into flat lookup tables, and one depth-first
+search runs over them.  `_ending_at` fixes the last index p and fills the
+other slots right to left, pruning on gap feasibility, Z membership, order
+consistency and Y triples as soon as both endpoints are known.  It reads only
+the entries up to p and needs the final length n only for the closing gap,
+so a prefix of length p already decides every occurrence that ends at p.
+Counting, avoidance, the prefix walks of the exhaustive scans and the listing
+of occurrences (every last index in turn, then sorted) all go through it.
 """
 
 from __future__ import annotations
@@ -86,44 +82,38 @@ def _unless_all_positive(s: IntSet) -> IntSet | None:
 
 
 class _Prep:
-    """Flattened pattern tables for the two searches.
+    """Flattened pattern tables for the search.
 
-    Slots are 0-based pattern indices.  A Y triple between two slots is
-    checked at its upper slot left to right (`y_upper`) and at its lower
-    slot right to left; a triple between a slot and a sentinel is a
-    condition on that slot's value alone (`y_value`); a triple between the
-    two sentinels depends on the high sentinel only (`y_global`).
-    `rslots[j]` holds everything the right-to-left search checks when it
-    fills slot j: the Z set (None if it holds every positive integer), the
-    order signs against the slots to its right, and the triples keyed by
-    slot j.  Gap candidate tuples are memoised per (X set, room).
+    Slots are 0-based pattern indices, filled from the last one down.
+    `rslots[j]` holds everything the search checks when it places slot j:
+    the Z set (None if it holds every positive integer), the order signs
+    against the slots to its right, the Y triples between slot j and a slot
+    to its right, and the triples between slot j and a sentinel, which are
+    conditions on its value alone (`True` for the high sentinel).  A triple
+    between the two sentinels depends on the high sentinel only
+    (`y_global`).  Gap candidate tuples are memoised per (X set, room).
     """
 
-    __slots__ = (
-        "m", "x", "z", "x_first", "x_last", "order", "y_upper", "y_value", "y_global",
-        "rslots", "gap_memo",
-    )
+    __slots__ = ("m", "x", "x_first", "x_last", "y_global", "rslots", "gap_memo")
 
     def __init__(self, pat: Pdvp):
         m = pat.m
         base = pat.base
         self.m = m
         self.x = pat.x
-        self.z = pat.z
         self.x_first = _unless_all_positive(pat.x[0])
         self.x_last = _unless_all_positive(pat.x[m])
 
-        def signs(j: int, others: range) -> tuple:
-            return tuple((a, (base[j] > base[a]) - (base[j] < base[a])) for a in others)
+        def signs(j: int) -> tuple:
+            return tuple(
+                (a, (base[j] > base[a]) - (base[j] < base[a])) for a in range(j + 1, m)
+            )
 
-        self.order = tuple(signs(j, range(j)) for j in range(m))
-        upper: list[list] = [[] for _ in range(m)]
         lower: list[list] = [[] for _ in range(m)]
         value: list[list] = [[] for _ in range(m)]
         glob = []
         for s, t, dset in pat.y:
             if s >= 1 and t <= m:
-                upper[t - 1].append((s - 1, t - 1, dset))
                 lower[s - 1].append((t - 1, dset))
             elif s >= 1:
                 value[s - 1].append((True, dset))  # against the high sentinel
@@ -131,16 +121,9 @@ class _Prep:
                 value[t - 1].append((False, dset))  # against the value 0
             else:
                 glob.append(dset)
-        self.y_upper = tuple(map(tuple, upper))
-        self.y_value = tuple(map(tuple, value))
         self.y_global = tuple(glob)
         self.rslots = tuple(
-            (
-                _unless_all_positive(pat.z[j]),
-                signs(j, range(j + 1, m)),
-                tuple(lower[j]),
-                self.y_value[j],
-            )
+            (_unless_all_positive(pat.z[j]), signs(j), tuple(lower[j]), tuple(value[j]))
             for j in range(m)
         )
         self.gap_memo: tuple[dict, ...] = tuple({} for _ in range(m))
@@ -176,10 +159,17 @@ def _prepare(pat: Pdvp) -> _Prep:
 
 
 def _ending_at(
-    prep: _Prep, n: int, upper: int, first: bool, entries: Sequence[int], p: int
+    prep: _Prep,
+    n: int,
+    upper: int,
+    first: bool,
+    entries: Sequence[int],
+    p: int,
+    found: list | None = None,
 ) -> int:
     """Count the occurrences whose last index is p in a sequence of final
-    length n; with `first`, stop at the first one and return 1.
+    length n; with `first`, stop at the first one and return 1.  A `found`
+    list receives each counted occurrence's index tuple.
 
     Slot m-1 sits at p and the other slots are filled right to left, so only
     entries[:p] are read and the X sets prune from the fixed end.
@@ -189,7 +179,7 @@ def _ending_at(
         return 0
     if prep.y_global and not prep.passes_global_y(upper):
         return 0
-    return _fill(prep, entries, upper, first, [0] * m, m - 1, p + 1, (1,))
+    return _fill(prep, entries, upper, first, [0] * (2 * m), m - 1, p + 1, (1,), found)
 
 
 def _fill(
@@ -201,8 +191,13 @@ def _fill(
     slot: int,
     j: int,
     deltas: tuple[int, ...],
+    found: list | None,
 ) -> int:
-    """Place `slot` at j - delta for each delta, then complete the slots below it."""
+    """Place `slot` at j - delta for each delta, then complete the slots below it.
+
+    vals[k] is the value placed at slot k; with a `found` list, vals[~k] is
+    its index.
+    """
     zset, checks, pairs, bounds = prep.rslots[slot]
     total = 0
     for delta in deltas:
@@ -233,61 +228,19 @@ def _fill(
             continue
         if slot:
             vals[slot] = v
+            if found is not None:
+                vals[~slot] = i
             deltas_below = prep.gaps(slot, i - slot)
-            got = _fill(prep, entries, upper, first, vals, slot - 1, i, deltas_below)
+            got = _fill(prep, entries, upper, first, vals, slot - 1, i, deltas_below, found)
         else:
             got = prep.x_first is None or i in prep.x_first
+            if got and found is not None:
+                found.append((i, *vals[-2:~prep.m:-1]))
         if got:
             if first:
                 return 1
             total += got
     return total
-
-
-def _search(pat: Pdvp, entries: tuple[int, ...], upper: int) -> Iterator[tuple[int, ...]]:
-    """Yield occurrence index tuples in lexicographic order."""
-    prep = _prepare(pat)
-    n = len(entries)
-    m = prep.m
-    if m > n or not prep.passes_global_y(upper):
-        return
-    idx = [0] * m
-    vals = [0] * m
-
-    def rec(level: int, prev: int) -> Iterator[tuple[int, ...]]:
-        for delta in prep.gaps(level, n - prev):
-            i = prev + delta
-            v = entries[i - 1]
-            if v not in prep.z[level]:
-                continue
-            ok = True
-            for a, sign in prep.order[level]:
-                d = v - vals[a]
-                if (d > 0) - (d < 0) != sign:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            idx[level] = i
-            vals[level] = v
-            for a, b, dset in prep.y_upper[level]:
-                if abs(vals[a] - vals[b]) not in dset:
-                    ok = False
-                    break
-            if ok:
-                for hi, dset in prep.y_value[level]:
-                    if abs(upper - v if hi else v) not in dset:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if level + 1 == m:
-                if (n + 1 - i) in prep.x[m]:
-                    yield tuple(idx)
-            else:
-                yield from rec(level + 1, i)
-
-    yield from rec(0, 0)
 
 
 def _upper_sentinel(pat: Pdvp, seq) -> int:
@@ -301,8 +254,16 @@ def _upper_sentinel(pat: Pdvp, seq) -> int:
 
 
 def iter_occurrences(pat: Pdvp, seq) -> Iterator[Occurrence]:
+    """Yield the occurrences in lexicographic order of their index tuples."""
     upper = _upper_sentinel(pat, seq)
-    for indices in _search(pat, seq.entries, upper):
+    entries = seq.entries
+    n = len(entries)
+    prep = _prepare(pat)
+    found: list[tuple[int, ...]] = []
+    for p in range(1, n + 1):
+        _ending_at(prep, n, upper, False, entries, p, found)
+    found.sort()
+    for indices in found:
         yield Occurrence(indices)
 
 
@@ -348,14 +309,3 @@ def count_entries_ending_at(pat: Pdvp, entries: Sequence[int], upper: int, last:
     """Count occurrences whose final index equals `last` (1-based)."""
     return _ending_at(_prepare(pat), len(entries), upper, False, entries, last)
 
-
-def count_entries_starting_at(
-    pat: Pdvp, entries: tuple[int, ...], upper: int, start: int
-) -> int:
-    """Count occurrences whose first index equals `start` (1-based)."""
-    total = 0
-    for ix in _search(pat, entries, upper):
-        if ix[0] > start:
-            break  # lexicographic order: no later occurrence starts at `start`
-        total += ix[0] == start
-    return total

@@ -187,6 +187,8 @@ def _avoider_series(pattern_text: str, t: int, n_max: int) -> list[int]:
 
 
 def problem_report(which: int, max_size: int) -> ComparisonReport:
+    if max_size < 0:
+        raise ValueError(f"size must be non-negative, got {max_size}")
     if which == 1:
         return _report_morphism(max_size)
     if which == 2:

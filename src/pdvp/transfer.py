@@ -2,17 +2,17 @@
 
 A statistic here is "number of occurrences of a fixed bounded-window pattern"
 in a word over {1..t}.  The bivariate series sum_w q^|w| z^stat(w) is computed
-two independent ways: a forward dynamic program over suffix states, and a
-symbolic linear system (one unknown per suffix state) solved exactly over
-integer polynomials in q and z by fraction-free elimination.  Everything is
-arbitrary-precision integer arithmetic; there is no floating point here.
+two ways over the same suffix states and window counts: a forward dynamic
+program, and a symbolic linear system (one unknown per suffix state) solved
+exactly over integer polynomials in q and z by one fraction-free elimination.
+Everything is arbitrary-precision integer arithmetic; there is no floating
+point here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import matcher
 from .pattern import Mode, Pdvp
@@ -218,10 +218,14 @@ def exact_div(num: BivarPoly, den: BivarPoly) -> BivarPoly:
     return BivarPoly(out)
 
 
-def det_bareiss(matrix: list[list[BivarPoly]]) -> BivarPoly:
-    """Fraction-free determinant; every interior division is exact."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
+def _bareiss(m: list[list[BivarPoly]]) -> tuple[BivarPoly, BivarPoly]:
+    """Fraction-free elimination of the square matrix m, in place.
+
+    Returns det(m) and the last pivot before it.  When every pivot was found
+    on the diagonal (no row swap), that pivot is the leading principal minor
+    of order n - 1.  Every interior division is exact.
+    """
+    n = len(m)
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -232,7 +236,7 @@ def det_bareiss(matrix: list[list[BivarPoly]]) -> BivarPoly:
                     sign = -sign
                     break
             else:
-                return ZERO
+                return ZERO, ZERO
         pivot = m[k][k]
         for i in range(k + 1, n):
             row_i = m[i]
@@ -242,7 +246,12 @@ def det_bareiss(matrix: list[list[BivarPoly]]) -> BivarPoly:
             row_i[k] = ZERO
         prev = pivot
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return (det if sign == 1 else -det), prev
+
+
+def det_bareiss(matrix: list[list[BivarPoly]]) -> BivarPoly:
+    """Fraction-free determinant; every interior division is exact."""
+    return _bareiss([row[:] for row in matrix])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,29 +408,30 @@ def _window_occurrences(pat: Pdvp, t: int):
     return ending_at_last
 
 
-def dp_series(
-    sp: StatPattern, t: int, n_max: int, state_budget: int | None = None
-) -> ZSeriesTable:
-    """Forward dynamic program: states are the last W-1 letters.
-
-    Appending a letter multiplies the state weight by z^e where e counts the
-    occurrences inside the window that use its final position; short words
-    are carried whole, so occurrences inside words shorter than W are exact
-    as well.
-    """
+def _check_states(sp: StatPattern, t: int, state_budget: int | None) -> int:
+    """The number of letters a suffix state keeps, W - 1, within the budget."""
     budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
     if t < 1:
         raise ValueError("alphabet size must be positive")
-    pat = sp.pattern
-    W = sp.window_width
-    if t ** max(W - 1, 0) > budget:
-        raise ValueError(f"state count {t}^{W - 1} exceeds the budget {budget}")
-    ending_at_last = _window_occurrences(pat, t)
-    keep = max(W - 1, 0)
+    keep = max(sp.window_width - 1, 0)
+    if t**keep > budget:
+        raise ValueError(f"state count {t}^{keep} exceeds the budget {budget}")
+    return keep
+
+
+def _suffix_states(
+    ending_at_last, t: int, keep: int
+) -> Iterator[dict[tuple[int, ...], ZPoly]]:
+    """The dp's state weights after 0, 1, 2, .. letters.
+
+    A state is the last `keep` letters (the whole word while it is shorter);
+    its weight sums z^stat over the words that end in it.  Appending c to a
+    state u multiplies the weight by z^e, e = ending_at_last(u + (c,)).
+    """
     states: dict[tuple[int, ...], ZPoly] = {(): {0: 1}}
-    rows: list[ZPoly] = [{0: 1}]
     letters = range(1, t + 1)
-    for _ in range(n_max):
+    while True:
+        yield states
         nxt: dict[tuple[int, ...], ZPoly] = {}
         for u, wpoly in states.items():
             for c in letters:
@@ -432,8 +442,26 @@ def dp_series(
                 for j, v in wpoly.items():
                     acc[j + e] = acc.get(j + e, 0) + v
         states = nxt
+
+
+def dp_series(
+    sp: StatPattern, t: int, n_max: int, state_budget: int | None = None
+) -> ZSeriesTable:
+    """Forward dynamic program: states are the last W-1 letters.
+
+    Appending a letter multiplies the state weight by z^e where e counts the
+    occurrences inside the window that use its final position; short words
+    are carried whole, so occurrences inside words shorter than W are exact
+    as well.
+    """
+    if n_max < 0:
+        raise ValueError(f"series order must be non-negative, got {n_max}")
+    keep = _check_states(sp, t, state_budget)
+    steps = _suffix_states(_window_occurrences(sp.pattern, t), t, keep)
+    rows: list[ZPoly] = []
+    for _ in range(n_max + 1):
         row: ZPoly = {}
-        for wpoly in states.values():
+        for wpoly in next(steps).values():
             for j, v in wpoly.items():
                 row[j] = row.get(j, 0) + v
         rows.append(row)
@@ -443,55 +471,44 @@ def dp_series(
 def solve_transfer_system(
     sp: StatPattern, t: int, state_budget: int | None = None
 ) -> RationalGF:
-    """Closed-form series via the suffix-state linear system.
+    """Closed-form series via the forward suffix-state linear system.
 
-    One unknown A(u) per (W-1)-letter prefix u, with the drop-first-letter
-    recursion A(u) = q^(W-1) z^occ(u) + sum_c z^e(u,c) q A(tail(u)c), where
-    e(u, c) counts occurrences of the pattern in uc that use position 1.
-    The system is solved exactly by fraction-free elimination; the result is
-    short-word terms plus the solved sum, as one normalised rational function.
+    One unknown G(v) per (W-1)-letter word v: the sum of q^|w| z^stat(w)
+    over the words w of length at least W-1 that end in v.  As in
+    `dp_series`, appending c to u moves G(u) to G(tail(u)c) with weight
+    q z^e, e = the occurrences in uc that end at c, so
+    G(v) = q^(W-1) z^occ(v) + sum_{tail(u)c = v} q z^e G(u).  With
+    M = I - qT and b_v = q^(W-1) z^occ(v), the series is
+    shorts + b M^-1 1, where shorts sums the words shorter than W-1.  By the
+    Schur complement it is det [[M, 1], [-b, shorts]] / det M, and one
+    fraction-free elimination of that bordered matrix yields both: det M is
+    its last pivot.  No row is ever swapped, because every leading minor of
+    M is 1 at q = 0.
     """
-    budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
-    if t < 1:
-        raise ValueError("alphabet size must be positive")
-    pat = sp.pattern
-    W = sp.window_width
-    keep = max(W - 1, 0)
-    if t**keep > budget:
-        raise ValueError(f"state count {t}^{keep} exceeds the budget {budget}")
-    states = sorted(product(range(1, t + 1), repeat=keep))
+    keep = _check_states(sp, t, state_budget)
+    ending_at_last = _window_occurrences(sp.pattern, t)
+    steps = _suffix_states(ending_at_last, t, keep)
+
+    def lifted(length: int, zpoly: ZPoly) -> BivarPoly:
+        return BivarPoly({(length, j): v for j, v in zpoly.items()})
+
+    shorts = ZERO
+    for length in range(keep):
+        for wpoly in next(steps).values():
+            shorts = shorts + lifted(length, wpoly)
+    weights = next(steps)  # every word v of length W-1, with weight z^occ(v)
+    states = sorted(weights)
     index = {u: i for i, u in enumerate(states)}
     size = len(states)
 
-    def occ_total(word: tuple[int, ...]) -> int:
-        return matcher.count_entries(pat, word, t)
-
-    def occ_first(word: tuple[int, ...]) -> int:
-        return matcher.count_entries_starting_at(pat, word, t, 1)
-
-    # M = I - q*T with T[u][tail(u)c] accumulating z^e(u, c)
-    m = [[ZERO] * size for _ in range(size)]
-    for i in range(size):
+    # [[M, 1], [-b, shorts]] with M = I - qT, T[u][tail(u)c] accumulating z^e
+    m = [[ZERO] * size + [ONE] for _ in range(size)]
+    for i, u in enumerate(states):
         m[i][i] = ONE
-    for u in states:
-        i = index[u]
         for c in range(1, t + 1):
             word = u + (c,)
-            e = occ_first(word)
             j = index[word[-keep:] if keep else ()]
-            m[i][j] = m[i][j] - Q * BivarPoly.mono(1, 0, e)
-
-    d1 = det_bareiss(m)  # never zero: det(I - qT) has constant term 1
-
-    # rank-one update det(M + q^(W-1) b 1^T) = det(M) (1 + sum_u A(u))
-    b = [BivarPoly.mono(1, keep, occ_total(u)) for u in states]
-    m2 = [[m[i][j] + b[i] for j in range(size)] for i in range(size)]
-    d2 = det_bareiss(m2)
-
-    shorts = ZERO
-    for length in range(0, max(W - 1, 0)):
-        for w in product(range(1, t + 1), repeat=length):
-            shorts = shorts + BivarPoly.mono(1, length, occ_total(w))
-
-    num = (shorts - ONE) * d1 + d2
-    return RationalGF(num, d1)
+            m[i][j] = m[i][j] - Q * BivarPoly.mono(1, 0, ending_at_last(word))
+    m.append([-lifted(keep, weights[u]) for u in states] + [shorts])
+    num, den = _bareiss(m)
+    return RationalGF(num, den)

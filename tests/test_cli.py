@@ -62,6 +62,22 @@ def test_gf_dp_json_golden(capsys):
     assert json.loads(out) == golden
 
 
+@pytest.mark.parametrize(
+    "pattern, alphabet, golden",
+    [
+        ("12|P,{1,2},P|(1,2,{2})|P,P", "4", "gf_solve_d4_t4.json"),
+        ("12|P,{2},P|(1,2,{2})|P,P", "3", "gf_solve_gap2_rise2_t3.json"),
+    ],
+)
+def test_gf_solve_json_golden(capsys, pattern, alphabet, golden):
+    rc, out, _ = run(
+        capsys, "--format", "json", "gf", "--pattern", pattern, "--alphabet", alphabet,
+        "--solve",
+    )
+    assert rc == 0
+    assert json.loads(out) == json.loads((GOLDEN / golden).read_text())
+
+
 def test_gf_solve_text(capsys):
     rc, out, _ = run(
         capsys, "gf", "--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "3",
@@ -100,6 +116,20 @@ def test_missing_patterns_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("size", [["--perm-n", "-1"], ["--word-n", "-1", "--alphabet", "2"]])
 def test_negative_length_exits_2(capsys, command, size):
     got = run(capsys, command, "--pattern", "gp:21", *size)
+    assert _one_line_error(*got)
+    assert "non-negative" in got[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gf", "--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "3", "--dp",
+         "--max-n", "-1"],
+        ["problem", "--which", "2", "--max-size", "-1"],
+    ],
+)
+def test_negative_size_exits_2(capsys, argv):
+    got = run(capsys, *argv)
     assert _one_line_error(*got)
     assert "non-negative" in got[2]
 

@@ -1,7 +1,7 @@
-"""Only matcher.py may use the matcher's private names.
+"""Only matcher.py may use the matcher's private names, and it has one search.
 
 Other modules reach the matcher through its public entry points, so its
-compiled tables and searches can change without touching them.
+compiled tables and its search can change without touching them.
 """
 
 import ast
@@ -45,3 +45,34 @@ def test_no_module_but_matcher_uses_private_matcher_names():
 def test_the_lint_sees_both_spellings():
     tree = ast.parse("from . import matcher\nmatcher._search\nfrom .matcher import _prepare\n")
     assert len(_private_matcher_uses(tree)) == 2
+
+
+def _self_recursive_functions(tree: ast.AST) -> list[str]:
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+
+
+def test_matcher_has_one_search():
+    tree = ast.parse((PACKAGE / "matcher.py").read_text())
+    assert _self_recursive_functions(tree) == ["_fill"]
+
+
+def test_the_search_lint_sees_nested_recursion():
+    source = (
+        "def outer():\n"
+        "    def rec(k):\n"
+        "        yield from rec(k - 1)\n"
+        "    return rec(3)\n"
+        "def fill(k):\n"
+        "    return fill(k - 1)\n"
+    )
+    assert sorted(_self_recursive_functions(ast.parse(source))) == ["fill", "rec"]

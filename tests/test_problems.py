@@ -141,3 +141,9 @@ def test_report_serialisation():
 def test_problem_report_rejects_unknown():
     with pytest.raises(ValueError):
         problem_report(5, 4)
+
+
+def test_problem_report_rejects_negative_size():
+    for which in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="non-negative"):
+            problem_report(which, -1)

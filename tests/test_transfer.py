@@ -1,10 +1,15 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
+
+from conftest import naive_occurrences
 
 from pdvp import checks
 from pdvp.dsl import parse_pattern
 from pdvp.exhaustive import word_distribution
+from pdvp.matcher import WordSequence
 from pdvp.pattern import Mode
 from pdvp.transfer import (
     ONE,
@@ -155,6 +160,13 @@ def test_dp_state_budget():
         dp_series(sp, 4, 5, state_budget=8)
 
 
+def test_dp_rejects_negative_order():
+    sp = checks.stat_pattern("b3")
+    with pytest.raises(ValueError, match="non-negative"):
+        dp_series(sp, 3, -1)
+    assert dp_series(sp, 3, 0).z0_series() == [1]
+
+
 def test_totals_conserved():
     for name in ("a3", "b4", "d3", "e4"):
         _, t = checks.STAT_ALPHABETS[name]
@@ -165,6 +177,36 @@ def test_totals_conserved():
 def test_solver_matches_reference_forms():
     for name in ("a3", "b3", "e4"):
         assert gf_equal_series(checks._solver_gf(name), checks.reference_gf(name), 34)
+
+
+def test_solver_equals_reference_forms_exactly():
+    # cross-multiplied in Z[q, z]: equal as rational functions, not only to an order
+    for name in ("a3", "a4", "b3", "b4", "e4"):
+        solved, ref = checks._solver_gf(name), checks.reference_gf(name)
+        assert solved.num * ref.den == ref.num * solved.den
+
+
+def _random_stat_pattern(rng):
+    base = rng.choice(["12", "21", "11"])
+    gaps = rng.choice(["{1}", "{2}", "{1,2}"])
+    y = rng.choice(["-", f"(1,2,{{{rng.randint(0, 2)}}})"])
+    z = ",".join(rng.choice(["P", "O", "{1,2}"]) for _ in range(2))
+    return StatPattern(parse_pattern(f"{base}|P,{gaps},P|{y}|{z}", Mode.WORD))
+
+
+def test_solver_matches_naive_recount(rng):
+    # the solver reads the dp's window counts, so check it against an oracle
+    # that shares nothing with either: per-word naive_occurrences histograms
+    for _ in range(12):
+        sp = _random_stat_pattern(rng)
+        t = rng.randint(1, 3)
+        expanded = expand_rational(solve_transfer_system(sp, t), 6)
+        for n in range(7):
+            hist = Counter(
+                len(naive_occurrences(sp.pattern, WordSequence(w, t)))
+                for w in product(range(1, t + 1), repeat=n)
+            )
+            assert expanded.z_poly(n) == dict(hist), (sp.pattern, t, n)
 
 
 def test_solver_matches_dp_for_all_fixtures():
