@@ -291,8 +291,7 @@ def _dp_matches_brute(t: _Tally, name: str, n_scan: int):
     text, alpha = STAT_ALPHABETS[name]
     pat = parse_pattern(text, Mode.WORD)
     dp = _dp_table(name, n_scan)
-    for n in range(n_scan + 1):
-        brute = exhaustive.word_distribution(pat, alpha, n)
+    for n, brute in enumerate(exhaustive.word_distributions(pat, alpha, n_scan)):
         t.expect(
             f"{name} dp row n={n} vs word scan",
             dp.z_poly(n),
@@ -412,7 +411,7 @@ def check_d4() -> CheckResult:
         computed = dp.z0_series()[:8]
         t.note(f"computed avoidance series: {computed}")
         pat = parse_pattern(STAT_ALPHABETS["d4"][0], Mode.WORD)
-        scans = [exhaustive.word_multi_avoiders([pat], 4, n) for n in range(8)]
+        scans = exhaustive.word_avoider_counts([pat], 4, 7)
         if scans == computed:
             t.note("the computed series is confirmed by exhaustive word scans")
         else:

@@ -7,21 +7,23 @@ i_0 = 0 and i_{m+1} = n + 1), every Y triple is satisfied on absolute value
 differences (sentinel values: 0 below; n + 1 above for permutations, the
 alphabet size for words), and every chosen value lies in its Z set.
 
-Patterns are compiled once into flat lookup tables, and one depth-first
-search runs over them.  `_ending_at` fixes the last index p and fills the
-other slots right to left, pruning on gap feasibility, Z membership, order
-consistency and Y triples as soon as both endpoints are known.  It reads only
+Each pattern gets one search of its own: `_generate` writes straight-line
+Python for it, one nested loop per slot, and compiles it once, as the
+standard `dataclasses` module does for its methods.  The search fixes the
+last index p and fills the other slots right to left, pruning on Z
+membership, order signs, Y pairs and Y bounds as soon as the values they
+compare are placed; the gap sets become the loops' ranges.  It reads only
 the entries up to p and needs the final length n only for the closing gap,
 so a prefix of length p already decides every occurrence that ends at p.
-Counting, avoidance, the prefix walks of the exhaustive scans and the listing
-of occurrences (every last index in turn, then sorted) all go through it.
+Counting, avoidance, the prefix walks of the exhaustive scans and the
+listing of occurrences (every last index in turn, then sorted) all call the
+generated code, which differs between them only in its innermost statement.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .intset import IntSet
@@ -75,72 +77,162 @@ class Occurrence:
         return tuple(entries[i - 1] for i in self.indices)
 
 
-def _unless_all_positive(s: IntSet) -> IntSet | None:
-    """None for a set holding every positive integer: indices, gaps and
-    values are all >= 1, so such a set never rejects and its test is skipped."""
-    return None if s.steps == (1,) else s
+_COUNT, _FIRST, _LIST = "count", "first", "list"
+_LOOPS_PER_BLOCK = 16  # the compiler refuses more than 20 nested blocks per function
+
+
+def _probe(s: IntSet, floor: int):
+    """The object to test `x in` against, for x >= floor, or None when the
+    set holds every such x and the test can be skipped.  A finite set is
+    probed as its frozenset, anything else through IntSet.__contains__."""
+    if s.steps == (1,) and (floor >= 1 or 0 in s.extra):
+        return None
+    if not s.odd and not s.steps:
+        return s.extra
+    return s
+
+
+def _generate(pat: Pdvp, mode: str, gaps: Callable[[int, int], tuple[int, ...]]):
+    """Compile the search of `pat` in `mode`; return its factory make(n, upper, found).
+
+    The factory returns search(entries, p), the occurrences whose last index
+    is p (1-based) in a sequence of final length n with high sentinel
+    `upper`.  Slot k's index is q_k + 1 and its value v_k; slot m-1 sits at
+    p and the loops fill the others from m-2 down to 0, each rejecting a
+    candidate on Z membership, order signs, Y pairs with the slots to its
+    right and then Y bounds against the sentinels; slot 0 also tests X_0.
+    Only the innermost statement differs between the modes.  Every block of
+    _LOOPS_PER_BLOCK slots is a function of its own that the block above
+    calls in its innermost statement.  The source holds integer literals and
+    the names bound in `namespace` only.
+    """
+    m, base = pat.m, pat.base
+    namespace: dict[str, object] = {"gaps": gaps}
+
+    def bound(obj) -> str:
+        key = f"S{len(namespace)}"
+        namespace[key] = obj
+        return key
+
+    def test(expr: str, s: IntSet, floor: int) -> list[str]:
+        probe = _probe(s, floor)
+        return [] if probe is None else [f"{expr} not in {bound(probe)}"]
+
+    pairs: list[list[str]] = [[] for _ in range(m)]
+    bounds: list[list[str]] = [[] for _ in range(m)]
+    entry: list[str] = [f"p < {m:d} or p > n"] + test("n + 1 - p", pat.x[m], 1)
+    for s, t, dset in pat.y:
+        if s >= 1 and t <= m:
+            pairs[s - 1] += test(f"abs(v{s - 1} - v{t - 1})", dset, 0)
+        elif s >= 1:
+            bounds[s - 1] += test(f"abs(upper - v{s - 1})", dset, 0)
+        elif t <= m:
+            bounds[t - 1] += test(f"abs(v{t - 1})", dset, 0)
+        else:
+            entry += test("upper", dset, 0)
+
+    def rejects(k: int) -> list[str]:
+        order = []
+        for a in range(k + 1, m):
+            op = ">=" if base[k] < base[a] else "<=" if base[k] > base[a] else "!="
+            order.append(f"v{k} {op} v{a}")
+        first_gap = test(f"q{k} + 1", pat.x[0], 1) if k == 0 else []
+        return test(f"v{k}", pat.z[k], 1) + order + pairs[k] + bounds[k] + first_gap
+
+    def loop(k: int) -> list[str]:
+        """The head of slot k's loop, given q_{k+1}."""
+        xs = pat.x[k + 1]
+        if not xs.odd and len(xs.steps) == 1 and xs.extra <= {0}:
+            step = xs.steps[0]
+            return [f"for q{k} in range(q{k + 1} - {step}, {k - 1}, -{step}):"]
+        if not xs.odd and not xs.steps:
+            deltas = "".join(f"{d:d}, " for d in sorted(xs.extra) if d)
+            head = [f"for d{k} in ({deltas}):", f"    q{k} = q{k + 1} - d{k}"]
+            return head + [f"    if q{k} < {k}:", "        break"]
+        return [f"for d{k} in gaps({k + 1}, q{k + 1} - {k}):", f"    q{k} = q{k + 1} - d{k}"]
+
+    def guard(cond: str, action: str) -> list[str]:
+        return [f"if {cond}:", f"    {action}"]
+
+    def hit(call: str | None) -> str:
+        if mode == _COUNT:
+            return f"total += {call or 1}"
+        if mode == _FIRST:
+            return f"if {call}: return 1" if call else "return 1"
+        if call:
+            return call
+        return "found.append((%s,))" % ", ".join(f"q{k} + 1" for k in range(m))
+
+    def placed(k: int) -> str:
+        """The indices and values of slots k..m-1, which a chained block receives."""
+        return ", ".join([f"q{a}" for a in range(k, m)] + [f"v{a}" for a in range(k, m)])
+
+    result = "return total" if mode == _COUNT else "return 0"
+    blocks = []
+    top = m - 1  # the block's highest slot, placed when the block starts
+    while True:
+        low = max(top - _LOOPS_PER_BLOCK, 0)
+        if top == m - 1:
+            head = ["def search(entries, p):"]
+            head += ["    " + line for cond in entry for line in guard(cond, "return 0")]
+            head += [f"    q{top} = p - 1", f"    v{top} = entries[q{top}]"]
+            head += ["    " + line for cond in rejects(top) for line in guard(cond, "return 0")]
+        else:
+            head = [f"def block{top}(entries, {placed(top)}):"]
+        body = ["total = 0"] if mode == _COUNT else []
+        for depth, k in enumerate(range(top - 1, low - 1, -1)):
+            pad = "    " * depth
+            body += [pad + line for line in loop(k)]
+            body.append(f"{pad}    v{k} = entries[q{k}]")
+            body += [f"{pad}    {line}" for cond in rejects(k) for line in guard(cond, "continue")]
+        inner = hit(f"block{low}(entries, {placed(low)})" if low else None)
+        body += ["    " * (top - low) + inner, result]
+        blocks.append(head + ["    " + line for line in body])
+        if not low:
+            break
+        top = low
+    lines = ["def make(n, upper, found):"]
+    for block in reversed(blocks):
+        lines += ["    " + line for line in block]
+    lines.append("    return search")
+    exec(compile("\n".join(lines), f"<pdvp search, {mode}>", "exec"), namespace)
+    return namespace["make"]
 
 
 class _Prep:
-    """Flattened pattern tables for the search.
+    """A compiled pattern: its generated searches and its gap tables.
 
-    Slots are 0-based pattern indices, filled from the last one down.
-    `rslots[j]` holds everything the search checks when it places slot j:
-    the Z set (None if it holds every positive integer), the order signs
-    against the slots to its right, the Y triples between slot j and a slot
-    to its right, and the triples between slot j and a sentinel, which are
-    conditions on its value alone (`True` for the high sentinel).  A triple
-    between the two sentinels depends on the high sentinel only
-    (`y_global`).  Gap candidate tuples are memoised per (X set, room).
+    `search(mode)` is the factory make(n, upper, found) of the straight-line
+    search `_generate` writes for this pattern, compiled at its first use
+    in each mode (count, first, list) and kept here, so the LRU below bounds
+    the compiled code as well.  `gaps(k, limit)` lists the members of X_k in
+    1..limit for the gap sets the generated loops cannot spell as a range or
+    a tuple, memoised per (k, limit).
     """
 
-    __slots__ = ("m", "x", "x_first", "x_last", "y_global", "rslots", "gap_memo")
+    __slots__ = ("pat", "searches", "gap_memo")
 
     def __init__(self, pat: Pdvp):
-        m = pat.m
-        base = pat.base
-        self.m = m
-        self.x = pat.x
-        self.x_first = _unless_all_positive(pat.x[0])
-        self.x_last = _unless_all_positive(pat.x[m])
+        self.pat = pat
+        self.searches: dict[str, Callable] = {}
+        self.gap_memo: tuple[dict, ...] = tuple({} for _ in range(pat.m + 1))
 
-        def signs(j: int) -> tuple:
-            return tuple(
-                (a, (base[j] > base[a]) - (base[j] < base[a])) for a in range(j + 1, m)
-            )
-
-        lower: list[list] = [[] for _ in range(m)]
-        value: list[list] = [[] for _ in range(m)]
-        glob = []
-        for s, t, dset in pat.y:
-            if s >= 1 and t <= m:
-                lower[s - 1].append((t - 1, dset))
-            elif s >= 1:
-                value[s - 1].append((True, dset))  # against the high sentinel
-            elif t <= m:
-                value[t - 1].append((False, dset))  # against the value 0
-            else:
-                glob.append(dset)
-        self.y_global = tuple(glob)
-        self.rslots = tuple(
-            (_unless_all_positive(pat.z[j]), signs(j), tuple(lower[j]), tuple(value[j]))
-            for j in range(m)
-        )
-        self.gap_memo: tuple[dict, ...] = tuple({} for _ in range(m))
+    def search(self, mode: str) -> Callable:
+        make = self.searches.get(mode)
+        if make is None:
+            make = self.searches[mode] = _generate(self.pat, mode, self.gaps)
+        return make
 
     def gaps(self, k: int, limit: int) -> tuple[int, ...]:
         """Members of X_k in 1..limit, ascending."""
         memo = self.gap_memo[k]
         got = memo.get(limit)
         if got is None:
-            members = self.x[k].members_up_to(limit)
+            members = self.pat.x[k].members_up_to(limit)
             # index gaps are at least 1; drop a leading 0 from the evens
             got = members[1:] if members and members[0] == 0 else members
             memo[limit] = got
         return got
-
-    def passes_global_y(self, upper: int) -> bool:
-        return all(upper in dset for dset in self.y_global)
 
 
 _PREP_CACHE_SIZE = 256
@@ -158,91 +250,6 @@ def _prepare(pat: Pdvp) -> _Prep:
     return prep
 
 
-def _ending_at(
-    prep: _Prep,
-    n: int,
-    upper: int,
-    first: bool,
-    entries: Sequence[int],
-    p: int,
-    found: list | None = None,
-) -> int:
-    """Count the occurrences whose last index is p in a sequence of final
-    length n; with `first`, stop at the first one and return 1.  A `found`
-    list receives each counted occurrence's index tuple.
-
-    Slot m-1 sits at p and the other slots are filled right to left, so only
-    entries[:p] are read and the X sets prune from the fixed end.
-    """
-    m = prep.m
-    if not m <= p <= n or not (prep.x_last is None or n + 1 - p in prep.x_last):
-        return 0
-    if prep.y_global and not prep.passes_global_y(upper):
-        return 0
-    return _fill(prep, entries, upper, first, [0] * (2 * m), m - 1, p + 1, (1,), found)
-
-
-def _fill(
-    prep: _Prep,
-    entries: Sequence[int],
-    upper: int,
-    first: bool,
-    vals: list[int],
-    slot: int,
-    j: int,
-    deltas: tuple[int, ...],
-    found: list | None,
-) -> int:
-    """Place `slot` at j - delta for each delta, then complete the slots below it.
-
-    vals[k] is the value placed at slot k; with a `found` list, vals[~k] is
-    its index.
-    """
-    zset, checks, pairs, bounds = prep.rslots[slot]
-    total = 0
-    for delta in deltas:
-        i = j - delta
-        v = entries[i - 1]
-        if zset is not None and v not in zset:
-            continue
-        ok = True
-        for a, sign in checks:
-            d = v - vals[a]
-            if (d > 0) - (d < 0) != sign:
-                ok = False
-                break
-        if not ok:
-            continue
-        for b, dset in pairs:
-            d = v - vals[b]
-            if (d if d >= 0 else -d) not in dset:
-                ok = False
-                break
-        if not ok:
-            continue
-        for hi, dset in bounds:
-            if abs(upper - v if hi else v) not in dset:
-                ok = False
-                break
-        if not ok:
-            continue
-        if slot:
-            vals[slot] = v
-            if found is not None:
-                vals[~slot] = i
-            deltas_below = prep.gaps(slot, i - slot)
-            got = _fill(prep, entries, upper, first, vals, slot - 1, i, deltas_below, found)
-        else:
-            got = prep.x_first is None or i in prep.x_first
-            if got and found is not None:
-                found.append((i, *vals[-2:~prep.m:-1]))
-        if got:
-            if first:
-                return 1
-            total += got
-    return total
-
-
 def _upper_sentinel(pat: Pdvp, seq) -> int:
     if pat.mode is Mode.PERMUTATION:
         if not isinstance(seq, PermSequence):
@@ -258,10 +265,10 @@ def iter_occurrences(pat: Pdvp, seq) -> Iterator[Occurrence]:
     upper = _upper_sentinel(pat, seq)
     entries = seq.entries
     n = len(entries)
-    prep = _prepare(pat)
     found: list[tuple[int, ...]] = []
+    listing = _prepare(pat).search(_LIST)(n, upper, found)
     for p in range(1, n + 1):
-        _ending_at(prep, n, upper, False, entries, p, found)
+        listing(entries, p)
     found.sort()
     for indices in found:
         yield Occurrence(indices)
@@ -287,9 +294,9 @@ def search_ending_at(
     The result f(entries, p) counts the occurrences whose last index is p
     (1-based); with `first` it returns 1 if there is one and 0 otherwise.
     It reads only entries[:p], so a prefix walk can pass its buffer before
-    the later entries are set.
+    the later entries are set.  f is the generated search itself.
     """
-    return partial(_ending_at, _prepare(pat), n, upper, first)
+    return _prepare(pat).search(_FIRST if first else _COUNT)(n, upper, None)
 
 
 def count_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> int:
@@ -307,5 +314,5 @@ def avoids_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> bool:
 
 def count_entries_ending_at(pat: Pdvp, entries: Sequence[int], upper: int, last: int) -> int:
     """Count occurrences whose final index equals `last` (1-based)."""
-    return _ending_at(_prepare(pat), len(entries), upper, False, entries, last)
+    return search_ending_at(pat, len(entries), upper)(entries, last)
 

@@ -360,6 +360,7 @@ def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
 
 
 DEFAULT_STATE_BUDGET = 4096
+DEFAULT_SERIES_BUDGET = 10**5  # states x (order + 1) of one dp_series
 
 
 @dataclass(frozen=True)
@@ -452,11 +453,18 @@ def dp_series(
     Appending a letter multiplies the state weight by z^e where e counts the
     occurrences inside the window that use its final position; short words
     are carried whole, so occurrences inside words shorter than W are exact
-    as well.
+    as well.  The states times the n_max + 1 rows must stay within
+    DEFAULT_SERIES_BUDGET, which is checked before any work starts.
     """
     if n_max < 0:
         raise ValueError(f"series order must be non-negative, got {n_max}")
     keep = _check_states(sp, t, state_budget)
+    size = t**keep * (n_max + 1)
+    if size > DEFAULT_SERIES_BUDGET:
+        raise ValueError(
+            f"series size {t}^{keep} states x {n_max + 1} orders = {size}"
+            f" exceeds the budget {DEFAULT_SERIES_BUDGET}"
+        )
     steps = _suffix_states(_window_occurrences(sp.pattern, t), t, keep)
     rows: list[ZPoly] = []
     for _ in range(n_max + 1):

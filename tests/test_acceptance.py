@@ -17,7 +17,7 @@ from conftest import naive_occurrences, random_pattern, random_sequence
 
 from pdvp import checks, formulas
 from pdvp.dsl import parse_gp, parse_pattern
-from pdvp.exhaustive import perm_distribution, word_distribution
+from pdvp.exhaustive import perm_distribution, word_distributions
 from pdvp.matcher import PermSequence, WordSequence, avoids, count, occurrences
 from pdvp.pattern import Mode, make_classical, make_gp
 from pdvp.problems import problem_report
@@ -219,7 +219,9 @@ def test_d4_scan_note_follows_the_scans(check, monkeypatch):
     running them; scans that disagree give a MISMATCH line instead."""
     note = "  the computed series is confirmed by exhaustive word scans"
     assert note in check("d4").lines
-    monkeypatch.setattr(checks.exhaustive, "word_multi_avoiders", lambda pats, t, n: 0)
+    monkeypatch.setattr(
+        checks.exhaustive, "word_avoider_counts", lambda pats, t, n_max: [0] * (n_max + 1)
+    )
     result = checks.run_check("d4")
     assert note not in result.lines
     assert _mismatch_labels(result) == _mismatch_labels(check("d4")) | {
@@ -284,10 +286,8 @@ def test_criterion_15b_dp_equals_word_scans():
         sp = StatPattern(pat)
         for t in range(1, 5):
             dp = dp_series(sp, t, 10)
-            for n in range(11):
-                assert dp.z_poly(n) == dict(word_distribution(pat, t, n).counts), (
-                    text, t, n,
-                )
+            for n, table in enumerate(word_distributions(pat, t, 10)):
+                assert dp.z_poly(n) == dict(table.counts), (text, t, n)
 
 
 def test_criterion_15c_solver_equals_dp(check):

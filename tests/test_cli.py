@@ -134,6 +134,13 @@ def test_negative_size_exits_2(capsys, argv):
     assert "non-negative" in got[2]
 
 
+def test_gf_dp_series_budget_exits_2_at_once(capsys):
+    got = run(capsys, "gf", "--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "3",
+              "--dp", "--max-n", "100000000")
+    assert _one_line_error(*got)
+    assert "100000001 orders" in got[2] and "the budget 100000" in got[2]
+
+
 def test_avoid_repeated_flags(capsys):
     rc, out, _ = run(
         capsys, "avoid", "--pattern", "gp:231", "--pattern", "gp:132", "--perm-n", "6"

@@ -13,11 +13,14 @@ from pdvp.exhaustive import (
     perm_distribution,
     perm_multi_avoiders,
     prefix_walk,
+    word_avoider_counts,
     word_distribution,
+    word_distributions,
     word_multi_avoiders,
 )
+from pdvp.intset import POSITIVES
 from pdvp.matcher import PermSequence, WordSequence
-from pdvp.pattern import Mode, make_classical
+from pdvp.pattern import Mode, Pdvp, make_classical
 
 
 def test_distribution_partitions_the_symmetric_group():
@@ -154,6 +157,35 @@ def test_prefix_walk_equals_per_object_filter(rng):
             want.append((seq.entries, counts))
         got = [(tuple(e), c) for e, c in prefix_walk(n, t, avoid, counted, cap)]
         assert got == want
+
+
+def test_every_length_from_one_walk_equals_a_walk_per_length(rng):
+    pats = [parse_pattern(text, Mode.WORD) for text in sorted(
+        {text for text, _ in STAT_ALPHABETS.values()})]
+    for _ in range(40):
+        pat = random_pattern(rng, Mode.WORD)
+        # half of them with a closing gap set of P, which takes the one walk
+        x = pat.x[:-1] + (POSITIVES,) if rng.random() < 0.5 else pat.x
+        pats.append(Pdvp(Mode.WORD, pat.base, x, pat.y, pat.z))
+    for pat in pats:
+        for t in range(1, 4):
+            tables = word_distributions(pat, t, 6)
+            assert [table.length for table in tables] == list(range(7))
+            for n, table in enumerate(tables):
+                assert table.counts == word_distribution(pat, t, n).counts, (pat, t, n)
+            others = [random_pattern(rng, Mode.WORD) for _ in range(rng.randrange(2))]
+            assert word_avoider_counts([pat] + others, t, 6) == [
+                word_multi_avoiders([pat] + others, t, n) for n in range(7)
+            ], (pat, others, t)
+
+
+def test_every_length_scans_keep_the_budget():
+    pat = parse_pattern(STAT_ALPHABETS["d4"][0], Mode.WORD)
+    with pytest.raises(EnumerationLimitError):
+        word_distributions(pat, 4, 10, budget=4**9)
+    with pytest.raises(EnumerationLimitError):
+        word_avoider_counts([pat], 4, 10, budget=4**9)
+    assert word_avoider_counts([pat], 4, 3) == [1, 4, 14, 44]
 
 
 def test_long_one_letter_words():

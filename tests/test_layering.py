@@ -1,7 +1,9 @@
 """Only matcher.py may use the matcher's private names, and it has one search.
 
 Other modules reach the matcher through its public entry points, so its
-compiled tables and its search can change without touching them.
+compiled tables and its search can change without touching them.  The
+search is code that matcher.py generates per pattern, so "one search" means
+one place that compiles generated code and no recursive search beside it.
 """
 
 import ast
@@ -61,9 +63,21 @@ def _self_recursive_functions(tree: ast.AST) -> list[str]:
     ]
 
 
+def _compile_sites(tree: ast.AST) -> set[int]:
+    """Lines that call the builtin compile or exec."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("compile", "exec")
+    }
+
+
 def test_matcher_has_one_search():
     tree = ast.parse((PACKAGE / "matcher.py").read_text())
-    assert _self_recursive_functions(tree) == ["_fill"]
+    assert _self_recursive_functions(tree) == []
+    assert len(_compile_sites(tree)) == 1
 
 
 def test_the_search_lint_sees_nested_recursion():
@@ -76,3 +90,13 @@ def test_the_search_lint_sees_nested_recursion():
         "    return fill(k - 1)\n"
     )
     assert sorted(_self_recursive_functions(ast.parse(source))) == ["fill", "rec"]
+
+
+def test_the_search_lint_counts_compile_sites():
+    source = (
+        "exec(compile(text, '<a>', 'exec'), ns)\n"
+        "def build(text):\n"
+        "    exec(text)\n"
+        "re.compile('x')\n"
+    )
+    assert _compile_sites(ast.parse(source)) == {1, 3}

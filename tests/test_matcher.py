@@ -1,3 +1,5 @@
+import time
+from collections import OrderedDict
 from itertools import permutations
 
 import pytest
@@ -229,6 +231,7 @@ def test_ending_at_matches_naive_and_search(rng):
 
 
 def test_prep_cache_is_bounded():
+    # the compiled searches live on the cached entries, so the LRU bounds them too
     probe = make_classical((2, 1))
     seq = PermSequence((3, 1, 4, 2))
     before = count(probe, seq)
@@ -237,3 +240,63 @@ def test_prep_cache_is_bounded():
     assert len(matcher._PREP_CACHE) <= matcher._PREP_CACHE_SIZE
     assert probe not in matcher._PREP_CACHE
     assert count(probe, seq) == before == 3
+    assert not avoids(probe, seq)
+    assert [o.indices for o in occurrences(probe, seq)] == naive_occurrences(probe, seq)
+
+
+@pytest.mark.parametrize("block", [1, 2, 16])
+def test_generated_search_matches_naive_in_every_mode(rng, monkeypatch, block):
+    # with blocks of one or two slots every random pattern runs through the
+    # chained block functions as well
+    monkeypatch.setattr(matcher, "_LOOPS_PER_BLOCK", block)
+    monkeypatch.setattr(matcher, "_PREP_CACHE", OrderedDict())
+    for _ in range(150):
+        mode = Mode.PERMUTATION if rng.random() < 0.5 else Mode.WORD
+        pat = random_pattern(rng, mode)
+        seq = random_sequence(rng, mode, n_max=6)
+        entries, upper = seq.entries, _upper(pat, seq)
+        naive = naive_occurrences(pat, seq)
+        n = len(entries)
+        count_at = search_ending_at(pat, n, upper)
+        first_at = search_ending_at(pat, n, upper, first=True)
+        for p in range(1, n + 1):
+            want = sum(1 for ix in naive if ix[-1] == p)
+            assert count_at(entries, p) == want
+            assert first_at(entries, p) == min(want, 1)
+        assert [o.indices for o in iter_occurrences(pat, seq)] == naive
+
+
+def test_thirty_slot_classical_pattern_chains_blocks():
+    pat = make_classical(range(1, 31))
+    s30 = PermSequence(tuple(range(1, 31)))
+    s32 = PermSequence(tuple(range(1, 33)))
+    assert count(pat, s30) == 1
+    assert count(pat, s32) == 496
+    assert [o.indices for o in occurrences(pat, s30)] == [tuple(range(1, 31))]
+    assert len(occurrences(pat, s32)) == 496
+    assert not avoids(pat, s32)
+    assert avoids(pat, PermSequence(tuple(range(32, 0, -1))))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "12|P,{1000000000000},P|-|P,P",
+        "12|P,1000000007P,P|-|P,P",
+        "12|P,P,P|(1,2,{1000000000000})|P,P",
+        "12|P,P,P|(1,2,1000000007P)|P,P",
+        "12|P,P,P|-|{1000000000000},P",
+        "12|P,P,P|-|1000000007P,P",
+        "12|P,{1}+1000000007P,P|(1,2,{1}+1000000007P)|{2}+1000000007P,P",
+        "21|P,{2}+{1000000000000},P|(0,1,{3}+1000000007P)|P,{1}+{1000000000000}",
+    ],
+)
+def test_huge_set_members_compile_and_answer_fast(text):
+    start = time.perf_counter()
+    for mode in Mode:
+        pat = parse_pattern(text, mode)
+        for pi in permutations(range(1, 6)):
+            seq = PermSequence(pi) if mode is Mode.PERMUTATION else WordSequence(pi, 5)
+            assert [o.indices for o in occurrences(pat, seq)] == naive_occurrences(pat, seq)
+            assert count(pat, seq) == len(naive_occurrences(pat, seq))
+    assert time.perf_counter() - start < 5

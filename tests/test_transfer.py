@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -158,6 +159,16 @@ def test_dp_state_budget():
     sp = checks.stat_pattern("a4")
     with pytest.raises(ValueError):
         dp_series(sp, 4, 5, state_budget=8)
+
+
+def test_dp_series_budget_fails_before_the_work():
+    sp = checks.stat_pattern("b3")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"3\^1 states x 100000001 orders = 300000003 "
+                       r"exceeds the budget 100000$"):
+        dp_series(sp, 3, 10**8)
+    assert time.perf_counter() - start < 1
+    assert len(dp_series(sp, 3, 300).z0_series()) == 301
 
 
 def test_dp_rejects_negative_order():
