@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import exhaustive, formulas, transfer
+from . import exhaustive, formulas, matcher, transfer
 from .dsl import parse_pattern
 from .pattern import Mode, Pdvp, make_classical, make_gp
 from .transfer import ONE, Q, RationalGF, StatPattern, Z
@@ -101,11 +101,6 @@ def d4_display_z0() -> RationalGF:
     num = ONE + 2 * Q**2 - 2 * Q**3
     den = ONE - 4 * Q + 8 * Q**3 - 4 * Q**4
     return RationalGF(num, den)
-
-
-def fib_series_gf() -> RationalGF:
-    """(1+q)/(1-q-q^2): coefficients 1, 2, 3, 5, 8, .. = fib(n+2)."""
-    return RationalGF(ONE + Q, ONE - Q - Q**2)
 
 
 def fib_even_gf() -> RationalGF:
@@ -236,8 +231,9 @@ def _ank_scan(n: int) -> dict[int, tuple[int, int]]:
     avoid = {k: 0 for k in ks}
     exactly_one = {k: 0 for k in ks}
     rises = [_shifted_rise_pattern(k) for k in ks]
-    for _, counts in exhaustive.prefix_walk(n, avoid=[_CONS_231, _CONS_132], count=rises):
-        for k, c in zip(ks, counts):
+    for pi, _ in exhaustive.prefix_walk(n, avoid=[_CONS_231, _CONS_132]):
+        for k, rise in zip(ks, rises):
+            c = matcher.count_entries(rise, pi, n + 1)
             if c == 0:
                 avoid[k] += 1
             elif c == 1:
@@ -277,19 +273,16 @@ def check_ank() -> CheckResult:
 
 @lru_cache(maxsize=None)
 def _dp_table(name: str, n_max: int) -> transfer.ZSeriesTable:
-    text, t = STAT_ALPHABETS[name]
-    return transfer.dp_series(StatPattern(parse_pattern(text, Mode.WORD)), t, n_max)
+    return transfer.dp_series(stat_pattern(name), STAT_ALPHABETS[name][1], n_max)
 
 
 @lru_cache(maxsize=None)
 def _solver_gf(name: str) -> RationalGF:
-    text, t = STAT_ALPHABETS[name]
-    return transfer.solve_transfer_system(StatPattern(parse_pattern(text, Mode.WORD)), t)
+    return transfer.solve_transfer_system(stat_pattern(name), STAT_ALPHABETS[name][1])
 
 
 def _dp_matches_brute(t: _Tally, name: str, n_scan: int):
-    text, alpha = STAT_ALPHABETS[name]
-    pat = parse_pattern(text, Mode.WORD)
+    pat, alpha = stat_pattern(name).pattern, STAT_ALPHABETS[name][1]
     dp = _dp_table(name, n_scan)
     for n, brute in enumerate(exhaustive.word_distributions(pat, alpha, n_scan)):
         t.expect(
@@ -410,8 +403,7 @@ def check_d4() -> CheckResult:
     if not t.ok:
         computed = dp.z0_series()[:8]
         t.note(f"computed avoidance series: {computed}")
-        pat = parse_pattern(STAT_ALPHABETS["d4"][0], Mode.WORD)
-        scans = exhaustive.word_avoider_counts([pat], 4, 7)
+        scans = exhaustive.word_avoider_counts([stat_pattern("d4").pattern], 4, 7)
         if scans == computed:
             t.note("the computed series is confirmed by exhaustive word scans")
         else:

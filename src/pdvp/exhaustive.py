@@ -70,38 +70,35 @@ def prefix_walk(
     n: int,
     t: int | None = None,
     avoid: Sequence[Pdvp] = (),
-    count: Sequence[Pdvp] = (),
+    count: Pdvp | None = None,
     cap: int | None = None,
     prefixes: bool = False,
-) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+) -> Iterator[tuple[list[int], int]]:
     """Walk S_n (t None) or {1..t}^n in lexicographic order, one position at a time.
 
-    Yields (entries, counts) for every object that no pattern in `avoid`
-    occurs in: `counts` holds the occurrences of each pattern in `count`.
-    A branch is dropped once an avoided pattern ends at its last position,
-    or once a count exceeds `cap`.  `entries` is the walk's own buffer: it
-    is valid until the next item is drawn.  With `prefixes`, every shorter
-    prefix the walk keeps is yielded too, before its extensions, as a list
-    of its own; its counts are those of a sequence of final length n, which
-    for a word pattern whose X_m holds every positive integer are its own.
-    The walk keeps its own stack of candidate iterators, so n is not bounded
-    by the recursion limit.
+    Yields (entries, c) for every object that no pattern in `avoid` occurs
+    in: c is the number of occurrences of `count`, 0 when it is None.  A
+    branch is dropped once an avoided pattern ends at its last position, or
+    once c exceeds `cap`.  `entries` is the walk's own buffer: it is valid
+    until the next item is drawn.  With `prefixes`, every shorter prefix the
+    walk keeps is yielded too, before its extensions, as a list of its own;
+    its count is that of a sequence of final length n, which for a word
+    pattern whose X_m holds every positive integer is its own.  The walk
+    keeps its own stack of candidate iterators, so n is not bounded by the
+    recursion limit.
     """
     perm = t is None
     upper = n + 1 if perm else t
     letters = range(1, (n if perm else t) + 1)
     stops = [matcher.search_ending_at(p, n, upper, first=True) for p in avoid]
-    tallies = [matcher.search_ending_at(p, n, upper) for p in count]
+    tally = None if count is None else matcher.search_ending_at(count, n, upper)
     buf = [0] * n
     used = [False] * (n + 1)
-    totals = [(0,) * len(tallies)] * (n + 1)  # totals[d]: counts within buf[:d]
+    within = [0] * (n + 1)  # within[d]: the occurrences inside buf[:d]
     if n == 0 or prefixes:
-        yield buf[:0], totals[0]
+        yield buf[:0], 0
         if n == 0:
             return
-    # one counted pattern is the common case; adding its count without the
-    # comprehension below measured about twice as fast per walk node
-    single = tallies[0] if len(tallies) == 1 else None
     rows = [iter(letters)] + [None] * n  # rows[d - 1]: the candidates for position d
     d = 1  # the position being filled
     while d:
@@ -113,13 +110,11 @@ def prefix_walk(
                 if stop(buf, d):
                     break  # to the next candidate v
             else:
-                got = totals[d - 1]
-                if single:
-                    got = (got[0] + single(buf, d),)
-                elif tallies:
-                    got = tuple([c + tally(buf, d) for c, tally in zip(got, tallies)])
-                if cap is not None and tallies and max(got) > cap:
-                    continue
+                got = within[d - 1]
+                if tally:
+                    got += tally(buf, d)
+                    if cap is not None and got > cap:
+                        continue
                 break  # v is placed
         else:
             d -= 1
@@ -133,14 +128,14 @@ def prefix_walk(
             yield buf[:d], got
         if perm:
             used[v] = True
-        totals[d] = got
+        within[d] = got
         rows[d] = iter(letters)
         d += 1
 
 
 def _histogram(walk) -> dict[int, int]:
     counts: dict[int, int] = {}
-    for _, (c,) in walk:
+    for _, c in walk:
         counts[c] = counts.get(c, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -148,7 +143,7 @@ def _histogram(walk) -> dict[int, int]:
 def perm_distribution(pat: Pdvp, n: int, limit: int | None = None) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all of S_n."""
     _check_perm([pat], n, limit)
-    return DistributionTable(n, _histogram(prefix_walk(n, count=[pat])))
+    return DistributionTable(n, _histogram(prefix_walk(n, count=pat)))
 
 
 def word_distribution(
@@ -156,7 +151,7 @@ def word_distribution(
 ) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all words in {1..t}^n."""
     _check_word([pat], t, n, budget)
-    return DistributionTable(n, _histogram(prefix_walk(n, t, count=[pat])))
+    return DistributionTable(n, _histogram(prefix_walk(n, t, count=pat)))
 
 
 def _length_free(pat: Pdvp) -> bool:
@@ -178,7 +173,7 @@ def word_distributions(
     if not _length_free(pat):
         return [word_distribution(pat, t, n, budget) for n in range(n_max + 1)]
     by_length: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for word, (c,) in prefix_walk(n_max, t, count=[pat], prefixes=True):
+    for word, c in prefix_walk(n_max, t, count=pat, prefixes=True):
         counts = by_length[len(word)]
         counts[c] = counts.get(c, 0) + 1
     return [DistributionTable(n, dict(sorted(c.items()))) for n, c in enumerate(by_length)]

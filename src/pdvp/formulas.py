@@ -61,27 +61,6 @@ def b_even(a_row: ARow, n: int, m: int) -> int:
     return total
 
 
-def b_odd(a_row: ARow, n: int, m: int) -> int:
-    """The S_{2n+1} analog of b_even: n+1 odd positions but only n even values,
-    giving sum_k n! (n+1-k)! C(n,k) C(n+1,k)^2 A_{k,m}.
-
-    Validated against exhaustive scans of S_3, S_5, S_7 before freezing.
-    """
-    total = 0
-    for k in range(n + 1):
-        if k not in a_row:
-            raise KeyError(f"missing distribution for k = {k}")
-        akm = a_row[k].get(m, 0)
-        total += (
-            factorial(n)
-            * factorial(n + 1 - k)
-            * comb(n, k)
-            * comb(n + 1, k) ** 2
-            * akm
-        )
-    return total
-
-
 def k4n(n: int) -> int:
     """Candidate closed form for avoiders in S_4n of the rise pattern pinned to
     positions and values congruent mod 4:

@@ -12,9 +12,10 @@ Python for it, one nested loop per slot, and compiles it once, as the
 standard `dataclasses` module does for its methods.  The search fixes the
 last index p and fills the other slots right to left, pruning on Z
 membership, order signs, Y pairs and Y bounds as soon as the values they
-compare are placed; the gap sets become the loops' ranges.  It reads only
-the entries up to p and needs the final length n only for the closing gap,
-so a prefix of length p already decides every occurrence that ends at p.
+compare are placed; each gap set becomes a loop's range or member tuple.
+It reads only the entries up to p and needs the final length n only for
+the closing gap, so a prefix of length p already decides every occurrence
+that ends at p.
 Counting, avoidance, the prefix walks of the exhaustive scans and the
 listing of occurrences (every last index in turn, then sorted) all call the
 generated code, which differs between them only in its innermost statement.
@@ -92,7 +93,7 @@ def _probe(s: IntSet, floor: int):
     return s
 
 
-def _generate(pat: Pdvp, mode: str, gaps: Callable[[int, int], tuple[int, ...]]):
+def _generate(pat: Pdvp, mode: str):
     """Compile the search of `pat` in `mode`; return its factory make(n, upper, found).
 
     The factory returns search(entries, p), the occurrences whose last index
@@ -101,13 +102,19 @@ def _generate(pat: Pdvp, mode: str, gaps: Callable[[int, int], tuple[int, ...]])
     p and the loops fill the others from m-2 down to 0, each rejecting a
     candidate on Z membership, order signs, Y pairs with the slots to its
     right and then Y bounds against the sentinels; slot 0 also tests X_0.
+    Slot k's candidates are the gaps d in X_{k+1}: a descending `range` when
+    X_{k+1} is one progression (P, kP, E), otherwise a loop over its
+    members, ascending, that breaks once q_k drops below k.  The members are
+    a tuple literal when X_{k+1} is finite and the tuple g{k}, which make
+    builds once per call from the members up to n, when it is not.
     Only the innermost statement differs between the modes.  Every block of
     _LOOPS_PER_BLOCK slots is a function of its own that the block above
     calls in its innermost statement.  The source holds integer literals and
     the names bound in `namespace` only.
     """
     m, base = pat.m, pat.base
-    namespace: dict[str, object] = {"gaps": gaps}
+    namespace: dict[str, object] = {}
+    tables: list[str] = []  # make's statements that build the g{k}
 
     def bound(obj) -> str:
         key = f"S{len(namespace)}"
@@ -146,10 +153,12 @@ def _generate(pat: Pdvp, mode: str, gaps: Callable[[int, int], tuple[int, ...]])
             step = xs.steps[0]
             return [f"for q{k} in range(q{k + 1} - {step}, {k - 1}, -{step}):"]
         if not xs.odd and not xs.steps:
-            deltas = "".join(f"{d:d}, " for d in sorted(xs.extra) if d)
-            head = [f"for d{k} in ({deltas}):", f"    q{k} = q{k + 1} - d{k}"]
-            return head + [f"    if q{k} < {k}:", "        break"]
-        return [f"for d{k} in gaps({k + 1}, q{k + 1} - {k}):", f"    q{k} = q{k + 1} - d{k}"]
+            deltas = "(%s)" % "".join(f"{d:d}, " for d in sorted(xs.extra) if d)
+        else:
+            deltas = f"g{k}"
+            tables.append(f"g{k} = tuple(d for d in {bound(xs)}.members_up_to(n) if d)")
+        head = [f"for d{k} in {deltas}:", f"    q{k} = q{k + 1} - d{k}"]
+        return head + [f"    if q{k} < {k}:", "        break"]
 
     def guard(cond: str, action: str) -> list[str]:
         return [f"if {cond}:", f"    {action}"]
@@ -191,7 +200,7 @@ def _generate(pat: Pdvp, mode: str, gaps: Callable[[int, int], tuple[int, ...]])
         if not low:
             break
         top = low
-    lines = ["def make(n, upper, found):"]
+    lines = ["def make(n, upper, found):"] + ["    " + line for line in tables]
     for block in reversed(blocks):
         lines += ["    " + line for line in block]
     lines.append("    return search")
@@ -199,55 +208,25 @@ def _generate(pat: Pdvp, mode: str, gaps: Callable[[int, int], tuple[int, ...]])
     return namespace["make"]
 
 
-class _Prep:
-    """A compiled pattern: its generated searches and its gap tables.
-
-    `search(mode)` is the factory make(n, upper, found) of the straight-line
-    search `_generate` writes for this pattern, compiled at its first use
-    in each mode (count, first, list) and kept here, so the LRU below bounds
-    the compiled code as well.  `gaps(k, limit)` lists the members of X_k in
-    1..limit for the gap sets the generated loops cannot spell as a range or
-    a tuple, memoised per (k, limit).
-    """
-
-    __slots__ = ("pat", "searches", "gap_memo")
-
-    def __init__(self, pat: Pdvp):
-        self.pat = pat
-        self.searches: dict[str, Callable] = {}
-        self.gap_memo: tuple[dict, ...] = tuple({} for _ in range(pat.m + 1))
-
-    def search(self, mode: str) -> Callable:
-        make = self.searches.get(mode)
-        if make is None:
-            make = self.searches[mode] = _generate(self.pat, mode, self.gaps)
-        return make
-
-    def gaps(self, k: int, limit: int) -> tuple[int, ...]:
-        """Members of X_k in 1..limit, ascending."""
-        memo = self.gap_memo[k]
-        got = memo.get(limit)
-        if got is None:
-            members = self.pat.x[k].members_up_to(limit)
-            # index gaps are at least 1; drop a leading 0 from the evens
-            got = members[1:] if members and members[0] == 0 else members
-            memo[limit] = got
-        return got
-
-
 _PREP_CACHE_SIZE = 256
-_PREP_CACHE: OrderedDict[Pdvp, _Prep] = OrderedDict()  # least recently used first
+# each pattern's factories make(n, upper, found) by mode (count, first, list),
+# compiled at first use; least recently used pattern first
+_PREP_CACHE: OrderedDict[Pdvp, dict[str, Callable]] = OrderedDict()
 
 
-def _prepare(pat: Pdvp) -> _Prep:
-    prep = _PREP_CACHE.get(pat)
-    if prep is None:
-        prep = _PREP_CACHE[pat] = _Prep(pat)
+def _compiled(pat: Pdvp, mode: str) -> Callable:
+    """The factory `_generate` compiles for `pat` in `mode`, kept in the LRU."""
+    searches = _PREP_CACHE.get(pat)
+    if searches is None:
+        searches = _PREP_CACHE[pat] = {}
         if len(_PREP_CACHE) > _PREP_CACHE_SIZE:
             _PREP_CACHE.popitem(last=False)
     else:
         _PREP_CACHE.move_to_end(pat)
-    return prep
+    make = searches.get(mode)
+    if make is None:
+        make = searches[mode] = _generate(pat, mode)
+    return make
 
 
 def _upper_sentinel(pat: Pdvp, seq) -> int:
@@ -266,7 +245,7 @@ def iter_occurrences(pat: Pdvp, seq) -> Iterator[Occurrence]:
     entries = seq.entries
     n = len(entries)
     found: list[tuple[int, ...]] = []
-    listing = _prepare(pat).search(_LIST)(n, upper, found)
+    listing = _compiled(pat, _LIST)(n, upper, found)
     for p in range(1, n + 1):
         listing(entries, p)
     found.sort()
@@ -283,7 +262,10 @@ def count(pat: Pdvp, seq) -> int:
 
 
 def avoids(pat: Pdvp, seq) -> bool:
-    return avoids_entries(pat, seq.entries, _upper_sentinel(pat, seq))
+    entries = seq.entries
+    n = len(entries)
+    ending_at = search_ending_at(pat, n, _upper_sentinel(pat, seq), first=True)
+    return not any(ending_at(entries, p) for p in range(1, n + 1))
 
 
 def search_ending_at(
@@ -296,7 +278,7 @@ def search_ending_at(
     It reads only entries[:p], so a prefix walk can pass its buffer before
     the later entries are set.  f is the generated search itself.
     """
-    return _prepare(pat).search(_FIRST if first else _COUNT)(n, upper, None)
+    return _compiled(pat, _FIRST if first else _COUNT)(n, upper, None)
 
 
 def count_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> int:
@@ -304,15 +286,3 @@ def count_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> int:
     n = len(entries)
     ending_at = search_ending_at(pat, n, upper)
     return sum(ending_at(entries, p) for p in range(1, n + 1))
-
-
-def avoids_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> bool:
-    n = len(entries)
-    ending_at = search_ending_at(pat, n, upper, first=True)
-    return not any(ending_at(entries, p) for p in range(1, n + 1))
-
-
-def count_entries_ending_at(pat: Pdvp, entries: Sequence[int], upper: int, last: int) -> int:
-    """Count occurrences whose final index equals `last` (1-based)."""
-    return search_ending_at(pat, len(entries), upper)(entries, last)
-

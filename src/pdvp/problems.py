@@ -156,25 +156,24 @@ def two_stack_sortable_count(
     n: int,
     require_avoid_132: bool = False,
     require_exactly_one_123: bool = False,
-    limit: int = 10,
 ) -> int:
     """Permutations with s(s(pi)) = identity, optionally restricted to those
     avoiding the order type 132 and containing the order type 123 exactly once.
     """
-    if n > limit:
+    if n > exhaustive.DEFAULT_PERM_LIMIT:
         raise exhaustive.EnumerationLimitError(
-            f"n = {n} exceeds the permutation scan limit {limit}"
+            f"n = {n} exceeds the permutation scan limit {exhaustive.DEFAULT_PERM_LIMIT}"
         )
     identity = tuple(range(1, n + 1))
     walk = exhaustive.prefix_walk(
         n,
         avoid=[_CLASSICAL_132] if require_avoid_132 else [],
-        count=[_CLASSICAL_123] if require_exactly_one_123 else [],
+        count=_CLASSICAL_123 if require_exactly_one_123 else None,
         cap=1,
     )
     total = 0
-    for pi, counts in walk:
-        if counts == (0,):
+    for pi, c in walk:
+        if require_exactly_one_123 and c == 0:
             continue  # one occurrence of 123 is required, and this has none
         if stack_sort(stack_sort(tuple(pi))) == identity:
             total += 1
@@ -189,6 +188,11 @@ def _avoider_series(pattern_text: str, t: int, n_max: int) -> list[int]:
 def problem_report(which: int, max_size: int) -> ComparisonReport:
     if max_size < 0:
         raise ValueError(f"size must be non-negative, got {max_size}")
+    if which == 4 and max_size > exhaustive.DEFAULT_PERM_LIMIT:
+        raise exhaustive.EnumerationLimitError(
+            f"size {max_size} exceeds the permutation scan limit "
+            f"{exhaustive.DEFAULT_PERM_LIMIT} of problem 4"
+        )
     if which == 1:
         return _report_morphism(max_size)
     if which == 2:
@@ -273,7 +277,7 @@ def _report_two_stack(max_size: int) -> ComparisonReport:
 
     a_vals = tuple(words123_recurrence(n) for n in range(1, max_size + 1))
     b_vals = tuple(
-        two_stack_sortable_count(n, True, True, limit=max(max_size, 10))
+        two_stack_sortable_count(n, True, True)
         for n in range(1, max_size + 1)
     )
     offset, matched = _align(1, a_vals, 1, b_vals, range(-3, 4), min_overlap=4)

@@ -107,14 +107,6 @@ class BivarPoly:
             out = out * self
         return out
 
-    def evaluate_at_z(self, value: int) -> "BivarPoly":
-        """Substitute an integer for z, collapsing to a polynomial in q."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._c.items():
-            k = (i, 0)
-            out[k] = out.get(k, 0) + c * value**j
-        return BivarPoly(out)
-
     def q_coefficients(self) -> dict[int, ZPoly]:
         """Group terms by q-degree; each value is a polynomial in z."""
         out: dict[int, ZPoly] = {}
@@ -325,9 +317,8 @@ class ZSeriesTable:
 
 
 def expand_rational(gf: RationalGF, n_max: int) -> ZSeriesTable:
-    """Power-series expansion of num/den to order q^n_max, exact in z."""
-    if gf.den.constant_term() != 1:
-        raise ValueError("denominator constant term must be +1 for expansion")
+    """Power-series expansion of num/den to order q^n_max, exact in z
+    (RationalGF makes the denominator's constant term +1)."""
     num_q = gf.num.q_coefficients()
     den_q = gf.den.q_coefficients()
     rows: list[ZPoly] = []
@@ -402,7 +393,7 @@ def _window_occurrences(pat: Pdvp, t: int):
     def ending_at_last(word: tuple[int, ...]) -> int:
         got = cache.get(word)
         if got is None:
-            got = matcher.count_entries_ending_at(pat, word, t, len(word))
+            got = matcher.search_ending_at(pat, len(word), t)(word, len(word))
             cache[word] = got
         return got
 

@@ -15,6 +15,7 @@ import pytest
 from pdvp.intset import EVENS, IntSet, ODDS, POSITIVES, finite, multiples
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple
+from pdvp.transfer import ONE, Q, RationalGF
 
 
 def naive_occurrences(pat: Pdvp, seq) -> list[tuple[int, ...]]:
@@ -52,6 +53,11 @@ def naive_occurrences(pat: Pdvp, seq) -> list[tuple[int, ...]]:
             continue
         out.append(combo)
     return out
+
+
+def fib_series_gf() -> RationalGF:
+    """(1+q)/(1-q-q^2): coefficients 1, 2, 3, 5, 8, .. = fib(n+2)."""
+    return RationalGF(ONE + Q, ONE - Q - Q**2)
 
 
 def random_set(rng: random.Random) -> IntSet:

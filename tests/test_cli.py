@@ -134,6 +134,12 @@ def test_negative_size_exits_2(capsys, argv):
     assert "non-negative" in got[2]
 
 
+def test_problem_four_above_the_scan_limit_exits_2(capsys):
+    got = run(capsys, "problem", "--which", "4", "--max-size", "11")
+    assert _one_line_error(*got)
+    assert "size 11" in got[2] and "limit 10" in got[2]
+
+
 def test_gf_dp_series_budget_exits_2_at_once(capsys):
     got = run(capsys, "gf", "--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "3",
               "--dp", "--max-n", "100000000")

@@ -140,22 +140,23 @@ def test_scans_equal_per_object_recount_on_fixtures():
 
 
 def test_prefix_walk_equals_per_object_filter(rng):
-    for _ in range(40):
+    # one counted pattern or none, with and without a cap
+    for counted, capped in [(False, False), (False, True), (True, False), (True, True)] * 30:
         mode = Mode.PERMUTATION if rng.random() < 0.5 else Mode.WORD
         avoid = [random_pattern(rng, mode) for _ in range(rng.randrange(3))]
-        counted = [random_pattern(rng, mode) for _ in range(rng.randrange(3))]
-        cap = rng.choice([None, 0, 1, 2])
+        count = random_pattern(rng, mode) if counted else None
+        cap = rng.choice([0, 1, 2]) if capped else None
         n = rng.randint(0, 5)
         t = None if mode is Mode.PERMUTATION else rng.randint(1, 3)
         want = []
         for seq in _objects(mode, n, t):
             if any(naive_occurrences(p, seq) for p in avoid):
                 continue
-            counts = tuple(len(naive_occurrences(p, seq)) for p in counted)
-            if cap is not None and any(c > cap for c in counts):
+            c = len(naive_occurrences(count, seq)) if counted else 0
+            if cap is not None and c > cap:
                 continue
-            want.append((seq.entries, counts))
-        got = [(tuple(e), c) for e, c in prefix_walk(n, t, avoid, counted, cap)]
+            want.append((seq.entries, c))
+        got = [(tuple(e), c) for e, c in prefix_walk(n, t, avoid, count, cap)]
         assert got == want
 
 

@@ -7,6 +7,7 @@ one place that compiles generated code and no recursive search beside it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pdvp
@@ -100,3 +101,106 @@ def test_the_search_lint_counts_compile_sites():
         "re.compile('x')\n"
     )
     assert _compile_sites(ast.parse(source)) == {1, 3}
+
+
+# Definitions that nothing in the package refers to, kept on purpose.
+UNREFERENCED_ALLOWED = {
+    "det_bareiss": "perfbench/tracing.py wraps it until the counters move into the package; "
+    "the tests check the elimination through it",
+    "parse_set": "the parser's public entry point for one set, used by the tests",
+    "PermSequence.of": "constructor for library callers outside the package",
+    "WordSequence.of": "constructor for library callers outside the package",
+    "ZSeriesTable.totals": "perfbench/child.py checks the series totals with it",
+}
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring constants, which are prose rather than references."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names, attributes and the words of string constants (the entries of
+    __all__ and the generated source among them)."""
+    skip = _docstrings(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skip:
+                found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def _definitions(tree: ast.AST) -> dict[str, str]:
+    """Every function and class, dunder methods aside: {qualified name: bare name}."""
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{owner}.{child.name}" if owner else child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[qual] = child.name
+                visit(child, qual)
+            else:
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def _unreferenced(sources: list[str]) -> list[str]:
+    trees = [ast.parse(text) for text in sources]
+    used = set().union(*(_references(tree) for tree in trees))
+    return sorted(
+        qual
+        for tree in trees
+        for qual, name in _definitions(tree).items()
+        if name not in used
+    )
+
+
+def test_every_definition_is_referenced_in_the_package():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert [name for name in _unreferenced(sources) if name not in UNREFERENCED_ALLOWED] == []
+
+
+def test_every_allowed_unreferenced_name_is_defined():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    defined = set().union(*(_definitions(ast.parse(text)) for text in sources))
+    assert set(UNREFERENCED_ALLOWED) <= defined
+
+
+def test_the_dead_code_lint_sees_every_kind_of_reference():
+    source = (
+        '"""Module docstring naming dead_in_docstring."""\n'
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def called(): pass\n"
+        "def dead_in_docstring(): pass\n"
+        "def generated(): pass\n"
+        "def dead(): pass\n"
+        "class Box:\n"
+        "    def __len__(self): return 0\n"
+        "    def used(self): return called()\n"
+        "    def unused(self):\n"
+        "        def inner(): pass\n"
+        "        return 1\n"
+        "Box().used()\n"
+        "exec('x = generated()')\n"
+    )
+    assert _unreferenced([source]) == [
+        "Box.unused", "Box.unused.inner", "dead", "dead_in_docstring"
+    ]

@@ -14,7 +14,6 @@ from pdvp.matcher import (
     WordSequence,
     avoids,
     count,
-    count_entries_ending_at,
     iter_occurrences,
     occurrences,
     search_ending_at,
@@ -222,7 +221,6 @@ def test_ending_at_matches_naive_and_search(rng):
         exists_at = search_ending_at(pat, n, upper, first=True)
         for p in range(1, n + 1):
             want = sum(1 for ix in naive if ix[-1] == p)
-            assert count_entries_ending_at(pat, entries, upper, p) == want
             assert sum(1 for ix in listed if ix[-1] == p) == want
             assert ending_at(entries, p) == want
             assert exists_at(entries, p) == min(want, 1)
@@ -300,3 +298,35 @@ def test_huge_set_members_compile_and_answer_fast(text):
             assert [o.indices for o in occurrences(pat, seq)] == naive_occurrences(pat, seq)
             assert count(pat, seq) == len(naive_occurrences(pat, seq))
     assert time.perf_counter() - start < 5
+
+
+def test_gap_tuples_are_built_for_each_length(rng, monkeypatch):
+    # a gap set that is neither finite nor one progression is looped over as
+    # the tuple of its members up to n, which each call builds for its own n
+    compiled = []
+    generate = matcher._generate
+    monkeypatch.setattr(matcher, "_PREP_CACHE", OrderedDict())
+    monkeypatch.setattr(
+        matcher, "_generate", lambda pat, mode: compiled.append((pat, mode)) or generate(pat, mode)
+    )
+    pats = [
+        parse_pattern("123|P,O+{2},2P+3P,P|-|P,P,P"),
+        parse_pattern("12|P,O,P|-|P,P"),
+        parse_pattern("12|P,3P+{1},P|(1,2,{0,1})|P,P", Mode.WORD),
+        parse_pattern("11|P,E+{1},P|-|P,P", Mode.WORD),  # 0 is a member, not a gap
+    ]
+    for n in range(1, 10):
+        perms = [tuple(range(1, n + 1))]
+        perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(15)]
+        words = [(1,) * n] + [tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(15)]
+        for pat in pats:
+            if pat.mode is Mode.PERMUTATION:
+                seqs = [PermSequence(pi) for pi in perms]
+            else:
+                seqs = [WordSequence(w, 3) for w in words]
+            for seq in seqs:
+                naive = naive_occurrences(pat, seq)
+                assert count(pat, seq) == len(naive), (pat, seq)
+                assert avoids(pat, seq) == (not naive), (pat, seq)
+                assert [o.indices for o in occurrences(pat, seq)] == naive, (pat, seq)
+    assert len(compiled) == len(set(compiled)) == 3 * len(pats)

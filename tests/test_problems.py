@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import permutations, product
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import naive_occurrences
 
+from pdvp.exhaustive import DEFAULT_PERM_LIMIT, EnumerationLimitError
 from pdvp.matcher import PermSequence, avoids
 from pdvp.pattern import make_classical
 from pdvp.problems import (
@@ -101,6 +103,15 @@ def test_two_stack_sortable_count_equals_per_object_recount():
 def test_two_stack_sortable_limit():
     with pytest.raises(Exception, match="limit"):
         two_stack_sortable_count(11)
+
+
+def test_problem_four_refuses_sizes_above_the_scan_limit_at_once():
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match=r"^size 11 exceeds the permutation scan "
+                       r"limit 10 of problem 4$"):
+        problem_report(4, DEFAULT_PERM_LIMIT + 1)
+    assert time.perf_counter() - start < 1
+    assert len(problem_report(4, DEFAULT_PERM_LIMIT).b_values) == DEFAULT_PERM_LIMIT
 
 
 def test_report_problem_one_notes_both_interpretations():

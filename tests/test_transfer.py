@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import naive_occurrences
+from conftest import fib_series_gf, naive_occurrences
 
 from pdvp import checks
 from pdvp.dsl import parse_pattern
@@ -35,12 +35,6 @@ def test_ring_basics():
     assert p + ZERO == p
     assert p - p == ZERO
     assert (Q + Z) ** 2 == Q**2 + 2 * Q * Z + Z**2
-
-
-def test_evaluate_at_z():
-    p = ONE - 4 * Q - 2 * Q**2 * (Z - ONE)
-    assert p.evaluate_at_z(0) == ONE - 4 * Q + 2 * Q**2
-    assert p.evaluate_at_z(1) == ONE - 4 * Q
 
 
 def _random_poly(rng):
@@ -93,7 +87,7 @@ def test_bareiss_zero_column():
 def test_expand_rational_fixtures():
     fib_even = expand_rational(checks.fib_even_gf(), 6)
     assert fib_even.z0_series() == [1, 3, 8, 21, 55, 144, 377]
-    fib = expand_rational(checks.fib_series_gf(), 5)
+    fib = expand_rational(fib_series_gf(), 5)
     assert fib.z0_series() == [1, 2, 3, 5, 8, 13]
     trivial = expand_rational(RationalGF(ONE, ONE), 4)
     assert trivial.z0_series() == [1, 0, 0, 0, 0]
