@@ -11,8 +11,8 @@ k4n, ank and d4 checks), and the checks document the computed truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 from . import exhaustive, formulas, matcher, transfer
 from .dsl import parse_pattern
@@ -135,14 +135,8 @@ def mod4_pattern() -> Pdvp:
 @dataclass
 class CheckResult:
     name: str
-    ok: bool
-    lines: list[str]
-
-
-class _Tally:
-    def __init__(self):
-        self.ok = True
-        self.lines: list[str] = []
+    ok: bool = True
+    lines: list[str] = field(default_factory=list)
 
     def expect(self, label: str, got, want):
         good = got == want
@@ -166,7 +160,7 @@ def _classical_rows(base: tuple[int, ...], kmax: int):
 
 def check_eq1() -> CheckResult:
     """Occurrence-count transfer to even lengths, all occurrence counts."""
-    t = _Tally()
+    t = CheckResult("eq1")
     for base in ((1, 2), (2, 1), (1, 2, 3)):
         a_row = _classical_rows(base, 3)
         pat = parity_position_pattern(base)
@@ -193,7 +187,7 @@ def check_eq1() -> CheckResult:
             formulas.b_even(cat_row, n, 0),
             exhaustive.perm_distribution(parity_position_pattern((1, 2, 3)), 2 * n)[0],
         )
-    return CheckResult("eq1", t.ok, t.lines)
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +197,7 @@ def _k4n_brute(n: int) -> int:
 
 def check_k4n() -> CheckResult:
     """Mod-4 avoidance closed form against exhaustive counts over S_4 and S_8."""
-    t = _Tally()
+    t = CheckResult("k4n")
     for n in (1, 2):
         brute = _k4n_brute(n)
         t.expect(f"closed form at n={n} vs S_{4 * n} scan", formulas.k4n(n), brute)
@@ -213,7 +207,7 @@ def check_k4n() -> CheckResult:
         )
     if not t.ok:
         t.note("the recorded closed form undercounts; k4n_exact matches the scans")
-    return CheckResult("k4n", t.ok, t.lines)
+    return t
 
 
 _CONS_231 = make_gp("231")
@@ -244,7 +238,7 @@ def _ank_scan(n: int) -> dict[int, tuple[int, int]]:
 def check_ank() -> CheckResult:
     """V-shaped avoiders: piecewise formula, the k=2 slice, and the
     exactly-one-occurrence identity."""
-    t = _Tally()
+    t = CheckResult("ank")
     for n in range(1, 10):
         scan = _ank_scan(n)
         for k in (1, 2, 3):
@@ -268,7 +262,7 @@ def check_ank() -> CheckResult:
             "one occurrence; that is true for k >= 2 but fails for k = 1 "
             "(the increasing permutation has n-1 adjacent rises by 1)"
         )
-    return CheckResult("ank", t.ok, t.lines)
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +275,7 @@ def _solver_gf(name: str) -> RationalGF:
     return transfer.solve_transfer_system(stat_pattern(name), STAT_ALPHABETS[name][1])
 
 
-def _dp_matches_brute(t: _Tally, name: str, n_scan: int):
+def _dp_matches_brute(t: CheckResult, name: str, n_scan: int):
     pat, alpha = stat_pattern(name).pattern, STAT_ALPHABETS[name][1]
     dp = _dp_table(name, n_scan)
     for n, brute in enumerate(exhaustive.word_distributions(pat, alpha, n_scan)):
@@ -293,7 +287,7 @@ def _dp_matches_brute(t: _Tally, name: str, n_scan: int):
 
 
 def check_a3() -> CheckResult:
-    t = _Tally()
+    t = CheckResult("a3")
     dp = _dp_table("a3", 14)
     _dp_matches_brute(t, "a3", 9)
     t.expect(
@@ -328,38 +322,31 @@ def check_a3() -> CheckResult:
                     formulas.a3_coefficient_odd(n, s),
                     dp.coefficient(2 * n + 1, s),
                 )
-    return CheckResult("a3", t.ok, t.lines)
+    return t
 
 
-def _solver_check(name: str, order: int = 14, gf_order: int = 34) -> CheckResult:
-    t = _Tally()
-    dp = _dp_table(name, order)
+def _solver_check(name: str) -> CheckResult:
+    t = CheckResult(name)
+    dp = _dp_table(name, 14)
     solved = _solver_gf(name)
     t.expect(
-        f"{name} solver expansion equals dp, order {order}",
-        transfer.expand_rational(solved, order) == dp,
+        f"{name} solver expansion equals dp, order 14",
+        transfer.expand_rational(solved, 14) == dp,
         True,
     )
     want = REFERENCE_Z0[name]
     t.expect(f"{name} avoidance series", dp.z0_series()[: len(want)], want)
     if name in ("a3", "a4", "b3", "b4", "e4"):
         t.expect(
-            f"{name} solver equals reference closed form, order {gf_order}",
-            transfer.gf_equal_series(solved, reference_gf(name), gf_order),
+            f"{name} solver equals reference closed form, order 34",
+            transfer.gf_equal_series(solved, reference_gf(name), 34),
             True,
         )
-    return CheckResult(name, t.ok, t.lines)
-
-
-def check_a4() -> CheckResult:
-    return _solver_check("a4")
+    return t
 
 
 def check_b3() -> CheckResult:
-    res = _solver_check("b3")
-    t = _Tally()
-    t.lines = res.lines
-    t.ok = res.ok
+    t = _solver_check("b3")
     # the avoidance slice is also the even-index Fibonacci series
     t.expect(
         "b3 avoidance slice vs 1/(1-3q+q^2), order 14",
@@ -369,29 +356,12 @@ def check_b3() -> CheckResult:
             for n in range(15)
         ],
     )
-    return CheckResult("b3", t.ok, t.lines)
-
-
-def check_b4() -> CheckResult:
-    return _solver_check("b4")
-
-
-def check_d3() -> CheckResult:
-    return _solver_check("d3")
+    return t
 
 
 def check_d4() -> CheckResult:
     """The two recorded d4 displays conflict; adjudicate against the dp oracle."""
-    t = _Tally()
-    dp = _dp_table("d4", 14)
-    solved = _solver_gf("d4")
-    t.expect(
-        "d4 solver expansion equals dp, order 14",
-        transfer.expand_rational(solved, 14) == dp,
-        True,
-    )
-    want = REFERENCE_Z0["d4"]
-    t.expect("d4 avoidance series", dp.z0_series()[: len(want)], want)
+    t = _solver_check("d4")
     biv = transfer.expand_rational(d4_display_bivariate(), 8) == _dp_table("d4", 8)
     z0 = (
         transfer.expand_rational(d4_display_z0(), 8).z0_series()
@@ -401,22 +371,18 @@ def check_d4() -> CheckResult:
     t.note(f"z=0 display matches dp: {z0}")
     t.expect("exactly one display matches the dp oracle", int(biv) + int(z0), 1)
     if not t.ok:
-        computed = dp.z0_series()[:8]
+        computed = _dp_table("d4", 14).z0_series()[:8]
         t.note(f"computed avoidance series: {computed}")
         scans = exhaustive.word_avoider_counts([stat_pattern("d4").pattern], 4, 7)
         if scans == computed:
             t.note("the computed series is confirmed by exhaustive word scans")
         else:
             t.expect("d4 avoidance series vs word scans, n <= 7", computed, scans)
-    return CheckResult("d4", t.ok, t.lines)
-
-
-def check_e4() -> CheckResult:
-    return _solver_check("e4")
+    return t
 
 
 def check_words123() -> CheckResult:
-    t = _Tally()
+    t = CheckResult("words123")
     pats = [parse_pattern(p, Mode.WORD) for p in PAIR_PATTERNS]
     brute = [exhaustive.word_multi_avoiders(pats, 3, n) for n in range(1, 13)]
     t.expect("pair avoidance n=1..8", brute[:8], WORDS123_REFERENCE)
@@ -435,11 +401,11 @@ def check_words123() -> CheckResult:
         [formulas.words123_recurrence(n) for n in range(1, 41)],
         [formulas.words123_avoiders(n) for n in range(1, 41)],
     )
-    return CheckResult("words123", t.ok, t.lines)
+    return t
 
 
 def check_fib_bij() -> CheckResult:
-    t = _Tally()
+    t = CheckResult("fib-bij")
     for n in range(13):
         t.expect(
             f"three-letter words avoiding factor 13 (n={n}) vs binary words "
@@ -447,7 +413,7 @@ def check_fib_bij() -> CheckResult:
             formulas.words3_avoiding_13_count(n),
             formulas.binary_avoiding_11_count(2 * n),
         )
-    return CheckResult("fib-bij", t.ok, t.lines)
+    return t
 
 
 CHECKS = {
@@ -455,12 +421,12 @@ CHECKS = {
     "k4n": check_k4n,
     "ank": check_ank,
     "a3": check_a3,
-    "a4": check_a4,
+    "a4": partial(_solver_check, "a4"),
     "b3": check_b3,
-    "b4": check_b4,
-    "d3": check_d3,
+    "b4": partial(_solver_check, "b4"),
+    "d3": partial(_solver_check, "d3"),
     "d4": check_d4,
-    "e4": check_e4,
+    "e4": partial(_solver_check, "e4"),
     "words123": check_words123,
     "fib-bij": check_fib_bij,
 }

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .intset import IntSet
 from .pattern import Mode, Pdvp
@@ -39,10 +39,6 @@ class PermSequence:
         n = len(self.values)
         if sorted(self.values) != list(range(1, n + 1)):
             raise ValueError(f"{self.values} is not a permutation of 1..{n}")
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "PermSequence":
-        return cls(tuple(values))
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -59,10 +55,6 @@ class WordSequence:
             raise ValueError("alphabet size must be positive")
         if any(not 1 <= w <= self.alphabet for w in self.letters):
             raise ValueError(f"letters must lie in 1..{self.alphabet}")
-
-    @classmethod
-    def of(cls, letters: Iterable[int], alphabet: int) -> "WordSequence":
-        return cls(tuple(letters), alphabet)
 
     @property
     def entries(self) -> tuple[int, ...]:

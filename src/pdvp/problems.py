@@ -100,18 +100,19 @@ def _align(
 MORPHISM = {"1": "123", "2": "13", "3": "2"}
 
 
-def morphism_rises(iterations: int, length_budget: int | None = None) -> tuple[str, int]:
+def morphism_rises(iterations: int) -> tuple[str, int]:
     """Apply 1 -> 123, 2 -> 13, 3 -> 2 the given number of times to "1";
     return the word and its number of rises (positions with w_i < w_{i+1}).
     """
-    budget = DEFAULT_WORD_LENGTH_BUDGET if length_budget is None else length_budget
     if iterations < 1:
         raise ValueError("need at least one iteration")
     word = "1"
     for _ in range(iterations):
         word = "".join(MORPHISM[ch] for ch in word)
-        if len(word) > budget:
-            raise ValueError(f"morphism word exceeds the length budget {budget}")
+        if len(word) > DEFAULT_WORD_LENGTH_BUDGET:
+            raise ValueError(
+                f"morphism word exceeds the length budget {DEFAULT_WORD_LENGTH_BUDGET}"
+            )
     rises = sum(1 for i in range(len(word) - 1) if word[i] < word[i + 1])
     return word, rises
 

@@ -1,18 +1,20 @@
 """Exact generating-function machinery for word statistics.
 
 A statistic here is "number of occurrences of a fixed bounded-window pattern"
-in a word over {1..t}.  The bivariate series sum_w q^|w| z^stat(w) is computed
-two ways over the same suffix states and window counts: a forward dynamic
-program, and a symbolic linear system (one unknown per suffix state) solved
-exactly over integer polynomials in q and z by one fraction-free elimination.
-Everything is arbitrary-precision integer arithmetic; there is no floating
-point here.
+in a word over {1..t}.  The bivariate series sum_w q^|w| z^stat(w) is the
+series of one weighted automaton: its states are the words of length at most
+W - 1, and appending a letter reads z^e, e = the occurrences that end at that
+letter.  `_automaton` lists its edges once, and two readers share them: a
+forward dynamic program that expands the series, and the bordered matrix
+[[I - qA, 1], [-alpha, 0]], solved exactly over integer polynomials in q and
+z by one fraction-free elimination.  Everything is arbitrary-precision
+integer arithmetic; there is no floating point here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import matcher
 from .pattern import Mode, Pdvp
@@ -213,37 +215,31 @@ def exact_div(num: BivarPoly, den: BivarPoly) -> BivarPoly:
 def _bareiss(m: list[list[BivarPoly]]) -> tuple[BivarPoly, BivarPoly]:
     """Fraction-free elimination of the square matrix m, in place.
 
-    Returns det(m) and the last pivot before it.  When every pivot was found
-    on the diagonal (no row swap), that pivot is the leading principal minor
-    of order n - 1.  Every interior division is exact.
+    Returns det(m) and the last pivot before it, the leading principal minor
+    of order n - 1.  Every interior division is exact.  Rows are never
+    swapped: a zero pivot raises ArithmeticError.  A row whose entry under
+    the pivot is 0 is left as it is when the pivot equals the one before,
+    and an entry that would stay 0 is not recomputed.
     """
     n = len(m)
-    sign = 1
     prev = ONE
     for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO, ZERO
-        pivot = m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise ArithmeticError("zero pivot")
+        same = pivot == prev
         for i in range(k + 1, n):
             row_i = m[i]
             lead = row_i[k]
+            if same and not lead:
+                continue
             for j in range(k + 1, n):
-                row_i[j] = exact_div(pivot * row_i[j] - lead * m[k][j], prev)
+                if row_i[j] or pivot_row[j]:
+                    row_i[j] = exact_div(pivot * row_i[j] - lead * pivot_row[j], prev)
             row_i[k] = ZERO
         prev = pivot
-    det = m[n - 1][n - 1]
-    return (det if sign == 1 else -det), prev
-
-
-def det_bareiss(matrix: list[list[BivarPoly]]) -> BivarPoly:
-    """Fraction-free determinant; every interior division is exact."""
-    return _bareiss([row[:] for row in matrix])[0]
+    return m[n - 1][n - 1], prev
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +347,7 @@ def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
 
 
 DEFAULT_STATE_BUDGET = 4096
+DEFAULT_SOLVE_BUDGET = 64  # full states of one solve_transfer_system
 DEFAULT_SERIES_BUDGET = 10**5  # states x (order + 1) of one dp_series
 
 
@@ -387,127 +384,119 @@ class StatPattern:
 
 
 def _window_occurrences(pat: Pdvp, t: int):
-    """Memoised counts of occurrences ending at the last letter of a window."""
-    cache: dict[tuple[int, ...], int] = {}
+    """The count of occurrences that end at the last letter of a window."""
 
     def ending_at_last(word: tuple[int, ...]) -> int:
-        got = cache.get(word)
-        if got is None:
-            got = matcher.search_ending_at(pat, len(word), t)(word, len(word))
-            cache[word] = got
-        return got
+        return matcher.search_ending_at(pat, len(word), t)(word, len(word))
 
     return ending_at_last
 
 
-def _check_states(sp: StatPattern, t: int, state_budget: int | None) -> int:
-    """The number of letters a suffix state keeps, W - 1, within the budget."""
-    budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
+def _check_states(sp: StatPattern, t: int) -> int:
+    """The number of letters a full state keeps, W - 1, within the budget."""
     if t < 1:
         raise ValueError("alphabet size must be positive")
+    if t > DEFAULT_STATE_BUDGET:
+        raise ValueError(f"alphabet size {t} exceeds the budget {DEFAULT_STATE_BUDGET}")
     keep = max(sp.window_width - 1, 0)
-    if t**keep > budget:
-        raise ValueError(f"state count {t}^{keep} exceeds the budget {budget}")
+    if t**keep > DEFAULT_STATE_BUDGET:
+        raise ValueError(f"state count {t}^{keep} exceeds the budget {DEFAULT_STATE_BUDGET}")
     return keep
 
 
-def _suffix_states(
-    ending_at_last, t: int, keep: int
-) -> Iterator[dict[tuple[int, ...], ZPoly]]:
-    """The dp's state weights after 0, 1, 2, .. letters.
+def _automaton(sp: StatPattern, t: int, keep: int) -> list[list[tuple[int, int]]]:
+    """The dp as a weighted automaton: for each state, its t edges (target, e).
 
-    A state is the last `keep` letters (the whole word while it is shorter);
-    its weight sums z^stat over the words that end in it.  Appending c to a
-    state u multiplies the weight by z^e, e = ending_at_last(u + (c,)).
+    The states are the words of length at most keep, shortest first and then
+    in lexicographic order, so state 0 is the empty word.  Appending c to u
+    reads z^e, e = the occurrences in uc that end at c, and moves to uc, or
+    to its last keep letters once uc is longer.  Each window uc is counted
+    once.
     """
-    states: dict[tuple[int, ...], ZPoly] = {(): {0: 1}}
+    ending_at_last = _window_occurrences(sp.pattern, t)
     letters = range(1, t + 1)
-    while True:
-        yield states
-        nxt: dict[tuple[int, ...], ZPoly] = {}
-        for u, wpoly in states.items():
-            for c in letters:
-                word = u + (c,)
-                e = ending_at_last(word)
-                state = word[-keep:] if keep else ()
-                acc = nxt.setdefault(state, {})
-                for j, v in wpoly.items():
-                    acc[j + e] = acc.get(j + e, 0) + v
-        states = nxt
+    states = layer = [()]
+    for _ in range(keep):
+        layer = [u + (c,) for u in layer for c in letters]
+        states = states + layer
+    index = {u: i for i, u in enumerate(states)}
+    edges = []
+    for u in states:
+        out = []
+        for c in letters:
+            word = u + (c,)
+            out.append((index[word[-keep:] if keep else ()], ending_at_last(word)))
+        edges.append(out)
+    return edges
 
 
-def dp_series(
-    sp: StatPattern, t: int, n_max: int, state_budget: int | None = None
-) -> ZSeriesTable:
-    """Forward dynamic program: states are the last W-1 letters.
+def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
+    """Forward dynamic program over the automaton of `_automaton`.
 
-    Appending a letter multiplies the state weight by z^e where e counts the
-    occurrences inside the window that use its final position; short words
-    are carried whole, so occurrences inside words shorter than W are exact
-    as well.  The states times the n_max + 1 rows must stay within
+    A state's weight sums z^stat over the words that end in it; appending a
+    letter multiplies it by z^e, where e counts the occurrences inside the
+    window that use its final position.  Words shorter than W - 1 are states
+    of their own, so occurrences inside short words are exact as well.  The
+    t^(W-1) full states times the n_max + 1 rows must stay within
     DEFAULT_SERIES_BUDGET, which is checked before any work starts.
     """
     if n_max < 0:
         raise ValueError(f"series order must be non-negative, got {n_max}")
-    keep = _check_states(sp, t, state_budget)
+    keep = _check_states(sp, t)
     size = t**keep * (n_max + 1)
     if size > DEFAULT_SERIES_BUDGET:
         raise ValueError(
             f"series size {t}^{keep} states x {n_max + 1} orders = {size}"
             f" exceeds the budget {DEFAULT_SERIES_BUDGET}"
         )
-    steps = _suffix_states(_window_occurrences(sp.pattern, t), t, keep)
+    edges = _automaton(sp, t, keep)
+    weights: list[ZPoly] = [{0: 1}] + [{} for _ in edges[1:]]
     rows: list[ZPoly] = []
-    for _ in range(n_max + 1):
+    while True:
         row: ZPoly = {}
-        for wpoly in next(steps).values():
+        for wpoly in weights:
             for j, v in wpoly.items():
                 row[j] = row.get(j, 0) + v
         rows.append(row)
-    return ZSeriesTable(rows)
+        if len(rows) > n_max:
+            return ZSeriesTable(rows)
+        nxt: list[ZPoly] = [{} for _ in edges]
+        for wpoly, out in zip(weights, edges):
+            if not wpoly:
+                continue
+            for target, e in out:
+                acc = nxt[target]
+                for j, v in wpoly.items():
+                    acc[j + e] = acc.get(j + e, 0) + v
+        weights = nxt
 
 
-def solve_transfer_system(
-    sp: StatPattern, t: int, state_budget: int | None = None
-) -> RationalGF:
-    """Closed-form series via the forward suffix-state linear system.
+def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
+    """Closed-form series of the automaton of `_automaton`.
 
-    One unknown G(v) per (W-1)-letter word v: the sum of q^|w| z^stat(w)
-    over the words w of length at least W-1 that end in v.  As in
-    `dp_series`, appending c to u moves G(u) to G(tail(u)c) with weight
-    q z^e, e = the occurrences in uc that end at c, so
-    G(v) = q^(W-1) z^occ(v) + sum_{tail(u)c = v} q z^e G(u).  With
-    M = I - qT and b_v = q^(W-1) z^occ(v), the series is
-    shorts + b M^-1 1, where shorts sums the words shorter than W-1.  By the
-    Schur complement it is det [[M, 1], [-b, shorts]] / det M, and one
-    fraction-free elimination of that bordered matrix yields both: det M is
-    its last pivot.  No row is ever swapped, because every leading minor of
-    M is 1 at q = 0.
+    With A[u][v] summing z^e over the edges u -> v, the series is
+    alpha (I - qA)^-1 1, where alpha picks the empty word.  By the Schur
+    complement it is det [[I - qA, 1], [-alpha, 0]] / det(I - qA), and one
+    fraction-free elimination of that bordered matrix yields both:
+    det(I - qA) is its last pivot.  No row is ever swapped, because every
+    leading minor of I - qA is 1 at q = 0.  The words shorter than W - 1
+    come first, and their rows are eliminated with pivots 1.  At most
+    DEFAULT_SOLVE_BUDGET full states are solved, which is checked before any
+    work starts.
     """
-    keep = _check_states(sp, t, state_budget)
-    ending_at_last = _window_occurrences(sp.pattern, t)
-    steps = _suffix_states(ending_at_last, t, keep)
-
-    def lifted(length: int, zpoly: ZPoly) -> BivarPoly:
-        return BivarPoly({(length, j): v for j, v in zpoly.items()})
-
-    shorts = ZERO
-    for length in range(keep):
-        for wpoly in next(steps).values():
-            shorts = shorts + lifted(length, wpoly)
-    weights = next(steps)  # every word v of length W-1, with weight z^occ(v)
-    states = sorted(weights)
-    index = {u: i for i, u in enumerate(states)}
-    size = len(states)
-
-    # [[M, 1], [-b, shorts]] with M = I - qT, T[u][tail(u)c] accumulating z^e
+    keep = _check_states(sp, t)
+    if t**keep > DEFAULT_SOLVE_BUDGET:
+        raise ValueError(
+            f"solved state count {t}^{keep} = {t**keep}"
+            f" exceeds the solve budget {DEFAULT_SOLVE_BUDGET}"
+        )
+    edges = _automaton(sp, t, keep)
+    size = len(edges)
     m = [[ZERO] * size + [ONE] for _ in range(size)]
-    for i, u in enumerate(states):
+    for i, out in enumerate(edges):
         m[i][i] = ONE
-        for c in range(1, t + 1):
-            word = u + (c,)
-            j = index[word[-keep:] if keep else ()]
-            m[i][j] = m[i][j] - Q * BivarPoly.mono(1, 0, ending_at_last(word))
-    m.append([-lifted(keep, weights[u]) for u in states] + [shorts])
+        for j, e in out:
+            m[i][j] = m[i][j] - BivarPoly.mono(1, 1, e)
+    m.append([-ONE] + [ZERO] * size)
     num, den = _bareiss(m)
     return RationalGF(num, den)

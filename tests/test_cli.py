@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,23 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
               "--dp", "--max-n", "100000000")
     assert _one_line_error(*got)
     assert "100000001 orders" in got[2] and "the budget 100000" in got[2]
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (["--pattern", "1|P,P|-|{2}", "--alphabet", "1000000000", "--dp", "--max-n", "1"],
+         ("alphabet size 1000000000", "the budget 4096")),
+        (["--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "4000", "--solve"],
+         ("4000^1 = 4000", "the solve budget 64")),
+    ],
+)
+def test_gf_budgets_exit_2_before_the_work(capsys, argv, sizes):
+    start = time.perf_counter()
+    got = run(capsys, "gf", *argv)
+    assert time.perf_counter() - start < 1
+    assert _one_line_error(*got)
+    assert all(size in got[2] for size in sizes)
 
 
 def test_avoid_repeated_flags(capsys):

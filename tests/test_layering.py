@@ -105,11 +105,7 @@ def test_the_search_lint_counts_compile_sites():
 
 # Definitions that nothing in the package refers to, kept on purpose.
 UNREFERENCED_ALLOWED = {
-    "det_bareiss": "perfbench/tracing.py wraps it until the counters move into the package; "
-    "the tests check the elimination through it",
     "parse_set": "the parser's public entry point for one set, used by the tests",
-    "PermSequence.of": "constructor for library callers outside the package",
-    "WordSequence.of": "constructor for library callers outside the package",
     "ZSeriesTable.totals": "perfbench/child.py checks the series totals with it",
 }
 
@@ -128,8 +124,11 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def _references(tree: ast.AST) -> set[str]:
-    """Names, attributes and the words of string constants (the entries of
-    __all__ and the generated source among them)."""
+    """Names, attributes, and the names a string constant refers to: the
+    whole string when it is an identifier (an entry of __all__), else each
+    `.name` and `name(` inside it (the generated source).  Other words of a
+    message are prose, so a method named like an English word is no
+    reference."""
     skip = _docstrings(tree)
     found = set()
     for node in ast.walk(tree):
@@ -138,8 +137,13 @@ def _references(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in skip:
-                found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+            if id(node) in skip:
+                continue
+            if node.value.isidentifier():
+                found.add(node.value)
+            else:
+                found.update(re.findall(r"\.([A-Za-z_]\w*)", node.value))
+                found.update(re.findall(r"([A-Za-z_]\w*)\(", node.value))
     return found
 
 
@@ -200,7 +204,11 @@ def test_the_dead_code_lint_sees_every_kind_of_reference():
         "        return 1\n"
         "Box().used()\n"
         "exec('x = generated()')\n"
+        "class Seq:\n"
+        "    def of(self): pass\n"
+        "    def check(self): raise ValueError('1 is not a permutation of 1..2')\n"
+        "Seq().check()\n"
     )
     assert _unreferenced([source]) == [
-        "Box.unused", "Box.unused.inner", "dead", "dead_in_docstring"
+        "Box.unused", "Box.unused.inner", "Seq.of", "dead", "dead_in_docstring"
     ]

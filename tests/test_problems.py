@@ -27,8 +27,8 @@ def test_morphism_first_iterates():
 
 
 def test_morphism_budget():
-    with pytest.raises(ValueError):
-        morphism_rises(40, length_budget=1000)
+    with pytest.raises(ValueError, match="length budget 1000000$"):
+        morphism_rises(40)
 
 
 def test_walk_families():

@@ -13,6 +13,7 @@ from pdvp.exhaustive import word_distribution
 from pdvp.matcher import WordSequence
 from pdvp.pattern import Mode
 from pdvp.transfer import (
+    DEFAULT_STATE_BUDGET,
     ONE,
     Q,
     RationalGF,
@@ -20,7 +21,8 @@ from pdvp.transfer import (
     Z,
     ZERO,
     BivarPoly,
-    det_bareiss,
+    _automaton,
+    _bareiss,
     dp_series,
     exact_div,
     expand_rational,
@@ -72,16 +74,27 @@ def _naive_det(rows):
 
 
 def test_bareiss_matches_cofactor_expansion():
+    # I - qR with a free last row: every leading minor is 1 at q = 0, as in
+    # the solver's bordered matrix, so no pivot is zero
     rng = random.Random(11)
     for size in (2, 3, 4):
         for _ in range(15):
-            rows = [[_random_poly(rng) for _ in range(size)] for _ in range(size)]
-            assert det_bareiss(rows) == _naive_det(rows)
+            rows = [
+                [(ONE if i == j else ZERO) - Q * _random_poly(rng) for j in range(size)]
+                for i in range(size - 1)
+            ]
+            rows.append([_random_poly(rng) for _ in range(size)])
+            det, last_pivot = _bareiss([row[:] for row in rows])
+            assert det == _naive_det(rows)
+            assert last_pivot == _naive_det([row[:-1] for row in rows[:-1]])
 
 
 def test_bareiss_zero_column():
-    rows = [[ZERO, ONE], [ZERO, Q]]
-    assert det_bareiss(rows) == ZERO
+    # a zero pivot is an error, never a row swap
+    with pytest.raises(ArithmeticError, match="zero pivot"):
+        _bareiss([[ZERO, ONE], [ZERO, Q]])
+    with pytest.raises(ArithmeticError, match="zero pivot"):
+        _bareiss([[ONE, ONE, ZERO], [ONE, ONE, Q], [Q, ZERO, ONE]])
 
 
 def test_expand_rational_fixtures():
@@ -151,8 +164,39 @@ def test_dp_matches_word_scan_bivariately():
 
 def test_dp_state_budget():
     sp = checks.stat_pattern("a4")
-    with pytest.raises(ValueError):
-        dp_series(sp, 4, 5, state_budget=8)
+    with pytest.raises(ValueError, match=r"state count 65\^2 exceeds the budget 4096$"):
+        dp_series(sp, 65, 5)
+
+
+@pytest.mark.parametrize(
+    "text, t, method, message",
+    [
+        # one state, so only the alphabet decides the work of a step
+        ("1|P,P|-|{2}", 10**9, "dp", r"alphabet size 1000000000 exceeds the budget 4096$"),
+        ("1|P,P|-|{2}", 4097, "solve", r"alphabet size 4097 exceeds the budget 4096$"),
+        # 4000 states pass the state budget but not the solve budget
+        ("12|P,{1},P|(1,2,{2})|P,P", 4000, "solve",
+         r"solved state count 4000\^1 = 4000 exceeds the solve budget 64$"),
+        ("12|P,{1},P|(1,2,{2})|P,P", 65, "solve",
+         r"solved state count 65\^1 = 65 exceeds the solve budget 64$"),
+        ("12|P,{1,2,3},P|(1,2,{2})|P,P", 5, "solve",
+         r"solved state count 5\^3 = 125 exceeds the solve budget 64$"),
+    ],
+)
+def test_gf_budgets_fail_before_the_work(text, t, method, message):
+    sp = StatPattern(parse_pattern(text, Mode.WORD))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        if method == "dp":
+            dp_series(sp, t, 1)
+        else:
+            solve_transfer_system(sp, t)
+    assert time.perf_counter() - start < 1
+
+
+def test_alphabet_budget_admits_its_limit():
+    single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
+    assert dp_series(single, DEFAULT_STATE_BUDGET, 1).totals() == [1, DEFAULT_STATE_BUDGET]
 
 
 def test_dp_series_budget_fails_before_the_work():
@@ -212,6 +256,76 @@ def test_solver_matches_naive_recount(rng):
                 for w in product(range(1, t + 1), repeat=n)
             )
             assert expanded.z_poly(n) == dict(hist), (sp.pattern, t, n)
+
+
+W4_PATTERN = "12|P,{1,2,3},P|(1,2,{2})|P,P"
+
+
+def _oracle_cases():
+    """The 7 fixtures, the W = 4 rise at t = 3 and 20 random StatPatterns."""
+    rng = random.Random(5)
+    cases = [(checks.stat_pattern(name), t) for name, (_, t) in checks.STAT_ALPHABETS.items()]
+    cases.append((StatPattern(parse_pattern(W4_PATTERN, Mode.WORD)), 3))
+    cases += [(_random_stat_pattern(rng), rng.randint(1, 3)) for _ in range(20)]
+    return cases
+
+
+def _naive_ending_at_last(sp, word, t):
+    seq = WordSequence(word, t)
+    return sum(1 for occ in naive_occurrences(sp.pattern, seq) if occ[-1] == len(word))
+
+
+def test_automaton_edges_are_the_naive_window_counts():
+    for sp, t in _oracle_cases():
+        keep = sp.window_width - 1
+        letters = range(1, t + 1)
+        states = [u for k in range(keep + 1) for u in product(letters, repeat=k)]
+        edges = _automaton(sp, t, keep)
+        assert len(edges) == sum(t**k for k in range(keep + 1))
+        for u, out in zip(states, edges):
+            assert len(out) == t
+            for c, (target, e) in zip(letters, out):
+                word = u + (c,)
+                assert states[target] == word[max(len(word) - keep, 0):]
+                assert e == _naive_ending_at_last(sp, word, t), (sp.pattern, t, word)
+
+
+def _reference_solve(sp, t):
+    """The bordered solve over the raw suffix states, with naive window counts.
+
+    One unknown per (W-1)-letter word v, M = I - qT with T[u][tail(u)c]
+    summing z^e, b_v = q^(W-1) z^occ(v), and shorts summing the words shorter
+    than W - 1.  The series is shorts + b M^-1 1, which is
+    det [[M, 1], [-b, shorts]] / det M.
+    """
+    keep = sp.window_width - 1
+    letters = range(1, t + 1)
+
+    def occ(word):
+        return len(naive_occurrences(sp.pattern, WordSequence(word, t)))
+
+    shorts = ZERO
+    for length in range(keep):
+        for word in product(letters, repeat=length):
+            shorts = shorts + BivarPoly.mono(1, length, occ(word))
+    states = list(product(letters, repeat=keep))
+    index = {u: i for i, u in enumerate(states)}
+    m = [[ZERO] * len(states) + [ONE] for _ in states]
+    for i, u in enumerate(states):
+        m[i][i] = ONE
+        for c in letters:
+            word = u + (c,)
+            j = index[word[1:]]
+            m[i][j] = m[i][j] - Q * Z ** _naive_ending_at_last(sp, word, t)
+    m.append([-BivarPoly.mono(1, keep, occ(v)) for v in states] + [shorts])
+    num, den = _bareiss(m)
+    return RationalGF(num, den)
+
+
+def test_solver_equals_the_suffix_state_reference():
+    for sp, t in _oracle_cases():
+        solved, ref = solve_transfer_system(sp, t), _reference_solve(sp, t)
+        assert (solved.num, solved.den) == (ref.num, ref.den), (sp.pattern, t)
 
 
 def test_solver_matches_dp_for_all_fixtures():
