@@ -9,12 +9,10 @@ convention explicitly; nothing here guesses.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from math import comb, factorial
 from typing import Mapping
 
 
-@lru_cache(maxsize=None)
 def fib(n: int) -> int:
     """Standard Fibonacci: fib(0) = 0, fib(1) = fib(2) = 1."""
     if n < 0:
@@ -168,16 +166,14 @@ def words123_avoiders(n: int) -> int:
     return fib(n + 5) - n - 4
 
 
-@lru_cache(maxsize=None)
 def words123_recurrence(n: int) -> int:
     """Same count by the recursion a_n = a_{n-1} + a_{n-2} + n + 1, a_1 = 3, a_2 = 7."""
     if n < 1:
         raise ValueError("words123_recurrence needs n >= 1")
-    if n == 1:
-        return 3
-    if n == 2:
-        return 7
-    return words123_recurrence(n - 1) + words123_recurrence(n - 2) + n + 1
+    prev, cur = 1, 3  # a_0 = 1 continues the recursion: a_2 = 3 + 1 + 3 = 7
+    for k in range(2, n + 1):
+        prev, cur = cur, cur + prev + k + 1
+    return cur
 
 
 def words3_avoiding_13_count(n: int) -> int:

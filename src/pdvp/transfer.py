@@ -9,6 +9,10 @@ forward dynamic program that expands the series, and the bordered matrix
 [[I - qA, 1], [-alpha, 0]], solved exactly over integer polynomials in q and
 z by one fraction-free elimination.  Everything is arbitrary-precision
 integer arithmetic; there is no floating point here.
+
+Polynomials in q and z are stored as polynomials in q over Z[z], one
+z-polynomial {z-degree: coefficient} per q-degree, as series rows are; the
+product, both exact divisions and the expansion share one kernel, `_mul_acc`.
 """
 
 from __future__ import annotations
@@ -26,13 +30,40 @@ ZPoly = dict[int, int]
 # bivariate integer polynomials
 
 
-class BivarPoly:
-    """Polynomial in q and z with integer coefficients, stored sparsely."""
+def _mul_acc(acc: ZPoly, a: ZPoly, b: ZPoly, sign: int = 1) -> None:
+    """acc += sign * a * b in Z[z], in place; a coefficient that cancels is
+    dropped, so acc keeps no zero coefficient."""
+    for i, x in a.items():
+        x *= sign
+        for j, y in b.items():
+            k = i + j
+            w = acc.get(k, 0) + x * y
+            if w:
+                acc[k] = w
+            else:
+                del acc[k]
 
-    __slots__ = ("_c",)
+
+class BivarPoly:
+    """Polynomial in q and z with integer coefficients, built from
+    {(q-degree, z-degree): coefficient} and stored as a polynomial in q over
+    Z[z]: `_rows` maps a q-degree to its z-polynomial.  No row is empty and no
+    coefficient is 0, so equal polynomials have equal stores."""
+
+    __slots__ = ("_rows",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None):
-        self._c = {k: v for k, v in (coeffs or {}).items() if v}
+        self._rows: dict[int, ZPoly] = {}
+        for (i, j), c in (coeffs or {}).items():
+            if c:
+                self._rows.setdefault(i, {})[j] = c
+
+    @classmethod
+    def _of(cls, rows: dict[int, ZPoly]) -> "BivarPoly":
+        """Adopt rows that already hold no empty row and no zero coefficient."""
+        p = cls.__new__(cls)
+        p._rows = rows
+        return p
 
     @classmethod
     def const(cls, c: int) -> "BivarPoly":
@@ -44,41 +75,38 @@ class BivarPoly:
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (q-degree, z-degree, coefficient) triples."""
-        return [(i, j, self._c[(i, j)]) for i, j in sorted(self._c)]
+        rows = sorted(self._rows.items())
+        return [(i, j, row[j]) for i, row in rows for j in sorted(row)]
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._rows)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
-        return other is not None and self._c == other._c
+        return other is not None and self._rows == other._rows
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash(tuple(self.terms()))
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -v for k, v in self._c.items()})
+        return ZERO - self
 
-    def __add__(self, other) -> "BivarPoly":
+    def __add__(self, other, sign: int = 1) -> "BivarPoly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._c)
-        for k, v in other._c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return BivarPoly(out)
+        out = {i: dict(row) for i, row in self._rows.items()}
+        for i, row in other._rows.items():
+            acc = out.setdefault(i, {})
+            _mul_acc(acc, {0: sign}, row)
+            if not acc:
+                del out[i]
+        return BivarPoly._of(out)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "BivarPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "BivarPoly":
         return _coerce(other) - self
@@ -87,19 +115,11 @@ class BivarPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                k = (i1 + i2, j1 + j2)
-                w = out.get(k, 0) + c1 * c2
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        return BivarPoly(out)
+        out: dict[int, ZPoly] = {}
+        for i1, row1 in self._rows.items():
+            for i2, row2 in other._rows.items():
+                _mul_acc(out.setdefault(i1 + i2, {}), row1, row2)
+        return BivarPoly._of({i: row for i, row in out.items() if row})
 
     __rmul__ = __mul__
 
@@ -109,18 +129,11 @@ class BivarPoly:
             out = out * self
         return out
 
-    def q_coefficients(self) -> dict[int, ZPoly]:
-        """Group terms by q-degree; each value is a polynomial in z."""
-        out: dict[int, ZPoly] = {}
-        for (i, j), c in self._c.items():
-            out.setdefault(i, {})[j] = c
-        return out
-
     def constant_term(self) -> int:
-        return self._c.get((0, 0), 0)
+        return self._rows.get(0, {}).get(0, 0)
 
     def __repr__(self) -> str:
-        if not self._c:
+        if not self._rows:
             return "0"
         out = ""
         for i, j, c in self.terms():
@@ -155,61 +168,36 @@ Z = BivarPoly.mono(1, 0, 1)
 def _zpoly_exact_div(num: ZPoly, den: ZPoly) -> ZPoly:
     """Exact division in Z[z]; raises ArithmeticError if not exact."""
     num = dict(num)
-    if not den:
-        raise ArithmeticError("division by zero polynomial")
     dd = max(den)
     dl = den[dd]
     out: ZPoly = {}
     while num:
         nd = max(num)
-        if nd < dd:
+        if nd < dd or num[nd] % dl:
             raise ArithmeticError("inexact polynomial division")
-        lead = num[nd]
-        if lead % dl:
-            raise ArithmeticError("inexact polynomial division")
-        c = lead // dl
-        out[nd - dd] = c
-        for j, v in den.items():
-            k = nd - dd + j
-            w = num.get(k, 0) - c * v
-            if w:
-                num[k] = w
-            else:
-                num.pop(k, None)
+        out[nd - dd] = num[nd] // dl
+        _mul_acc(num, {nd - dd: out[nd - dd]}, den, -1)
     return out
 
 
 def exact_div(num: BivarPoly, den: BivarPoly) -> BivarPoly:
-    """Exact division in Z[q, z] (long division in q with Z[z] coefficients)."""
+    """Exact division in Z[q, z]: long division in q over Z[z], row by row."""
     if not den:
         raise ArithmeticError("division by zero polynomial")
-    if not num:
-        return ZERO
-    nq = num.q_coefficients()
-    dq = den.q_coefficients()
-    dd = max(dq)
-    dl = dq[dd]
-    out: dict[tuple[int, int], int] = {}
-    while nq:
-        nd = max(nq)
+    rest = {i: dict(row) for i, row in num._rows.items()}
+    dd = max(den._rows)
+    out: dict[int, ZPoly] = {}
+    while rest:
+        nd = max(rest)
         if nd < dd:
             raise ArithmeticError("inexact polynomial division")
-        c = _zpoly_exact_div(nq[nd], dl)
-        for j, v in c.items():
-            out[(nd - dd, j)] = v
-        for i, zp in dq.items():
-            tgt = nq.setdefault(nd - dd + i, {})
-            for j1, v1 in c.items():
-                for j2, v2 in zp.items():
-                    k = j1 + j2
-                    w = tgt.get(k, 0) - v1 * v2
-                    if w:
-                        tgt[k] = w
-                    else:
-                        tgt.pop(k, None)
-            if not tgt:
-                del nq[nd - dd + i]
-    return BivarPoly(out)
+        c = out[nd - dd] = _zpoly_exact_div(rest[nd], den._rows[dd])
+        for i, row in den._rows.items():
+            acc = rest.setdefault(nd - dd + i, {})
+            _mul_acc(acc, c, row, -1)
+            if not acc:
+                del rest[nd - dd + i]
+    return BivarPoly._of(out)
 
 
 def _bareiss(m: list[list[BivarPoly]]) -> tuple[BivarPoly, BivarPoly]:
@@ -315,24 +303,13 @@ class ZSeriesTable:
 def expand_rational(gf: RationalGF, n_max: int) -> ZSeriesTable:
     """Power-series expansion of num/den to order q^n_max, exact in z
     (RationalGF makes the denominator's constant term +1)."""
-    num_q = gf.num.q_coefficients()
-    den_q = gf.den.q_coefficients()
+    num_q, den_q = gf.num._rows, gf.den._rows
     rows: list[ZPoly] = []
     for n in range(n_max + 1):
         acc: ZPoly = dict(num_q.get(n, {}))
         for k in range(1, n + 1):
-            dk = den_q.get(k)
-            if not dk:
-                continue
-            ck = rows[n - k]
-            for j1, v1 in dk.items():
-                for j2, v2 in ck.items():
-                    j = j1 + j2
-                    w = acc.get(j, 0) - v1 * v2
-                    if w:
-                        acc[j] = w
-                    else:
-                        acc.pop(j, None)
+            if k in den_q:
+                _mul_acc(acc, den_q[k], rows[n - k], -1)
         rows.append(acc)
     return ZSeriesTable(rows)
 
@@ -348,7 +325,7 @@ def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
 
 DEFAULT_STATE_BUDGET = 4096
 DEFAULT_SOLVE_BUDGET = 64  # full states of one solve_transfer_system
-DEFAULT_SERIES_BUDGET = 10**5  # states x (order + 1) of one dp_series
+DEFAULT_SERIES_BUDGET = 10**5  # edges walked by one dp_series: states x letters x (order + 1)
 
 
 @dataclass(frozen=True)
@@ -437,17 +414,17 @@ def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
     letter multiplies it by z^e, where e counts the occurrences inside the
     window that use its final position.  Words shorter than W - 1 are states
     of their own, so occurrences inside short words are exact as well.  The
-    t^(W-1) full states times the n_max + 1 rows must stay within
-    DEFAULT_SERIES_BUDGET, which is checked before any work starts.
+    t^(W-1) full states times their t edges times the n_max + 1 rows must stay
+    within DEFAULT_SERIES_BUDGET, which is checked before any work starts.
     """
     if n_max < 0:
         raise ValueError(f"series order must be non-negative, got {n_max}")
     keep = _check_states(sp, t)
-    size = t**keep * (n_max + 1)
+    size = t**keep * t * (n_max + 1)
     if size > DEFAULT_SERIES_BUDGET:
         raise ValueError(
-            f"series size {t}^{keep} states x {n_max + 1} orders = {size}"
-            f" exceeds the budget {DEFAULT_SERIES_BUDGET}"
+            f"series size {t}^{keep} states x {t} letters x {n_max + 1} orders = {size}"
+            f" edges exceeds the budget {DEFAULT_SERIES_BUDGET}"
         )
     edges = _automaton(sp, t, keep)
     weights: list[ZPoly] = [{0: 1}] + [{} for _ in edges[1:]]

@@ -155,6 +155,9 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
          ("alphabet size 1000000000", "the budget 4096")),
         (["--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "4000", "--solve"],
          ("4000^1 = 4000", "the solve budget 64")),
+        # one state, but every step walks its 4096 edges
+        (["--pattern", "1|P,P|-|{2}", "--alphabet", "4096", "--dp", "--max-n", "99999"],
+         ("4096 letters x 100000 orders = 409600000 edges", "the budget 100000")),
     ],
 )
 def test_gf_budgets_exit_2_before_the_work(capsys, argv, sizes):

@@ -137,6 +137,10 @@ def test_words123_closed_form_and_recurrence():
     assert formulas.words123_avoiders(5) == word_multi_avoiders(pats, 3, 5) == 46
 
 
+def test_words123_recurrence_runs_far_past_the_recursion_limit():
+    assert formulas.words123_recurrence(2000) == formulas.words123_avoiders(2000)
+
+
 def test_bijection_count_helpers():
     for n in range(13):
         lhs = formulas.words3_avoiding_13_count(n)

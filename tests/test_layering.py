@@ -1,9 +1,11 @@
-"""Only matcher.py may use the matcher's private names, and it has one search.
+"""Only matcher.py and transfer.py may use their private names, and the
+matcher has one search.
 
-Other modules reach the matcher through its public entry points, so its
-compiled tables and its search can change without touching them.  The
-search is code that matcher.py generates per pattern, so "one search" means
-one place that compiles generated code and no recursive search beside it.
+Other modules reach the matcher and the polynomials through their public
+entry points, so the matcher's compiled tables and search, and the layout
+of `BivarPoly`, can change without touching them.  The search is code that
+matcher.py generates per pattern, so "one search" means one place that
+compiles generated code and no recursive search beside it.
 """
 
 import ast
@@ -15,17 +17,17 @@ import pdvp
 PACKAGE = Path(pdvp.__file__).parent
 
 
-def _private_matcher_uses(tree: ast.AST) -> list[str]:
+def _private_uses(tree: ast.AST, module: str) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "matcher"
+            and node.value.id == module
             and node.attr.startswith("_")
         ):
-            found.append(f"line {node.lineno}: matcher.{node.attr}")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("matcher"):
+            found.append(f"line {node.lineno}: {module}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith(module):
             found += [
                 f"line {node.lineno}: from {node.module} import {alias.name}"
                 for alias in node.names
@@ -34,20 +36,33 @@ def _private_matcher_uses(tree: ast.AST) -> list[str]:
     return found
 
 
-def test_no_module_but_matcher_uses_private_matcher_names():
+def _offenders(module: str) -> dict[str, list[str]]:
     offenders = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "matcher.py":
+        if path.name == f"{module}.py":
             continue
-        found = _private_matcher_uses(ast.parse(path.read_text(), str(path)))
+        found = _private_uses(ast.parse(path.read_text(), str(path)), module)
         if found:
             offenders[path.name] = found
-    assert not offenders
+    return offenders
+
+
+def test_no_module_but_matcher_uses_private_matcher_names():
+    assert not _offenders("matcher")
+
+
+def test_no_module_but_transfer_uses_private_transfer_names():
+    assert not _offenders("transfer")
 
 
 def test_the_lint_sees_both_spellings():
-    tree = ast.parse("from . import matcher\nmatcher._search\nfrom .matcher import _prepare\n")
-    assert len(_private_matcher_uses(tree)) == 2
+    matcher = ast.parse("from . import matcher\nmatcher._search\nfrom .matcher import _prepare\n")
+    transfer = ast.parse(
+        "from . import transfer\ntransfer._mul_acc\nfrom .transfer import _automaton\n"
+    )
+    assert len(_private_uses(matcher, "matcher")) == 2
+    assert len(_private_uses(transfer, "transfer")) == 2
+    assert _private_uses(transfer, "matcher") == []
 
 
 def _self_recursive_functions(tree: ast.AST) -> list[str]:

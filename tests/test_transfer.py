@@ -56,6 +56,56 @@ def test_exact_division_inverts_multiplication():
         assert exact_div(a * b, b) == a
 
 
+def _naive_product(a_terms, b_terms, order=None):
+    """Convolution of two term lists keyed by (q-degree, z-degree), through
+    q^order if an order is given: sorted triples, zeros left out."""
+    out = Counter()
+    for i1, j1, c1 in a_terms:
+        for i2, j2, c2 in b_terms:
+            if order is None or i1 + i2 <= order:
+                out[(i1 + i2, j1 + j2)] += c1 * c2
+    return sorted((i, j, c) for (i, j), c in out.items() if c)
+
+
+def test_product_matches_naive_convolution():
+    rng = random.Random(13)
+    for _ in range(200):
+        a, b = _random_poly(rng), _random_poly(rng)
+        assert (a * b).terms() == _naive_product(a.terms(), b.terms())
+
+
+def test_cancellation_leaves_no_zero_coefficient_or_empty_row():
+    assert ((Q + Z) - Z).terms() == [(1, 0, 1)]
+    assert (Q + Z) - Z == Q
+    assert not (Q * Z - Z * Q)
+    assert (ONE + Q) * (ONE - Q) + Q**2 == ONE
+
+
+def test_operations_leave_their_operands_unchanged():
+    rng = random.Random(17)
+    for _ in range(50):
+        a, b = _random_poly(rng), _random_poly(rng)
+        if not b:
+            continue
+        before = (a.terms(), b.terms())
+        results = [a + b, a - b, -a, a * b, exact_div(a * b, b)]
+        assert (a.terms(), b.terms()) == before
+        assert results[-1] == a
+
+
+def test_equal_polynomials_hash_alike():
+    built = [
+        (Q + Z) ** 2,
+        Q**2 + 2 * Q * Z + Z**2,
+        BivarPoly({(0, 2): 1, (1, 1): 2, (2, 0): 1}),
+        exact_div((Q + Z) ** 3, Q + Z),
+        (Q + Z) ** 2 + Q**3 - Q**3,
+        Z**2 + (Q * Z + Q**2) + Q * Z,
+    ]
+    assert len(set(built)) == 1
+    assert len({hash(p) for p in built}) == 1
+
+
 def test_exact_division_rejects_inexact():
     with pytest.raises(ArithmeticError):
         exact_div(Q + ONE, Q * 2)
@@ -112,6 +162,16 @@ def test_expand_requires_unit_constant():
     gf = RationalGF(-ONE, -ONE + Q)
     assert gf.den.constant_term() == 1
     assert gf.num == ONE
+
+
+def test_expansion_times_denominator_is_the_numerator():
+    order = 12
+    for name in checks.STAT_ALPHABETS:
+        gf = checks._solver_gf(name)
+        table = expand_rational(gf, order)
+        series = [(n, j, c) for n in range(order + 1) for j, c in table.z_poly(n).items()]
+        num = [(i, j, c) for i, j, c in gf.num.terms() if i <= order]
+        assert _naive_product(series, gf.den.terms(), order) == num, name
 
 
 def test_gf_equal_series():
@@ -201,10 +261,15 @@ def test_alphabet_budget_admits_its_limit():
 
 def test_dp_series_budget_fails_before_the_work():
     sp = checks.stat_pattern("b3")
+    single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"3\^1 states x 100000001 orders = 300000003 "
-                       r"exceeds the budget 100000$"):
+    with pytest.raises(ValueError, match=r"3\^1 states x 3 letters x 100000001 orders = "
+                       r"900000009 edges exceeds the budget 100000$"):
         dp_series(sp, 3, 10**8)
+    # one state, but every step walks its 4096 edges
+    with pytest.raises(ValueError, match=r"4096\^0 states x 4096 letters x 100000 orders = "
+                       r"409600000 edges exceeds the budget 100000$"):
+        dp_series(single, 4096, 99999)
     assert time.perf_counter() - start < 1
     assert len(dp_series(sp, 3, 300).z0_series()) == 301
 
