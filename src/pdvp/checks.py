@@ -131,6 +131,11 @@ def mod4_pattern() -> Pdvp:
 # ---------------------------------------------------------------------------
 # check plumbing
 
+# entries per cache below: one `pdvp verify` stores at most 9 in any of them
+# (`_ank_scan` for n = 1..9, `_dp_table` for 7 names at order 14 and 2 more),
+# so it recomputes nothing
+_CACHE_SIZE = 16
+
 
 @dataclass
 class CheckResult:
@@ -150,7 +155,7 @@ class CheckResult:
         self.lines.append(f"  {text}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _classical_rows(base: tuple[int, ...], kmax: int):
     return {
         k: dict(exhaustive.perm_distribution(make_classical(base), k).counts)
@@ -190,7 +195,7 @@ def check_eq1() -> CheckResult:
     return t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _k4n_brute(n: int) -> int:
     return exhaustive.perm_multi_avoiders([mod4_pattern()], 4 * n)
 
@@ -218,7 +223,7 @@ def _shifted_rise_pattern(k: int) -> Pdvp:
     return parse_pattern(f"12|P,{{{k}}},P|(1,2,{{1}})|P,P")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _ank_scan(n: int) -> dict[int, tuple[int, int]]:
     """For k = 1..3: (avoider count, exactly-one count) over V-permutations."""
     ks = (1, 2, 3)
@@ -265,12 +270,12 @@ def check_ank() -> CheckResult:
     return t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _dp_table(name: str, n_max: int) -> transfer.ZSeriesTable:
     return transfer.dp_series(stat_pattern(name), STAT_ALPHABETS[name][1], n_max)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _solver_gf(name: str) -> RationalGF:
     return transfer.solve_transfer_system(stat_pattern(name), STAT_ALPHABETS[name][1])
 

@@ -12,12 +12,25 @@ integer arithmetic; there is no floating point here.
 
 Polynomials in q and z are stored as polynomials in q over Z[z], one
 z-polynomial {z-degree: coefficient} per q-degree, as series rows are; the
-product, both exact divisions and the expansion share one kernel, `_mul_acc`.
+product, the expansion and the elimination share one kernel, `_mul_acc`.
+
+Inside the dynamic program and the elimination, z is carried as an integer:
+a z-polynomial is replaced by its value at z = 2^B (Kronecker substitution),
+so its arithmetic is one big-integer operation.  z -> 2^B is a ring
+homomorphism, so sums, products and exact divisions of the images are the
+images of the true results; each division exact in Z[z][q] stays exact in
+Z[q].  The slot width B is fixed before any work from a proven bound on the
+coefficients (t^n for the dp, Hadamard's inequality for the elimination),
+with 2^(B-1) above it, so balanced base-2^B digits give back every
+coefficient exactly, and only the series rows, the numerator and the last
+pivot are decoded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping
 
 from . import matcher
@@ -31,8 +44,9 @@ ZPoly = dict[int, int]
 
 
 def _mul_acc(acc: ZPoly, a: ZPoly, b: ZPoly, sign: int = 1) -> None:
-    """acc += sign * a * b in Z[z], in place; a coefficient that cancels is
-    dropped, so acc keeps no zero coefficient."""
+    """acc += sign * a * b for integer polynomials {degree: coefficient}, in
+    place: in Z[z] for BivarPoly, in q over packed z for the elimination.  A
+    coefficient that cancels is dropped, so acc keeps no zero coefficient."""
     for i, x in a.items():
         x *= sign
         for j, y in b.items():
@@ -165,8 +179,13 @@ Q = BivarPoly.mono(1, 1, 0)
 Z = BivarPoly.mono(1, 0, 1)
 
 
-def _zpoly_exact_div(num: ZPoly, den: ZPoly) -> ZPoly:
-    """Exact division in Z[z]; raises ArithmeticError if not exact."""
+# ---------------------------------------------------------------------------
+# z carried as an integer, and the elimination over it
+
+
+def _exact_div(num: ZPoly, den: ZPoly) -> ZPoly:
+    """Exact division of integer polynomials {degree: coefficient}; raises
+    ArithmeticError if not exact."""
     num = dict(num)
     dd = max(den)
     dl = den[dd]
@@ -180,28 +199,37 @@ def _zpoly_exact_div(num: ZPoly, den: ZPoly) -> ZPoly:
     return out
 
 
-def exact_div(num: BivarPoly, den: BivarPoly) -> BivarPoly:
-    """Exact division in Z[q, z]: long division in q over Z[z], row by row."""
-    if not den:
-        raise ArithmeticError("division by zero polynomial")
-    rest = {i: dict(row) for i, row in num._rows.items()}
-    dd = max(den._rows)
-    out: dict[int, ZPoly] = {}
-    while rest:
-        nd = max(rest)
-        if nd < dd:
-            raise ArithmeticError("inexact polynomial division")
-        c = out[nd - dd] = _zpoly_exact_div(rest[nd], den._rows[dd])
-        for i, row in den._rows.items():
-            acc = rest.setdefault(nd - dd + i, {})
-            _mul_acc(acc, c, row, -1)
-            if not acc:
-                del rest[nd - dd + i]
-    return BivarPoly._of(out)
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot of a packed z-polynomial whose coefficients all have
+    absolute value below 2^bits: one byte-aligned slot of 8w >= bits + 1 bits
+    keeps each as a balanced digit."""
+    return (bits + 8) // 8
 
 
-def _bareiss(m: list[list[BivarPoly]]) -> tuple[BivarPoly, BivarPoly]:
-    """Fraction-free elimination of the square matrix m, in place.
+def _decode(x: int, width: int) -> ZPoly:
+    """The z-polynomial whose value at z = 2^(8 width) is x, read as balanced
+    digits: every coefficient must have absolute value below 2^(8 width - 1).
+
+    Adding 2^(8 width - 1) to every slot makes each digit non-negative without
+    a carry, so one byte string holds them all and the decoding is linear in
+    the size of x.
+    """
+    bits = 8 * width
+    slots = abs(x).bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    raw = (x + bias).to_bytes(width * slots, "little")
+    out: ZPoly = {}
+    for j in range(slots):
+        c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
+        if c:
+            out[j] = c
+    return out
+
+
+def _bareiss(m: list[list[ZPoly]]) -> tuple[ZPoly, ZPoly]:
+    """Fraction-free elimination of the square matrix m, in place; its
+    entries are integer polynomials {degree: coefficient}.
 
     Returns det(m) and the last pivot before it, the leading principal minor
     of order n - 1.  Every interior division is exact.  Rows are never
@@ -210,7 +238,7 @@ def _bareiss(m: list[list[BivarPoly]]) -> tuple[BivarPoly, BivarPoly]:
     and an entry that would stay 0 is not recomputed.
     """
     n = len(m)
-    prev = ONE
+    prev: ZPoly = {0: 1}
     for k in range(n - 1):
         pivot_row = m[k]
         pivot = pivot_row[k]
@@ -224,8 +252,11 @@ def _bareiss(m: list[list[BivarPoly]]) -> tuple[BivarPoly, BivarPoly]:
                 continue
             for j in range(k + 1, n):
                 if row_i[j] or pivot_row[j]:
-                    row_i[j] = exact_div(pivot * row_i[j] - lead * pivot_row[j], prev)
-            row_i[k] = ZERO
+                    acc: ZPoly = {}
+                    _mul_acc(acc, pivot, row_i[j])
+                    _mul_acc(acc, lead, pivot_row[j], -1)
+                    row_i[j] = _exact_div(acc, prev)
+            row_i[k] = {}
         prev = pivot
     return m[n - 1][n - 1], prev
 
@@ -326,6 +357,7 @@ def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
 DEFAULT_STATE_BUDGET = 4096
 DEFAULT_SOLVE_BUDGET = 64  # full states of one solve_transfer_system
 DEFAULT_SERIES_BUDGET = 10**5  # edges walked by one dp_series: states x letters x (order + 1)
+DEFAULT_SERIES_BITS = 2**30  # bits one dp_series may hold: (states + orders) x slots x slot bits
 
 
 @dataclass(frozen=True)
@@ -413,9 +445,15 @@ def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
     A state's weight sums z^stat over the words that end in it; appending a
     letter multiplies it by z^e, where e counts the occurrences inside the
     window that use its final position.  Words shorter than W - 1 are states
-    of their own, so occurrences inside short words are exact as well.  The
-    t^(W-1) full states times their t edges times the n_max + 1 rows must stay
-    within DEFAULT_SERIES_BUDGET, which is checked before any work starts.
+    of their own, so occurrences inside short words are exact as well.
+
+    A weight is carried as its value at z = 2^B, one integer, so appending a
+    letter is a shift by e*B bits.  Every coefficient at order n counts words
+    of length n, so it is at most t^n, and B leaves room for t^n_max.  Two
+    budgets are checked before any work starts: the t^(W-1) full states
+    times their t edges times the n_max + 1 rows must stay within
+    DEFAULT_SERIES_BUDGET, and the weights and rows, each at most
+    n_max*C(W-1, m-1) + 1 slots of B bits, within DEFAULT_SERIES_BITS.
     """
     if n_max < 0:
         raise ValueError(f"series order must be non-negative, got {n_max}")
@@ -426,25 +464,29 @@ def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
             f"series size {t}^{keep} states x {t} letters x {n_max + 1} orders = {size}"
             f" edges exceeds the budget {DEFAULT_SERIES_BUDGET}"
         )
-    edges = _automaton(sp, t, keep)
-    weights: list[ZPoly] = [{0: 1}] + [{} for _ in edges[1:]]
+    width = _slot_bytes((t**n_max).bit_length())
+    bits = 8 * width
+    states = sum(t**k for k in range(keep + 1))
+    # at most C(W-1, m-1) occurrences end at one letter
+    slots = n_max * comb(sp.window_width - 1, sp.pattern.m - 1) + 1
+    held = (states + n_max + 1) * slots * bits
+    if held > DEFAULT_SERIES_BITS:
+        raise ValueError(
+            f"series memory ({states} states + {n_max + 1} orders) x {slots} slots"
+            f" x {bits} bits = {held} bits exceeds the budget {DEFAULT_SERIES_BITS}"
+        )
+    edges = [[(target, e * bits) for target, e in out] for out in _automaton(sp, t, keep)]
+    weights = [1] + [0] * (states - 1)
     rows: list[ZPoly] = []
     while True:
-        row: ZPoly = {}
-        for wpoly in weights:
-            for j, v in wpoly.items():
-                row[j] = row.get(j, 0) + v
-        rows.append(row)
+        rows.append(_decode(sum(weights), width))
         if len(rows) > n_max:
             return ZSeriesTable(rows)
-        nxt: list[ZPoly] = [{} for _ in edges]
-        for wpoly, out in zip(weights, edges):
-            if not wpoly:
-                continue
-            for target, e in out:
-                acc = nxt[target]
-                for j, v in wpoly.items():
-                    acc[j + e] = acc.get(j + e, 0) + v
+        nxt = [0] * states
+        for w, out in zip(weights, edges):
+            if w:
+                for target, shift in out:
+                    nxt[target] += w << shift
         weights = nxt
 
 
@@ -460,6 +502,15 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     come first, and their rows are eliminated with pivots 1.  At most
     DEFAULT_SOLVE_BUDGET full states are solved, which is checked before any
     work starts.
+
+    The entries are polynomials in q whose coefficients are z-polynomials
+    carried at z = 2^B.  Every entry the elimination keeps, each pivot and
+    both results are minors of the bordered matrix.  On |q| = |z| = 1,
+    Hadamard's inequality bounds a minor, and so each of its coefficients,
+    by the product over the rows of sqrt(sum_j |m_ij|_1^2), where |m_ij|_1
+    is [i = j] plus the edges i -> j, and the border adds 1 to the sum.
+    2^(B-1) exceeds that bound, so a minor decodes exactly, and it is 0 only
+    when its image is.
     """
     keep = _check_states(sp, t)
     if t**keep > DEFAULT_SOLVE_BUDGET:
@@ -469,11 +520,18 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
         )
     edges = _automaton(sp, t, keep)
     size = len(edges)
-    m = [[ZERO] * size + [ONE] for _ in range(size)]
+    square = 1  # the square of the Hadamard bound; the last row adds a factor 1
     for i, out in enumerate(edges):
-        m[i][i] = ONE
+        norms = Counter(j for j, _ in out)
+        norms[i] += 1
+        square *= 1 + sum(c * c for c in norms.values())
+    width = _slot_bytes((square.bit_length() + 1) // 2)
+    bits = 8 * width
+    m = [[{} for _ in range(size)] + [{0: 1}] for _ in range(size)]
+    for i, out in enumerate(edges):
+        m[i][i] = {0: 1}
         for j, e in out:
-            m[i][j] = m[i][j] - BivarPoly.mono(1, 1, e)
-    m.append([-ONE] + [ZERO] * size)
-    num, den = _bareiss(m)
+            m[i][j][1] = m[i][j].get(1, 0) - (1 << (bits * e))
+    m.append([{0: -1}] + [{} for _ in range(size)])
+    num, den = (BivarPoly._of({i: _decode(x, width) for i, x in p.items()}) for p in _bareiss(m))
     return RationalGF(num, den)

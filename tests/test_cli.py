@@ -54,13 +54,17 @@ def test_dist_json_golden(capsys):
 
 
 def test_gf_dp_json_golden(capsys):
-    rc, out, _ = run(
-        capsys, "--format", "json", "gf", "--pattern", "12|P,{1},P|(1,2,{2})|P,P",
-        "--alphabet", "3", "--dp", "--max-n", "6",
-    )
-    assert rc == 0
-    golden = json.loads((GOLDEN / "gf_dp_adjacent_rise2_t3.json").read_text())
-    assert json.loads(out) == golden
+    for pattern, alphabet, max_n, golden in [
+        ("12|P,{1},P|(1,2,{2})|P,P", "3", "6", "gf_dp_adjacent_rise2_t3.json"),
+        # 259 states and rows up to z^16: the rise within distance 3 over 6 letters
+        ("12|P,{1,2,3},P|(1,2,{2})|P,P", "6", "12", "gf_dp_W4_t6.json"),
+    ]:
+        rc, out, _ = run(
+            capsys, "--format", "json", "gf", "--pattern", pattern, "--alphabet", alphabet,
+            "--dp", "--max-n", max_n,
+        )
+        assert rc == 0
+        assert json.loads(out) == json.loads((GOLDEN / golden).read_text()), golden
 
 
 @pytest.mark.parametrize(
@@ -68,6 +72,8 @@ def test_gf_dp_json_golden(capsys):
     [
         ("12|P,{1,2},P|(1,2,{2})|P,P", "4", "gf_solve_d4_t4.json"),
         ("12|P,{2},P|(1,2,{2})|P,P", "3", "gf_solve_gap2_rise2_t3.json"),
+        ("12|P,{1,2},P|(1,2,{2})|P,P", "5", "gf_solve_P_t5.json"),
+        ("12|P,{1,2,3},P|(1,2,{2})|P,P", "3", "gf_solve_W4_t3.json"),
     ],
 )
 def test_gf_solve_json_golden(capsys, pattern, alphabet, golden):
@@ -158,6 +164,9 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
         # one state, but every step walks its 4096 edges
         (["--pattern", "1|P,P|-|{2}", "--alphabet", "4096", "--dp", "--max-n", "99999"],
          ("4096 letters x 100000 orders = 409600000 edges", "the budget 100000")),
+        # 12002 edges, but the rows would hold about 6000^3 bits
+        (["--pattern", "1|P,P|-|{2}", "--alphabet", "2", "--dp", "--max-n", "6000"],
+         ("= 216396156016 bits", "the budget 1073741824")),
     ],
 )
 def test_gf_budgets_exit_2_before_the_work(capsys, argv, sizes):

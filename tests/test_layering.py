@@ -118,6 +118,58 @@ def test_the_search_lint_counts_compile_sites():
     assert _compile_sites(ast.parse(source)) == {1, 3}
 
 
+def _unbounded_caches(tree: ast.AST) -> list[int]:
+    """Lines that build a cache with no size limit: lru_cache(maxsize=None),
+    lru_cache(None) or functools.cache."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node.func) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) == ("functools", "cache")
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+    return found
+
+
+def _callee(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_cache_is_bounded():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _unbounded_caches(ast.parse(path.read_text())) == [], path.name
+
+
+def test_the_cache_lint_sees_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def b(): pass\n"
+        "@functools.cache\n"
+        "def c(): pass\n"
+        "@lru_cache(maxsize=16)\n"
+        "def d(): pass\n"
+        "@lru_cache\n"
+        "def e(): pass\n"
+        "cache = {}\n"
+    )
+    assert _unbounded_caches(ast.parse(source)) == [2, 3, 5, 7]
+
+
 # Definitions that nothing in the package refers to, kept on purpose.
 UNREFERENCED_ALLOWED = {
     "parse_set": "the parser's public entry point for one set, used by the tests",

@@ -23,12 +23,77 @@ from pdvp.transfer import (
     BivarPoly,
     _automaton,
     _bareiss,
+    _decode,
+    _mul_acc,
     dp_series,
-    exact_div,
     expand_rational,
     gf_equal_series,
     solve_transfer_system,
 )
+
+
+# The elimination over BivarPoly that the solver ran before it carried z as an
+# integer: the oracle for the packed `_bareiss`, sharing no packing code.
+
+
+def _zpoly_exact_div(num, den):
+    """Exact division in Z[z]; raises ArithmeticError if not exact."""
+    num = dict(num)
+    dd = max(den)
+    dl = den[dd]
+    out = {}
+    while num:
+        nd = max(num)
+        if nd < dd or num[nd] % dl:
+            raise ArithmeticError("inexact polynomial division")
+        out[nd - dd] = num[nd] // dl
+        _mul_acc(num, {nd - dd: out[nd - dd]}, den, -1)
+    return out
+
+
+def exact_div(num, den):
+    """Exact division in Z[q, z]: long division in q over Z[z], row by row."""
+    if not den:
+        raise ArithmeticError("division by zero polynomial")
+    rest = {i: dict(row) for i, row in num._rows.items()}
+    dd = max(den._rows)
+    out = {}
+    while rest:
+        nd = max(rest)
+        if nd < dd:
+            raise ArithmeticError("inexact polynomial division")
+        c = out[nd - dd] = _zpoly_exact_div(rest[nd], den._rows[dd])
+        for i, row in den._rows.items():
+            acc = rest.setdefault(nd - dd + i, {})
+            _mul_acc(acc, c, row, -1)
+            if not acc:
+                del rest[nd - dd + i]
+    return BivarPoly._of(out)
+
+
+def _bivar_bareiss(m):
+    """Fraction-free elimination of a square BivarPoly matrix, in place:
+    det(m) and the last pivot before it, with the pivot and skip rules of
+    the packed `_bareiss`."""
+    n = len(m)
+    prev = ONE
+    for k in range(n - 1):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise ArithmeticError("zero pivot")
+        same = pivot == prev
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            if same and not lead:
+                continue
+            for j in range(k + 1, n):
+                if row_i[j] or pivot_row[j]:
+                    row_i[j] = exact_div(pivot * row_i[j] - lead * pivot_row[j], prev)
+            row_i[k] = ZERO
+        prev = pivot
+    return m[n - 1][n - 1], prev
 
 
 def test_ring_basics():
@@ -123,10 +188,33 @@ def _naive_det(rows):
     return total
 
 
+def _pack(p, width):
+    """p as a polynomial in q whose coefficients are its z-polynomials at
+    z = 2^(8 width)."""
+    return {i: sum(c << (8 * width * j) for j, c in row.items()) for i, row in p._rows.items()}
+
+
+def _unpack(p, width):
+    return BivarPoly._of({i: _decode(x, width) for i, x in p.items()})
+
+
+def test_decode_round_trip():
+    width = 3
+    top = 2 ** (8 * width - 1) - 1
+    for coeffs in ({}, {0: 1}, {0: -1}, {0: top}, {0: -top},
+                   {0: 1, 2: -1, 5: top, 9: -top}, {1: -top, 4: top, 7: -1},
+                   {3: top, 4: -top, 6: 1}, {0: -1, 1: 1, 8: 0}):
+        poly = {j: c for j, c in coeffs.items() if c}
+        assert _decode(sum(c << (8 * width * j) for j, c in poly.items()), width) == poly
+
+
 def test_bareiss_matches_cofactor_expansion():
     # I - qR with a free last row: every leading minor is 1 at q = 0, as in
-    # the solver's bordered matrix, so no pivot is zero
+    # the solver's bordered matrix, so no pivot is zero.  Entries have at
+    # most 6 terms of size at most 5, so by Hadamard no minor's coefficient
+    # reaches 2^24, well within 8-byte slots.
     rng = random.Random(11)
+    cases = []
     for size in (2, 3, 4):
         for _ in range(15):
             rows = [
@@ -134,17 +222,27 @@ def test_bareiss_matches_cofactor_expansion():
                 for i in range(size - 1)
             ]
             rows.append([_random_poly(rng) for _ in range(size)])
-            det, last_pivot = _bareiss([row[:] for row in rows])
-            assert det == _naive_det(rows)
-            assert last_pivot == _naive_det([row[:-1] for row in rows[:-1]])
+            cases.append(rows)
+    # pivots equal to the one before them over zero leads, as the short-word
+    # rows of the solver have: the rows that are skipped
+    cases.append([
+        [ONE, -Q, ZERO, ONE],
+        [ZERO, ONE, -Q * Z, ONE],
+        [ZERO, ZERO, ONE - Q * Z**2, ONE],
+        [-ONE, ZERO, ZERO, ZERO],
+    ])
+    for rows in cases:
+        det, last_pivot = _bareiss([[_pack(p, 8) for p in row] for row in rows])
+        assert _unpack(det, 8) == _naive_det(rows)
+        assert _unpack(last_pivot, 8) == _naive_det([row[:-1] for row in rows[:-1]])
 
 
 def test_bareiss_zero_column():
     # a zero pivot is an error, never a row swap
     with pytest.raises(ArithmeticError, match="zero pivot"):
-        _bareiss([[ZERO, ONE], [ZERO, Q]])
+        _bareiss([[{}, {0: 1}], [{}, {1: 1}]])
     with pytest.raises(ArithmeticError, match="zero pivot"):
-        _bareiss([[ONE, ONE, ZERO], [ONE, ONE, Q], [Q, ZERO, ONE]])
+        _bareiss([[{0: 1}, {0: 1}, {}], [{0: 1}, {0: 1}, {1: 1}], [{1: 1}, {}, {0: 1}]])
 
 
 def test_expand_rational_fixtures():
@@ -270,6 +368,10 @@ def test_dp_series_budget_fails_before_the_work():
     with pytest.raises(ValueError, match=r"4096\^0 states x 4096 letters x 100000 orders = "
                        r"409600000 edges exceeds the budget 100000$"):
         dp_series(single, 4096, 99999)
+    # 12002 edges, but the rows would hold about 6000^3 bits
+    with pytest.raises(ValueError, match=r"series memory \(1 states \+ 6001 orders\) x 6001 slots"
+                       r" x 6008 bits = 216396156016 bits exceeds the budget 1073741824$"):
+        dp_series(single, 2, 6000)
     assert time.perf_counter() - start < 1
     assert len(dp_series(sp, 3, 300).z0_series()) == 301
 
@@ -383,7 +485,7 @@ def _reference_solve(sp, t):
             j = index[word[1:]]
             m[i][j] = m[i][j] - Q * Z ** _naive_ending_at_last(sp, word, t)
     m.append([-BivarPoly.mono(1, keep, occ(v)) for v in states] + [shorts])
-    num, den = _bareiss(m)
+    num, den = _bivar_bareiss(m)
     return RationalGF(num, den)
 
 
@@ -391,6 +493,22 @@ def test_solver_equals_the_suffix_state_reference():
     for sp, t in _oracle_cases():
         solved, ref = solve_transfer_system(sp, t), _reference_solve(sp, t)
         assert (solved.num, solved.den) == (ref.num, ref.den), (sp.pattern, t)
+
+
+def test_solver_equals_the_bivariate_elimination():
+    # the automaton's own bordered matrix [[I - qA, 1], [-alpha, 0]] over
+    # BivarPoly, eliminated without packing; the W = 4 rise at t = 3 is
+    # among the oracle cases
+    for sp, t in _oracle_cases():
+        edges = _automaton(sp, t, sp.window_width - 1)
+        size = len(edges)
+        m = [[ZERO] * size + [ONE] for _ in range(size)]
+        for i, out in enumerate(edges):
+            m[i][i] = ONE
+            for j, e in out:
+                m[i][j] = m[i][j] - Q * Z**e
+        m.append([-ONE] + [ZERO] * size)
+        assert solve_transfer_system(sp, t) == RationalGF(*_bivar_bareiss(m)), (sp.pattern, t)
 
 
 def test_solver_matches_dp_for_all_fixtures():
