@@ -230,6 +230,7 @@ def _ank_scan(n: int) -> dict[int, tuple[int, int]]:
     avoid = {k: 0 for k in ks}
     exactly_one = {k: 0 for k in ks}
     rises = [_shifted_rise_pattern(k) for k in ks]
+    exhaustive.check_scan((), None, n)
     for pi, _ in exhaustive.prefix_walk(n, avoid=[_CONS_231, _CONS_132]):
         for k, rise in zip(ks, rises):
             c = matcher.count_entries(rise, pi, n + 1)

@@ -6,9 +6,9 @@ a "gp:" prefix ("gp:2-31").  Sequences are whitespace- or comma-separated
 integers, so lengths above 9 work.  All numeric output is rendered as decimal
 strings; values can exceed 64 bits.
 
-The PDVP_BUDGET environment variable caps enumeration sizes: it bounds the
-number of words scanned directly, and bounds permutation scans by the largest
-n with n! within the budget.
+The PDVP_BUDGET environment variable bounds the walk nodes of every scan
+(dist, avoid, problem, verify), 10^8 when unset; see `exhaustive.check_scan`.
+gf keeps its own limits.
 
 Exit codes: 0 on success (verify: all checks pass), 1 when a verify check
 fails, 2 on usage, pattern parse or file errors.
@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from math import factorial
 
 from . import checks, exhaustive, problems, transfer
 from .dsl import ParseError, parse_gp, parse_pattern, render_pattern
@@ -38,18 +36,6 @@ def _parse_any_pattern(text: str, mode: Mode) -> Pdvp:
 def _parse_ints(text: str) -> tuple[int, ...]:
     toks = [tok for tok in re.split(r"[,\s]+", text.strip()) if tok]
     return tuple(int(tok) for tok in toks)
-
-
-def _budgets() -> tuple[int | None, int | None]:
-    """(perm scan limit, word scan budget) from PDVP_BUDGET, if set."""
-    raw = os.environ.get("PDVP_BUDGET")
-    if not raw:
-        return None, None
-    budget = int(raw)
-    n = 0
-    while factorial(n + 1) <= budget:
-        n += 1
-    return n, budget
 
 
 def _emit(args, text: str, json_obj) -> None:
@@ -112,13 +98,12 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    limit, budget = _budgets()
     if args.perm_n is not None:
         pat = _parse_any_pattern(args.pattern, Mode.PERMUTATION)
-        table = exhaustive.perm_distribution(pat, args.perm_n, limit=limit)
+        table = exhaustive.perm_distribution(pat, args.perm_n)
     else:
         pat = _parse_any_pattern(args.pattern, Mode.WORD)
-        table = exhaustive.word_distribution(pat, args.alphabet, args.word_n, budget=budget)
+        table = exhaustive.word_distribution(pat, args.alphabet, args.word_n)
     lines = [f"{m} {table.counts[m]}" for m in sorted(table.counts)]
     _emit(args, "\n".join(lines), _table_json(table))
     return 0
@@ -131,15 +116,14 @@ def _cmd_avoid(args) -> int:
             texts.extend(
                 line.strip() for line in fh if line.strip() and not line.startswith("#")
             )
-    limit, budget = _budgets()
     if args.perm_n is not None:
         pats = [_parse_any_pattern(t, Mode.PERMUTATION) for t in texts]
         n = args.perm_n
-        count = exhaustive.perm_multi_avoiders(pats, n, limit=limit)
+        count = exhaustive.perm_multi_avoiders(pats, n)
     else:
         pats = [_parse_any_pattern(t, Mode.WORD) for t in texts]
         n = args.word_n
-        count = exhaustive.word_multi_avoiders(pats, args.alphabet, n, budget=budget)
+        count = exhaustive.word_multi_avoiders(pats, args.alphabet, n)
     obj = {"n": n, "patterns": [render_pattern(p) for p in pats], "avoiders": str(count)}
     _emit(args, str(count), obj)
     return 0

@@ -6,18 +6,24 @@ depth-first walk over prefixes (`prefix_walk`): a prefix of length p already
 decides every occurrence that ends at p, so each step adds the occurrences
 ending at the new position, and a branch is dropped as soon as an avoided
 pattern ends there.  Only the walk's buffer is ever materialised.
+
+Before it starts, every scan (of `dist`, `avoid`, `problem` and `verify`)
+counts the nodes of its walks unpruned, and `check_scan` refuses it when they
+exceed `PDVP_BUDGET`, 10^8 when unset: S_10 (9864100 nodes) passes and S_11
+does not.  `gf` keeps its own limits.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from . import matcher
 from .pattern import Mode, Pdvp
 
-DEFAULT_PERM_LIMIT = 10
-DEFAULT_WORD_BUDGET = 10**8
+DEFAULT_SCAN_BUDGET = 10**8  # walk nodes of one scan when PDVP_BUDGET is unset
 
 
 class EnumerationLimitError(ValueError):
@@ -38,32 +44,42 @@ class DistributionTable:
         return sum(self.counts.values())
 
 
-def _check_perm(pats: Sequence[Pdvp], n: int, limit: int | None):
-    limit = DEFAULT_PERM_LIMIT if limit is None else limit
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
-    if n > limit:
-        raise EnumerationLimitError(
-            f"n = {n} exceeds the permutation scan limit {limit}"
-        )
-    for pat in pats:
-        if pat.mode is not Mode.PERMUTATION:
-            raise ValueError("permutation scan needs permutation-mode patterns")
+def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = False) -> None:
+    """Validate a scan of `pats` over S_n (t None) or {1..t}^n, one walk of
+    length n or, with `each_length`, one of every length 0..n, and refuse it
+    when the walks' unpruned nodes exceed the budget: PDVP_BUDGET if set,
+    else DEFAULT_SCAN_BUDGET.
 
-
-def _check_word(pats: Sequence[Pdvp], t: int, n: int, budget: int | None):
-    budget = DEFAULT_WORD_BUDGET if budget is None else budget
-    if t < 1:
+    A walk of length k has a node per prefix of length d = 1..k: k!/(k-d)! of
+    them over S_k and t^d over {1..t}^k, so W(k) = f(k) * (1 + W(k - 1)) with
+    W(0) = 0 and f(k) = k or t.  The count is exact below 8^D, D the limit
+    on the digits of an int converted to str, so it prints; past that it
+    stops, and the refusal says so.
+    """
+    perm = t is None
+    if not perm and t < 1:
         raise ValueError("alphabet size must be positive")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    if t**n > budget:
-        raise EnumerationLimitError(
-            f"{t}^{n} words exceed the scan budget {budget}"
-        )
-    for pat in pats:
-        if pat.mode is not Mode.WORD:
-            raise ValueError("word scan needs word-mode patterns")
+    raw = os.environ.get("PDVP_BUDGET")
+    budget = int(raw) if raw else DEFAULT_SCAN_BUDGET
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    ceiling = 1 << 3 * digits  # 8^D
+    if t == 1:
+        nodes = n * (n + 1) // 2 if each_length else n  # one node per length
+    else:
+        walk = nodes = 0
+        for k in range(1, n + 1):
+            walk = (k if perm else t) * (walk + 1)  # W(k)
+            nodes = nodes + walk if each_length else walk
+            if nodes >= ceiling:
+                break
+    if nodes > budget:
+        size = f"at least 8^{digits}" if nodes >= ceiling else nodes
+        raise EnumerationLimitError(f"scan of {size} walk nodes exceeds the budget {budget}")
+    want = Mode.PERMUTATION if perm else Mode.WORD
+    if any(pat.mode is not want for pat in pats):
+        raise ValueError(f"{want.value} scan needs {want.value}-mode patterns")
 
 
 def prefix_walk(
@@ -140,17 +156,15 @@ def _histogram(walk) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def perm_distribution(pat: Pdvp, n: int, limit: int | None = None) -> DistributionTable:
+def perm_distribution(pat: Pdvp, n: int) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all of S_n."""
-    _check_perm([pat], n, limit)
+    check_scan([pat], None, n)
     return DistributionTable(n, _histogram(prefix_walk(n, count=pat)))
 
 
-def word_distribution(
-    pat: Pdvp, t: int, n: int, budget: int | None = None
-) -> DistributionTable:
+def word_distribution(pat: Pdvp, t: int, n: int) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all words in {1..t}^n."""
-    _check_word([pat], t, n, budget)
+    check_scan([pat], t, n)
     return DistributionTable(n, _histogram(prefix_walk(n, t, count=pat)))
 
 
@@ -160,18 +174,17 @@ def _length_free(pat: Pdvp) -> bool:
     return pat.x[-1].steps == (1,)
 
 
-def word_distributions(
-    pat: Pdvp, t: int, n_max: int, budget: int | None = None
-) -> list[DistributionTable]:
+def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]:
     """`word_distribution` for every n = 0..n_max.
 
     When the pattern's occurrences do not depend on the final length, one
     walk to depth n_max settles every shorter word as a prefix; otherwise
     each length gets a walk of its own.
     """
-    _check_word([pat], t, n_max, budget)
-    if not _length_free(pat):
-        return [word_distribution(pat, t, n, budget) for n in range(n_max + 1)]
+    free = _length_free(pat)
+    check_scan([pat], t, n_max, each_length=not free)
+    if not free:
+        return [word_distribution(pat, t, n) for n in range(n_max + 1)]
     by_length: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for word, c in prefix_walk(n_max, t, count=pat, prefixes=True):
         counts = by_length[len(word)]
@@ -179,31 +192,28 @@ def word_distributions(
     return [DistributionTable(n, dict(sorted(c.items()))) for n, c in enumerate(by_length)]
 
 
-def perm_multi_avoiders(pats: Sequence[Pdvp], n: int, limit: int | None = None) -> int:
+def perm_multi_avoiders(pats: Sequence[Pdvp], n: int) -> int:
     """Number of permutations in S_n avoiding every listed pattern."""
     pats = list(pats)
-    _check_perm(pats, n, limit)
+    check_scan(pats, None, n)
     return sum(1 for _ in prefix_walk(n, avoid=pats))
 
 
-def word_multi_avoiders(
-    pats: Sequence[Pdvp], t: int, n: int, budget: int | None = None
-) -> int:
+def word_multi_avoiders(pats: Sequence[Pdvp], t: int, n: int) -> int:
     """Number of words in {1..t}^n avoiding every listed pattern."""
     pats = list(pats)
-    _check_word(pats, t, n, budget)
+    check_scan(pats, t, n)
     return sum(1 for _ in prefix_walk(n, t, avoid=pats))
 
 
-def word_avoider_counts(
-    pats: Sequence[Pdvp], t: int, n_max: int, budget: int | None = None
-) -> list[int]:
+def word_avoider_counts(pats: Sequence[Pdvp], t: int, n_max: int) -> list[int]:
     """`word_multi_avoiders` for every n = 0..n_max, by one walk when every
     pattern's occurrences do not depend on the final length."""
     pats = list(pats)
-    _check_word(pats, t, n_max, budget)
-    if not all(_length_free(pat) for pat in pats):
-        return [word_multi_avoiders(pats, t, n, budget) for n in range(n_max + 1)]
+    free = all(_length_free(pat) for pat in pats)
+    check_scan(pats, t, n_max, each_length=not free)
+    if not free:
+        return [word_multi_avoiders(pats, t, n) for n in range(n_max + 1)]
     counts = [0] * (n_max + 1)
     for word, _ in prefix_walk(n_max, t, avoid=pats, prefixes=True):
         counts[len(word)] += 1

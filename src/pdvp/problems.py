@@ -8,6 +8,7 @@ reports present evidence; they do not construct bijections.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -161,10 +162,7 @@ def two_stack_sortable_count(
     """Permutations with s(s(pi)) = identity, optionally restricted to those
     avoiding the order type 132 and containing the order type 123 exactly once.
     """
-    if n > exhaustive.DEFAULT_PERM_LIMIT:
-        raise exhaustive.EnumerationLimitError(
-            f"n = {n} exceeds the permutation scan limit {exhaustive.DEFAULT_PERM_LIMIT}"
-        )
+    exhaustive.check_scan((), None, n)
     identity = tuple(range(1, n + 1))
     walk = exhaustive.prefix_walk(
         n,
@@ -189,11 +187,6 @@ def _avoider_series(pattern_text: str, t: int, n_max: int) -> list[int]:
 def problem_report(which: int, max_size: int) -> ComparisonReport:
     if max_size < 0:
         raise ValueError(f"size must be non-negative, got {max_size}")
-    if which == 4 and max_size > exhaustive.DEFAULT_PERM_LIMIT:
-        raise exhaustive.EnumerationLimitError(
-            f"size {max_size} exceeds the permutation scan limit "
-            f"{exhaustive.DEFAULT_PERM_LIMIT} of problem 4"
-        )
     if which == 1:
         return _report_morphism(max_size)
     if which == 2:
@@ -208,6 +201,11 @@ def problem_report(which: int, max_size: int) -> ComparisonReport:
 def _report_morphism(max_size: int) -> ComparisonReport:
     from .formulas import a_nk
 
+    digits = sys.get_int_max_str_digits()  # the largest value, 3*2^(N-3), must print
+    allowed = ((10**digits - 1) // 3).bit_length() + 2
+    if digits and max_size > allowed:
+        raise ValueError(f"size {max_size} exceeds the allowed size {allowed}: "
+                         f"3*2^{max_size - 3} has more than {digits} digits")
     a_vals = tuple(a_nk(n, 2) for n in range(1, max_size + 1))
     iterations = min(max_size, 18)
     b_vals = tuple(morphism_rises(i)[1] for i in range(1, iterations + 1))
@@ -276,6 +274,7 @@ def _report_walks_at_most(max_size: int) -> ComparisonReport:
 def _report_two_stack(max_size: int) -> ComparisonReport:
     from .formulas import words123_recurrence
 
+    exhaustive.check_scan((), None, max_size, each_length=True)
     a_vals = tuple(words123_recurrence(n) for n in range(1, max_size + 1))
     b_vals = tuple(
         two_stack_sortable_count(n, True, True)

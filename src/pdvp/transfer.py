@@ -293,10 +293,14 @@ class RationalGF:
 
 
 class ZSeriesTable:
-    """For n = 0..n_max, the z-polynomial coefficient of q^n."""
+    """For n = 0..n_max, the z-polynomial coefficient of q^n.
+
+    The rows are stored as given and must hold no zero coefficient, as the
+    rows of `_decode` and `expand_rational` do, so equal series compare equal.
+    """
 
     def __init__(self, rows: Iterable[ZPoly]):
-        self._rows = tuple({j: c for j, c in row.items() if c} for row in rows)
+        self._rows = tuple(rows)
 
     @property
     def n_max(self) -> int:

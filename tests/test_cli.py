@@ -141,10 +141,40 @@ def test_negative_size_exits_2(capsys, argv):
     assert "non-negative" in got[2]
 
 
-def test_problem_four_above_the_scan_limit_exits_2(capsys):
+def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
+    monkeypatch.delenv("PDVP_BUDGET", raising=False)
     got = run(capsys, "problem", "--which", "4", "--max-size", "11")
     assert _one_line_error(*got)
-    assert "size 11" in got[2] and "limit 10" in got[2]
+    assert "119481284 walk nodes" in got[2] and "the budget 100000000" in got[2]
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (["problem", "--which", "4", "--max-size", "8"], 125664),
+        (["verify"], 1956),  # eq1 scans S_6 after S_2 and S_4
+        (["dist", "--pattern", "gp:2-31", "--perm-n", "6"], 1956),
+        (["dist", "--pattern", "12|P,{2},P|(1,2,{2})|P,P", "--word-n", "5", "--alphabet", "4"],
+         1364),
+        (["avoid", "--pattern", "gp:231", "--perm-n", "6"], 1956),
+        (["avoid", "--pattern", "gp:12", "--word-n", "7", "--alphabet", "3"], 3279),
+    ],
+)
+def test_scans_obey_the_budget_env_var(monkeypatch, capsys, argv, nodes):
+    monkeypatch.setenv("PDVP_BUDGET", "100")
+    start = time.perf_counter()
+    got = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert _one_line_error(*got)
+    assert got[2] == f"error: scan of {nodes} walk nodes exceeds the budget 100\n"
+
+
+def test_problem_one_above_the_printable_size_exits_2(capsys):
+    start = time.perf_counter()
+    got = run(capsys, "problem", "--which", "1", "--max-size", "15000")
+    assert time.perf_counter() - start < 1
+    assert _one_line_error(*got)
+    assert "size 15000 exceeds the allowed size 14285" in got[2]
 
 
 def test_gf_dp_series_budget_exits_2_at_once(capsys):
@@ -244,7 +274,7 @@ def test_budget_env_var(monkeypatch, capsys):
     monkeypatch.setenv("PDVP_BUDGET", "100")
     rc, _, err = run(capsys, "dist", "--pattern", "gp:1-2", "--perm-n", "6")
     assert rc == 2
-    assert "limit" in err
+    assert "the budget 100" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import comb, factorial
@@ -9,7 +10,9 @@ from conftest import naive_occurrences, random_pattern
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.dsl import parse_gp, parse_pattern
 from pdvp.exhaustive import (
+    DEFAULT_SCAN_BUDGET,
     EnumerationLimitError,
+    check_scan,
     perm_distribution,
     perm_multi_avoiders,
     prefix_walk,
@@ -21,6 +24,7 @@ from pdvp.exhaustive import (
 from pdvp.intset import POSITIVES
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, make_classical
+from pdvp.problems import problem_report, two_stack_sortable_count
 
 
 def test_distribution_partitions_the_symmetric_group():
@@ -49,17 +53,24 @@ def test_zero_entry_at_m0_equals_single_avoider_count():
         assert perm_distribution(pat, n)[0] == perm_multi_avoiders([pat], n)
 
 
-def test_perm_limit_error_names_limit():
-    with pytest.raises(EnumerationLimitError, match="limit 10"):
+def test_perm_limit_error_names_limit(monkeypatch):
+    monkeypatch.delenv("PDVP_BUDGET", raising=False)
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 108505111 walk nodes exceeds the budget 100000000$"):
         perm_distribution(make_classical((1, 2)), 11)
-    with pytest.raises(EnumerationLimitError, match="limit 3"):
-        perm_distribution(make_classical((1, 2)), 4, limit=3)
+    monkeypatch.setenv("PDVP_BUDGET", "63")
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 64 walk nodes exceeds the budget 63$"):
+        perm_distribution(make_classical((1, 2)), 4)
 
 
-def test_word_budget_error():
+def test_word_budget_error(monkeypatch):
     pat = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
-    with pytest.raises(EnumerationLimitError, match="budget"):
-        word_distribution(pat, 3, 9, budget=3**8)
+    monkeypatch.setenv("PDVP_BUDGET", str(3**8))
+    # 3 + 9 + ... + 3^9 prefixes
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 29523 walk nodes exceeds the budget 6561$"):
+        word_distribution(pat, 3, 9)
 
 
 def test_negative_lengths_rejected():
@@ -180,13 +191,98 @@ def test_every_length_from_one_walk_equals_a_walk_per_length(rng):
             ], (pat, others, t)
 
 
-def test_every_length_scans_keep_the_budget():
+def test_every_length_scans_keep_the_budget(monkeypatch):
     pat = parse_pattern(STAT_ALPHABETS["d4"][0], Mode.WORD)
+    monkeypatch.setenv("PDVP_BUDGET", str(4**9))
     with pytest.raises(EnumerationLimitError):
-        word_distributions(pat, 4, 10, budget=4**9)
+        word_distributions(pat, 4, 10)
     with pytest.raises(EnumerationLimitError):
-        word_avoider_counts([pat], 4, 10, budget=4**9)
+        word_avoider_counts([pat], 4, 10)
     assert word_avoider_counts([pat], 4, 3) == [1, 4, 14, 44]
+
+
+def _prefixes(n, t):
+    """The nonempty prefixes of the objects itertools enumerates: S_n (t None)
+    or {1..t}^n."""
+    objects = permutations(range(n)) if t is None else product(range(t), repeat=n)
+    return {obj[:d] for obj in objects for d in range(1, n + 1)}
+
+
+def _refusal(nodes, budget):
+    return rf"^scan of {nodes} walk nodes exceeds the budget {budget}$"
+
+
+def test_walk_nodes_are_the_prefixes_itertools_enumerates(monkeypatch):
+    for t in (None, 1, 2, 3, 4):
+        total = 0  # the nodes of one walk of each length 0..n
+        for n in range(7):
+            nodes = len(_prefixes(n, t))
+            total += nodes
+            for each_length, want in ((False, nodes), (True, total)):
+                monkeypatch.setenv("PDVP_BUDGET", str(want))
+                check_scan((), t, n, each_length)
+                if want:
+                    monkeypatch.setenv("PDVP_BUDGET", str(want - 1))
+                    with pytest.raises(EnumerationLimitError, match=_refusal(want, want - 1)):
+                        check_scan((), t, n, each_length)
+
+
+def test_scan_budget_boundaries(monkeypatch):
+    monkeypatch.delenv("PDVP_BUDGET", raising=False)
+    assert DEFAULT_SCAN_BUDGET == 10**8
+    start = time.perf_counter()
+    check_scan((), None, 10)
+    check_scan((), 2, 25)
+    for t, n, nodes in ((None, 11, 108505111), (2, 26, 2**27 - 2), (10, 8, 111111110)):
+        with pytest.raises(EnumerationLimitError, match=_refusal(nodes, 10**8)):
+            check_scan((), t, n)
+    # inputs far past the budget are refused as fast; a count too long to
+    # print is named by its lower bound
+    for t, n in ((None, 10**12), (3, 10**9), (10**50, 10**9)):
+        with pytest.raises(EnumerationLimitError, match=r"^scan of at least 8\^\d+ walk nodes"):
+            check_scan((), t, n, each_length=True)
+    with pytest.raises(EnumerationLimitError, match=_refusal(10**9 * (10**9 + 1) // 2, 10**8)):
+        check_scan((), 1, 10**9, each_length=True)
+    assert time.perf_counter() - start < 1
+    # a word space whose node count equals the budget runs; one node more does not
+    pat = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
+    monkeypatch.setenv("PDVP_BUDGET", str(3 + 9 + 27 + 81 + 243))
+    assert word_multi_avoiders([pat], 3, 5) == sum(
+        1 for w in product((1, 2, 3), repeat=5) if not naive_occurrences(pat, WordSequence(w, 3))
+    )
+    monkeypatch.setenv("PDVP_BUDGET", str(3 + 9 + 27 + 81 + 243 - 1))
+    with pytest.raises(EnumerationLimitError, match=_refusal(363, 362)):
+        word_multi_avoiders([pat], 3, 5)
+
+
+# A closing gap set of P lets one walk settle every length; {1} does not.
+_FREE = "12|P,{2},P|(1,2,{2})|P,P"
+_ANCHORED = "12|P,{2},{1}|(1,2,{2})|P,P"
+
+
+@pytest.mark.parametrize(
+    "scan, nodes",
+    [
+        (lambda: perm_distribution(make_classical((1, 2)), 5), 325),
+        (lambda: perm_multi_avoiders([make_classical((1, 2))], 5), 325),
+        (lambda: word_distribution(parse_pattern(_FREE, Mode.WORD), 3, 4), 120),
+        (lambda: word_multi_avoiders([parse_pattern(_FREE, Mode.WORD)], 3, 4), 120),
+        (lambda: word_distributions(parse_pattern(_FREE, Mode.WORD), 3, 4), 120),
+        (lambda: word_avoider_counts([parse_pattern(_FREE, Mode.WORD)], 3, 4), 120),
+        # one walk of each length 1..4: 3 + 12 + 39 + 120
+        (lambda: word_distributions(parse_pattern(_ANCHORED, Mode.WORD), 3, 4), 174),
+        (lambda: word_avoider_counts([parse_pattern(_ANCHORED, Mode.WORD)], 3, 4), 174),
+        (lambda: two_stack_sortable_count(5, True, True), 325),
+        # problem 4 scans S_1..S_5: 1 + 4 + 15 + 64 + 325
+        (lambda: problem_report(4, 5), 409),
+    ],
+)
+def test_every_scan_entry_point_checks_the_budget(monkeypatch, scan, nodes):
+    monkeypatch.setenv("PDVP_BUDGET", str(nodes - 1))
+    with pytest.raises(EnumerationLimitError, match=_refusal(nodes, nodes - 1)):
+        scan()
+    monkeypatch.setenv("PDVP_BUDGET", str(nodes))
+    scan()
 
 
 def test_long_one_letter_words():

@@ -1,5 +1,5 @@
-"""Only matcher.py and transfer.py may use their private names, and the
-matcher has one search.
+"""Only matcher.py and transfer.py may use their private names, the
+matcher has one search, and only exhaustive.py decides the scan budget.
 
 Other modules reach the matcher and the polynomials through their public
 entry points, so the matcher's compiled tables and search, and the layout
@@ -168,6 +168,58 @@ def test_the_cache_lint_sees_every_spelling():
         "cache = {}\n"
     )
     assert _unbounded_caches(ast.parse(source)) == [2, 3, 5, 7]
+
+
+def _budget_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) wherever code reads PDVP_BUDGET, i.e. a string constant
+    outside the docstrings names it, or names the scan-budget constant."""
+    skip = _docstrings(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skip and "PDVP_BUDGET" in node.value:
+                found.append((node.lineno, "PDVP_BUDGET"))
+        elif _callee(node) == "DEFAULT_SCAN_BUDGET":
+            found.append((node.lineno, "DEFAULT_SCAN_BUDGET"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name == "DEFAULT_SCAN_BUDGET"
+            ]
+    return sorted(found)
+
+
+def test_only_exhaustive_decides_the_scan_budget():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "exhaustive.py":
+            assert _budget_uses(ast.parse(path.read_text())) == [], path.name
+    tree = ast.parse((PACKAGE / "exhaustive.py").read_text())
+    reads = [line for line, name in _budget_uses(tree) if name == "PDVP_BUDGET"]
+    readers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.lineno <= min(reads) <= node.end_lineno
+    ]
+    assert len(reads) == 1 and readers == ["check_scan"]
+
+
+def test_the_budget_lint_sees_every_spelling():
+    source = (
+        '"""Module docstring naming PDVP_BUDGET."""\n'
+        "import os\n"
+        "from .exhaustive import DEFAULT_SCAN_BUDGET\n"
+        "budget = os.environ.get('PDVP_BUDGET')\n"
+        "raw = os.environ['PDVP_BUDGET']\n"
+        "limit = exhaustive.DEFAULT_SCAN_BUDGET\n"
+        "size = DEFAULT_SCAN_BUDGET\n"
+        "def f():\n"
+        '    """PDVP_BUDGET in a docstring."""\n'
+        "    return os.getenv('PDVP_BUDGET', 10)\n"
+        "note = f'set PDVP_BUDGET above {size}'\n"
+        "other = os.environ.get('PDVP_OTHER')\n"
+    )
+    assert [line for line, _ in _budget_uses(ast.parse(source))] == [3, 4, 5, 6, 7, 10, 11]
 
 
 # Definitions that nothing in the package refers to, kept on purpose.

@@ -1,3 +1,4 @@
+import sys
 import time
 from collections import Counter
 from itertools import permutations, product
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import naive_occurrences
 
-from pdvp.exhaustive import DEFAULT_PERM_LIMIT, EnumerationLimitError
+from pdvp.exhaustive import EnumerationLimitError
 from pdvp.matcher import PermSequence, avoids
 from pdvp.pattern import make_classical
 from pdvp.problems import (
@@ -100,18 +101,43 @@ def test_two_stack_sortable_count_equals_per_object_recount():
             assert two_stack_sortable_count(n, *flags) == want[flags], (n, flags)
 
 
-def test_two_stack_sortable_limit():
-    with pytest.raises(Exception, match="limit"):
+def test_two_stack_sortable_limit(monkeypatch):
+    monkeypatch.delenv("PDVP_BUDGET", raising=False)
+    with pytest.raises(EnumerationLimitError, match="exceeds the budget 100000000$"):
         two_stack_sortable_count(11)
 
 
-def test_problem_four_refuses_sizes_above_the_scan_limit_at_once():
+def test_problem_four_refuses_sizes_above_the_scan_limit_at_once(monkeypatch):
+    monkeypatch.delenv("PDVP_BUDGET", raising=False)
     start = time.perf_counter()
-    with pytest.raises(EnumerationLimitError, match=r"^size 11 exceeds the permutation scan "
-                       r"limit 10 of problem 4$"):
-        problem_report(4, DEFAULT_PERM_LIMIT + 1)
+    # S_1..S_11: 10976173 nodes up to S_10, and 108505111 for S_11
+    with pytest.raises(EnumerationLimitError, match=r"^scan of 119481284 walk nodes exceeds "
+                       r"the budget 100000000$"):
+        problem_report(4, 11)
     assert time.perf_counter() - start < 1
-    assert len(problem_report(4, DEFAULT_PERM_LIMIT).b_values) == DEFAULT_PERM_LIMIT
+    assert len(problem_report(4, 10).b_values) == 10
+
+
+def _prints(size):
+    """Whether problem 1's largest value at this size, 3 * 2^(size - 3), converts to str."""
+    try:
+        str(3 * 2 ** (size - 3))
+    except ValueError:
+        return False
+    return True
+
+
+def test_problem_one_refuses_sizes_whose_values_cannot_print():
+    lo, hi = 3, 10 * sys.get_int_max_str_digits()  # _prints(lo) and not _prints(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _prints(mid) else (lo, mid)
+    allowed = lo
+    start = time.perf_counter()
+    for size in (allowed + 1, 200000, 10**30):
+        with pytest.raises(ValueError, match=rf"^size {size} exceeds the allowed size {allowed}: "):
+            problem_report(1, size)
+    assert time.perf_counter() - start < 1
 
 
 def test_report_problem_one_notes_both_interpretations():
