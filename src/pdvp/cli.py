@@ -8,7 +8,11 @@ strings; values can exceed 64 bits.
 
 The PDVP_BUDGET environment variable bounds the walk nodes of every scan
 (dist, avoid, problem, verify), 10^8 when unset; see `exhaustive.check_scan`.
-gf keeps its own limits.
+gf keeps its own limits.  A word dist or avoid whose patterns are all
+bounded-window statistics (those gf accepts) is answered from row n of their
+window automaton's series, as gf --dp computes it, without walking the words:
+it must pass the scan budget first, and when the series budgets of gf --dp
+refuse the row, the walk answers instead, with the same output.
 
 Exit codes: 0 on success (verify: all checks pass), 1 when a verify check
 fails, 2 on usage, pattern parse or file errors.

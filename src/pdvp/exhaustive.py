@@ -1,16 +1,26 @@
 """Exhaustive enumeration over all permutations of S_n or words of {1..t}^n.
 
-These scans are the ground truth that every closed formula and generating
-function in the toolkit is validated against.  All of them are one
-depth-first walk over prefixes (`prefix_walk`): a prefix of length p already
-decides every occurrence that ends at p, so each step adds the occurrences
-ending at the new position, and a branch is dropped as soon as an avoided
-pattern ends there.  Only the walk's buffer is ever materialised.
+Every scan here is one depth-first walk over prefixes (`prefix_walk`): a
+prefix of length p already decides every occurrence that ends at p, so each
+step adds the occurrences ending at the new position, and a branch is
+dropped as soon as an avoided pattern ends there.  Only the walk's buffer is
+ever materialised.  The one exception is a single-length word scan
+(`word_distribution`, `word_multi_avoiders`) whose patterns are all
+bounded-window statistics (`transfer.StatPattern`): its answer is row n of
+the series of their window automaton, which `transfer.series_row` reads
+without visiting a word.  When the series budgets refuse that row, the walk
+answers instead.
+
+The every-length word scans, `word_distributions` and `word_avoider_counts`,
+always walk: they are the scan oracle that `verify` (a3, d4) and the tests
+compare the automaton with, and with the per-object recounts of the tests
+they are the ground truth for every closed formula and generating function
+in the toolkit.
 
 Before it starts, every scan (of `dist`, `avoid`, `problem` and `verify`)
 counts the nodes of its walks unpruned, and `check_scan` refuses it when they
 exceed `PDVP_BUDGET`, 10^8 when unset: S_10 (9864100 nodes) passes and S_11
-does not.  `gf` keeps its own limits.
+does not.  This holds on the automaton's path too.  `gf` keeps its own limits.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from . import matcher
+from . import matcher, transfer
 from .pattern import Mode, Pdvp
 
 DEFAULT_SCAN_BUDGET = 10**8  # walk nodes of one scan when PDVP_BUDGET is unset
@@ -156,16 +166,41 @@ def _histogram(walk) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
+def _walk_distribution(pat: Pdvp, t: int | None, n: int) -> DistributionTable:
+    """The histogram of `pat` over S_n (t None) or {1..t}^n, by one walk."""
+    return DistributionTable(n, _histogram(prefix_walk(n, t, count=pat)))
+
+
+def _walk_avoiders(pats: list[Pdvp], t: int | None, n: int) -> int:
+    """The objects of S_n (t None) or {1..t}^n avoiding `pats`, by one walk."""
+    return sum(1 for _ in prefix_walk(n, t, avoid=pats))
+
+
 def perm_distribution(pat: Pdvp, n: int) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all of S_n."""
     check_scan([pat], None, n)
-    return DistributionTable(n, _histogram(prefix_walk(n, count=pat)))
+    return _walk_distribution(pat, None, n)
+
+
+def _series_row(pats: Sequence[Pdvp], t: int, n: int) -> dict[int, int] | None:
+    """Row n of the window automaton's series for `pats` (see
+    `transfer.series_row`), or None when a pattern is not a bounded-window
+    statistic or the series budgets refuse the row."""
+    try:
+        sps = tuple(transfer.StatPattern(pat) for pat in pats)
+        return transfer.series_row(sps, t, n)
+    except (transfer.NotAStatistic, transfer.SeriesBudgetError):
+        return None
 
 
 def word_distribution(pat: Pdvp, t: int, n: int) -> DistributionTable:
-    """Histogram of occurrence counts of `pat` over all words in {1..t}^n."""
+    """Histogram of occurrence counts of `pat` over all words in {1..t}^n:
+    row n of the window automaton's series when it answers, else a walk."""
     check_scan([pat], t, n)
-    return DistributionTable(n, _histogram(prefix_walk(n, t, count=pat)))
+    row = _series_row([pat], t, n)
+    if row is None:
+        return _walk_distribution(pat, t, n)
+    return DistributionTable(n, row)
 
 
 def _length_free(pat: Pdvp) -> bool:
@@ -175,7 +210,8 @@ def _length_free(pat: Pdvp) -> bool:
 
 
 def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]:
-    """`word_distribution` for every n = 0..n_max.
+    """`word_distribution` for every n = 0..n_max, by walks only: the scan
+    oracle for the window automaton.
 
     When the pattern's occurrences do not depend on the final length, one
     walk to depth n_max settles every shorter word as a prefix; otherwise
@@ -184,7 +220,7 @@ def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]
     free = _length_free(pat)
     check_scan([pat], t, n_max, each_length=not free)
     if not free:
-        return [word_distribution(pat, t, n) for n in range(n_max + 1)]
+        return [_walk_distribution(pat, t, n) for n in range(n_max + 1)]
     by_length: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for word, c in prefix_walk(n_max, t, count=pat, prefixes=True):
         counts = by_length[len(word)]
@@ -196,24 +232,30 @@ def perm_multi_avoiders(pats: Sequence[Pdvp], n: int) -> int:
     """Number of permutations in S_n avoiding every listed pattern."""
     pats = list(pats)
     check_scan(pats, None, n)
-    return sum(1 for _ in prefix_walk(n, avoid=pats))
+    return _walk_avoiders(pats, None, n)
 
 
 def word_multi_avoiders(pats: Sequence[Pdvp], t: int, n: int) -> int:
-    """Number of words in {1..t}^n avoiding every listed pattern."""
+    """Number of words in {1..t}^n avoiding every listed pattern: the z^0
+    coefficient of row n of the window automaton's series when it answers,
+    else a walk."""
     pats = list(pats)
     check_scan(pats, t, n)
-    return sum(1 for _ in prefix_walk(n, t, avoid=pats))
+    row = _series_row(pats, t, n)
+    if row is None:
+        return _walk_avoiders(pats, t, n)
+    return row.get(0, 0)
 
 
 def word_avoider_counts(pats: Sequence[Pdvp], t: int, n_max: int) -> list[int]:
-    """`word_multi_avoiders` for every n = 0..n_max, by one walk when every
-    pattern's occurrences do not depend on the final length."""
+    """`word_multi_avoiders` for every n = 0..n_max, by walks only: the scan
+    oracle for the window automaton.  One walk settles every length when
+    every pattern's occurrences do not depend on the final length."""
     pats = list(pats)
     free = all(_length_free(pat) for pat in pats)
     check_scan(pats, t, n_max, each_length=not free)
     if not free:
-        return [word_multi_avoiders(pats, t, n) for n in range(n_max + 1)]
+        return [_walk_avoiders(pats, t, n) for n in range(n_max + 1)]
     counts = [0] * (n_max + 1)
     for word, _ in prefix_walk(n_max, t, avoid=pats, prefixes=True):
         counts[len(word)] += 1

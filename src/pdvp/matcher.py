@@ -74,17 +74,6 @@ _COUNT, _FIRST, _LIST = "count", "first", "list"
 _LOOPS_PER_BLOCK = 16  # the compiler refuses more than 20 nested blocks per function
 
 
-def _probe(s: IntSet, floor: int):
-    """The object to test `x in` against, for x >= floor, or None when the
-    set holds every such x and the test can be skipped.  A finite set is
-    probed as its frozenset, anything else through IntSet.__contains__."""
-    if s.steps == (1,) and (floor >= 1 or 0 in s.extra):
-        return None
-    if not s.odd and not s.steps:
-        return s.extra
-    return s
-
-
 def _generate(pat: Pdvp, mode: str):
     """Compile the search of `pat` in `mode`; return its factory make(n, upper, found).
 
@@ -114,8 +103,19 @@ def _generate(pat: Pdvp, mode: str):
         return key
 
     def test(expr: str, s: IntSet, floor: int) -> list[str]:
-        probe = _probe(s, floor)
-        return [] if probe is None else [f"{expr} not in {bound(probe)}"]
+        """The condition that rejects a value `expr` >= floor outside s, or
+        none when s holds every such value.  A finite set is probed as its
+        frozenset and an odd-only set by parity plus its finite members;
+        any other set goes through IntSet.__contains__."""
+        if s.steps == (1,) and (floor >= 1 or 0 in s.extra):
+            return []
+        if s.steps:
+            return [f"{expr} not in {bound(s)}"]
+        if not s.odd:
+            return [f"{expr} not in {bound(s.extra)}"]
+        if not s.extra:
+            return [f"not ({expr}) & 1"]
+        return [f"not ({expr}) & 1 and {expr} not in {bound(s.extra)}"]
 
     pairs: list[list[str]] = [[] for _ in range(m)]
     bounds: list[list[str]] = [[] for _ in range(m)]

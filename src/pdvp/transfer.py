@@ -1,14 +1,15 @@
 """Exact generating-function machinery for word statistics.
 
 A statistic here is "number of occurrences of a fixed bounded-window pattern"
-in a word over {1..t}.  The bivariate series sum_w q^|w| z^stat(w) is the
+in a word over {1..t}, or the sum of several such counts.  The bivariate series sum_w q^|w| z^stat(w) is the
 series of one weighted automaton: its states are the words of length at most
 W - 1, and appending a letter reads z^e, e = the occurrences that end at that
 letter.  `_automaton` lists its edges once, and two readers share them: a
-forward dynamic program that expands the series, and the bordered matrix
-[[I - qA, 1], [-alpha, 0]], solved exactly over integer polynomials in q and
-z by one fraction-free elimination.  Everything is arbitrary-precision
-integer arithmetic; there is no floating point here.
+forward dynamic program that expands the series (every row, or only the last
+one for a word scan), and the bordered matrix [[I - qA, 1], [-alpha, 0]],
+solved exactly over integer polynomials in q and z by one fraction-free
+elimination.  Everything is arbitrary-precision integer arithmetic; there is
+no floating point here.
 
 Polynomials in q and z are stored as polynomials in q over Z[z], one
 z-polynomial {z-degree: coefficient} per q-degree, as series rows are; the
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import matcher
 from .pattern import Mode, Pdvp
@@ -360,8 +361,16 @@ def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
 
 DEFAULT_STATE_BUDGET = 4096
 DEFAULT_SOLVE_BUDGET = 64  # full states of one solve_transfer_system
-DEFAULT_SERIES_BUDGET = 10**5  # edges walked by one dp_series: states x letters x (order + 1)
-DEFAULT_SERIES_BITS = 2**30  # bits one dp_series may hold: (states + orders) x slots x slot bits
+DEFAULT_SERIES_BUDGET = 10**5  # edges walked by one dp: states x letters x (order + 1)
+DEFAULT_SERIES_BITS = 2**30  # bits one dp may hold: (states + orders) x slots x slot bits
+
+
+class NotAStatistic(ValueError):
+    """The pattern is not a bounded-window statistic; see StatPattern."""
+
+
+class SeriesBudgetError(ValueError):
+    """The automaton or its series exceeds a budget; raised before any work."""
 
 
 @dataclass(frozen=True)
@@ -372,7 +381,7 @@ class StatPattern:
     (P, however written), finite interior X sets, and Y triples on pattern
     indices only (no sentinels), so that occurrence checks are translation
     invariant.  The window width W = 1 + sum of interior gap maxima bounds
-    the span of any occurrence.
+    the span of any occurrence.  Any other pattern raises NotAStatistic.
     """
 
     pattern: Pdvp
@@ -380,16 +389,16 @@ class StatPattern:
     def __post_init__(self):
         pat = self.pattern
         if pat.mode is not Mode.WORD:
-            raise ValueError("statistic patterns are word patterns")
+            raise NotAStatistic("statistic patterns are word patterns")
         # gaps are >= 1, so a boundary set holding every positive integer is P
         if not (pat.x[0].steps == (1,) and pat.x[-1].steps == (1,)):
-            raise ValueError("boundary gap sets must both be P")
+            raise NotAStatistic("boundary gap sets must both be P")
         for xs in pat.x[1:-1]:
             if xs.finite_bound() is None:
-                raise ValueError("interior gap sets must be finite")
+                raise NotAStatistic("interior gap sets must be finite")
         for s, t, _ in pat.y:
             if not (1 <= s and t <= pat.m):
-                raise ValueError("difference triples may not reference sentinels")
+                raise NotAStatistic("difference triples may not reference sentinels")
 
     @property
     def window_width(self) -> int:
@@ -405,28 +414,31 @@ def _window_occurrences(pat: Pdvp, t: int):
     return ending_at_last
 
 
-def _check_states(sp: StatPattern, t: int) -> int:
-    """The number of letters a full state keeps, W - 1, within the budget."""
+def _check_states(sps: tuple[StatPattern, ...], t: int) -> int:
+    """The number of letters a full state keeps, W - 1 for the widest
+    window W, within the budget."""
     if t < 1:
         raise ValueError("alphabet size must be positive")
     if t > DEFAULT_STATE_BUDGET:
-        raise ValueError(f"alphabet size {t} exceeds the budget {DEFAULT_STATE_BUDGET}")
-    keep = max(sp.window_width - 1, 0)
+        raise SeriesBudgetError(f"alphabet size {t} exceeds the budget {DEFAULT_STATE_BUDGET}")
+    keep = max((sp.window_width - 1 for sp in sps), default=0)
     if t**keep > DEFAULT_STATE_BUDGET:
-        raise ValueError(f"state count {t}^{keep} exceeds the budget {DEFAULT_STATE_BUDGET}")
+        raise SeriesBudgetError(
+            f"state count {t}^{keep} exceeds the budget {DEFAULT_STATE_BUDGET}"
+        )
     return keep
 
 
-def _automaton(sp: StatPattern, t: int, keep: int) -> list[list[tuple[int, int]]]:
+def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tuple[int, int]]]:
     """The dp as a weighted automaton: for each state, its t edges (target, e).
 
     The states are the words of length at most keep, shortest first and then
     in lexicographic order, so state 0 is the empty word.  Appending c to u
-    reads z^e, e = the occurrences in uc that end at c, and moves to uc, or
-    to its last keep letters once uc is longer.  Each window uc is counted
-    once.
+    reads z^e, e = the occurrences of all the patterns in uc that end at c,
+    and moves to uc, or to its last keep letters once uc is longer.  Each
+    window uc is counted once.
     """
-    ending_at_last = _window_occurrences(sp.pattern, t)
+    counters = [_window_occurrences(sp.pattern, t) for sp in sps]
     letters = range(1, t + 1)
     states = layer = [()]
     for _ in range(keep):
@@ -438,60 +450,94 @@ def _automaton(sp: StatPattern, t: int, keep: int) -> list[list[tuple[int, int]]
         out = []
         for c in letters:
             word = u + (c,)
-            out.append((index[word[-keep:] if keep else ()], ending_at_last(word)))
+            e = 0
+            for ending_at_last in counters:
+                e += ending_at_last(word)
+            out.append((index[word[-keep:] if keep else ()], e))
         edges.append(out)
     return edges
 
 
-def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
-    """Forward dynamic program over the automaton of `_automaton`.
+def _packed_dp(sps: tuple[StatPattern, ...], t: int, n_max: int):
+    """The automaton of `sps` packed for the dp to order n_max: its edges as
+    (target, shift) and the slot width in bytes.
 
-    A state's weight sums z^stat over the words that end in it; appending a
-    letter multiplies it by z^e, where e counts the occurrences inside the
-    window that use its final position.  Words shorter than W - 1 are states
-    of their own, so occurrences inside short words are exact as well.
-
-    A weight is carried as its value at z = 2^B, one integer, so appending a
-    letter is a shift by e*B bits.  Every coefficient at order n counts words
-    of length n, so it is at most t^n, and B leaves room for t^n_max.  Two
-    budgets are checked before any work starts: the t^(W-1) full states
-    times their t edges times the n_max + 1 rows must stay within
-    DEFAULT_SERIES_BUDGET, and the weights and rows, each at most
-    n_max*C(W-1, m-1) + 1 slots of B bits, within DEFAULT_SERIES_BITS.
+    A state's weight sums z^stat over the words that end in it, carried at
+    z = 2^B, B = 8 * width, so appending a letter that reads z^e is a shift
+    by e*B bits.  Every coefficient at order n counts words of length n, so
+    it is at most t^n, and B leaves room for t^n_max.  Two budgets are
+    checked before any work starts: the t^(W-1) full states times their t
+    edges times the n_max + 1 orders must stay within DEFAULT_SERIES_BUDGET,
+    and the weights and rows, each at most n_max*sum C(W-1, m-1) + 1 slots
+    of B bits (at most C(W-1, m-1) occurrences of a pattern end at one
+    letter), within DEFAULT_SERIES_BITS.
     """
     if n_max < 0:
         raise ValueError(f"series order must be non-negative, got {n_max}")
-    keep = _check_states(sp, t)
+    keep = _check_states(sps, t)
     size = t**keep * t * (n_max + 1)
     if size > DEFAULT_SERIES_BUDGET:
-        raise ValueError(
+        raise SeriesBudgetError(
             f"series size {t}^{keep} states x {t} letters x {n_max + 1} orders = {size}"
             f" edges exceeds the budget {DEFAULT_SERIES_BUDGET}"
         )
     width = _slot_bytes((t**n_max).bit_length())
     bits = 8 * width
     states = sum(t**k for k in range(keep + 1))
-    # at most C(W-1, m-1) occurrences end at one letter
-    slots = n_max * comb(sp.window_width - 1, sp.pattern.m - 1) + 1
+    slots = n_max * sum(comb(sp.window_width - 1, sp.pattern.m - 1) for sp in sps) + 1
     held = (states + n_max + 1) * slots * bits
     if held > DEFAULT_SERIES_BITS:
-        raise ValueError(
+        raise SeriesBudgetError(
             f"series memory ({states} states + {n_max + 1} orders) x {slots} slots"
             f" x {bits} bits = {held} bits exceeds the budget {DEFAULT_SERIES_BITS}"
         )
-    edges = [[(target, e * bits) for target, e in out] for out in _automaton(sp, t, keep)]
-    weights = [1] + [0] * (states - 1)
-    rows: list[ZPoly] = []
-    while True:
+    edges = [[(target, e * bits) for target, e in out] for out in _automaton(sps, t, keep)]
+    return edges, width
+
+
+def _step(weights: list[int], edges: list[list[tuple[int, int]]]) -> list[int]:
+    """The packed weights after one more letter: each state's weight, shifted
+    by each of its edges, added into the edge's target."""
+    nxt = [0] * len(weights)
+    for w, out in zip(weights, edges):
+        if w:
+            for target, shift in out:
+                nxt[target] += w << shift
+    return nxt
+
+
+def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
+    """Forward dynamic program over the automaton of `_automaton`: every row
+    of the series to order n_max.
+
+    A state's weight sums z^stat over the words that end in it; appending a
+    letter multiplies it by z^e, where e counts the occurrences inside the
+    window that use its final position.  Words shorter than W - 1 are states
+    of their own, so occurrences inside short words are exact as well.  The
+    packing and the budgets are those of `_packed_dp`.
+    """
+    edges, width = _packed_dp((sp,), t, n_max)
+    weights = [1] + [0] * (len(edges) - 1)
+    rows = [_decode(sum(weights), width)]
+    for _ in range(n_max):
+        weights = _step(weights, edges)
         rows.append(_decode(sum(weights), width))
-        if len(rows) > n_max:
-            return ZSeriesTable(rows)
-        nxt = [0] * states
-        for w, out in zip(weights, edges):
-            if w:
-                for target, shift in out:
-                    nxt[target] += w << shift
-        weights = nxt
+    return ZSeriesTable(rows)
+
+
+def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
+    """Row n of the series of the summed statistic of `sps`: for each s, the
+    number of words in {1..t}^n with s occurrences of the patterns together.
+
+    The dp of `dp_series`, with its budgets, over the automaton of all the
+    patterns at once (the widest window sets the states); only the last row
+    is decoded.  Its z^0 coefficient counts the words that avoid them all.
+    """
+    edges, width = _packed_dp(tuple(sps), t, n)
+    weights = [1] + [0] * (len(edges) - 1)
+    for _ in range(n):
+        weights = _step(weights, edges)
+    return _decode(sum(weights), width)
 
 
 def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
@@ -516,13 +562,13 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     2^(B-1) exceeds that bound, so a minor decodes exactly, and it is 0 only
     when its image is.
     """
-    keep = _check_states(sp, t)
+    keep = _check_states((sp,), t)
     if t**keep > DEFAULT_SOLVE_BUDGET:
-        raise ValueError(
+        raise SeriesBudgetError(
             f"solved state count {t}^{keep} = {t**keep}"
             f" exceeds the solve budget {DEFAULT_SOLVE_BUDGET}"
         )
-    edges = _automaton(sp, t, keep)
+    edges = _automaton((sp,), t, keep)
     size = len(edges)
     square = 1  # the square of the Hadamard bound; the last row adds a factor 1
     for i, out in enumerate(edges):

@@ -5,10 +5,12 @@ from math import comb, factorial
 
 import pytest
 
-from conftest import naive_occurrences, random_pattern
+from conftest import naive_occurrences, random_pattern, random_set
 
+from pdvp import exhaustive
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
-from pdvp.dsl import parse_gp, parse_pattern
+from pdvp.cli import main
+from pdvp.dsl import parse_gp, parse_pattern, render_pattern
 from pdvp.exhaustive import (
     DEFAULT_SCAN_BUDGET,
     EnumerationLimitError,
@@ -21,10 +23,11 @@ from pdvp.exhaustive import (
     word_distributions,
     word_multi_avoiders,
 )
-from pdvp.intset import POSITIVES
+from pdvp.intset import EVENS, POSITIVES, finite
 from pdvp.matcher import PermSequence, WordSequence
-from pdvp.pattern import Mode, Pdvp, make_classical
+from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
 from pdvp.problems import problem_report, two_stack_sortable_count
+from pdvp.transfer import SeriesBudgetError, StatPattern, series_row
 
 
 def test_distribution_partitions_the_symmetric_group():
@@ -293,6 +296,11 @@ def test_long_one_letter_words():
     assert dict(word_distribution(rise, 1, 3000).counts) == {0: 1}
     assert word_multi_avoiders([rise], 1, 3000) == 1
     assert word_multi_avoiders([adjacent_equal], 1, 3000) == 0
+    # the window automaton decodes only the last row: 10000 slots, not 10000 rows
+    start = time.perf_counter()
+    assert dict(word_distribution(adjacent_equal, 1, 10000).counts) == {9999: 1}
+    assert word_multi_avoiders([adjacent_equal], 1, 10000) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_ank_scan_equals_per_object_recount():
@@ -307,3 +315,119 @@ def test_ank_scan_equals_per_object_recount():
                 if c <= 1:
                     want[k][c] += 1
         assert _ank_scan(n) == {k: tuple(v) for k, v in want.items()}, n
+
+
+# Word scans of bounded-window patterns read the window automaton; the
+# every-length scans still walk, and are its oracle here, beside the
+# per-word naive recount.
+
+
+def _random_window_pattern(rng):
+    """A random word pattern that transfer.StatPattern accepts: boundary gap
+    sets P (sometimes written P+E), finite interior gap sets and Y triples on
+    pattern indices only."""
+    m = rng.randint(1, 3)
+    k = rng.randint(1, m)
+    base = list(range(1, k + 1)) + [rng.randint(1, k) for _ in range(m - k)]
+    rng.shuffle(base)
+    ends = [rng.choice([POSITIVES, POSITIVES | EVENS]) for _ in range(2)]
+    inner = [finite(rng.sample(range(1, 4), rng.randint(1, 2))) for _ in range(m - 1)]
+    y = []
+    for _ in range(rng.randrange(3) if m > 1 else 0):
+        s = rng.randint(1, m - 1)
+        y.append(YTriple(s, rng.randint(s + 1, m), random_set(rng)))
+    z = tuple(random_set(rng) for _ in range(m))
+    pat = Pdvp(Mode.WORD, tuple(base), (ends[0], *inner, ends[1]), tuple(y), z)
+    StatPattern(pat)  # admissible
+    return pat
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the window automaton should have answered")
+
+
+def test_window_pattern_scans_equal_the_walks_and_the_naive_recount(rng, monkeypatch):
+    for _ in range(40):
+        pat = _random_window_pattern(rng)
+        t, n = rng.randint(1, 3), rng.randint(0, 7)
+        hist = _naive_histogram(pat, _objects(Mode.WORD, n, t))
+        walked = word_distributions(pat, t, n)[n]
+        avoiders = word_avoider_counts([pat], t, n)[n]
+        with monkeypatch.context() as patched:
+            patched.setattr(exhaustive, "prefix_walk", _no_walk)
+            got = word_distribution(pat, t, n)
+            assert word_multi_avoiders([pat], t, n) == avoiders == hist.get(0, 0), (pat, t, n)
+        assert got.length == n
+        assert list(got.counts.items()) == list(walked.counts.items()) == sorted(hist.items())
+
+
+def _random_avoid_sets(rng):
+    """The empty set, then sets of one to three window patterns."""
+    sets = [[]] + [[_random_window_pattern(rng) for _ in range(rng.randint(1, 3))]
+                   for _ in range(30)]
+    widths = [{StatPattern(p).window_width for p in pats} for pats in sets]
+    assert sum(len(w) > 1 for w in widths) >= 5  # mixed window widths
+    return sets
+
+
+def test_window_avoid_sets_equal_the_walks_and_the_naive_recount(rng, monkeypatch):
+    for pats in _random_avoid_sets(rng):
+        t, n = rng.randint(1, 3), rng.randint(0, 7)
+        naive = sum(
+            1 for seq in _objects(Mode.WORD, n, t)
+            if not any(naive_occurrences(p, seq) for p in pats)
+        )
+        walked = word_avoider_counts(pats, t, n)[n]
+        with monkeypatch.context() as patched:
+            patched.setattr(exhaustive, "prefix_walk", _no_walk)
+            assert word_multi_avoiders(pats, t, n) == walked == naive, (pats, t, n)
+
+
+def test_series_refusals_fall_back_to_the_walk(monkeypatch):
+    pat = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
+    start = time.perf_counter()
+    with pytest.raises(SeriesBudgetError, match=r"^alphabet size 4097 exceeds the budget 4096$"):
+        series_row([StatPattern(pat)], 4097, 1)
+    assert time.perf_counter() - start < 1
+    walks = []
+    walk = exhaustive.prefix_walk
+    monkeypatch.setattr(
+        exhaustive, "prefix_walk", lambda *a, **k: walks.append(a) or walk(*a, **k)
+    )
+    assert dict(word_distribution(pat, 4097, 1).counts) == {0: 4097}
+    assert word_multi_avoiders([pat], 4097, 1) == 4097
+    assert len(walks) == 2
+    # a pattern StatPattern refuses (an infinite interior gap set) walks too
+    wide = parse_pattern("12|P,P,P|-|P,P", Mode.WORD)
+    assert dict(word_distribution(wide, 2, 3).counts) == {0: 4, 1: 2, 2: 2}
+    assert word_multi_avoiders([pat, wide], 2, 3) == 4
+    assert len(walks) == 4
+
+
+def _cli(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cli_word_scans_print_what_the_walk_prints(rng, capsys, monkeypatch):
+    runs = []
+    for _ in range(15):
+        pat = _random_window_pattern(rng)
+        t, n = rng.randint(1, 3), rng.randint(0, 7)
+        runs.append(["dist", "--pattern", render_pattern(pat),
+                      "--word-n", str(n), "--alphabet", str(t)])
+    for pats in _random_avoid_sets(rng)[:15]:
+        t, n = rng.randint(1, 3), rng.randint(0, 7)
+        flags = [arg for p in pats for arg in ("--pattern", render_pattern(p))]
+        runs.append(["avoid", *flags, "--word-n", str(n), "--alphabet", str(t)])
+    for argv in runs:
+        for fmt in ("text", "json"):
+            with monkeypatch.context() as patched:
+                patched.setattr(exhaustive, "prefix_walk", _no_walk)
+                routed = _cli(capsys, ["--format", fmt, *argv])
+            with monkeypatch.context() as patched:
+                patched.setattr(exhaustive, "_series_row", lambda pats, t, n: None)
+                walked = _cli(capsys, ["--format", fmt, *argv])
+            assert routed == walked, argv
+            assert routed[0] == 0 and routed[2] == "", argv

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import naive_occurrences, random_pattern, random_sequence
 
+from pdvp.intset import ODDS, IntSet, finite
+
 from pdvp import matcher
 from pdvp.dsl import parse_gp, parse_pattern
 from pdvp.matcher import (
@@ -18,7 +20,7 @@ from pdvp.matcher import (
     occurrences,
     search_ending_at,
 )
-from pdvp.pattern import Mode, Pdvp, make_classical
+from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
 
 
 def test_worked_example():
@@ -330,3 +332,30 @@ def test_gap_tuples_are_built_for_each_length(rng, monkeypatch):
                 assert avoids(pat, seq) == (not naive), (pat, seq)
                 assert [o.indices for o in occurrences(pat, seq)] == naive, (pat, seq)
     assert len(compiled) == len(set(compiled)) == 3 * len(pats)
+
+
+def _random_odd_set(rng):
+    """O, alone or with a few even members (0 among them or not)."""
+    return ODDS | finite(rng.sample(range(0, 9, 2), rng.randrange(3)))
+
+
+def test_odd_sets_are_tested_by_parity(rng, monkeypatch):
+    # every X, Y and Z set is odd-only, so the generated searches test them
+    # by parity and their finite members and never call IntSet.__contains__
+    for _ in range(150):
+        mode = Mode.PERMUTATION if rng.random() < 0.5 else Mode.WORD
+        shape = random_pattern(rng, mode)
+        pat = Pdvp(
+            mode,
+            shape.base,
+            tuple(_random_odd_set(rng) for _ in shape.x),
+            tuple(YTriple(y.s, y.t, _random_odd_set(rng)) for y in shape.y),
+            tuple(_random_odd_set(rng) for _ in shape.z),
+        )
+        seq = random_sequence(rng, mode)
+        naive = naive_occurrences(pat, seq)
+        with monkeypatch.context() as patched:
+            patched.setattr(IntSet, "__contains__", None)  # `in` now raises TypeError
+            assert [o.indices for o in occurrences(pat, seq)] == naive, pat
+            assert count(pat, seq) == len(naive), pat
+            assert avoids(pat, seq) == (not naive), pat

@@ -9,7 +9,7 @@ from conftest import fib_series_gf, naive_occurrences
 
 from pdvp import checks
 from pdvp.dsl import parse_pattern
-from pdvp.exhaustive import word_distribution
+from pdvp.exhaustive import word_distributions
 from pdvp.matcher import WordSequence
 from pdvp.pattern import Mode
 from pdvp.transfer import (
@@ -313,10 +313,10 @@ def test_dp_series_published_slices():
 
 
 def test_dp_matches_word_scan_bivariately():
+    # word_distributions walks every word; word_distribution would read the dp
     sp = checks.stat_pattern("d4")
     dp = dp_series(sp, 4, 5)
-    for n in range(6):
-        brute = word_distribution(sp.pattern, 4, n)
+    for n, brute in enumerate(word_distributions(sp.pattern, 4, 5)):
         assert dp.z_poly(n) == dict(brute.counts)
 
 
@@ -447,7 +447,7 @@ def test_automaton_edges_are_the_naive_window_counts():
         keep = sp.window_width - 1
         letters = range(1, t + 1)
         states = [u for k in range(keep + 1) for u in product(letters, repeat=k)]
-        edges = _automaton(sp, t, keep)
+        edges = _automaton((sp,), t, keep)
         assert len(edges) == sum(t**k for k in range(keep + 1))
         for u, out in zip(states, edges):
             assert len(out) == t
@@ -500,7 +500,7 @@ def test_solver_equals_the_bivariate_elimination():
     # BivarPoly, eliminated without packing; the W = 4 rise at t = 3 is
     # among the oracle cases
     for sp, t in _oracle_cases():
-        edges = _automaton(sp, t, sp.window_width - 1)
+        edges = _automaton((sp,), t, sp.window_width - 1)
         size = len(edges)
         m = [[ZERO] * size + [ONE] for _ in range(size)]
         for i, out in enumerate(edges):
