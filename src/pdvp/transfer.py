@@ -8,23 +8,28 @@ letter.  `_automaton` lists its edges once, and two readers share them: a
 forward dynamic program that expands the series (every row, or only the last
 one for a word scan), and the bordered matrix [[I - qA, 1], [-alpha, 0]],
 solved exactly over integer polynomials in q and z by one fraction-free
-elimination.  Everything is arbitrary-precision integer arithmetic; there is
-no floating point here.
+elimination.  The dynamic program steps the lumped quotient of the automaton
+(`_lump`: states with the same future share one class), because its output,
+the series, does not depend on the states; the elimination still reads the
+full states, since a lumped elimination prints a more reduced pair whenever
+the full one is not in lowest terms.  Everything is arbitrary-precision
+integer arithmetic; there is no floating point here.
 
 Polynomials in q and z are stored as polynomials in q over Z[z], one
-z-polynomial {z-degree: coefficient} per q-degree, as series rows are; the
-product, the expansion and the elimination share one kernel, `_mul_acc`.
+z-polynomial {z-degree: coefficient} per q-degree, as series rows are; their
+products and the elimination share one kernel, `_mul_acc`.
 
-Inside the dynamic program and the elimination, z is carried as an integer:
-a z-polynomial is replaced by its value at z = 2^B (Kronecker substitution),
-so its arithmetic is one big-integer operation.  z -> 2^B is a ring
-homomorphism, so sums, products and exact divisions of the images are the
-images of the true results; each division exact in Z[z][q] stays exact in
-Z[q].  The slot width B is fixed before any work from a proven bound on the
-coefficients (t^n for the dp, Hadamard's inequality for the elimination),
-with 2^(B-1) above it, so balanced base-2^B digits give back every
-coefficient exactly, and only the series rows, the numerator and the last
-pivot are decoded.
+Inside the dynamic program, the elimination and the expansion of a rational
+series, z is carried as an integer: a z-polynomial is replaced by its value
+at z = 2^B (Kronecker substitution), so its arithmetic is one big-integer
+operation.  z -> 2^B is a ring homomorphism, so sums, products and exact
+divisions of the images are the images of the true results; each division
+exact in Z[z][q] stays exact in Z[q].  The slot width B is fixed before any
+work from a proven bound on the coefficients (t^n for the dp, Hadamard's
+inequality for the elimination, a recurrence on the rows' 1-norms for the
+expansion), with 2^(B-1) above it, so balanced base-2^B digits give back
+every coefficient exactly, and only the series rows, the numerator and the
+last pivot are decoded.
 """
 
 from __future__ import annotations
@@ -46,8 +51,10 @@ ZPoly = dict[int, int]
 
 def _mul_acc(acc: ZPoly, a: ZPoly, b: ZPoly, sign: int = 1) -> None:
     """acc += sign * a * b for integer polynomials {degree: coefficient}, in
-    place: in Z[z] for BivarPoly, in q over packed z for the elimination.  A
-    coefficient that cancels is dropped, so acc keeps no zero coefficient."""
+    place: in Z[z] for BivarPoly, in q over packed z for the elimination.
+    The dp and the expansion of a rational series do not call it: they add
+    and multiply packed integers.  A coefficient that cancels is dropped, so
+    acc keeps no zero coefficient."""
     for i, x in a.items():
         x *= sign
         for j, y in b.items():
@@ -337,17 +344,37 @@ class ZSeriesTable:
 
 
 def expand_rational(gf: RationalGF, n_max: int) -> ZSeriesTable:
-    """Power-series expansion of num/den to order q^n_max, exact in z
-    (RationalGF makes the denominator's constant term +1)."""
+    """Power-series expansion of num/den to order q^n_max, exact in z.
+
+    The series lies in Z[z][[q]] only when the denominator's q^0 row is
+    exactly 1 (RationalGF makes its constant term +1, but z-terms may remain
+    there); any other denominator raises ValueError.  Row n is then
+    num_n - sum_{k>=1} den_k row_{n-k}, computed with z carried at 2^B.  Its
+    1-norm r_n is at most |num_n|_1 + sum_{k>=1} |den_k|_1 r_{n-k}, which
+    bounds every coefficient, and B leaves room for the largest r_n.
+    """
     num_q, den_q = gf.num._rows, gf.den._rows
-    rows: list[ZPoly] = []
+    if den_q[0] != {0: 1}:
+        raise ValueError("the denominator's q^0 row must be 1 for a series in q")
+
+    def norm(row: ZPoly) -> int:
+        return sum(abs(c) for c in row.values())
+
+    tail = [(k, norm(row)) for k, row in den_q.items() if k]
+    bound: list[int] = []
     for n in range(n_max + 1):
-        acc: ZPoly = dict(num_q.get(n, {}))
-        for k in range(1, n + 1):
-            if k in den_q:
-                _mul_acc(acc, den_q[k], rows[n - k], -1)
-        rows.append(acc)
-    return ZSeriesTable(rows)
+        bound.append(norm(num_q.get(n, {})) + sum(d * bound[n - k] for k, d in tail if k <= n))
+    width = _slot_bytes(max(bound, default=0).bit_length())
+    bits = 8 * width
+
+    def pack(row: ZPoly) -> int:
+        return sum(c << (bits * j) for j, c in row.items())
+
+    den_p = [(k, pack(row)) for k, row in den_q.items() if k]
+    packed: list[int] = []
+    for n in range(n_max + 1):
+        packed.append(pack(num_q.get(n, {})) - sum(d * packed[n - k] for k, d in den_p if k <= n))
+    return ZSeriesTable(_decode(x, width) for x in packed)
 
 
 def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
@@ -458,19 +485,48 @@ def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tup
     return edges
 
 
-def _packed_dp(sps: tuple[StatPattern, ...], t: int, n_max: int):
-    """The automaton of `sps` packed for the dp to order n_max: its edges as
-    (target, shift) and the slot width in bytes.
+def _lump(edges: list[list[tuple[int, int]]]) -> list[int]:
+    """The class of each state in the coarsest partition of the automaton in
+    which the states of one class have equal multisets {(e, class of
+    target)} over their edges (exact lumpability; Moore's partition
+    refinement).
 
-    A state's weight sums z^stat over the words that end in it, carried at
-    z = 2^B, B = 8 * width, so appending a letter that reads z^e is a shift
-    by e*B bits.  Every coefficient at order n counts words of length n, so
-    it is at most t^n, and B leaves room for t^n_max.  Two budgets are
-    checked before any work starts: the t^(W-1) full states times their t
-    edges times the n_max + 1 orders must stay within DEFAULT_SERIES_BUDGET,
-    and the weights and rows, each at most n_max*sum C(W-1, m-1) + 1 slots
-    of B bits (at most C(W-1, m-1) occurrences of a pattern end at one
-    letter), within DEFAULT_SERIES_BITS.
+    Starting from one class, the states are split by that multiset under the
+    current classes until the count stops growing; each round refines the
+    one before.  Classes are numbered by first appearance in state order, so
+    the empty word's class is 0.  With P the state-to-class indicator and
+    A_c the quotient, whose class takes the edges of any one member with the
+    targets mapped to classes, A P = P A_c.  So alpha A^n 1 = e_0 A_c^n 1:
+    the dp steps one weight per class and sums the same series.
+    """
+    classes = [0] * len(edges)
+    count = 1
+    while True:
+        keys: dict[tuple, int] = {}
+        split = [
+            keys.setdefault(tuple(sorted((e, classes[v]) for v, e in out)), len(keys))
+            for out in edges
+        ]
+        if len(keys) == count:
+            return classes
+        classes, count = split, len(keys)
+
+
+def _packed_dp(sps: tuple[StatPattern, ...], t: int, n_max: int, rows: int):
+    """The lumped automaton of `sps` packed for the dp to order n_max: one
+    list of edges (target class, shift) per class of `_lump`, and the slot
+    width in bytes.
+
+    A class's weight sums z^stat over the words that end in its states,
+    carried at z = 2^B, B = 8 * width, so appending a letter that reads z^e
+    is a shift by e*B bits.  Every coefficient at order n counts words of
+    length n, so it is at most t^n, and B leaves room for t^n_max.  Two
+    budgets, both on the full states, are checked before any work starts:
+    the t^(W-1) full states times their t edges times the n_max + 1 orders
+    must stay within DEFAULT_SERIES_BUDGET, and the weights of the states
+    plus the `rows` decoded rows the reader keeps, each at most
+    n_max*sum C(W-1, m-1) + 1 slots of B bits (at most C(W-1, m-1)
+    occurrences of a pattern end at one letter), within DEFAULT_SERIES_BITS.
     """
     if n_max < 0:
         raise ValueError(f"series order must be non-negative, got {n_max}")
@@ -485,18 +541,23 @@ def _packed_dp(sps: tuple[StatPattern, ...], t: int, n_max: int):
     bits = 8 * width
     states = sum(t**k for k in range(keep + 1))
     slots = n_max * sum(comb(sp.window_width - 1, sp.pattern.m - 1) for sp in sps) + 1
-    held = (states + n_max + 1) * slots * bits
+    held = (states + rows) * slots * bits
     if held > DEFAULT_SERIES_BITS:
         raise SeriesBudgetError(
-            f"series memory ({states} states + {n_max + 1} orders) x {slots} slots"
+            f"series memory ({states} states + {rows} orders) x {slots} slots"
             f" x {bits} bits = {held} bits exceeds the budget {DEFAULT_SERIES_BITS}"
         )
-    edges = [[(target, e * bits) for target, e in out] for out in _automaton(sps, t, keep)]
-    return edges, width
+    edges = _automaton(sps, t, keep)
+    classes = _lump(edges)
+    first: dict[int, int] = {}
+    for state, c in enumerate(classes):
+        first.setdefault(c, state)
+    lumped = [[(classes[v], e * bits) for v, e in edges[state]] for state in first.values()]
+    return lumped, width
 
 
 def _step(weights: list[int], edges: list[list[tuple[int, int]]]) -> list[int]:
-    """The packed weights after one more letter: each state's weight, shifted
+    """The packed weights after one more letter: each class's weight, shifted
     by each of its edges, added into the edge's target."""
     nxt = [0] * len(weights)
     for w, out in zip(weights, edges):
@@ -507,16 +568,18 @@ def _step(weights: list[int], edges: list[list[tuple[int, int]]]) -> list[int]:
 
 
 def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
-    """Forward dynamic program over the automaton of `_automaton`: every row
-    of the series to order n_max.
+    """Forward dynamic program over the automaton of `_automaton`, lumped:
+    every row of the series to order n_max.
 
     A state's weight sums z^stat over the words that end in it; appending a
     letter multiplies it by z^e, where e counts the occurrences inside the
     window that use its final position.  Words shorter than W - 1 are states
     of their own, so occurrences inside short words are exact as well.  The
-    packing and the budgets are those of `_packed_dp`.
+    dp steps one weight per class of states with the same future; the
+    packing, the lumping and the budgets (on the full states, charging all
+    n_max + 1 rows) are those of `_packed_dp`.
     """
-    edges, width = _packed_dp((sp,), t, n_max)
+    edges, width = _packed_dp((sp,), t, n_max, n_max + 1)
     weights = [1] + [0] * (len(edges) - 1)
     rows = [_decode(sum(weights), width)]
     for _ in range(n_max):
@@ -529,11 +592,12 @@ def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
     """Row n of the series of the summed statistic of `sps`: for each s, the
     number of words in {1..t}^n with s occurrences of the patterns together.
 
-    The dp of `dp_series`, with its budgets, over the automaton of all the
-    patterns at once (the widest window sets the states); only the last row
-    is decoded.  Its z^0 coefficient counts the words that avoid them all.
+    The dp of `dp_series` over the lumped automaton of all the patterns at
+    once (the widest window sets the states); only the last row is kept and
+    decoded, so the bits budget charges the weights and that one row.  Its
+    z^0 coefficient counts the words that avoid them all.
     """
-    edges, width = _packed_dp(tuple(sps), t, n)
+    edges, width = _packed_dp(tuple(sps), t, n, 1)
     weights = [1] + [0] * (len(edges) - 1)
     for _ in range(n):
         weights = _step(weights, edges)

@@ -346,6 +346,15 @@ def _no_walk(*args, **kwargs):
     raise AssertionError("the window automaton should have answered")
 
 
+def test_long_one_letter_words_read_one_row(monkeypatch):
+    # series_row keeps one row, so its bits budget charges one row, not 12001
+    adjacent_equal = parse_pattern("11|P,{1},P|-|P,P", Mode.WORD)
+    monkeypatch.setattr(exhaustive, "prefix_walk", _no_walk)
+    start = time.perf_counter()
+    assert dict(word_distribution(adjacent_equal, 1, 12000).counts) == {11999: 1}
+    assert time.perf_counter() - start < 1
+
+
 def test_window_pattern_scans_equal_the_walks_and_the_naive_recount(rng, monkeypatch):
     for _ in range(40):
         pat = _random_window_pattern(rng)

@@ -20,14 +20,17 @@ from pdvp.transfer import (
     StatPattern,
     Z,
     ZERO,
+    ZSeriesTable,
     BivarPoly,
     _automaton,
     _bareiss,
     _decode,
+    _lump,
     _mul_acc,
     dp_series,
     expand_rational,
     gf_equal_series,
+    series_row,
     solve_transfer_system,
 )
 
@@ -272,6 +275,52 @@ def test_expansion_times_denominator_is_the_numerator():
         assert _naive_product(series, gf.den.terms(), order) == num, name
 
 
+def _reference_expand(gf, n_max):
+    """The expansion over z-polynomial dicts that `expand_rational` ran before
+    it carried z as an integer: the oracle for the packed one."""
+    num_q, den_q = gf.num._rows, gf.den._rows
+    rows = []
+    for n in range(n_max + 1):
+        acc = dict(num_q.get(n, {}))
+        for k in range(1, n + 1):
+            if k in den_q:
+                _mul_acc(acc, den_q[k], rows[n - k], -1)
+        rows.append(acc)
+    return ZSeriesTable(rows)
+
+
+def _checks_gfs():
+    gfs = [checks.reference_gf(name) for name in ("a3", "a4", "b3", "b4", "e4")]
+    gfs += [checks.d4_display_bivariate(), checks.d4_display_z0(), checks.fib_even_gf()]
+    return gfs + [checks._solver_gf(name) for name in checks.STAT_ALPHABETS]
+
+
+def test_expansion_matches_the_dict_reference():
+    rng = random.Random(23)
+    cases = [(gf, 20) for gf in _checks_gfs()]
+    for _ in range(150):
+        # negative coefficients and z-terms in every q >= 1 row of both parts
+        num = _random_poly(rng)
+        den = ONE + Q * _random_poly(rng) + Q**2 * _random_poly(rng) * rng.randint(-3, 3)
+        cases.append((RationalGF(num, den), rng.randint(0, 16)))
+    cases.append((RationalGF(ONE + Q * Z, ONE - Q * Z), 12))
+    cases.append((RationalGF(ZERO, ONE - Q), 5))
+    for gf, order in cases:
+        assert expand_rational(gf, order) == _reference_expand(gf, order), gf
+
+
+def test_expansion_rejects_z_in_the_constant_row():
+    # 1/(1 - z) and 1/(1 - z - zq) are not series in q over Z[z]
+    for den in (ONE - Z, ONE - Z - Z * Q, ONE + Z**2 - 3 * Q):
+        gf = RationalGF(ONE, den)
+        with pytest.raises(ValueError, match="q\\^0 row must be 1"):
+            expand_rational(gf, 2)
+        with pytest.raises(ValueError, match="q\\^0 row must be 1"):
+            gf_equal_series(gf, gf, 2)
+    for gf in _checks_gfs():
+        assert gf.den._rows[0] == {0: 1}
+
+
 def test_gf_equal_series():
     a = RationalGF(ONE, ONE - Q)
     b = RationalGF(ONE + Q, ONE - Q**2)
@@ -509,6 +558,106 @@ def test_solver_equals_the_bivariate_elimination():
                 m[i][j] = m[i][j] - Q * Z**e
         m.append([-ONE] + [ZERO] * size)
         assert solve_transfer_system(sp, t) == RationalGF(*_bivar_bareiss(m)), (sp.pattern, t)
+
+
+def _full_state_rows(sps, t, n_max):
+    """Every row of the series of `sps` by a dp over the full states of
+    `_automaton`, unlumped and unpacked: one z-polynomial per state."""
+    edges = _automaton(tuple(sps), t, max(sp.window_width for sp in sps) - 1)
+    weights = [Counter({0: 1})] + [Counter() for _ in edges[1:]]
+    rows = []
+    for n in range(n_max + 1):
+        if n:
+            nxt = [Counter() for _ in edges]
+            for w, out in zip(weights, edges):
+                for target, e in out:
+                    for j, c in w.items():
+                        nxt[target][j + e] += c
+            weights = nxt
+        total = Counter()
+        for w in weights:
+            total.update(w)
+        rows.append({j: c for j, c in total.items() if c})
+    return rows
+
+
+def test_lumped_dp_equals_the_full_state_dp():
+    rng = random.Random(29)
+    for _ in range(30):
+        sp = _random_stat_pattern(rng)
+        t, order = rng.randint(1, 4), rng.randint(0, 12)
+        assert dp_series(sp, t, order) == ZSeriesTable(_full_state_rows([sp], t, order)), (
+            sp.pattern, t, order)
+    w4 = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
+    for t in (2, 3, 4):
+        assert dp_series(w4, t, 10) == ZSeriesTable(_full_state_rows([w4], t, 10))
+
+
+def test_lumped_series_row_equals_the_full_state_dp():
+    rng = random.Random(31)
+    mixed = 0
+    for _ in range(30):
+        sps = [_random_stat_pattern(rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            sps.append(StatPattern(parse_pattern(W4_PATTERN, Mode.WORD)))
+        mixed += len({sp.window_width for sp in sps}) > 1
+        t, n = rng.randint(1, 4), rng.randint(0, 12)
+        assert series_row(sps, t, n) == _full_state_rows(sps, t, n)[n], (sps, t, n)
+    assert mixed >= 10
+
+
+def _lump_cases():
+    cases = [((sp,), t) for sp, t in _oracle_cases()]
+    w4 = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
+    cases += [((w4,), t) for t in (1, 2, 4, 6)]
+    cases.append(((checks.stat_pattern("b3"), w4), 3))
+    return cases
+
+
+def test_lumped_partition_is_stable():
+    for sps, t in _lump_cases():
+        edges = _automaton(sps, t, max(sp.window_width for sp in sps) - 1)
+        classes = _lump(edges)
+        assert classes[0] == 0
+        # numbered by first appearance in state order
+        seen = []
+        for c in classes:
+            if c not in seen:
+                seen.append(c)
+        assert seen == list(range(len(seen)))
+        # states of one class have equal multisets of (e, class of target)
+        futures = {}
+        for c, out in zip(classes, edges):
+            future = Counter((e, classes[v]) for v, e in out)
+            assert futures.setdefault(c, future) == future, (sps, t)
+
+
+@pytest.mark.parametrize(
+    "text, t, states, count",
+    [
+        (W4_PATTERN, 3, 40, 8),
+        (W4_PATTERN, 4, 85, 13),
+        (W4_PATTERN, 6, 259, 58),
+        ("12|P,{1,2},P|(1,2,{2})|P,P", 5, 31, 11),
+    ],
+)
+def test_lumped_class_counts(text, t, states, count):
+    sp = StatPattern(parse_pattern(text, Mode.WORD))
+    edges = _automaton((sp,), t, sp.window_width - 1)
+    assert (len(edges), max(_lump(edges)) + 1) == (states, count)
+
+
+def test_series_row_budget_charges_one_row():
+    # dp_series keeps every row, series_row only the weights and the last row
+    single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"series memory \(1 states \+ 50000 orders\) x 50000 slots"
+                       r" x 50008 bits = 125022500400000 bits exceeds the budget 1073741824$"):
+        dp_series(single, 2, 49999)
+    with pytest.raises(ValueError, match=r"series memory \(1 states \+ 1 orders\) x 50000 slots"
+                       r" x 50008 bits = 5000800000 bits exceeds the budget 1073741824$"):
+        series_row([single], 2, 49999)
+    assert time.perf_counter() - start < 1
 
 
 def test_solver_matches_dp_for_all_fixtures():
