@@ -6,13 +6,12 @@ a "gp:" prefix ("gp:2-31").  Sequences are whitespace- or comma-separated
 integers, so lengths above 9 work.  All numeric output is rendered as decimal
 strings; values can exceed 64 bits.
 
-The PDVP_BUDGET environment variable bounds the walk nodes of every scan
-(dist, avoid, problem, verify), 10^8 when unset; see `exhaustive.check_scan`.
-gf keeps its own limits.  A word dist or avoid whose patterns are all
-bounded-window statistics (those gf accepts) is answered from row n of their
-window automaton's series, as gf --dp computes it, without walking the words:
-it must pass the scan budget first, and when the series budgets of gf --dp
-refuse the row, the walk answers instead, with the same output.
+Every command but match predicts its work before it starts and exits 2
+when its steps (about one matcher call each) exceed the PDVP_BUDGET
+environment variable (10^8 when unset), its bits held 2^30, or a gf --solve
+64 full states; see `budget`.  A word dist or avoid whose patterns gf
+accepts reads row n of the series gf --dp computes when that fits, and
+walks the words otherwise, with the same output.
 
 Exit codes: 0 on success (verify: all checks pass), 1 when a verify check
 fails, 2 on usage, pattern parse or file errors.
@@ -250,7 +249,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"pattern parse error {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # EnumerationLimitError is a ValueError
+    except (ValueError, OSError) as exc:  # budget.EnumerationLimitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,37 +7,24 @@ dropped as soon as an avoided pattern ends there.  Only the walk's buffer is
 ever materialised.  The one exception is a single-length word scan
 (`word_distribution`, `word_multi_avoiders`) whose patterns are all
 bounded-window statistics (`transfer.StatPattern`): its answer is row n of
-the series of their window automaton, which `transfer.series_row` reads
-without visiting a word.  When the series budgets refuse that row, the walk
-answers instead.
+the series of their window automaton (`transfer.series_row`) when that
+row's predicted work fits the budget (see `budget`), and a walk otherwise.
 
 The every-length word scans, `word_distributions` and `word_avoider_counts`,
 always walk: they are the scan oracle that `verify` (a3, d4) and the tests
 compare the automaton with, and with the per-object recounts of the tests
 they are the ground truth for every closed formula and generating function
 in the toolkit.
-
-Before it starts, every scan (of `dist`, `avoid`, `problem` and `verify`)
-counts the nodes of its walks unpruned, and `check_scan` refuses it when they
-exceed `PDVP_BUDGET`, 10^8 when unset: S_10 (9864100 nodes) passes and S_11
-does not.  This holds on the automaton's path too.  `gf` keeps its own limits.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from . import matcher, transfer
+from . import budget, matcher, transfer
 from .pattern import Mode, Pdvp
-
-DEFAULT_SCAN_BUDGET = 10**8  # walk nodes of one scan when PDVP_BUDGET is unset
-
-
-class EnumerationLimitError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,42 +41,39 @@ class DistributionTable:
         return sum(self.counts.values())
 
 
-def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = False) -> None:
-    """Validate a scan of `pats` over S_n (t None) or {1..t}^n, one walk of
-    length n or, with `each_length`, one of every length 0..n, and refuse it
-    when the walks' unpruned nodes exceed the budget: PDVP_BUDGET if set,
-    else DEFAULT_SCAN_BUDGET.
+def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = False) -> bool:
+    """Validate a scan of `pats` over S_n (t None) or {1..t}^n and check its
+    predicted work (see `budget`): one walk of length n or, with
+    `each_length`, n + 1 rows, from one walk when every pattern is a word
+    pattern whose closing gap set is P (its occurrences do not depend on the
+    final length), else from one walk per length.  Returns whether one does.
 
-    A walk of length k has a node per prefix of length d = 1..k: k!/(k-d)! of
-    them over S_k and t^d over {1..t}^k, so W(k) = f(k) * (1 + W(k - 1)) with
-    W(0) = 0 and f(k) = k or t.  The count is exact below 8^D, D the limit
-    on the digits of an int converted to str, so it prints; past that it
-    stops, and the refusal says so.
+    A walk of length k holds k positions and has a node, a step, per prefix
+    of length d = 1..k: k!/(k-d)! of them over S_k and t^d over {1..t}^k,
+    so W(k) = f(k) * (1 + W(k - 1)) with W(0) = 0 and f(k) = k or t.
     """
     perm = t is None
     if not perm and t < 1:
         raise ValueError("alphabet size must be positive")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    raw = os.environ.get("PDVP_BUDGET")
-    budget = int(raw) if raw else DEFAULT_SCAN_BUDGET
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    ceiling = 1 << 3 * digits  # 8^D
+    one_walk = not each_length or (not perm and all(pat.x[-1].steps == (1,) for pat in pats))
     if t == 1:
-        nodes = n * (n + 1) // 2 if each_length else n  # one node per length
+        nodes = n if one_walk else n * (n + 1) // 2  # one node per length
     else:
+        top = budget.ceiling()
         walk = nodes = 0
         for k in range(1, n + 1):
             walk = (k if perm else t) * (walk + 1)  # W(k)
-            nodes = nodes + walk if each_length else walk
-            if nodes >= ceiling:
+            nodes = walk if one_walk else nodes + walk
+            if nodes >= top:
                 break
-    if nodes > budget:
-        size = f"at least 8^{digits}" if nodes >= ceiling else nodes
-        raise EnumerationLimitError(f"scan of {size} walk nodes exceeds the budget {budget}")
+    rows = (n + 1) * each_length
+    budget.check_work("scan", nodes, n * budget.WALK_POSITION_BITS + rows * budget.ROW_BITS)
     want = Mode.PERMUTATION if perm else Mode.WORD
     if any(pat.mode is not want for pat in pats):
         raise ValueError(f"{want.value} scan needs {want.value}-mode patterns")
+    return one_walk
 
 
 def prefix_walk(
@@ -159,54 +143,39 @@ def prefix_walk(
         d += 1
 
 
-def _histogram(walk) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for _, c in walk:
-        counts[c] = counts.get(c, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def _walk_distribution(pat: Pdvp, t: int | None, n: int) -> DistributionTable:
-    """The histogram of `pat` over S_n (t None) or {1..t}^n, by one walk."""
-    return DistributionTable(n, _histogram(prefix_walk(n, t, count=pat)))
+    """The histogram of `pat` over S_n (t None) or {1..t}^n, by one checked walk."""
+    check_scan([pat], t, n)
+    counts = Counter(c for _, c in prefix_walk(n, t, count=pat))
+    return DistributionTable(n, dict(sorted(counts.items())))
 
 
 def _walk_avoiders(pats: list[Pdvp], t: int | None, n: int) -> int:
-    """The objects of S_n (t None) or {1..t}^n avoiding `pats`, by one walk."""
+    """The objects of S_n (t None) or {1..t}^n avoiding `pats`, by one checked walk."""
+    check_scan(pats, t, n)
     return sum(1 for _ in prefix_walk(n, t, avoid=pats))
 
 
 def perm_distribution(pat: Pdvp, n: int) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all of S_n."""
-    check_scan([pat], None, n)
     return _walk_distribution(pat, None, n)
 
 
 def _series_row(pats: Sequence[Pdvp], t: int, n: int) -> dict[int, int] | None:
-    """Row n of the window automaton's series for `pats` (see
-    `transfer.series_row`), or None when a pattern is not a bounded-window
-    statistic or the series budgets refuse the row."""
-    try:
-        sps = tuple(transfer.StatPattern(pat) for pat in pats)
-        return transfer.series_row(sps, t, n)
-    except (transfer.NotAStatistic, transfer.SeriesBudgetError):
+    """Row n of the window automaton's series for `pats`, or None when a size is
+    out of range, a pattern is no statistic or the row's work does not fit."""
+    if t < 1 or n < 0 or any(map(transfer.statistic_refusal, pats)):
         return None
+    sps = tuple(map(transfer.StatPattern, pats))
+    fits = budget.check_work("series", *transfer.series_work(sps, t, n, 1), refuse=False)
+    return transfer.series_row(sps, t, n) if fits else None
 
 
 def word_distribution(pat: Pdvp, t: int, n: int) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all words in {1..t}^n:
     row n of the window automaton's series when it answers, else a walk."""
-    check_scan([pat], t, n)
     row = _series_row([pat], t, n)
-    if row is None:
-        return _walk_distribution(pat, t, n)
-    return DistributionTable(n, row)
-
-
-def _length_free(pat: Pdvp) -> bool:
-    """Whether the occurrences ending at p are the same for every final length:
-    a word pattern's closing gap set holds every positive integer."""
-    return pat.x[-1].steps == (1,)
+    return _walk_distribution(pat, t, n) if row is None else DistributionTable(n, row)
 
 
 def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]:
@@ -217,9 +186,7 @@ def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]
     walk to depth n_max settles every shorter word as a prefix; otherwise
     each length gets a walk of its own.
     """
-    free = _length_free(pat)
-    check_scan([pat], t, n_max, each_length=not free)
-    if not free:
+    if not check_scan([pat], t, n_max, each_length=True):
         return [_walk_distribution(pat, t, n) for n in range(n_max + 1)]
     by_length: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for word, c in prefix_walk(n_max, t, count=pat, prefixes=True):
@@ -230,9 +197,7 @@ def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]
 
 def perm_multi_avoiders(pats: Sequence[Pdvp], n: int) -> int:
     """Number of permutations in S_n avoiding every listed pattern."""
-    pats = list(pats)
-    check_scan(pats, None, n)
-    return _walk_avoiders(pats, None, n)
+    return _walk_avoiders(list(pats), None, n)
 
 
 def word_multi_avoiders(pats: Sequence[Pdvp], t: int, n: int) -> int:
@@ -240,11 +205,8 @@ def word_multi_avoiders(pats: Sequence[Pdvp], t: int, n: int) -> int:
     coefficient of row n of the window automaton's series when it answers,
     else a walk."""
     pats = list(pats)
-    check_scan(pats, t, n)
     row = _series_row(pats, t, n)
-    if row is None:
-        return _walk_avoiders(pats, t, n)
-    return row.get(0, 0)
+    return _walk_avoiders(pats, t, n) if row is None else row.get(0, 0)
 
 
 def word_avoider_counts(pats: Sequence[Pdvp], t: int, n_max: int) -> list[int]:
@@ -252,9 +214,7 @@ def word_avoider_counts(pats: Sequence[Pdvp], t: int, n_max: int) -> list[int]:
     oracle for the window automaton.  One walk settles every length when
     every pattern's occurrences do not depend on the final length."""
     pats = list(pats)
-    free = all(_length_free(pat) for pat in pats)
-    check_scan(pats, t, n_max, each_length=not free)
-    if not free:
+    if not check_scan(pats, t, n_max, each_length=True):
         return [_walk_avoiders(pats, t, n) for n in range(n_max + 1)]
     counts = [0] * (n_max + 1)
     for word, _ in prefix_walk(n_max, t, avoid=pats, prefixes=True):

@@ -12,11 +12,9 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import exhaustive, transfer
+from . import budget, exhaustive, transfer
 from .dsl import parse_pattern
 from .pattern import Mode, make_classical
-
-DEFAULT_WORD_LENGTH_BUDGET = 10**6
 
 
 class StepRule(Enum):
@@ -104,16 +102,18 @@ MORPHISM = {"1": "123", "2": "13", "3": "2"}
 def morphism_rises(iterations: int) -> tuple[str, int]:
     """Apply 1 -> 123, 2 -> 13, 3 -> 2 the given number of times to "1";
     return the word and its number of rises (positions with w_i < w_{i+1}).
+
+    The rules map letter counts (c, c, c) to (2c, 2c, 2c), so the k-th iterate
+    has 3 * 2^(k-1) letters; their steps and bits are checked before any is
+    built (see `budget`).
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    length = 3 * budget.power(2, iterations - 1)
+    budget.check_work("morphism word", 3 * length, length * budget.LETTER_BITS)
     word = "1"
     for _ in range(iterations):
         word = "".join(MORPHISM[ch] for ch in word)
-        if len(word) > DEFAULT_WORD_LENGTH_BUDGET:
-            raise ValueError(
-                f"morphism word exceeds the length budget {DEFAULT_WORD_LENGTH_BUDGET}"
-            )
     rises = sum(1 for i in range(len(word) - 1) if word[i] < word[i + 1])
     return word, rises
 

@@ -12,8 +12,9 @@ elimination.  The dynamic program steps the lumped quotient of the automaton
 (`_lump`: states with the same future share one class), because its output,
 the series, does not depend on the states; the elimination still reads the
 full states, since a lumped elimination prints a more reduced pair whenever
-the full one is not in lowest terms.  Everything is arbitrary-precision
-integer arithmetic; there is no floating point here.
+the full one is not in lowest terms.  Before any work, the dp's steps and
+bits (`series_work`) and the solve's automaton and full states go through
+`budget.check_work`.  Everything is exact integer arithmetic.
 
 Polynomials in q and z are stored as polynomials in q over Z[z], one
 z-polynomial {z-degree: coefficient} per q-degree, as series rows are; their
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from . import matcher
+from . import budget, matcher
 from .pattern import Mode, Pdvp
 
 ZPoly = dict[int, int]
@@ -386,18 +387,18 @@ def gf_equal_series(a: RationalGF, b: RationalGF, order: int) -> bool:
 # the statistic patterns and their series
 
 
-DEFAULT_STATE_BUDGET = 4096
-DEFAULT_SOLVE_BUDGET = 64  # full states of one solve_transfer_system
-DEFAULT_SERIES_BUDGET = 10**5  # edges walked by one dp: states x letters x (order + 1)
-DEFAULT_SERIES_BITS = 2**30  # bits one dp may hold: (states + orders) x slots x slot bits
-
-
-class NotAStatistic(ValueError):
-    """The pattern is not a bounded-window statistic; see StatPattern."""
-
-
-class SeriesBudgetError(ValueError):
-    """The automaton or its series exceeds a budget; raised before any work."""
+def statistic_refusal(pat: Pdvp) -> str | None:
+    """Why `pat` is not a bounded-window statistic (see StatPattern), or None."""
+    if pat.mode is not Mode.WORD:
+        return "statistic patterns are word patterns"
+    # gaps are >= 1, so a boundary set holding every positive integer is P
+    if not (pat.x[0].steps == (1,) and pat.x[-1].steps == (1,)):
+        return "boundary gap sets must both be P"
+    if any(xs.finite_bound() is None for xs in pat.x[1:-1]):
+        return "interior gap sets must be finite"
+    if any(not (1 <= s and t <= pat.m) for s, t, _ in pat.y):
+        return "difference triples may not reference sentinels"
+    return None
 
 
 @dataclass(frozen=True)
@@ -408,24 +409,14 @@ class StatPattern:
     (P, however written), finite interior X sets, and Y triples on pattern
     indices only (no sentinels), so that occurrence checks are translation
     invariant.  The window width W = 1 + sum of interior gap maxima bounds
-    the span of any occurrence.  Any other pattern raises NotAStatistic.
+    the span of any occurrence.  Any other pattern raises ValueError.
     """
 
     pattern: Pdvp
 
     def __post_init__(self):
-        pat = self.pattern
-        if pat.mode is not Mode.WORD:
-            raise NotAStatistic("statistic patterns are word patterns")
-        # gaps are >= 1, so a boundary set holding every positive integer is P
-        if not (pat.x[0].steps == (1,) and pat.x[-1].steps == (1,)):
-            raise NotAStatistic("boundary gap sets must both be P")
-        for xs in pat.x[1:-1]:
-            if xs.finite_bound() is None:
-                raise NotAStatistic("interior gap sets must be finite")
-        for s, t, _ in pat.y:
-            if not (1 <= s and t <= pat.m):
-                raise NotAStatistic("difference triples may not reference sentinels")
+        if why := statistic_refusal(self.pattern):
+            raise ValueError(why)
 
     @property
     def window_width(self) -> int:
@@ -441,19 +432,16 @@ def _window_occurrences(pat: Pdvp, t: int):
     return ending_at_last
 
 
-def _check_states(sps: tuple[StatPattern, ...], t: int) -> int:
-    """The number of letters a full state keeps, W - 1 for the widest
-    window W, within the budget."""
+def _shape(sps: tuple[StatPattern, ...], t: int) -> tuple[int, int, int, int]:
+    """keep = W - 1 for the widest window W, the t^keep full states, the
+    1 + t + ... + t^keep states in all, and the lumping rounds allowed: at most
+    the class count, and t * keep + 2 covers every window automaton tried."""
     if t < 1:
         raise ValueError("alphabet size must be positive")
-    if t > DEFAULT_STATE_BUDGET:
-        raise SeriesBudgetError(f"alphabet size {t} exceeds the budget {DEFAULT_STATE_BUDGET}")
     keep = max((sp.window_width - 1 for sp in sps), default=0)
-    if t**keep > DEFAULT_STATE_BUDGET:
-        raise SeriesBudgetError(
-            f"state count {t}^{keep} exceeds the budget {DEFAULT_STATE_BUDGET}"
-        )
-    return keep
+    full = budget.power(t, keep)
+    states = keep + 1 if t == 1 else (t * full - 1) // (t - 1)
+    return keep, full, states, min(states, t * keep + 2)
 
 
 def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tuple[int, int]]]:
@@ -485,7 +473,7 @@ def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tup
     return edges
 
 
-def _lump(edges: list[list[tuple[int, int]]]) -> list[int]:
+def _lump(edges: list[list[tuple[int, int]]], rounds: int) -> list[int]:
     """The class of each state in the coarsest partition of the automaton in
     which the states of one class have equal multisets {(e, class of
     target)} over their edges (exact lumpability; Moore's partition
@@ -497,11 +485,12 @@ def _lump(edges: list[list[tuple[int, int]]]) -> list[int]:
     the empty word's class is 0.  With P the state-to-class indicator and
     A_c the quotient, whose class takes the edges of any one member with the
     targets mapped to classes, A P = P A_c.  So alpha A^n 1 = e_0 A_c^n 1:
-    the dp steps one weight per class and sums the same series.
+    the dp steps one weight per class and sums the same series.  Unstable
+    after `rounds` rounds, it gives way to the trivial partition, as exact.
     """
     classes = [0] * len(edges)
     count = 1
-    while True:
+    for _ in range(rounds):
         keys: dict[tuple, int] = {}
         split = [
             keys.setdefault(tuple(sorted((e, classes[v]) for v, e in out)), len(keys))
@@ -510,45 +499,51 @@ def _lump(edges: list[list[tuple[int, int]]]) -> list[int]:
         if len(keys) == count:
             return classes
         classes, count = split, len(keys)
+    return list(range(len(edges)))
+
+
+def series_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int) -> tuple[int, int]:
+    """The steps and bits (see `budget`) of `_packed_dp` and the dp to order n
+    keeping `rows` rows, from the full states.  Each of the E edges costs a
+    step per pattern counting its window and one per lumping round.  At order
+    k a weight has at most k*c + 1 slots of B bits (c = sum C(W-1, m-1): that
+    many occurrences can end at one letter; B holds t^n, or n * t.bit_length()
+    bits when t^n is too large to compute), and an edge shifts it at a step per
+    CHUNK_BITS.  `_decode` takes a step per slot.  The weights and five values
+    of `_decode` hold n*c + 1 slots each, and the kept rows their nonzero
+    coefficients, at most one per slot and t^n per row, of B bits each.
+    """
+    if n < 0:
+        raise ValueError(f"series order must be non-negative, got {n}")
+    _, _, states, rounds = _shape(sps, t)
+    edges = states * t
+    c = sum(comb(sp.window_width - 1, sp.pattern.m - 1) for sp in sps)
+    power = budget.power(t, n)
+    slot = 8 * _slot_bytes(power.bit_length() if power < budget.ceiling() else n * t.bit_length())
+    chunks = n - (-slot * (c * n * (n - 1) // 2 + n) // budget.CHUNK_BITS)  # sum_k ceil
+    kept = rows + c * rows * (2 * n - rows + 1) // 2  # the slots of the last `rows` rows
+    steps = edges * (len(sps) + rounds + chunks) + kept
+    held = (states + 5) * (n * c + 1) * slot
+    held += min(kept, rows * power) * (budget.COEFF_BITS + slot * 17 // 16)
+    return steps, edges * budget.EDGE_BITS + held
 
 
 def _packed_dp(sps: tuple[StatPattern, ...], t: int, n_max: int, rows: int):
     """The lumped automaton of `sps` packed for the dp to order n_max: one
     list of edges (target class, shift) per class of `_lump`, and the slot
-    width in bytes.
+    width in bytes, once `series_work` fits the budget.
 
     A class's weight sums z^stat over the words that end in its states,
     carried at z = 2^B, B = 8 * width, so appending a letter that reads z^e
     is a shift by e*B bits.  Every coefficient at order n counts words of
-    length n, so it is at most t^n, and B leaves room for t^n_max.  Two
-    budgets, both on the full states, are checked before any work starts:
-    the t^(W-1) full states times their t edges times the n_max + 1 orders
-    must stay within DEFAULT_SERIES_BUDGET, and the weights of the states
-    plus the `rows` decoded rows the reader keeps, each at most
-    n_max*sum C(W-1, m-1) + 1 slots of B bits (at most C(W-1, m-1)
-    occurrences of a pattern end at one letter), within DEFAULT_SERIES_BITS.
+    length n, so it is at most t^n, and B leaves room for t^n_max.
     """
-    if n_max < 0:
-        raise ValueError(f"series order must be non-negative, got {n_max}")
-    keep = _check_states(sps, t)
-    size = t**keep * t * (n_max + 1)
-    if size > DEFAULT_SERIES_BUDGET:
-        raise SeriesBudgetError(
-            f"series size {t}^{keep} states x {t} letters x {n_max + 1} orders = {size}"
-            f" edges exceeds the budget {DEFAULT_SERIES_BUDGET}"
-        )
+    budget.check_work("series", *series_work(sps, t, n_max, rows))
+    keep, _, _, rounds = _shape(sps, t)
     width = _slot_bytes((t**n_max).bit_length())
     bits = 8 * width
-    states = sum(t**k for k in range(keep + 1))
-    slots = n_max * sum(comb(sp.window_width - 1, sp.pattern.m - 1) for sp in sps) + 1
-    held = (states + rows) * slots * bits
-    if held > DEFAULT_SERIES_BITS:
-        raise SeriesBudgetError(
-            f"series memory ({states} states + {rows} orders) x {slots} slots"
-            f" x {bits} bits = {held} bits exceeds the budget {DEFAULT_SERIES_BITS}"
-        )
     edges = _automaton(sps, t, keep)
-    classes = _lump(edges)
+    classes = _lump(edges, rounds)
     first: dict[int, int] = {}
     for state, c in enumerate(classes):
         first.setdefault(c, state)
@@ -576,8 +571,8 @@ def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
     window that use its final position.  Words shorter than W - 1 are states
     of their own, so occurrences inside short words are exact as well.  The
     dp steps one weight per class of states with the same future; the
-    packing, the lumping and the budgets (on the full states, charging all
-    n_max + 1 rows) are those of `_packed_dp`.
+    packing and the lumping are those of `_packed_dp`, and its predicted
+    work (`series_work`, keeping all n_max + 1 rows) is checked first.
     """
     edges, width = _packed_dp((sp,), t, n_max, n_max + 1)
     weights = [1] + [0] * (len(edges) - 1)
@@ -594,7 +589,7 @@ def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
 
     The dp of `dp_series` over the lumped automaton of all the patterns at
     once (the widest window sets the states); only the last row is kept and
-    decoded, so the bits budget charges the weights and that one row.  Its
+    decoded, so the predicted bits are the weights and that one row.  Its
     z^0 coefficient counts the words that avoid them all.
     """
     edges, width = _packed_dp(tuple(sps), t, n, 1)
@@ -613,9 +608,9 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     fraction-free elimination of that bordered matrix yields both:
     det(I - qA) is its last pivot.  No row is ever swapped, because every
     leading minor of I - qA is 1 at q = 0.  The words shorter than W - 1
-    come first, and their rows are eliminated with pivots 1.  At most
-    DEFAULT_SOLVE_BUDGET full states are solved, which is checked before any
-    work starts.
+    come first, and their rows are eliminated with pivots 1.  Before any
+    work, the automaton's windows and edges are checked as steps and bits,
+    and its t^(W-1) full states against the solve cap (see `budget`).
 
     The entries are polynomials in q whose coefficients are z-polynomials
     carried at z = 2^B.  Every entry the elimination keeps, each pivot and
@@ -626,12 +621,8 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     2^(B-1) exceeds that bound, so a minor decodes exactly, and it is 0 only
     when its image is.
     """
-    keep = _check_states((sp,), t)
-    if t**keep > DEFAULT_SOLVE_BUDGET:
-        raise SeriesBudgetError(
-            f"solved state count {t}^{keep} = {t**keep}"
-            f" exceeds the solve budget {DEFAULT_SOLVE_BUDGET}"
-        )
+    keep, full, states, _ = _shape((sp,), t)
+    budget.check_work("solve", states * t, states * t * budget.EDGE_BITS, full)
     edges = _automaton((sp,), t, keep)
     size = len(edges)
     square = 1  # the square of the Hadamard bound; the last row adds a factor 1

@@ -1,17 +1,25 @@
-"""Shared oracles and random generators for the test suite.
+"""Shared oracles, random generators and the work meter of the test suite.
 
 `naive_occurrences` is the independent reference matcher: it filters every
 index subsequence against the defining conditions directly, with none of the
 search pruning used by the production matcher.
+
+`WorkMeter` counts the steps of every budgeted computation a test runs and
+checks them against the prediction the computation passed to
+`budget.check_work`; the autouse fixture `work_meter` puts one around every
+test.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from pdvp import budget, checks, exhaustive, matcher, problems, transfer
 from pdvp.intset import EVENS, IntSet, ODDS, POSITIVES, finite, multiples
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple
@@ -107,3 +115,157 @@ def random_sequence(rng: random.Random, mode: Mode, n_max: int = 8):
 @pytest.fixture(scope="session")
 def rng() -> random.Random:
     return random.Random(20240911)
+
+
+def lumping_rounds(edges) -> int:
+    """The rounds Moore refinement takes to find the partition of
+    `transfer._lump` stable, counted by a loop of its own."""
+    classes, count, rounds = [0] * len(edges), 1, 0
+    while True:
+        rounds += 1
+        keys: dict = {}
+        split = [keys.setdefault(tuple(sorted((e, classes[v]) for v, e in out)), len(keys))
+                 for out in edges]
+        if len(keys) == count:
+            return rounds
+        classes, count = split, len(keys)
+
+
+class WorkMeter:
+    """Counts the steps of each budgeted computation: walk nodes (the first
+    stop or tally call at each node), windows counted by the automaton,
+    edges in each lumping round, dp edges per CHUNK_BITS of the weight they
+    shift, slots the dp decodes, and morphism letters built.
+
+    Every admitted `budget.check_work` call opens a record for the nearest
+    budgeted entry point on the stack; the work done under that entry point
+    is charged to its latest record, so a nested entry point (series_row in
+    word_distribution) keeps its own.  Work outside any entry point, such as
+    a test calling `prefix_walk` itself, is not charged.
+    """
+
+    ENTRY_POINTS = [
+        exhaustive.perm_distribution, exhaustive.word_distribution,
+        exhaustive.word_distributions, exhaustive.perm_multi_avoiders,
+        exhaustive.word_multi_avoiders, exhaustive.word_avoider_counts,
+        problems.two_stack_sortable_count, problems.morphism_rises, checks._ank_scan.__wrapped__,
+        transfer.dp_series, transfer.series_row, transfer.solve_transfer_system,
+    ]
+
+    def __init__(self, monkeypatch):
+        self.entries = {fn.__code__ for fn in self.ENTRY_POINTS}
+        self.records: list[SimpleNamespace] = []
+        self.current: dict[int, SimpleNamespace] = {}
+        self.morphism = SimpleNamespace(counted=0)
+        self.walk, self.walk_code = None, exhaustive.prefix_walk.__code__
+        for module, name, wrap in (
+            (budget, "check_work", self._check),
+            (exhaustive, "matcher", lambda _: SimpleNamespace(search_ending_at=self._search)),
+            (transfer, "_window_occurrences", self._windows),
+            (transfer, "_lump", self._lump),
+            (transfer, "_step", self._step),
+            (transfer, "_decode", self._decode),
+            (problems, "MORPHISM", self._letters),
+        ):
+            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+    def record(self) -> SimpleNamespace | None:
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code not in self.entries:
+            frame = frame.f_back
+        return None if frame is None else self.current.get(id(frame))
+
+    def over(self) -> list[SimpleNamespace]:
+        return [rec for rec in self.records if rec.counted > rec.steps]
+
+    def _check(self, check_work):
+        def check(what, steps, bits, full_states=0, refuse=True):
+            fits = check_work(what, steps, bits, full_states, refuse)
+            frame = sys._getframe(1)
+            while fits and frame is not None:
+                if frame.f_code in self.entries:
+                    rec = SimpleNamespace(what=what, steps=steps, bits=bits, counted=0)
+                    self.records.append(rec)
+                    self.current[id(frame)] = rec
+                    if what == "morphism word":
+                        self.morphism = rec
+                    break
+                frame = frame.f_back
+            return fits
+
+        return check
+
+    def _search(self, pat, n, upper, first=False):
+        """The searches of one walk, the first of them counting its calls: a
+        walk calls its first stop, or with none its tally, once per node."""
+        search = matcher.search_ending_at(pat, n, upper, first)
+        walk, rec = sys._getframe(1), self.record()
+        while walk.f_code is not self.walk_code:  # past a comprehension's frame
+            walk = walk.f_back
+        if rec is None or walk is self.walk:
+            return search
+        self.walk = walk  # held, so that no later walk reuses its id
+
+        def counted(buf, d):
+            rec.counted += 1
+            return search(buf, d)
+
+        return counted
+
+    def _windows(self, window_occurrences):
+        def windows(pat, t):
+            ending_at_last, rec = window_occurrences(pat, t), self.record()
+
+            def counted(word):
+                rec.counted += 1
+                return ending_at_last(word)
+
+            return ending_at_last if rec is None else counted
+
+        return windows
+
+    def _lump(self, lump):
+        def lumped(edges, rounds):
+            rec = self.record()
+            if rec is not None:
+                rec.counted += min(lumping_rounds(edges), rounds) * sum(map(len, edges))
+            return lump(edges, rounds)
+
+        return lumped
+
+    def _step(self, step):
+        def stepped(weights, edges):
+            rec = self.record()
+            if rec is not None:
+                rec.counted += sum(len(out) * -(-w.bit_length() // budget.CHUNK_BITS)
+                                   for w, out in zip(weights, edges) if w)
+            return step(weights, edges)
+
+        return stepped
+
+    def _decode(self, decode):
+        def decoded(x, width):
+            rec = self.record()
+            if rec is not None and rec.what == "series":  # a solve's decoding is not charged
+                rec.counted += abs(x).bit_length() // (8 * width) + 1
+            return decode(x, width)
+
+        return decoded
+
+    def _letters(self, rules):
+        meter = self
+
+        class Letters(dict):
+            def __getitem__(self, letter):
+                image = dict.__getitem__(self, letter)
+                meter.morphism.counted += len(image)
+                return image
+
+        return Letters(rules)
+
+
+@pytest.fixture(autouse=True)
+def work_meter(monkeypatch):
+    meter = WorkMeter(monkeypatch)
+    yield meter
+    assert meter.over() == []

@@ -1,0 +1,183 @@
+"""The one work model: every budgeted computation predicts its steps and bits
+before it starts, and does no more than it predicted.
+
+The autouse `work_meter` fixture (conftest.py) checks counted against
+predicted steps around every test of the suite; the tests here add the
+benchmark's jobs, one input of each kind, and the bits, measured with
+tracemalloc.
+"""
+
+import contextlib
+import importlib
+import io
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from pdvp import budget, checks, cli, exhaustive, problems, transfer
+from pdvp.budget import EnumerationLimitError, check_work
+from pdvp.dsl import parse_gp, parse_pattern
+from pdvp.pattern import Mode
+from pdvp.transfer import StatPattern
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the benchmark's word jobs that the window automaton answers; the other
+# word jobs walk (seeded_dist_word_t3n8 has an infinite interior gap set)
+AUTOMATON_JOBS = {"dist_P_t4n8", "dist_S_t4n8", "avoid_pair_t3n10", "seeded_avoid_word_t3n7"}
+
+
+def _workloads(monkeypatch):
+    """perfbench/workloads.py, imported without writing any file there."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("workloads")
+
+
+def _parse(text, mode):
+    return parse_gp(text[3:], mode) if text.startswith("gp:") else parse_pattern(text, mode)
+
+
+def _run(job):
+    """The budgeted call of one benchmark job, as perfbench/child.py makes it."""
+    kind, perm, word = job["kind"], Mode.PERMUTATION, Mode.WORD
+    if kind == "perm_dist":
+        exhaustive.perm_distribution(_parse(job["pattern"], perm), job["n"])
+    elif kind == "word_dist":
+        exhaustive.word_distribution(_parse(job["pattern"], word), job["t"], job["n"])
+    elif kind == "perm_avoid":
+        exhaustive.perm_multi_avoiders([_parse(p, perm) for p in job["patterns"]], job["n"])
+    elif kind == "word_avoid":
+        pats = [_parse(p, word) for p in job["patterns"]]
+        exhaustive.word_multi_avoiders(pats, job["t"], job["n"])
+    elif kind == "problem":
+        problems.problem_report(job["which"], job["max_size"])
+    elif kind == "dp":
+        transfer.dp_series(StatPattern(_parse(job["pattern"], word)), job["t"], job["order"])
+    elif kind == "solve":
+        transfer.solve_transfer_system(StatPattern(_parse(job["pattern"], word)), job["t"])
+    else:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--check", job["check_id"]]) in (0, 1)
+
+
+def test_benchmark_jobs_stay_within_their_predictions(monkeypatch, work_meter):
+    workloads = _workloads(monkeypatch)
+    for cached in vars(checks).values():  # so that verify recomputes everything
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    jobs = [job for name in workloads.WORKLOADS for job in workloads.fixed_jobs(name)]
+    jobs += [job for seed in (0, 1) for name in workloads.WORKLOADS
+             for job in workloads.seeded_jobs(name, seed)]
+    for job in jobs:
+        start = len(work_meter.records)
+        _run(job)
+        made = work_meter.records[start:]
+        # fib-bij compares closed formulas only
+        assert made or job["id"] == "verify_fib-bij", job["id"]
+        assert all(rec.counted <= rec.steps for rec in made), job["id"]
+        if job["kind"] in ("word_dist", "word_avoid"):
+            want = "series" if job["id"] in AUTOMATON_JOBS else "scan"
+            assert made[-1].what == want, job["id"]
+    assert {rec.what for rec in work_meter.records} == {"scan", "series", "solve"}
+
+
+def test_every_kind_of_work_is_counted(work_meter):
+    word = Mode.WORD
+    rise = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", word)
+    exhaustive.word_distribution(parse_pattern("12|P,P,P|-|P,P", word), 3, 6)  # a walk
+    exhaustive.word_distribution(rise, 3, 40)  # the automaton's row
+    transfer.solve_transfer_system(StatPattern(rise), 5)
+    checks._ank_scan.__wrapped__(6)
+    problems.morphism_rises(12)
+    kinds = {rec.what: rec for rec in work_meter.records if rec.counted}
+    assert set(kinds) == {"scan", "series", "solve", "morphism word"}
+    assert work_meter.over() == []
+    # the solve counts exactly its 1 + 5 states' windows
+    assert kinds["solve"].counted == kinds["solve"].steps == 30
+
+
+def test_the_meter_sees_work_past_a_prediction(work_meter, monkeypatch):
+    # a prediction cut to a tenth is caught: the meter is not vacuous
+    work = transfer.series_work
+    monkeypatch.setattr(transfer, "series_work",
+                        lambda *args: (work(*args)[0] // 10, work(*args)[1]))
+    transfer.dp_series(checks.stat_pattern("d4"), 4, 30)
+    assert [rec.what for rec in work_meter.over()] == ["series"]
+    work_meter.records.clear()
+
+
+def _peak(run) -> tuple[int, int]:
+    """(tracemalloc peak in bytes, largest admitted prediction in bits, 0 when
+    none) of one call, after a first call has compiled and cached what it
+    needs."""
+    run()
+    bits = [0]
+    check = budget.check_work
+
+    def spy(what, steps, held, full_states=0, refuse=True):
+        fits = check(what, steps, held, full_states, refuse)
+        if fits:
+            bits.append(held)
+        return fits
+
+    budget.check_work = spy
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        budget.check_work = check
+    return peak, max(bits)
+
+
+def test_peak_memory_within_the_predicted_bits(monkeypatch):
+    monkeypatch.undo()  # measure without the work meter's wrappers
+    word = Mode.WORD
+    anchored = parse_pattern("11|P,{1},{1}|-|P,P", word)  # not a statistic: walked
+    repeat = parse_pattern("11|P,{1},P|-|P,P", word)
+    w4 = StatPattern(parse_pattern("12|P,{1,2,3},P|(1,2,{2})|P,P", word))
+    single = StatPattern(parse_pattern("1|P,P|-|{2}", word))
+    # the largest input of each kind, where the per-unit sizes dominate
+    runs = {
+        "walk": lambda: exhaustive.word_multi_avoiders([anchored], 1, 20000),
+        "every-length walk": lambda: exhaustive.word_distributions(repeat, 1, 5000),
+        "series row": lambda: exhaustive.word_distribution(repeat, 1, 12000),
+        "dp": lambda: transfer.dp_series(w4, 6, 60),
+        "one-state dp": lambda: transfer.dp_series(single, 2, 300),
+        "morphism word": lambda: problems.morphism_rises(17),
+    }
+    for kind, run in runs.items():
+        peak, bits = _peak(run)
+        assert peak <= bits // 8, (kind, peak, bits // 8)
+    # a solve predicts the bits of its automaton, and the cap of 64 full
+    # states bounds its elimination: the largest, W4 at t = 4
+    states = transfer._shape((w4,), 4)[2]
+    peak = _peak(lambda: transfer._automaton((w4,), 4, 3))[0]
+    assert peak <= states * 4 * budget.EDGE_BITS // 8
+
+
+def test_malformed_budgets_are_named(monkeypatch):
+    for raw in ("1e8", "-1", "", " 7 ", "1_000"):
+        monkeypatch.setenv("PDVP_BUDGET", raw)
+        if raw in ("1e8", "-1"):
+            with pytest.raises(ValueError, match=rf"^PDVP_BUDGET must be a non-negative integer, got '{raw}'$"):
+                check_work("scan", 0, 0)
+        else:
+            assert check_work("scan", 7, 0)
+    monkeypatch.setenv("PDVP_BUDGET", "0")
+    assert check_work("scan", 0, 0) and not check_work("scan", 1, 0, refuse=False)
+
+
+def test_predictions_saturate_at_once():
+    start = time.perf_counter()
+    top = budget.ceiling()
+    assert budget.power(3, 10**12) == top and budget.power(1, 10**12) == 1
+    assert budget.power(2, 10) == 1024
+    with pytest.raises(EnumerationLimitError, match=r"^x of at least 2\^\d+ steps exceeds the budget"):
+        check_work("x", top, 0)
+    assert time.perf_counter() - start < 1

@@ -145,7 +145,7 @@ def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     got = run(capsys, "problem", "--which", "4", "--max-size", "11")
     assert _one_line_error(*got)
-    assert "119481284 walk nodes" in got[2] and "the budget 100000000" in got[2]
+    assert got[2] == "error: scan of 119481284 steps exceeds the budget 100000000\n"
 
 
 @pytest.mark.parametrize(
@@ -166,7 +166,7 @@ def test_scans_obey_the_budget_env_var(monkeypatch, capsys, argv, nodes):
     got = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert _one_line_error(*got)
-    assert got[2] == f"error: scan of {nodes} walk nodes exceeds the budget 100\n"
+    assert got[2] == f"error: scan of {nodes} steps exceeds the budget 100\n"
 
 
 def test_problem_one_above_the_printable_size_exits_2(capsys):
@@ -181,22 +181,27 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
     got = run(capsys, "gf", "--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "3",
               "--dp", "--max-n", "100000000")
     assert _one_line_error(*got)
-    assert "100000001 orders" in got[2] and "the budget 100000" in got[2]
+    assert got[2].startswith("error: series of ") and " steps exceeds the budget 100000000" in got[2]
 
 
 @pytest.mark.parametrize(
     "argv, sizes",
     [
         (["--pattern", "1|P,P|-|{2}", "--alphabet", "1000000000", "--dp", "--max-n", "1"],
-         ("alphabet size 1000000000", "the budget 4096")),
+         ("error: series of ", " steps exceeds the budget 100000000")),
         (["--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "4000", "--solve"],
-         ("4000^1 = 4000", "the solve budget 64")),
+         ("error: solve of 4000 full states", "exceeds the solve cap 64")),
         # one state, but every step walks its 4096 edges
         (["--pattern", "1|P,P|-|{2}", "--alphabet", "4096", "--dp", "--max-n", "99999"],
-         ("4096 letters x 100000 orders = 409600000 edges", "the budget 100000")),
+         ("error: series of ", " steps exceeds the budget 100000000")),
         # 12002 edges, but the rows would hold about 6000^3 bits
         (["--pattern", "1|P,P|-|{2}", "--alphabet", "2", "--dp", "--max-n", "6000"],
-         ("= 216396156016 bits", "the budget 1073741824")),
+         ("error: series of ", " bits exceeds the bound 1073741824")),
+        # 2^(10^12) states: refused before they are counted
+        (["--pattern", "12|P,{1000000000000},P|-|P,P", "--alphabet", "2", "--dp"],
+         ("error: series of at least 2^", " steps exceeds the budget 100000000")),
+        (["--pattern", "12|P,{1000000000000},P|-|P,P", "--alphabet", "2", "--solve"],
+         ("error: solve of at least 2^", " full states exceeds the solve cap 64")),
     ],
 )
 def test_gf_budgets_exit_2_before_the_work(capsys, argv, sizes):
@@ -275,6 +280,25 @@ def test_budget_env_var(monkeypatch, capsys):
     rc, _, err = run(capsys, "dist", "--pattern", "gp:1-2", "--perm-n", "6")
     assert rc == 2
     assert "the budget 100" in err
+    # int() spellings are valid; anything else, or a negative budget, is named
+    monkeypatch.setenv("PDVP_BUDGET", " 1_956 ")
+    assert run(capsys, "dist", "--pattern", "gp:1-2", "--perm-n", "6")[0] == 0
+    for raw in ("1e8", "-1", "ten"):
+        monkeypatch.setenv("PDVP_BUDGET", raw)
+        got = run(capsys, "dist", "--pattern", "gp:1-2", "--perm-n", "0")
+        assert _one_line_error(*got)
+        assert got[2] == f"error: PDVP_BUDGET must be a non-negative integer, got {raw!r}\n"
+
+
+def test_huge_finite_gap_sets_are_walked(capsys):
+    # 2^(10^12) states are never built: the walk answers, at 14 nodes
+    gap = "12|P,{1000000000000},P|-|P,P"
+    start = time.perf_counter()
+    assert run(capsys, "dist", "--pattern", gap, "--word-n", "3", "--alphabet", "2") == (
+        0, "0 8\n", "")
+    assert run(capsys, "avoid", "--pattern", gap, "--word-n", "3", "--alphabet", "2") == (
+        0, "8\n", "")
+    assert time.perf_counter() - start < 1
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -8,12 +8,11 @@ import pytest
 from conftest import naive_occurrences, random_pattern, random_set
 
 from pdvp import exhaustive
+from pdvp.budget import EnumerationLimitError
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.cli import main
 from pdvp.dsl import parse_gp, parse_pattern, render_pattern
 from pdvp.exhaustive import (
-    DEFAULT_SCAN_BUDGET,
-    EnumerationLimitError,
     check_scan,
     perm_distribution,
     perm_multi_avoiders,
@@ -27,7 +26,7 @@ from pdvp.intset import EVENS, POSITIVES, finite
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
 from pdvp.problems import problem_report, two_stack_sortable_count
-from pdvp.transfer import SeriesBudgetError, StatPattern, series_row
+from pdvp.transfer import StatPattern, series_row
 
 
 def test_distribution_partitions_the_symmetric_group():
@@ -59,20 +58,26 @@ def test_zero_entry_at_m0_equals_single_avoider_count():
 def test_perm_limit_error_names_limit(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     with pytest.raises(EnumerationLimitError,
-                       match=r"^scan of 108505111 walk nodes exceeds the budget 100000000$"):
+                       match=r"^scan of 108505111 steps exceeds the budget 100000000$"):
         perm_distribution(make_classical((1, 2)), 11)
     monkeypatch.setenv("PDVP_BUDGET", "63")
     with pytest.raises(EnumerationLimitError,
-                       match=r"^scan of 64 walk nodes exceeds the budget 63$"):
+                       match=r"^scan of 64 steps exceeds the budget 63$"):
         perm_distribution(make_classical((1, 2)), 4)
 
 
 def test_word_budget_error(monkeypatch):
     pat = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
+    # the window automaton's prediction fits 3^8 steps, so no word is walked
     monkeypatch.setenv("PDVP_BUDGET", str(3**8))
+    with monkeypatch.context() as patched:
+        patched.setattr(exhaustive, "prefix_walk", _no_walk)
+        assert word_distribution(pat, 3, 9).total() == 3**9
+    # under 100 steps neither fits, and the walk's refusal is reported:
     # 3 + 9 + ... + 3^9 prefixes
+    monkeypatch.setenv("PDVP_BUDGET", "100")
     with pytest.raises(EnumerationLimitError,
-                       match=r"^scan of 29523 walk nodes exceeds the budget 6561$"):
+                       match=r"^scan of 29523 steps exceeds the budget 100$"):
         word_distribution(pat, 3, 9)
 
 
@@ -212,27 +217,35 @@ def _prefixes(n, t):
 
 
 def _refusal(nodes, budget):
-    return rf"^scan of {nodes} walk nodes exceeds the budget {budget}$"
+    return rf"^scan of {nodes} steps exceeds the budget {budget}$"
+
+
+# A closing gap set of P lets one walk settle every length; {1} does not.
+_FREE = "12|P,{2},P|(1,2,{2})|P,P"
+_ANCHORED = "12|P,{2},{1}|(1,2,{2})|P,P"
 
 
 def test_walk_nodes_are_the_prefixes_itertools_enumerates(monkeypatch):
+    # an every-length scan of an anchored word pattern walks each length
+    anchored = [parse_pattern(_ANCHORED, Mode.WORD)]
     for t in (None, 1, 2, 3, 4):
+        pats = () if t is None else anchored
         total = 0  # the nodes of one walk of each length 0..n
         for n in range(7):
             nodes = len(_prefixes(n, t))
             total += nodes
             for each_length, want in ((False, nodes), (True, total)):
                 monkeypatch.setenv("PDVP_BUDGET", str(want))
-                check_scan((), t, n, each_length)
+                check_scan(pats, t, n, each_length)
                 if want:
                     monkeypatch.setenv("PDVP_BUDGET", str(want - 1))
                     with pytest.raises(EnumerationLimitError, match=_refusal(want, want - 1)):
-                        check_scan((), t, n, each_length)
+                        check_scan(pats, t, n, each_length)
 
 
 def test_scan_budget_boundaries(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
-    assert DEFAULT_SCAN_BUDGET == 10**8
+    anchored = [parse_pattern(_ANCHORED, Mode.WORD)]
     start = time.perf_counter()
     check_scan((), None, 10)
     check_scan((), 2, 25)
@@ -242,13 +255,18 @@ def test_scan_budget_boundaries(monkeypatch):
     # inputs far past the budget are refused as fast; a count too long to
     # print is named by its lower bound
     for t, n in ((None, 10**12), (3, 10**9), (10**50, 10**9)):
-        with pytest.raises(EnumerationLimitError, match=r"^scan of at least 8\^\d+ walk nodes"):
-            check_scan((), t, n, each_length=True)
+        with pytest.raises(EnumerationLimitError, match=r"^scan of at least 2\^\d+ steps"):
+            check_scan(() if t is None else anchored, t, n, each_length=True)
     with pytest.raises(EnumerationLimitError, match=_refusal(10**9 * (10**9 + 1) // 2, 10**8)):
-        check_scan((), 1, 10**9, each_length=True)
+        check_scan(anchored, 1, 10**9, each_length=True)
+    # a walk of 10^8 one-letter positions fits the steps but not the bits
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 76800000000 bits exceeds the bound 1073741824$"):
+        check_scan((), 1, 10**8)
     assert time.perf_counter() - start < 1
-    # a word space whose node count equals the budget runs; one node more does not
-    pat = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
+    # a word space whose node count equals the budget runs; one node more
+    # does not (the pattern's interior gap set is infinite, so it is walked)
+    pat = parse_pattern("12|P,P,P|(1,2,{1})|P,P", Mode.WORD)
     monkeypatch.setenv("PDVP_BUDGET", str(3 + 9 + 27 + 81 + 243))
     assert word_multi_avoiders([pat], 3, 5) == sum(
         1 for w in product((1, 2, 3), repeat=5) if not naive_occurrences(pat, WordSequence(w, 3))
@@ -256,11 +274,6 @@ def test_scan_budget_boundaries(monkeypatch):
     monkeypatch.setenv("PDVP_BUDGET", str(3 + 9 + 27 + 81 + 243 - 1))
     with pytest.raises(EnumerationLimitError, match=_refusal(363, 362)):
         word_multi_avoiders([pat], 3, 5)
-
-
-# A closing gap set of P lets one walk settle every length; {1} does not.
-_FREE = "12|P,{2},P|(1,2,{2})|P,P"
-_ANCHORED = "12|P,{2},{1}|(1,2,{2})|P,P"
 
 
 @pytest.mark.parametrize(
@@ -395,7 +408,7 @@ def test_window_avoid_sets_equal_the_walks_and_the_naive_recount(rng, monkeypatc
 def test_series_refusals_fall_back_to_the_walk(monkeypatch):
     pat = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
     start = time.perf_counter()
-    with pytest.raises(SeriesBudgetError, match=r"^alphabet size 4097 exceeds the budget 4096$"):
+    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget"):
         series_row([StatPattern(pat)], 4097, 1)
     assert time.perf_counter() - start < 1
     walks = []
@@ -411,6 +424,21 @@ def test_series_refusals_fall_back_to_the_walk(monkeypatch):
     assert dict(word_distribution(wide, 2, 3).counts) == {0: 4, 1: 2, 2: 2}
     assert word_multi_avoiders([pat, wide], 2, 3) == 4
     assert len(walks) == 4
+    # so does a window too wide to count its states: 2^(10^12) of them
+    huge = parse_pattern("12|P,{1000000000000},P|-|P,P", Mode.WORD)
+    assert dict(word_distribution(huge, 2, 3).counts) == {0: 8}
+    assert word_multi_avoiders([huge], 2, 3) == 8
+    assert len(walks) == 6
+    assert time.perf_counter() - start < 1
+
+
+def test_routed_rows_are_sized_by_the_automaton(monkeypatch):
+    # 2^31 - 2 walk nodes, but the automaton's row takes a few hundred steps
+    rise = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
+    monkeypatch.setattr(exhaustive, "prefix_walk", _no_walk)
+    table = word_distribution(rise, 2, 30)
+    assert table.total() == 2**30 and table[15] == 1
+    assert word_multi_avoiders([rise], 2, 30) == 31
 
 
 def _cli(capsys, argv):

@@ -1,5 +1,5 @@
 """Only matcher.py and transfer.py may use their private names, the
-matcher has one search, and only exhaustive.py decides the scan budget.
+matcher has one search, and only `budget.check_work` decides a budget.
 
 Other modules reach the matcher and the polynomials through their public
 entry points, so the matcher's compiled tables and search, and the layout
@@ -170,38 +170,52 @@ def test_the_cache_lint_sees_every_spelling():
     assert _unbounded_caches(ast.parse(source)) == [2, 3, 5, 7]
 
 
+_BUDGET_DEFAULT = re.compile(r"DEFAULT_\w*(BUDGET|BITS)")
+
+
 def _budget_uses(tree: ast.AST) -> list[tuple[int, str]]:
     """(line, name) wherever code reads PDVP_BUDGET, i.e. a string constant
-    outside the docstrings names it, or names the scan-budget constant."""
+    outside the docstrings names it, or names a budget default
+    (DEFAULT_..._BUDGET or DEFAULT_..._BITS), defining it included."""
     skip = _docstrings(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in skip and "PDVP_BUDGET" in node.value:
                 found.append((node.lineno, "PDVP_BUDGET"))
-        elif _callee(node) == "DEFAULT_SCAN_BUDGET":
-            found.append((node.lineno, "DEFAULT_SCAN_BUDGET"))
+        elif _BUDGET_DEFAULT.fullmatch(_callee(node) or ""):
+            found.append((node.lineno, _callee(node)))
         elif isinstance(node, ast.ImportFrom):
             found += [
                 (node.lineno, alias.name)
                 for alias in node.names
-                if alias.name == "DEFAULT_SCAN_BUDGET"
+                if _BUDGET_DEFAULT.fullmatch(alias.name)
             ]
     return sorted(found)
 
 
-def test_only_exhaustive_decides_the_scan_budget():
+def test_only_the_work_check_decides_a_budget():
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "exhaustive.py":
+        if path.name != "budget.py":
             assert _budget_uses(ast.parse(path.read_text())) == [], path.name
-    tree = ast.parse((PACKAGE / "exhaustive.py").read_text())
-    reads = [line for line, name in _budget_uses(tree) if name == "PDVP_BUDGET"]
-    readers = [
+    tree = ast.parse((PACKAGE / "budget.py").read_text())
+    # the module-level definitions of the defaults, and every other use
+    # inside check_work alone
+    defined = {
+        target.lineno
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+    }
+    uses = [(line, name) for line, name in _budget_uses(tree) if line not in defined]
+    readers = {
         node.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.lineno <= min(reads) <= node.end_lineno
-    ]
-    assert len(reads) == 1 and readers == ["check_scan"]
+        if isinstance(node, ast.FunctionDef)
+        for line, _ in uses
+        if node.lineno <= line <= node.end_lineno
+    }
+    assert sum(name == "PDVP_BUDGET" for _, name in uses) == 1 and readers == {"check_work"}
 
 
 def test_the_budget_lint_sees_every_spelling():
@@ -218,8 +232,15 @@ def test_the_budget_lint_sees_every_spelling():
         "    return os.getenv('PDVP_BUDGET', 10)\n"
         "note = f'set PDVP_BUDGET above {size}'\n"
         "other = os.environ.get('PDVP_OTHER')\n"
+        "DEFAULT_STATE_BUDGET = 4096\n"
+        "cap = transfer.DEFAULT_SOLVE_BUDGET\n"
+        "edges = DEFAULT_SERIES_BUDGET * DEFAULT_SERIES_BITS\n"
+        "from .problems import DEFAULT_WORD_LENGTH_BUDGET\n"
+        "DEFAULT_ALPHABET = 26\n"
     )
-    assert [line for line, _ in _budget_uses(ast.parse(source))] == [3, 4, 5, 6, 7, 10, 11]
+    assert [line for line, _ in _budget_uses(ast.parse(source))] == [
+        3, 4, 5, 6, 7, 10, 11, 13, 14, 15, 15, 16
+    ]
 
 
 # Definitions that nothing in the package refers to, kept on purpose.

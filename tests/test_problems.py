@@ -7,7 +7,8 @@ import pytest
 
 from conftest import naive_occurrences
 
-from pdvp.exhaustive import EnumerationLimitError
+from pdvp import problems
+from pdvp.budget import EnumerationLimitError
 from pdvp.matcher import PermSequence, avoids
 from pdvp.pattern import make_classical
 from pdvp.problems import (
@@ -27,9 +28,17 @@ def test_morphism_first_iterates():
     assert len(word) == 12 and rises == 6
 
 
-def test_morphism_budget():
-    with pytest.raises(ValueError, match="length budget 1000000$"):
+def test_morphism_budget(monkeypatch):
+    # the iterate's length comes from its letter counts, before any letter
+    # is built: 3 * 2^39 letters at the 40th
+    built = []
+    monkeypatch.setattr(problems, "MORPHISM", built)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match=r"^morphism word of \d+ steps exceeds the budget"):
         morphism_rises(40)
+    with pytest.raises(EnumerationLimitError, match=r"^morphism word of at least 2\^\d+ steps"):
+        morphism_rises(10**18)
+    assert time.perf_counter() - start < 1
 
 
 def test_walk_families():
@@ -111,7 +120,7 @@ def test_problem_four_refuses_sizes_above_the_scan_limit_at_once(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     start = time.perf_counter()
     # S_1..S_11: 10976173 nodes up to S_10, and 108505111 for S_11
-    with pytest.raises(EnumerationLimitError, match=r"^scan of 119481284 walk nodes exceeds "
+    with pytest.raises(EnumerationLimitError, match=r"^scan of 119481284 steps exceeds "
                        r"the budget 100000000$"):
         problem_report(4, 11)
     assert time.perf_counter() - start < 1

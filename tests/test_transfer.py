@@ -8,12 +8,12 @@ import pytest
 from conftest import fib_series_gf, naive_occurrences
 
 from pdvp import checks
+from pdvp.budget import EnumerationLimitError
 from pdvp.dsl import parse_pattern
 from pdvp.exhaustive import word_distributions
 from pdvp.matcher import WordSequence
 from pdvp.pattern import Mode
 from pdvp.transfer import (
-    DEFAULT_STATE_BUDGET,
     ONE,
     Q,
     RationalGF,
@@ -27,10 +27,12 @@ from pdvp.transfer import (
     _decode,
     _lump,
     _mul_acc,
+    _shape,
     dp_series,
     expand_rational,
     gf_equal_series,
     series_row,
+    series_work,
     solve_transfer_system,
 )
 
@@ -370,30 +372,43 @@ def test_dp_matches_word_scan_bivariately():
 
 
 def test_dp_state_budget():
+    # the full states set the predicted work: 90301 states at t = 300, each
+    # with 300 edges and up to 602 lumping rounds
     sp = checks.stat_pattern("a4")
-    with pytest.raises(ValueError, match=r"state count 65\^2 exceeds the budget 4096$"):
-        dp_series(sp, 65, 5)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
+        dp_series(sp, 300, 5)
+    assert time.perf_counter() - start < 1
+
+
+_HUGE_GAP = "12|P,{1000000000000},P|-|P,P"
 
 
 @pytest.mark.parametrize(
     "text, t, method, message",
     [
-        # one state, so only the alphabet decides the work of a step
-        ("1|P,P|-|{2}", 10**9, "dp", r"alphabet size 1000000000 exceeds the budget 4096$"),
-        ("1|P,P|-|{2}", 4097, "solve", r"alphabet size 4097 exceeds the budget 4096$"),
-        # 4000 states pass the state budget but not the solve budget
+        # one state, but 10^9 windows
+        ("1|P,P|-|{2}", 10**9, "dp", r"^series of \d+ steps exceeds the budget 100000000$"),
+        # 4098 states of 4097 edges, each lumped in up to 4098 rounds
+        ("12|P,{1},P|(1,2,{2})|P,P", 4097, "dp",
+         r"^series of \d+ steps exceeds the budget 100000000$"),
         ("12|P,{1},P|(1,2,{2})|P,P", 4000, "solve",
-         r"solved state count 4000\^1 = 4000 exceeds the solve budget 64$"),
+         r"^solve of 4000 full states exceeds the solve cap 64$"),
         ("12|P,{1},P|(1,2,{2})|P,P", 65, "solve",
-         r"solved state count 65\^1 = 65 exceeds the solve budget 64$"),
+         r"^solve of 65 full states exceeds the solve cap 64$"),
         ("12|P,{1,2,3},P|(1,2,{2})|P,P", 5, "solve",
-         r"solved state count 5\^3 = 125 exceeds the solve budget 64$"),
+         r"^solve of 125 full states exceeds the solve cap 64$"),
+        # 2^(10^12) states: counted only up to the ceiling, never computed
+        (_HUGE_GAP, 2, "dp", r"^series of at least 2\^\d+ steps exceeds the budget 100000000$"),
+        (_HUGE_GAP, 2, "solve", r"^solve of at least 2\^\d+ full states exceeds the solve cap 64$"),
     ],
+    ids=["dp-one-state-t1e9", "dp-t4097", "solve-4000", "solve-65", "solve-125",
+         "dp-huge-gap", "solve-huge-gap"],
 )
 def test_gf_budgets_fail_before_the_work(text, t, method, message):
     sp = StatPattern(parse_pattern(text, Mode.WORD))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(EnumerationLimitError, match=message):
         if method == "dp":
             dp_series(sp, t, 1)
         else:
@@ -402,24 +417,27 @@ def test_gf_budgets_fail_before_the_work(text, t, method, message):
 
 
 def test_alphabet_budget_admits_its_limit():
+    # no limit on the alphabet itself: a one-state automaton at 4097 letters
+    # (refused by an alphabet limit of 4096 before the one work budget) has
+    # 4097 windows
     single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
-    assert dp_series(single, DEFAULT_STATE_BUDGET, 1).totals() == [1, DEFAULT_STATE_BUDGET]
+    assert dp_series(single, 4097, 1).totals() == [1, 4097]
+    gf = solve_transfer_system(single, 4097)
+    assert expand_rational(gf, 3) == dp_series(single, 4097, 3)
 
 
 def test_dp_series_budget_fails_before_the_work():
     sp = checks.stat_pattern("b3")
     single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"3\^1 states x 3 letters x 100000001 orders = "
-                       r"900000009 edges exceeds the budget 100000$"):
+    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
         dp_series(sp, 3, 10**8)
     # one state, but every step walks its 4096 edges
-    with pytest.raises(ValueError, match=r"4096\^0 states x 4096 letters x 100000 orders = "
-                       r"409600000 edges exceeds the budget 100000$"):
+    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
         dp_series(single, 4096, 99999)
     # 12002 edges, but the rows would hold about 6000^3 bits
-    with pytest.raises(ValueError, match=r"series memory \(1 states \+ 6001 orders\) x 6001 slots"
-                       r" x 6008 bits = 216396156016 bits exceeds the budget 1073741824$"):
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^series of \d+ bits exceeds the bound 1073741824$"):
         dp_series(single, 2, 6000)
     assert time.perf_counter() - start < 1
     assert len(dp_series(sp, 3, 300).z0_series()) == 301
@@ -616,8 +634,10 @@ def _lump_cases():
 
 def test_lumped_partition_is_stable():
     for sps, t in _lump_cases():
-        edges = _automaton(sps, t, max(sp.window_width for sp in sps) - 1)
-        classes = _lump(edges)
+        keep = max(sp.window_width for sp in sps) - 1
+        edges = _automaton(sps, t, keep)
+        classes = _lump(edges, _shape(sps, t)[3])
+        assert classes == _lump(edges, len(edges))  # stable within the rounds allowed
         assert classes[0] == 0
         # numbered by first appearance in state order
         seen = []
@@ -644,18 +664,27 @@ def test_lumped_partition_is_stable():
 def test_lumped_class_counts(text, t, states, count):
     sp = StatPattern(parse_pattern(text, Mode.WORD))
     edges = _automaton((sp,), t, sp.window_width - 1)
-    assert (len(edges), max(_lump(edges)) + 1) == (states, count)
+    assert (len(edges), max(_lump(edges, _shape((sp,), t)[3])) + 1) == (states, count)
+
+
+def test_lumping_past_its_rounds_keeps_every_state():
+    # W4 at t = 4 needs more than one round; cut short, the trivial
+    # partition is as exact, and the dp still sums the same series
+    sp = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
+    edges = _automaton((sp,), 4, 3)
+    assert _lump(edges, 1) == list(range(85))
 
 
 def test_series_row_budget_charges_one_row():
     # dp_series keeps every row, series_row only the weights and the last row
     single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"series memory \(1 states \+ 50000 orders\) x 50000 slots"
-                       r" x 50008 bits = 125022500400000 bits exceeds the budget 1073741824$"):
+    rows = series_work((single,), 2, 49999, 50000)[1]
+    one_row = series_work((single,), 2, 49999, 1)[1]
+    assert rows > 1000 * one_row
+    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
         dp_series(single, 2, 49999)
-    with pytest.raises(ValueError, match=r"series memory \(1 states \+ 1 orders\) x 50000 slots"
-                       r" x 50008 bits = 5000800000 bits exceeds the budget 1073741824$"):
+    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
         series_row([single], 2, 49999)
     assert time.perf_counter() - start < 1
 
