@@ -132,8 +132,7 @@ def mod4_pattern() -> Pdvp:
 # check plumbing
 
 # entries per cache below: one `pdvp verify` stores at most 9 in any of them
-# (`_ank_scan` for n = 1..9, `_dp_table` for 7 names at order 14 and 2 more),
-# so it recomputes nothing
+# (`_dp_table` for 7 names at order 14 and 2 more), so it recomputes nothing
 _CACHE_SIZE = 16
 
 
@@ -157,10 +156,8 @@ class CheckResult:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _classical_rows(base: tuple[int, ...], kmax: int):
-    return {
-        k: dict(exhaustive.perm_distribution(make_classical(base), k).counts)
-        for k in range(kmax + 1)
-    }
+    tables = exhaustive.perm_distributions(make_classical(base), kmax)
+    return {k: dict(table.counts) for k, table in enumerate(tables)}
 
 
 def check_eq1() -> CheckResult:
@@ -224,29 +221,36 @@ def _shifted_rise_pattern(k: int) -> Pdvp:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _ank_scan(n: int) -> dict[int, tuple[int, int]]:
-    """For k = 1..3: (avoider count, exactly-one count) over V-permutations."""
+def _ank_scan(n_max: int) -> tuple[dict[int, tuple[int, int]], ...]:
+    """For n = 0..n_max and k = 1..3: (avoider count, exactly-one count) of
+    the k-th shifted rise over the V-permutations of S_n.
+
+    The two blocks are consecutive patterns, so one walk over the generating
+    tree settles every length; a kept prefix is standardised to its
+    permutation before the rises, which compare values, are counted.
+    """
     ks = (1, 2, 3)
-    avoid = {k: 0 for k in ks}
-    exactly_one = {k: 0 for k in ks}
     rises = [_shifted_rise_pattern(k) for k in ks]
-    exhaustive.check_scan((), None, n)
-    for pi, _ in exhaustive.prefix_walk(n, avoid=[_CONS_231, _CONS_132]):
+    walked = [_CONS_231, _CONS_132]
+    exhaustive.check_scan(walked, None, n_max, each_length=True)
+    scans = [{k: [0, 0] for k in ks} for _ in range(n_max + 1)]
+    for entries, _ in exhaustive.prefix_walk(n_max, avoid=walked, prefixes=True):
+        rank = {v: r for r, v in enumerate(sorted(entries), 1)}
+        pi = [rank[v] for v in entries]
         for k, rise in zip(ks, rises):
-            c = matcher.count_entries(rise, pi, n + 1)
-            if c == 0:
-                avoid[k] += 1
-            elif c == 1:
-                exactly_one[k] += 1
-    return {k: (avoid[k], exactly_one[k]) for k in ks}
+            c = matcher.count_entries(rise, pi, len(pi) + 1)
+            if c <= 1:
+                scans[len(pi)][k][c] += 1
+    return tuple({k: tuple(pair) for k, pair in scan.items()} for scan in scans)
 
 
 def check_ank() -> CheckResult:
     """V-shaped avoiders: piecewise formula, the k=2 slice, and the
     exactly-one-occurrence identity."""
     t = CheckResult("ank")
+    scans = _ank_scan(9)
     for n in range(1, 10):
-        scan = _ank_scan(n)
+        scan = scans[n]
         for k in (1, 2, 3):
             t.expect(f"a({n},{k}) vs scan", formulas.a_nk(n, k), scan[k][0])
     t.expect(
@@ -255,7 +259,7 @@ def check_ank() -> CheckResult:
         ANK_K2_REFERENCE,
     )
     for n in range(1, 10):
-        scan = _ank_scan(n)
+        scan = scans[n]
         for k in (1, 2, 3):
             t.expect(
                 f"exactly-one count at n={n}, k={k} vs 2^(n-1) - a(n,{k})",

@@ -23,6 +23,9 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
+from itertools import islice
+from typing import Callable, Iterable
 
 from . import checks, exhaustive, problems, transfer
 from .dsl import ParseError, parse_gp, parse_pattern, render_pattern
@@ -41,13 +44,20 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in toks)
 
 
-def _emit(args, text: str, json_obj) -> None:
-    payload = json.dumps(json_obj, indent=2) if args.format == "json" else text
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+def _emit(args, lines: Iterable[str], json_obj: Callable[[], object]) -> None:
+    """Write the output to --out or stdout: the text `lines`, each as it is
+    rendered, or the indented JSON of `json_obj()`.  Only the format asked
+    for is built, so `lines` may be a generator and `json_obj` is called only
+    for JSON."""
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            chunks = json.JSONEncoder(indent=2).iterencode(json_obj())
+            while batch := "".join(islice(chunks, 4096)):
+                fh.write(batch)
+            fh.write("\n")
+        else:
+            for line in lines:
+                fh.write(line + "\n")
 
 
 def _table_json(table: exhaustive.DistributionTable) -> dict:
@@ -96,7 +106,7 @@ def _cmd_match(args) -> int:
             for occ in occs
         ],
     }
-    _emit(args, "\n".join(lines) if lines else "no occurrences", obj)
+    _emit(args, lines or ["no occurrences"], lambda: obj)
     return 0
 
 
@@ -108,7 +118,7 @@ def _cmd_dist(args) -> int:
         pat = _parse_any_pattern(args.pattern, Mode.WORD)
         table = exhaustive.word_distribution(pat, args.alphabet, args.word_n)
     lines = [f"{m} {table.counts[m]}" for m in sorted(table.counts)]
-    _emit(args, "\n".join(lines), _table_json(table))
+    _emit(args, lines, lambda: _table_json(table))
     return 0
 
 
@@ -128,7 +138,7 @@ def _cmd_avoid(args) -> int:
         n = args.word_n
         count = exhaustive.word_multi_avoiders(pats, args.alphabet, n)
     obj = {"n": n, "patterns": [render_pattern(p) for p in pats], "avoiders": str(count)}
-    _emit(args, str(count), obj)
+    _emit(args, [str(count)], lambda: obj)
     return 0
 
 
@@ -137,12 +147,11 @@ def _cmd_gf(args) -> int:
     sp = transfer.StatPattern(pat)
     if args.solve:
         gf = transfer.solve_transfer_system(sp, args.alphabet)
-        text = f"({gf.num!r}) / ({gf.den!r})"
-        _emit(args, text, gf.to_json_obj())
+        _emit(args, [f"({gf.num!r}) / ({gf.den!r})"], gf.to_json_obj)
     else:
         table = transfer.dp_series(sp, args.alphabet, args.max_n)
-        lines = [f"q^{n}: {_zpoly_text(table.z_poly(n))}" for n in range(table.n_max + 1)]
-        _emit(args, "\n".join(lines), table.to_json_obj())
+        lines = (f"q^{n}: {_zpoly_text(table.z_poly(n))}" for n in range(table.n_max + 1))
+        _emit(args, lines, table.to_json_obj)
     return 0
 
 
@@ -166,13 +175,13 @@ def _cmd_verify(args) -> int:
         "checks": [{"name": r.name, "ok": r.ok, "lines": r.lines} for r in results],
         "all_ok": all_ok,
     }
-    _emit(args, "\n".join(lines), obj)
+    _emit(args, lines, lambda: obj)
     return 0 if all_ok else 1
 
 
 def _cmd_problem(args) -> int:
     report = problems.problem_report(args.which, args.max_size)
-    _emit(args, report.to_text(), report.to_json_obj())
+    _emit(args, [report.to_text()], report.to_json_obj)
     return 0
 
 

@@ -4,7 +4,17 @@ Every scan here is one depth-first walk over prefixes (`prefix_walk`): a
 prefix of length p already decides every occurrence that ends at p, so each
 step adds the occurrences ending at the new position, and a branch is
 dropped as soon as an avoided pattern ends there.  Only the walk's buffer is
-ever materialised.  The one exception is a single-length word scan
+ever materialised.  A walk has one of two child steps:
+
+* the value walk appends an unused value (over S_n) or any letter (over
+  {1..t}^n), so it visits the objects in lexicographic order;
+* the generating tree (West 1996) appends a last entry of rank r in 1..d+1
+  to a permutation of S_d.  A permutation scan takes it when every pattern
+  is order-only (`order_only`): then the occurrences ending at a position
+  depend only on how the prefix is ordered, and the tree visits each
+  permutation of S_d once, for every d.
+
+The one exception to walking is a single-length word scan
 (`word_distribution`, `word_multi_avoiders`) whose patterns are all
 bounded-window statistics (`transfer.StatPattern`): its answer is row n of
 the series of their window automaton (`transfer.series_row`) when that
@@ -41,30 +51,48 @@ class DistributionTable:
         return sum(self.counts.values())
 
 
+def order_only(pat: Pdvp) -> bool:
+    """Whether the occurrences of `pat` in a permutation depend only on how its
+    entries are ordered: every Z set and every Y set holds every positive
+    integer.  Then a Z or Y test passes on any distinct positive values below
+    the high sentinel, and the gap sets X constrain positions only."""
+    return all(s.steps == (1,) for s in pat.z) and all(d.steps == (1,) for _, _, d in pat.y)
+
+
 def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = False) -> bool:
     """Validate a scan of `pats` over S_n (t None) or {1..t}^n and check its
     predicted work (see `budget`): one walk of length n or, with
-    `each_length`, n + 1 rows, from one walk when every pattern is a word
-    pattern whose closing gap set is P (its occurrences do not depend on the
-    final length), else from one walk per length.  Returns whether one does.
+    `each_length`, n + 1 rows, from one walk when every pattern's closing gap
+    set is P (its occurrences do not depend on the final length) and the
+    scan is over words or on the generating tree, else from one walk per
+    length.  Returns whether one walk does.
 
     A walk of length k holds k positions and has a node, a step, per prefix
-    of length d = 1..k: k!/(k-d)! of them over S_k and t^d over {1..t}^k,
-    so W(k) = f(k) * (1 + W(k - 1)) with W(0) = 0 and f(k) = k or t.
+    of length d = 1..k that it tries, counted unpruned: over {1..t}^k t^d of
+    them and over S_k by values k!/(k-d)!, so W(k) = f(k) * (1 + W(k - 1))
+    with W(0) = 0 and f(k) = t or k; on the generating tree (every pattern
+    order-only) d!, so W(k) = 1! + 2! + ... + k!.
     """
     perm = t is None
     if not perm and t < 1:
         raise ValueError("alphabet size must be positive")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    one_walk = not each_length or (not perm and all(pat.x[-1].steps == (1,) for pat in pats))
+    tree = perm and all(map(order_only, pats))
+    one_walk = not each_length or (
+        (tree or not perm) and all(pat.x[-1].steps == (1,) for pat in pats))
     if t == 1:
         nodes = n if one_walk else n * (n + 1) // 2  # one node per length
     else:
         top = budget.ceiling()
         walk = nodes = 0
+        k_factorial = 1
         for k in range(1, n + 1):
-            walk = (k if perm else t) * (walk + 1)  # W(k)
+            if tree:
+                k_factorial *= k
+                walk += k_factorial
+            else:
+                walk = (k if perm else t) * (walk + 1)  # W(k)
             nodes = walk if one_walk else nodes + walk
             if nodes >= top:
                 break
@@ -84,7 +112,7 @@ def prefix_walk(
     cap: int | None = None,
     prefixes: bool = False,
 ) -> Iterator[tuple[list[int], int]]:
-    """Walk S_n (t None) or {1..t}^n in lexicographic order, one position at a time.
+    """Walk S_n (t None) or {1..t}^n one position at a time.
 
     Yields (entries, c) for every object that no pattern in `avoid` occurs
     in: c is the number of occurrences of `count`, 0 when it is None.  A
@@ -92,28 +120,42 @@ def prefix_walk(
     once c exceeds `cap`.  `entries` is the walk's own buffer: it is valid
     until the next item is drawn.  With `prefixes`, every shorter prefix the
     walk keeps is yielded too, before its extensions, as a list of its own;
-    its count is that of a sequence of final length n, which for a word
-    pattern whose X_m holds every positive integer is its own.  The walk
-    keeps its own stack of candidate iterators, so n is not bounded by the
-    recursion limit.
+    its count is that of a sequence of final length n, which for a pattern
+    whose X_m holds every positive integer is its own.  The walk keeps its
+    own stack of candidate iterators, so n is not bounded by the recursion
+    limit.
+
+    Over words a child appends any letter, and on the value walk over S_n
+    any value it has not placed, so the objects come in lexicographic order.
+    When every pattern is order-only (`order_only`) the walk is the
+    generating tree instead: a child takes the midpoint of a gap between
+    consecutive values of the sorted prefix, with 0 and `top` at its ends,
+    the child of rank r before that of rank r + 1.  Its entries are then
+    order-isomorphic to a permutation of S_d, not the permutation itself,
+    and the permutations come in generating-tree order.  With top = 2^n
+    every gap between d placed values spans at least 2^(n-d), so depth n
+    never closes a gap; `top` is also the high sentinel the patterns see.
     """
     perm = t is None
-    upper = n + 1 if perm else t
+    tree = perm and all(map(order_only, avoid if count is None else [*avoid, count]))
+    by_value = perm and not tree  # the value walk over S_n
+    top = (1 << n if tree else n + 1) if perm else t
     letters = range(1, (n if perm else t) + 1)
-    stops = [matcher.search_ending_at(p, n, upper, first=True) for p in avoid]
-    tally = None if count is None else matcher.search_ending_at(count, n, upper)
+    stops = [matcher.search_ending_at(p, n, top, first=True) for p in avoid]
+    tally = None if count is None else matcher.search_ending_at(count, n, top)
     buf = [0] * n
-    used = [False] * (n + 1)
+    used = [False] * (n + 1)  # used[v]: the value walk has placed v
     within = [0] * (n + 1)  # within[d]: the occurrences inside buf[:d]
     if n == 0 or prefixes:
         yield buf[:0], 0
         if n == 0:
             return
-    rows = [iter(letters)] + [None] * n  # rows[d - 1]: the candidates for position d
+    # rows[d - 1]: the candidates for position d
+    rows = [iter([top >> 1] if tree else letters)] + [None] * n
     d = 1  # the position being filled
     while d:
         for v in rows[d - 1]:
-            if perm and used[v]:
+            if by_value and used[v]:
                 continue
             buf[d - 1] = v
             for stop in stops:
@@ -128,7 +170,7 @@ def prefix_walk(
                 break  # v is placed
         else:
             d -= 1
-            if perm and d:
+            if by_value and d:
                 used[buf[d - 1]] = False
             continue
         if d == n:
@@ -136,10 +178,14 @@ def prefix_walk(
             continue
         if prefixes:
             yield buf[:d], got
-        if perm:
+        if by_value:
             used[v] = True
         within[d] = got
-        rows[d] = iter(letters)
+        if tree:
+            ends = [0, *sorted(buf[:d]), top]
+            rows[d] = iter([(lo + hi) >> 1 for lo, hi in zip(ends, ends[1:])])
+        else:
+            rows[d] = iter(letters)
         d += 1
 
 
@@ -178,21 +224,30 @@ def word_distribution(pat: Pdvp, t: int, n: int) -> DistributionTable:
     return _walk_distribution(pat, t, n) if row is None else DistributionTable(n, row)
 
 
-def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]:
-    """`word_distribution` for every n = 0..n_max, by walks only: the scan
-    oracle for the window automaton.
-
-    When the pattern's occurrences do not depend on the final length, one
-    walk to depth n_max settles every shorter word as a prefix; otherwise
-    each length gets a walk of its own.
-    """
+def _walk_distributions(pat: Pdvp, t: int | None, n_max: int) -> list[DistributionTable]:
+    """The histograms of `pat` over S_n (t None) or {1..t}^n for every n =
+    0..n_max: from one walk to depth n_max when `check_scan` says it settles
+    every shorter length as a prefix, else from one walk per length."""
     if not check_scan([pat], t, n_max, each_length=True):
         return [_walk_distribution(pat, t, n) for n in range(n_max + 1)]
     by_length: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for word, c in prefix_walk(n_max, t, count=pat, prefixes=True):
-        counts = by_length[len(word)]
+    for entries, c in prefix_walk(n_max, t, count=pat, prefixes=True):
+        counts = by_length[len(entries)]
         counts[c] = counts.get(c, 0) + 1
     return [DistributionTable(n, dict(sorted(c.items()))) for n, c in enumerate(by_length)]
+
+
+def perm_distributions(pat: Pdvp, n_max: int) -> list[DistributionTable]:
+    """`perm_distribution` for every n = 0..n_max: one walk over the generating
+    tree when `pat` is order-only and its closing gap set is P."""
+    return _walk_distributions(pat, None, n_max)
+
+
+def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]:
+    """`word_distribution` for every n = 0..n_max, by walks only: the scan
+    oracle for the window automaton.  One walk settles every length when the
+    pattern's closing gap set is P."""
+    return _walk_distributions(pat, t, n_max)
 
 
 def perm_multi_avoiders(pats: Sequence[Pdvp], n: int) -> int:

@@ -145,10 +145,11 @@ class WorkMeter:
     """
 
     ENTRY_POINTS = [
-        exhaustive.perm_distribution, exhaustive.word_distribution,
-        exhaustive.word_distributions, exhaustive.perm_multi_avoiders,
+        exhaustive.perm_distribution, exhaustive.perm_distributions,
+        exhaustive.word_distribution, exhaustive.word_distributions,
+        exhaustive.perm_multi_avoiders,
         exhaustive.word_multi_avoiders, exhaustive.word_avoider_counts,
-        problems.two_stack_sortable_count, problems.morphism_rises, checks._ank_scan.__wrapped__,
+        problems.two_stack_sortable_counts, problems.morphism_rises, checks._ank_scan.__wrapped__,
         transfer.dp_series, transfer.series_row, transfer.solve_transfer_system,
     ]
 

@@ -151,7 +151,7 @@ def test_criterion_06_v_shaped_avoiders(check):
             pat = checks._shifted_rise_pattern(k)
             occ = [len(naive_occurrences(pat, seq)) for seq in seqs]
             naive = (occ.count(0), occ.count(1))
-            assert checks._ank_scan(n)[k] == naive
+            assert checks._ank_scan(9)[n][k] == naive
             assert naive[0] == formulas.a_nk(n, k)
             if k == 1:
                 exactly_one_k1.append(naive[1])

@@ -1,10 +1,15 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from pdvp.cli import main
+from pdvp import cli, transfer
+from pdvp.cli import _zpoly_text, main
+from pdvp.dsl import parse_pattern
+from pdvp.pattern import Mode
+from pdvp.transfer import StatPattern
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +70,52 @@ def test_gf_dp_json_golden(capsys):
         )
         assert rc == 0
         assert json.loads(out) == json.loads((GOLDEN / golden).read_text()), golden
+
+
+_ONE_STATE = ["gf", "--pattern", "1|P,P|-|{2}", "--alphabet", "2", "--dp", "--max-n", "300"]
+
+
+def _dp_table():
+    return transfer.dp_series(StatPattern(parse_pattern(_ONE_STATE[2], Mode.WORD)), 2, 300)
+
+
+def test_gf_dp_prints_the_rows_and_the_json_as_one_string_would(capsys, tmp_path):
+    # the text rows are written one at a time and the JSON in batches; the
+    # bytes are those of the joined rows and of json.dumps, on stdout and in --out
+    table = _dp_table()
+    want = {
+        "text": "".join(f"q^{n}: {_zpoly_text(table.z_poly(n))}\n" for n in range(301)),
+        "json": json.dumps(table.to_json_obj(), indent=2) + "\n",
+    }
+    for fmt, text in want.items():
+        assert run(capsys, "--format", fmt, *_ONE_STATE) == (0, text, "")
+        target = tmp_path / fmt
+        assert run(capsys, "--format", fmt, "--out", str(target), *_ONE_STATE) == (0, "", "")
+        assert target.read_text() == text
+
+
+def test_gf_dp_builds_only_the_format_asked_for(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("the other format was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(transfer.ZSeriesTable, "to_json_obj", refuse)
+        assert run(capsys, *_ONE_STATE)[0] == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_zpoly_text", refuse)
+        assert run(capsys, "--format", "json", *_ONE_STATE)[0] == 0
+    # text rows are not held together: writing them adds far less than the
+    # output's size to the peak of the dp itself
+    target = str(tmp_path / "rows.txt")
+    argv = ["--out", target, *_ONE_STATE]
+    main(argv)
+    peaks = []
+    for run_once in (_dp_table, lambda: main(argv)):
+        tracemalloc.start()
+        run_once()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < Path(target).stat().st_size // 4, peaks
 
 
 @pytest.mark.parametrize(
@@ -143,21 +194,26 @@ def test_negative_size_exits_2(capsys, argv):
 
 def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
-    got = run(capsys, "problem", "--which", "4", "--max-size", "11")
+    got = run(capsys, "problem", "--which", "4", "--max-size", "12")
     assert _one_line_error(*got)
-    assert got[2] == "error: scan of 119481284 steps exceeds the budget 100000000\n"
+    assert got[2] == "error: scan of 522956313 steps exceeds the budget 100000000\n"
 
 
 @pytest.mark.parametrize(
     "argv, nodes",
     [
-        (["problem", "--which", "4", "--max-size", "8"], 125664),
-        (["verify"], 1956),  # eq1 scans S_6 after S_2 and S_4
-        (["dist", "--pattern", "gp:2-31", "--perm-n", "6"], 1956),
+        # one walk over the generating tree of S_1..S_8: 1! + 2! + ... + 8!
+        (["problem", "--which", "4", "--max-size", "8"], 46233),
+        (["verify"], 1956),  # eq1 scans S_6 after S_2 and S_4, by values
+        # Z_1 = O: by values, 6 + 30 + 120 + 360 + 720 + 720 nodes
+        (["dist", "--pattern", "21|P,{1},P|-|O,P", "--perm-n", "6"], 1956),
         (["dist", "--pattern", "12|P,{2},P|(1,2,{2})|P,P", "--word-n", "5", "--alphabet", "4"],
          1364),
-        (["avoid", "--pattern", "gp:231", "--perm-n", "6"], 1956),
+        (["avoid", "--pattern", "gp:231", "--pattern", "12|P,P,P|-|O,P", "--perm-n", "6"], 1956),
         (["avoid", "--pattern", "gp:12", "--word-n", "7", "--alphabet", "3"], 3279),
+        # order-only: the generating tree, 1! + 2! + ... + 6! nodes
+        (["dist", "--pattern", "gp:2-31", "--perm-n", "6"], 873),
+        (["avoid", "--pattern", "gp:231", "--perm-n", "6"], 873),
     ],
 )
 def test_scans_obey_the_budget_env_var(monkeypatch, capsys, argv, nodes):

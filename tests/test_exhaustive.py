@@ -14,7 +14,9 @@ from pdvp.cli import main
 from pdvp.dsl import parse_gp, parse_pattern, render_pattern
 from pdvp.exhaustive import (
     check_scan,
+    order_only,
     perm_distribution,
+    perm_distributions,
     perm_multi_avoiders,
     prefix_walk,
     word_avoider_counts,
@@ -25,7 +27,7 @@ from pdvp.exhaustive import (
 from pdvp.intset import EVENS, POSITIVES, finite
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
-from pdvp.problems import problem_report, two_stack_sortable_count
+from pdvp.problems import problem_report, two_stack_sortable_counts
 from pdvp.transfer import StatPattern, series_row
 
 
@@ -49,6 +51,10 @@ def test_parity_position_pattern_avoiders():
     )
 
 
+# a rise whose first value is odd: not order-only, so scans of it walk by values
+_ODD_RISE = parse_pattern("12|P,P,P|-|O,P")
+
+
 def test_zero_entry_at_m0_equals_single_avoider_count():
     pat = parse_gp("2-31")
     for n in range(6):
@@ -57,12 +63,21 @@ def test_zero_entry_at_m0_equals_single_avoider_count():
 
 def test_perm_limit_error_names_limit(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
+    # the value walk over S_11 (Z_1 = O is not order-only), then the
+    # generating tree over S_12: 1! + 2! + ... + 12!
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 108505111 steps exceeds the budget 100000000$"):
-        perm_distribution(make_classical((1, 2)), 11)
+        perm_distribution(_ODD_RISE, 11)
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 522956313 steps exceeds the budget 100000000$"):
+        perm_distribution(make_classical((1, 2)), 12)
     monkeypatch.setenv("PDVP_BUDGET", "63")
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 64 steps exceeds the budget 63$"):
+        perm_distribution(_ODD_RISE, 4)
+    monkeypatch.setenv("PDVP_BUDGET", "32")
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 33 steps exceeds the budget 32$"):
         perm_distribution(make_classical((1, 2)), 4)
 
 
@@ -175,8 +190,75 @@ def test_prefix_walk_equals_per_object_filter(rng):
             if cap is not None and c > cap:
                 continue
             want.append((seq.entries, c))
-        got = [(tuple(e), c) for e, c in prefix_walk(n, t, avoid, count, cap)]
-        assert got == want
+        walk = prefix_walk(n, t, avoid, count, cap)
+        got = [(tuple(e) if t else _standardised(e), c) for e, c in walk]
+        assert sorted(got) == sorted(want)
+
+
+def _standardised(entries):
+    """The permutation of 1..d order-isomorphic to the distinct `entries`."""
+    rank = {v: r for r, v in enumerate(sorted(entries), 1)}
+    return tuple(rank[v] for v in entries)
+
+
+def _random_order_only(rng):
+    """A random permutation pattern that `order_only` accepts: random gap sets,
+    and Z and Y sets that hold every positive integer (some of them 0 too),
+    Y triples on the sentinels included."""
+    pat = random_pattern(rng, Mode.PERMUTATION)
+
+    def full():
+        return POSITIVES | random_set(rng) if rng.random() < 0.5 else POSITIVES
+
+    y = tuple(YTriple(s, t, full()) for s, t, _ in pat.y)
+    pat = Pdvp(Mode.PERMUTATION, pat.base, pat.x, y, tuple(full() for _ in pat.z))
+    assert order_only(pat)
+    return pat
+
+
+def _by_values(pat, n):
+    """`pat` with every Z set {1..n}: the same pattern on S_n, but not
+    order-only, so a scan of it walks by values."""
+    twin = Pdvp(Mode.PERMUTATION, pat.base, pat.x, pat.y, (finite(range(1, n + 1)),) * pat.m)
+    assert not order_only(twin)
+    return twin
+
+
+def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
+    # avoid sets alone, and with one counted pattern, with and without a cap
+    for counted, capped in [(False, False), (True, False), (True, True)] * 15:
+        n = rng.randint(1, 6)
+        avoid = [_random_order_only(rng) for _ in range(rng.randint(not counted, 2))]
+        count = _random_order_only(rng) if counted else None
+        cap = rng.choice([0, 1, 2]) if capped else None
+        want = []
+        for seq in _objects(Mode.PERMUTATION, n, None):
+            if any(naive_occurrences(p, seq) for p in avoid):
+                continue
+            c = len(naive_occurrences(count, seq)) if counted else 0
+            if cap is None or c <= cap:
+                want.append((seq.entries, c))
+        tree = [(_standardised(e), c) for e, c in prefix_walk(n, None, avoid, count, cap)]
+        twins = [_by_values(p, n) for p in avoid], count and _by_values(count, n)
+        values = [(tuple(e), c) for e, c in prefix_walk(n, None, *twins, cap)]
+        assert sorted(tree) == values == want, (avoid, count, cap, n)
+
+
+def test_every_length_perm_scans_equal_a_walk_per_length(rng):
+    pats = [make_classical((1, 3, 2)), parse_gp("2-31"), _ODD_RISE]
+    for _ in range(30):
+        pat = _random_order_only(rng) if rng.random() < 0.7 else random_pattern(
+            rng, Mode.PERMUTATION)
+        # half of them with a closing gap set of P
+        x = pat.x[:-1] + (POSITIVES,) if rng.random() < 0.5 else pat.x
+        pats.append(Pdvp(Mode.PERMUTATION, pat.base, x, pat.y, pat.z))
+    for pat in pats:
+        one_walk = order_only(pat) and pat.x[-1].steps == (1,)  # X_m holds P
+        assert check_scan([pat], None, 6, each_length=True) == one_walk
+        tables = perm_distributions(pat, 6)
+        assert [table.length for table in tables] == list(range(7))
+        for k, table in enumerate(tables):
+            assert table.counts == perm_distribution(pat, k).counts, (pat, k)
 
 
 def test_every_length_from_one_walk_equals_a_walk_per_length(rng):
@@ -209,11 +291,12 @@ def test_every_length_scans_keep_the_budget(monkeypatch):
     assert word_avoider_counts([pat], 4, 3) == [1, 4, 14, 44]
 
 
-def _prefixes(n, t):
+def _prefixes(n, t, tree=False):
     """The nonempty prefixes of the objects itertools enumerates: S_n (t None)
-    or {1..t}^n."""
+    or {1..t}^n; on the generating tree, each standardised."""
     objects = permutations(range(n)) if t is None else product(range(t), repeat=n)
-    return {obj[:d] for obj in objects for d in range(1, n + 1)}
+    cut = _standardised if tree else tuple
+    return {cut(obj[:d]) for obj in objects for d in range(1, n + 1)}
 
 
 def _refusal(nodes, budget):
@@ -226,15 +309,20 @@ _ANCHORED = "12|P,{2},{1}|(1,2,{2})|P,P"
 
 
 def test_walk_nodes_are_the_prefixes_itertools_enumerates(monkeypatch):
-    # an every-length scan of an anchored word pattern walks each length
+    # an every-length scan walks each length, unless every closing gap set
+    # is P and the scan is over words or on the generating tree
     anchored = [parse_pattern(_ANCHORED, Mode.WORD)]
-    for t in (None, 1, 2, 3, 4):
-        pats = () if t is None else anchored
+    cases = [(t, anchored, False, False) for t in (1, 2, 3, 4)] + [
+        (None, [_ODD_RISE], False, False),  # the value walk
+        (None, [parse_pattern("12|P,P,{1}|-|P,P")], True, False),  # the tree, anchored
+        (None, [], True, True),  # the tree
+    ]
+    for t, pats, tree, one_walk in cases:
         total = 0  # the nodes of one walk of each length 0..n
         for n in range(7):
-            nodes = len(_prefixes(n, t))
+            nodes = len(_prefixes(n, t, tree))
             total += nodes
-            for each_length, want in ((False, nodes), (True, total)):
+            for each_length, want in ((False, nodes), (True, nodes if one_walk else total)):
                 monkeypatch.setenv("PDVP_BUDGET", str(want))
                 check_scan(pats, t, n, each_length)
                 if want:
@@ -247,11 +335,13 @@ def test_scan_budget_boundaries(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     anchored = [parse_pattern(_ANCHORED, Mode.WORD)]
     start = time.perf_counter()
-    check_scan((), None, 10)
+    check_scan([_ODD_RISE], None, 10)
+    check_scan((), None, 11)  # the generating tree: 43954713 nodes
     check_scan((), 2, 25)
-    for t, n, nodes in ((None, 11, 108505111), (2, 26, 2**27 - 2), (10, 8, 111111110)):
+    for pats, t, n, nodes in (([_ODD_RISE], None, 11, 108505111), ((), None, 12, 522956313),
+                              ((), 2, 26, 2**27 - 2), ((), 10, 8, 111111110)):
         with pytest.raises(EnumerationLimitError, match=_refusal(nodes, 10**8)):
-            check_scan((), t, n)
+            check_scan(pats, t, n)
     # inputs far past the budget are refused as fast; a count too long to
     # print is named by its lower bound
     for t, n in ((None, 10**12), (3, 10**9), (10**50, 10**9)):
@@ -279,8 +369,19 @@ def test_scan_budget_boundaries(monkeypatch):
 @pytest.mark.parametrize(
     "scan, nodes",
     [
-        (lambda: perm_distribution(make_classical((1, 2)), 5), 325),
-        (lambda: perm_multi_avoiders([make_classical((1, 2))], 5), 325),
+        # by values: 5 + 20 + 60 + 120 + 120 nodes over S_5, and one walk per
+        # length, 1 + 4 + 15 + 64 + 325, over S_1..S_5; a mixed avoid set
+        # walks by values
+        (lambda: perm_distribution(_ODD_RISE, 5), 325),
+        (lambda: perm_multi_avoiders([_ODD_RISE], 5), 325),
+        (lambda: perm_multi_avoiders([make_classical((1, 2)), _ODD_RISE], 5), 325),
+        (lambda: perm_distributions(_ODD_RISE, 5), 409),
+        # the generating tree: 1! + 2! + 3! + 4! + 5!, every length at once
+        (lambda: perm_distribution(make_classical((1, 2)), 5), 153),
+        (lambda: perm_multi_avoiders([make_classical((1, 2))], 5), 153),
+        (lambda: perm_distributions(make_classical((1, 2)), 5), 153),
+        (lambda: two_stack_sortable_counts(5, True, True), 153),
+        (lambda: problem_report(4, 5), 153),
         (lambda: word_distribution(parse_pattern(_FREE, Mode.WORD), 3, 4), 120),
         (lambda: word_multi_avoiders([parse_pattern(_FREE, Mode.WORD)], 3, 4), 120),
         (lambda: word_distributions(parse_pattern(_FREE, Mode.WORD), 3, 4), 120),
@@ -288,9 +389,6 @@ def test_scan_budget_boundaries(monkeypatch):
         # one walk of each length 1..4: 3 + 12 + 39 + 120
         (lambda: word_distributions(parse_pattern(_ANCHORED, Mode.WORD), 3, 4), 174),
         (lambda: word_avoider_counts([parse_pattern(_ANCHORED, Mode.WORD)], 3, 4), 174),
-        (lambda: two_stack_sortable_count(5, True, True), 325),
-        # problem 4 scans S_1..S_5: 1 + 4 + 15 + 64 + 325
-        (lambda: problem_report(4, 5), 409),
     ],
 )
 def test_every_scan_entry_point_checks_the_budget(monkeypatch, scan, nodes):
@@ -318,7 +416,9 @@ def test_long_one_letter_words():
 
 def test_ank_scan_equals_per_object_recount():
     blocks = [parse_gp("231"), parse_gp("132")]
-    for n in range(1, 8):
+    scans = _ank_scan(7)
+    assert len(scans) == 8
+    for n in range(8):
         want = {k: [0, 0] for k in (1, 2, 3)}
         for seq in _objects(Mode.PERMUTATION, n, None):
             if any(naive_occurrences(b, seq) for b in blocks):
@@ -327,7 +427,7 @@ def test_ank_scan_equals_per_object_recount():
                 c = len(naive_occurrences(_shifted_rise_pattern(k), seq))
                 if c <= 1:
                     want[k][c] += 1
-        assert _ank_scan(n) == {k: tuple(v) for k, v in want.items()}, n
+        assert scans[n] == {k: tuple(v) for k, v in want.items()}, n
 
 
 # Word scans of bounded-window patterns read the window automaton; the

@@ -1,5 +1,6 @@
 """Only matcher.py and transfer.py may use their private names, the
-matcher has one search, and only `budget.check_work` decides a budget.
+matcher has one search, the scans have one walker, and only
+`budget.check_work` decides a budget.
 
 Other modules reach the matcher and the polynomials through their public
 entry points, so the matcher's compiled tables and search, and the layout
@@ -116,6 +117,58 @@ def test_the_search_lint_counts_compile_sites():
         "re.compile('x')\n"
     )
     assert _compile_sites(ast.parse(source)) == {1, 3}
+
+
+def _search_users(tree: ast.AST) -> list[str]:
+    """The outermost functions that name `matcher.search_ending_at`, by either
+    spelling, one entry per use; a use outside any function is "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "search_ending_at"
+                    and isinstance(child.value, ast.Name) and child.value.id == "matcher"):
+                found.append(owner or "<module>")
+            elif isinstance(child, ast.Name) and child.id == "search_ending_at":
+                found.append(owner or "<module>")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("matcher"):
+                found.extend(owner or "<module>" for alias in child.names
+                             if alias.name == "search_ending_at")
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_prefix_walk_searches_in_the_scans():
+    # one walker: every scan, problem and check reaches the per-position
+    # search through `exhaustive.prefix_walk`, whose child step alone picks
+    # the value walk or the generating tree
+    users = {name: _search_users(ast.parse((PACKAGE / name).read_text()))
+             for name in ("exhaustive.py", "problems.py", "checks.py")}
+    assert users == {"exhaustive.py": ["prefix_walk", "prefix_walk"],
+                     "problems.py": [], "checks.py": []}
+
+
+def test_the_walker_lint_sees_a_second_caller():
+    source = (
+        "from . import matcher\n"
+        "from .matcher import search_ending_at\n"
+        "def prefix_walk(n):\n"
+        "    return matcher.search_ending_at(p, n, n + 1)\n"
+        "def other_walk(n):\n"
+        "    def step(buf, d):\n"
+        "        return search_ending_at(p, n, n + 1)(buf, d)\n"
+        "    return step\n"
+        "found = matcher.search_ending_at\n"
+        "matcher.count_entries(p, buf, 3)\n"
+    )
+    assert _search_users(ast.parse(source)) == [
+        "<module>", "prefix_walk", "other_walk", "<module>"
+    ]
 
 
 def _unbounded_caches(tree: ast.AST) -> list[int]:

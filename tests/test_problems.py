@@ -16,7 +16,7 @@ from pdvp.problems import (
     morphism_rises,
     problem_report,
     stack_sort,
-    two_stack_sortable_count,
+    two_stack_sortable_counts,
     walk_count,
 )
 
@@ -88,14 +88,16 @@ def test_sorted_iff_avoids_231():
 
 
 def test_two_stack_sortable_counts():
-    assert [two_stack_sortable_count(n) for n in range(1, 7)] == [1, 2, 6, 22, 91, 408]
-    assert two_stack_sortable_count(1, True, True) == 0
-    assert two_stack_sortable_count(3, True, True) == 1
+    assert two_stack_sortable_counts(6) == [1, 1, 2, 6, 22, 91, 408]
+    assert two_stack_sortable_counts(1, True, True) == [0, 0]
+    assert two_stack_sortable_counts(3, True, True)[3] == 1
 
 
 def test_two_stack_sortable_count_equals_per_object_recount():
     p132, p123 = make_classical((1, 3, 2)), make_classical((1, 2, 3))
-    for n in range(1, 8):
+    got = {flags: two_stack_sortable_counts(7, *flags)
+           for flags in product((False, True), repeat=2)}
+    for n in range(8):
         identity = tuple(range(1, n + 1))
         want = Counter()
         for pi in permutations(identity):
@@ -107,24 +109,26 @@ def test_two_stack_sortable_count_equals_per_object_recount():
             for flags in product((False, True), repeat=2):
                 want[flags] += (avoids_132 or not flags[0]) and (one_123 or not flags[1])
         for flags in product((False, True), repeat=2):
-            assert two_stack_sortable_count(n, *flags) == want[flags], (n, flags)
+            assert got[flags][n] == want[flags], (n, flags)
 
 
 def test_two_stack_sortable_limit(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
-    with pytest.raises(EnumerationLimitError, match="exceeds the budget 100000000$"):
-        two_stack_sortable_count(11)
+    # the generating tree to S_12: 1! + 2! + ... + 12!
+    with pytest.raises(EnumerationLimitError,
+                       match="^scan of 522956313 steps exceeds the budget 100000000$"):
+        two_stack_sortable_counts(12)
 
 
 def test_problem_four_refuses_sizes_above_the_scan_limit_at_once(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     start = time.perf_counter()
-    # S_1..S_11: 10976173 nodes up to S_10, and 108505111 for S_11
-    with pytest.raises(EnumerationLimitError, match=r"^scan of 119481284 steps exceeds "
+    # one walk over the generating tree of S_1..S_12: 1! + 2! + ... + 12!
+    with pytest.raises(EnumerationLimitError, match=r"^scan of 522956313 steps exceeds "
                        r"the budget 100000000$"):
-        problem_report(4, 11)
+        problem_report(4, 12)
     assert time.perf_counter() - start < 1
-    assert len(problem_report(4, 10).b_values) == 10
+    assert len(problem_report(4, 11).b_values) == 11
 
 
 def _prints(size):
