@@ -1,36 +1,35 @@
 """Exhaustive enumeration over all permutations of S_n or words of {1..t}^n.
 
-Every scan here is one depth-first walk over prefixes (`prefix_walk`): a
-prefix of length p already decides every occurrence that ends at p, so each
-step adds the occurrences ending at the new position, and a branch is
-dropped as soon as an avoided pattern ends there.  Only the walk's buffer is
-ever materialised.  A walk has one of two child steps:
+Every scan starts from its plan (`plan_scan`): it validates the sizes and the
+pattern modes, picks one of four paths and checks that path's predicted work
+(see `budget`), all before any work starts.
 
-* the value walk appends an unused value (over S_n) or any letter (over
-  {1..t}^n), so it visits the objects in lexicographic order;
-* the generating tree (West 1996) appends a last entry of rank r in 1..d+1
-  to a permutation of S_d.  A permutation scan takes it when every pattern
-  is order-only (`order_only`): then the occurrences ending at a position
-  depend only on how the prefix is ordered, and the tree visits each
-  permutation of S_d once, for every d.
+* ``series``: a single-length word scan that avoids a set of bounded-window
+  statistics (`transfer.StatPattern`), or counts one, reads row n of the
+  series of their window automaton (`transfer.series_row`) when it fits.
+* ``tree``: a permutation scan whose patterns are all order-only
+  (`order_only`) walks the generating tree (West 1996): a child appends a
+  last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
+  ending at a position then depend only on how the prefix is ordered, and
+  each permutation of S_d is visited once, for every d.
+* ``values``: any other permutation scan appends an unused value.
+* ``words``: any other word scan appends any letter.
 
-The one exception to walking is a single-length word scan
-(`word_distribution`, `word_multi_avoiders`) whose patterns are all
-bounded-window statistics (`transfer.StatPattern`): its answer is row n of
-the series of their window automaton (`transfer.series_row`) when that
-row's predicted work fits the budget (see `budget`), and a walk otherwise.
-
-The every-length word scans, `word_distributions` and `word_avoider_counts`,
-always walk: they are the scan oracle that `verify` (a3, d4) and the tests
-compare the automaton with, and with the per-object recounts of the tests
-they are the ground truth for every closed formula and generating function
-in the toolkit.
+A walk (`prefix_walk`) goes depth first over prefixes: a prefix of length p
+already decides every occurrence that ends at p, so each step adds the
+occurrences ending at the new position, and a branch is dropped as soon as
+an avoided pattern ends there.  Only the walk's buffer is ever materialised.
+The every-length scans never read the series: they are the scan oracle that
+`verify` (a3, d4) and the tests compare the automaton with, and with the
+per-object recounts of the tests the ground truth for every closed formula
+and generating function in the toolkit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from . import budget, matcher, transfer
@@ -59,28 +58,57 @@ def order_only(pat: Pdvp) -> bool:
     return all(s.steps == (1,) for s in pat.z) and all(d.steps == (1,) for _, _, d in pat.y)
 
 
-def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = False) -> bool:
-    """Validate a scan of `pats` over S_n (t None) or {1..t}^n and check its
-    predicted work (see `budget`): one walk of length n or, with
-    `each_length`, n + 1 rows, from one walk when every pattern's closing gap
-    set is P (its occurrences do not depend on the final length) and the
-    scan is over words or on the generating tree, else from one walk per
-    length.  Returns whether one walk does.
+@dataclass(frozen=True)
+class ScanPlan:
+    """A scan over S_n (t None) or {1..t}^n whose predicted work fits: it drops
+    the objects an `avoid` pattern occurs in and counts the occurrences of
+    `count` (see `plan_scan`)."""
 
-    A walk of length k holds k positions and has a node, a step, per prefix
-    of length d = 1..k that it tries, counted unpruned: over {1..t}^k t^d of
-    them and over S_k by values k!/(k-d)!, so W(k) = f(k) * (1 + W(k - 1))
-    with W(0) = 0 and f(k) = t or k; on the generating tree (every pattern
-    order-only) d!, so W(k) = 1! + 2! + ... + k!.
+    avoid: tuple[Pdvp, ...]
+    count: Pdvp | None
+    t: int | None
+    n: int
+    path: str  # "series", "tree", "values" or "words"
+    one_walk: bool  # one walk settles every length the scan asks for
+
+
+def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
+              each_length: bool = False) -> ScanPlan:
+    """The plan of a scan of length n or, with `each_length`, of every length
+    0..n: validate t, n and the pattern modes, pick the path and check its
+    predicted work, in that order.  The series is predicted by
+    `transfer.series_work`; when it does not fit, the scan walks the words.
+
+    A walked every-length scan takes one walk when every pattern's closing
+    gap set is P (its occurrences do not depend on the final length) and the
+    path is not ``values``, else one walk per length, and returns n + 1
+    rows.  A walk of length k holds k positions and has a node, a step,
+    per prefix of length d = 1..k that it tries, counted unpruned: t^d over
+    words and k!/(k-d)! by values, so W(k) = f(k) * (1 + W(k - 1)) with
+    W(0) = 0 and f(k) = t or k; on the generating tree d!, so W(k) = 1! +
+    2! + ... + k!.
     """
     perm = t is None
     if not perm and t < 1:
         raise ValueError("alphabet size must be positive")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    tree = perm and all(map(order_only, pats))
+    avoid = tuple(avoid)
+    pats = avoid if count is None else (*avoid, count)
+    want = Mode.PERMUTATION if perm else Mode.WORD
+    if any(pat.mode is not want for pat in pats):
+        raise ValueError(f"{want.value} scan needs {want.value}-mode patterns")
+    if perm:
+        path = "tree" if all(map(order_only, pats)) else "values"
+    else:
+        path = "words"
+        mixed = avoid and count is not None  # the series counts one statistic
+        if not (each_length or mixed or any(map(transfer.statistic_refusal, pats))):
+            sps = tuple(map(transfer.StatPattern, pats))
+            if budget.check_work("series", *transfer.series_work(sps, t, n, 1), refuse=False):
+                return ScanPlan(avoid, count, t, n, "series", True)
     one_walk = not each_length or (
-        (tree or not perm) and all(pat.x[-1].steps == (1,) for pat in pats))
+        path != "values" and all(pat.x[-1].steps == (1,) for pat in pats))
     if t == 1:
         nodes = n if one_walk else n * (n + 1) // 2  # one node per length
     else:
@@ -88,7 +116,7 @@ def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = 
         walk = nodes = 0
         k_factorial = 1
         for k in range(1, n + 1):
-            if tree:
+            if path == "tree":
                 k_factorial *= k
                 walk += k_factorial
             else:
@@ -98,51 +126,46 @@ def check_scan(pats: Sequence[Pdvp], t: int | None, n: int, each_length: bool = 
                 break
     rows = (n + 1) * each_length
     budget.check_work("scan", nodes, n * budget.WALK_POSITION_BITS + rows * budget.ROW_BITS)
-    want = Mode.PERMUTATION if perm else Mode.WORD
-    if any(pat.mode is not want for pat in pats):
-        raise ValueError(f"{want.value} scan needs {want.value}-mode patterns")
-    return one_walk
+    return ScanPlan(avoid, count, t, n, path, one_walk)
 
 
 def prefix_walk(
-    n: int,
-    t: int | None = None,
-    avoid: Sequence[Pdvp] = (),
-    count: Pdvp | None = None,
+    plan: ScanPlan,
+    length: int | None = None,
     cap: int | None = None,
     prefixes: bool = False,
 ) -> Iterator[tuple[list[int], int]]:
-    """Walk S_n (t None) or {1..t}^n one position at a time.
+    """Walk the objects of the plan's space of `length` (plan.n when None).
 
-    Yields (entries, c) for every object that no pattern in `avoid` occurs
-    in: c is the number of occurrences of `count`, 0 when it is None.  A
-    branch is dropped once an avoided pattern ends at its last position, or
-    once c exceeds `cap`.  `entries` is the walk's own buffer: it is valid
-    until the next item is drawn.  With `prefixes`, every shorter prefix the
-    walk keeps is yielded too, before its extensions, as a list of its own;
-    its count is that of a sequence of final length n, which for a pattern
-    whose X_m holds every positive integer is its own.  The walk keeps its
-    own stack of candidate iterators, so n is not bounded by the recursion
-    limit.
+    Yields (entries, c) for every object that no pattern in plan.avoid occurs
+    in, c the occurrences of plan.count (0 when it is None).  A branch is
+    dropped once an avoided pattern ends at its last position, or once c
+    exceeds `cap`.  `entries` is the walk's own buffer, valid until the next
+    item is drawn.  With `prefixes`, every shorter prefix the walk keeps is
+    yielded too, before its extensions, as a list of its own, with the count
+    of a sequence of the walk's length (its own when X_m holds every positive
+    integer).  The walk keeps its own stack of candidate iterators, so the
+    length is not bounded by the recursion limit.  Drawing from it raises
+    ValueError for a series plan, a length above plan.n, or `prefixes` on a
+    plan that walks each length.
 
-    Over words a child appends any letter, and on the value walk over S_n
-    any value it has not placed, so the objects come in lexicographic order.
-    When every pattern is order-only (`order_only`) the walk is the
-    generating tree instead: a child takes the midpoint of a gap between
-    consecutive values of the sorted prefix, with 0 and `top` at its ends,
-    the child of rank r before that of rank r + 1.  Its entries are then
-    order-isomorphic to a permutation of S_d, not the permutation itself,
-    and the permutations come in generating-tree order.  With top = 2^n
-    every gap between d placed values spans at least 2^(n-d), so depth n
-    never closes a gap; `top` is also the high sentinel the patterns see.
+    Words and values come in lexicographic order.  On the tree a child takes
+    the midpoint of a gap between consecutive values of the sorted prefix,
+    with 0 and `top` at its ends, the child of rank r before that of rank
+    r + 1, so the entries are order-isomorphic to a permutation of S_d and
+    come in generating-tree order.  With top = 2^n every gap between d placed
+    values spans at least 2^(n-d), so depth n never closes a gap; `top` is
+    also the high sentinel the patterns see.
     """
-    perm = t is None
-    tree = perm and all(map(order_only, avoid if count is None else [*avoid, count]))
-    by_value = perm and not tree  # the value walk over S_n
-    top = (1 << n if tree else n + 1) if perm else t
-    letters = range(1, (n if perm else t) + 1)
-    stops = [matcher.search_ending_at(p, n, top, first=True) for p in avoid]
-    tally = None if count is None else matcher.search_ending_at(count, n, top)
+    n = plan.n if length is None else length
+    if plan.path == "series" or not 0 <= n <= plan.n or prefixes and not plan.one_walk:
+        raise ValueError(f"a {plan.path} plan of length {plan.n} has no such walk")
+    tree = plan.path == "tree"
+    by_value = plan.path == "values"
+    top = plan.t or (1 << n if tree else n + 1)
+    letters = range(1, (plan.t or n) + 1)
+    stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
+    tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
     buf = [0] * n
     used = [False] * (n + 1)  # used[v]: the value walk has placed v
     within = [0] * (n + 1)  # within[d]: the occurrences inside buf[:d]
@@ -189,89 +212,60 @@ def prefix_walk(
         d += 1
 
 
-def _walk_distribution(pat: Pdvp, t: int | None, n: int) -> DistributionTable:
-    """The histogram of `pat` over S_n (t None) or {1..t}^n, by one checked walk."""
-    check_scan([pat], t, n)
-    counts = Counter(c for _, c in prefix_walk(n, t, count=pat))
-    return DistributionTable(n, dict(sorted(counts.items())))
-
-
-def _walk_avoiders(pats: list[Pdvp], t: int | None, n: int) -> int:
-    """The objects of S_n (t None) or {1..t}^n avoiding `pats`, by one checked walk."""
-    check_scan(pats, t, n)
-    return sum(1 for _ in prefix_walk(n, t, avoid=pats))
+def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
+            each_length: bool = False) -> list[DistributionTable]:
+    """The histograms of `count`'s occurrences over the objects of length n,
+    or with `each_length` of every length 0..n, that avoid every pattern of
+    `avoid`, by the path of their plan."""
+    plan = plan_scan(avoid, count, t, n, each_length)
+    if plan.path == "series":
+        sps = tuple(transfer.StatPattern(p) for p in (*plan.avoid, count) if p is not None)
+        return [DistributionTable(n, transfer.series_row(sps, t, n))]
+    lengths = range(n + 1) if each_length else [n]
+    rows: dict[int, dict[int, int]] = {k: {} for k in lengths}
+    if each_length and plan.one_walk:
+        for entries, c in prefix_walk(plan, prefixes=True):
+            row = rows[len(entries)]
+            row[c] = row.get(c, 0) + 1
+    elif count is None:  # every c is 0, so the objects are only counted
+        for k in lengths:
+            rows[k][0] = sum(1 for _ in prefix_walk(plan, k))
+    else:
+        for k in lengths:
+            rows[k] = Counter(map(itemgetter(1), prefix_walk(plan, k)))
+    return [DistributionTable(k, dict(sorted(row.items()))) for k, row in rows.items()]
 
 
 def perm_distribution(pat: Pdvp, n: int) -> DistributionTable:
     """Histogram of occurrence counts of `pat` over all of S_n."""
-    return _walk_distribution(pat, None, n)
-
-
-def _series_row(pats: Sequence[Pdvp], t: int, n: int) -> dict[int, int] | None:
-    """Row n of the window automaton's series for `pats`, or None when a size is
-    out of range, a pattern is no statistic or the row's work does not fit."""
-    if t < 1 or n < 0 or any(map(transfer.statistic_refusal, pats)):
-        return None
-    sps = tuple(map(transfer.StatPattern, pats))
-    fits = budget.check_work("series", *transfer.series_work(sps, t, n, 1), refuse=False)
-    return transfer.series_row(sps, t, n) if fits else None
+    return _tables((), pat, None, n)[0]
 
 
 def word_distribution(pat: Pdvp, t: int, n: int) -> DistributionTable:
-    """Histogram of occurrence counts of `pat` over all words in {1..t}^n:
-    row n of the window automaton's series when it answers, else a walk."""
-    row = _series_row([pat], t, n)
-    return _walk_distribution(pat, t, n) if row is None else DistributionTable(n, row)
-
-
-def _walk_distributions(pat: Pdvp, t: int | None, n_max: int) -> list[DistributionTable]:
-    """The histograms of `pat` over S_n (t None) or {1..t}^n for every n =
-    0..n_max: from one walk to depth n_max when `check_scan` says it settles
-    every shorter length as a prefix, else from one walk per length."""
-    if not check_scan([pat], t, n_max, each_length=True):
-        return [_walk_distribution(pat, t, n) for n in range(n_max + 1)]
-    by_length: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for entries, c in prefix_walk(n_max, t, count=pat, prefixes=True):
-        counts = by_length[len(entries)]
-        counts[c] = counts.get(c, 0) + 1
-    return [DistributionTable(n, dict(sorted(c.items()))) for n, c in enumerate(by_length)]
+    """Histogram of occurrence counts of `pat` over all words in {1..t}^n."""
+    return _tables((), pat, t, n)[0]
 
 
 def perm_distributions(pat: Pdvp, n_max: int) -> list[DistributionTable]:
-    """`perm_distribution` for every n = 0..n_max: one walk over the generating
-    tree when `pat` is order-only and its closing gap set is P."""
-    return _walk_distributions(pat, None, n_max)
+    """`perm_distribution` for every n = 0..n_max."""
+    return _tables((), pat, None, n_max, True)
 
 
 def word_distributions(pat: Pdvp, t: int, n_max: int) -> list[DistributionTable]:
-    """`word_distribution` for every n = 0..n_max, by walks only: the scan
-    oracle for the window automaton.  One walk settles every length when the
-    pattern's closing gap set is P."""
-    return _walk_distributions(pat, t, n_max)
+    """`word_distribution` for every n = 0..n_max, by walks only."""
+    return _tables((), pat, t, n_max, True)
 
 
 def perm_multi_avoiders(pats: Sequence[Pdvp], n: int) -> int:
     """Number of permutations in S_n avoiding every listed pattern."""
-    return _walk_avoiders(list(pats), None, n)
+    return _tables(pats, None, None, n)[0][0]
 
 
 def word_multi_avoiders(pats: Sequence[Pdvp], t: int, n: int) -> int:
-    """Number of words in {1..t}^n avoiding every listed pattern: the z^0
-    coefficient of row n of the window automaton's series when it answers,
-    else a walk."""
-    pats = list(pats)
-    row = _series_row(pats, t, n)
-    return _walk_avoiders(pats, t, n) if row is None else row.get(0, 0)
+    """Number of words in {1..t}^n avoiding every listed pattern."""
+    return _tables(pats, None, t, n)[0][0]
 
 
 def word_avoider_counts(pats: Sequence[Pdvp], t: int, n_max: int) -> list[int]:
-    """`word_multi_avoiders` for every n = 0..n_max, by walks only: the scan
-    oracle for the window automaton.  One walk settles every length when
-    every pattern's occurrences do not depend on the final length."""
-    pats = list(pats)
-    if not check_scan(pats, t, n_max, each_length=True):
-        return [_walk_avoiders(pats, t, n) for n in range(n_max + 1)]
-    counts = [0] * (n_max + 1)
-    for word, _ in prefix_walk(n_max, t, avoid=pats, prefixes=True):
-        counts[len(word)] += 1
-    return counts
+    """`word_multi_avoiders` for every n = 0..n_max, by walks only."""
+    return [table[0] for table in _tables(pats, None, t, n_max, True)]

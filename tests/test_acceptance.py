@@ -9,13 +9,14 @@ its closed-form displays (criterion 9).  Those tests assert the values that a
 lines: a check that stops reporting one, or reports a new one, fails them.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import naive_occurrences, random_pattern, random_sequence
 
-from pdvp import checks, formulas
+from pdvp import checks, exhaustive, formulas
 from pdvp.dsl import parse_gp, parse_pattern
 from pdvp.exhaustive import perm_distribution, word_distributions
 from pdvp.matcher import PermSequence, WordSequence, avoids, count, occurrences
@@ -99,6 +100,18 @@ def test_criterion_04_avoidance_specialisations():
         assert formulas.b_even(cat, n, 0) == perm_distribution(
             checks.parity_position_pattern((1, 2, 3)), 2 * n
         )[0]
+
+
+def test_eq1_walks_each_parity_table_once(monkeypatch):
+    # the specialisations read the per-base tables: one value walk per base
+    # and length, beside the one tree walk of each base's classical rows
+    walk, paths = exhaustive.prefix_walk, []
+    monkeypatch.setattr(exhaustive, "prefix_walk",
+                        lambda plan, *a, **k: paths.append(plan.path) or walk(plan, *a, **k))
+    checks._classical_rows.cache_clear()
+    result = checks.check_eq1()
+    assert Counter(paths) == {"values": 9, "tree": 3}
+    assert result.ok
 
 
 def test_criterion_05_mod4_closed_form(check):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -383,3 +386,13 @@ def test_readme_library_example_runs(capsys):
     out = capsys.readouterr().out
     assert "[((1, 5), (2, 4))]" in out
     assert "[1, 3, 9, 24, 64, 168, 441]" in out
+
+
+def test_python_dash_m_pdvp_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-m", "pdvp", "verify", "--check", "fib-bij"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[0] == "PASS fib-bij"

@@ -7,17 +7,17 @@ import pytest
 
 from conftest import naive_occurrences, random_pattern, random_set
 
-from pdvp import exhaustive
+from pdvp import budget, cli, exhaustive
 from pdvp.budget import EnumerationLimitError
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.cli import main
 from pdvp.dsl import parse_gp, parse_pattern, render_pattern
 from pdvp.exhaustive import (
-    check_scan,
     order_only,
     perm_distribution,
     perm_distributions,
     perm_multi_avoiders,
+    plan_scan,
     prefix_walk,
     word_avoider_counts,
     word_distribution,
@@ -190,7 +190,8 @@ def test_prefix_walk_equals_per_object_filter(rng):
             if cap is not None and c > cap:
                 continue
             want.append((seq.entries, c))
-        walk = prefix_walk(n, t, avoid, count, cap)
+        # an every-length plan, so that no word scan reads the automaton
+        walk = prefix_walk(plan_scan(avoid, count, t, n, each_length=True), cap=cap)
         got = [(tuple(e) if t else _standardised(e), c) for e, c in walk]
         assert sorted(got) == sorted(want)
 
@@ -238,9 +239,12 @@ def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
             c = len(naive_occurrences(count, seq)) if counted else 0
             if cap is None or c <= cap:
                 want.append((seq.entries, c))
-        tree = [(_standardised(e), c) for e, c in prefix_walk(n, None, avoid, count, cap)]
-        twins = [_by_values(p, n) for p in avoid], count and _by_values(count, n)
-        values = [(tuple(e), c) for e, c in prefix_walk(n, None, *twins, cap)]
+        plan = plan_scan(avoid, count, None, n)
+        twins = plan_scan([_by_values(p, n) for p in avoid], count and _by_values(count, n),
+                          None, n)
+        assert (plan.path, twins.path) == ("tree", "values")
+        tree = [(_standardised(e), c) for e, c in prefix_walk(plan, cap=cap)]
+        values = [(tuple(e), c) for e, c in prefix_walk(twins, cap=cap)]
         assert sorted(tree) == values == want, (avoid, count, cap, n)
 
 
@@ -254,7 +258,7 @@ def test_every_length_perm_scans_equal_a_walk_per_length(rng):
         pats.append(Pdvp(Mode.PERMUTATION, pat.base, x, pat.y, pat.z))
     for pat in pats:
         one_walk = order_only(pat) and pat.x[-1].steps == (1,)  # X_m holds P
-        assert check_scan([pat], None, 6, each_length=True) == one_walk
+        assert plan_scan((), pat, None, 6, each_length=True).one_walk == one_walk
         tables = perm_distributions(pat, 6)
         assert [table.length for table in tables] == list(range(7))
         for k, table in enumerate(tables):
@@ -324,35 +328,36 @@ def test_walk_nodes_are_the_prefixes_itertools_enumerates(monkeypatch):
             total += nodes
             for each_length, want in ((False, nodes), (True, nodes if one_walk else total)):
                 monkeypatch.setenv("PDVP_BUDGET", str(want))
-                check_scan(pats, t, n, each_length)
+                plan_scan(pats, None, t, n, each_length)
                 if want:
                     monkeypatch.setenv("PDVP_BUDGET", str(want - 1))
                     with pytest.raises(EnumerationLimitError, match=_refusal(want, want - 1)):
-                        check_scan(pats, t, n, each_length)
+                        plan_scan(pats, None, t, n, each_length)
 
 
 def test_scan_budget_boundaries(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     anchored = [parse_pattern(_ANCHORED, Mode.WORD)]
     start = time.perf_counter()
-    check_scan([_ODD_RISE], None, 10)
-    check_scan((), None, 11)  # the generating tree: 43954713 nodes
-    check_scan((), 2, 25)
+    # a word scan's patterns are not statistics here, so that it walks
+    plan_scan([_ODD_RISE], None, None, 10)
+    plan_scan((), None, None, 11)  # the generating tree: 43954713 nodes
+    plan_scan(anchored, None, 2, 25)
     for pats, t, n, nodes in (([_ODD_RISE], None, 11, 108505111), ((), None, 12, 522956313),
-                              ((), 2, 26, 2**27 - 2), ((), 10, 8, 111111110)):
+                              (anchored, 2, 26, 2**27 - 2), (anchored, 10, 8, 111111110)):
         with pytest.raises(EnumerationLimitError, match=_refusal(nodes, 10**8)):
-            check_scan(pats, t, n)
+            plan_scan(pats, None, t, n)
     # inputs far past the budget are refused as fast; a count too long to
     # print is named by its lower bound
     for t, n in ((None, 10**12), (3, 10**9), (10**50, 10**9)):
         with pytest.raises(EnumerationLimitError, match=r"^scan of at least 2\^\d+ steps"):
-            check_scan(() if t is None else anchored, t, n, each_length=True)
+            plan_scan(() if t is None else anchored, None, t, n, each_length=True)
     with pytest.raises(EnumerationLimitError, match=_refusal(10**9 * (10**9 + 1) // 2, 10**8)):
-        check_scan(anchored, 1, 10**9, each_length=True)
+        plan_scan(anchored, None, 1, 10**9, each_length=True)
     # a walk of 10^8 one-letter positions fits the steps but not the bits
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 76800000000 bits exceeds the bound 1073741824$"):
-        check_scan((), 1, 10**8)
+        plan_scan(anchored, None, 1, 10**8)
     assert time.perf_counter() - start < 1
     # a word space whose node count equals the budget runs; one node more
     # does not (the pattern's interior gap set is infinite, so it is walked)
@@ -558,13 +563,148 @@ def test_cli_word_scans_print_what_the_walk_prints(rng, capsys, monkeypatch):
         t, n = rng.randint(1, 3), rng.randint(0, 7)
         flags = [arg for p in pats for arg in ("--pattern", render_pattern(p))]
         runs.append(["avoid", *flags, "--word-n", str(n), "--alphabet", str(t)])
+    walk, check = exhaustive.prefix_walk, budget.check_work
     for argv in runs:
         for fmt in ("text", "json"):
             with monkeypatch.context() as patched:
                 patched.setattr(exhaustive, "prefix_walk", _no_walk)
                 routed = _cli(capsys, ["--format", fmt, *argv])
+            # the plan takes the series only when its work fits: a check that
+            # admits no series forces the word walk
+            walks = []
             with monkeypatch.context() as patched:
-                patched.setattr(exhaustive, "_series_row", lambda pats, t, n: None)
+                patched.setattr(budget, "check_work",
+                                lambda *a, refuse=True, **k: refuse and check(*a, **k))
+                patched.setattr(exhaustive, "prefix_walk",
+                                lambda plan, *a, **k: walks.append(plan) or walk(plan, *a, **k))
                 walked = _cli(capsys, ["--format", fmt, *argv])
+            assert [plan.path for plan in walks] == ["words"], argv
             assert routed == walked, argv
             assert routed[0] == 0 and routed[2] == "", argv
+
+
+# The plan: one place validates a scan, picks its path and checks its work.
+
+_WORD_PAIR = parse_pattern("12|P,P,P|-|P,P", Mode.WORD)
+
+
+@pytest.mark.parametrize(
+    "scan, mode",
+    [
+        # sizes far past the budget: the wrong mode is named, not the work
+        (lambda: perm_distribution(_WORD_PAIR, 30), "permutation"),
+        (lambda: perm_distributions(_WORD_PAIR, 30), "permutation"),
+        (lambda: perm_multi_avoiders([make_classical((1, 2)), _WORD_PAIR], 30), "permutation"),
+        (lambda: word_distribution(make_classical((1, 2)), 3, 30), "word"),
+        (lambda: word_distributions(make_classical((1, 2)), 3, 30), "word"),
+        (lambda: word_multi_avoiders([_WORD_PAIR, make_classical((1, 2))], 3, 30), "word"),
+        (lambda: word_avoider_counts([make_classical((1, 2))], 3, 30), "word"),
+        (lambda: plan_scan([_WORD_PAIR], make_classical((1, 2)), 3, 30), "word"),
+    ],
+)
+def test_modes_are_checked_before_the_budget(scan, mode):
+    with pytest.raises(ValueError, match=rf"^{mode} scan needs {mode}-mode patterns$"):
+        scan()
+
+
+def test_cli_names_the_mode_before_the_budget(capsys, monkeypatch):
+    # the CLI parses each pattern in the scan's mode, so a mismatch can only
+    # come from a caller; it exits 2 with the mode message all the same
+    monkeypatch.setattr(cli, "_parse_any_pattern", lambda text, mode: make_classical((1, 2)))
+    code, out, err = _cli(capsys, ["dist", "--pattern", "12", "--word-n", "30", "--alphabet", "3"])
+    assert (code, out, err) == (2, "", "error: word scan needs word-mode patterns\n")
+
+
+def _statistic(pat):
+    try:
+        StatPattern(pat)
+    except ValueError:
+        return False
+    return True
+
+
+def _random_scan(rng):
+    """Random scan inputs (avoid, count, t, n, each_length): permutation or
+    word patterns, about half of them of the kind the tree or the series
+    takes, an avoid set of up to two and a counted pattern or none."""
+    perm = rng.random() < 0.5
+
+    def pattern():
+        if rng.random() < 0.5:
+            return _random_order_only(rng) if perm else _random_window_pattern(rng)
+        return random_pattern(rng, Mode.PERMUTATION if perm else Mode.WORD)
+
+    count = pattern() if rng.random() < 0.5 else None
+    avoid = [pattern() for _ in range(rng.randint(0, 2))]
+    return avoid, count, None if perm else rng.randint(1, 3), rng.randint(0, 6), rng.random() < 0.5
+
+
+def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
+    seen = set()
+    for _ in range(300):
+        avoid, count, t, n, each_length = _random_scan(rng)
+        pats = avoid + [count] * (count is not None)
+        plan = plan_scan(avoid, count, t, n, each_length)
+        assert (plan.avoid, plan.count, plan.t, plan.n) == (tuple(avoid), count, t, n)
+        assert (plan.path == "tree") == (t is None and all(map(order_only, pats)))
+        # the series' work fits the default budget at these sizes
+        single = not each_length and not (avoid and count)
+        series = t is not None and single and all(map(_statistic, pats))
+        assert (plan.path == "series") == series, (avoid, count, t, n, each_length)
+        assert plan.path in (("tree", "values") if t is None else ("series", "words"))
+        closing_p = all(pat.x[-1].steps == (1,) for pat in pats)
+        assert plan.one_walk == (not each_length or plan.path != "values" and closing_p)
+        seen.add((plan.path, plan.one_walk))
+    assert seen == {(path, True) for path in ("series", "tree", "values", "words")} | {
+        ("tree", False), ("values", False), ("words", False)}
+    # a series whose work does not fit walks: at n = 0 the walk has no node
+    monkeypatch.setenv("PDVP_BUDGET", "0")
+    assert plan_scan([_random_window_pattern(rng)], None, 2, 0).path == "words"
+
+
+def _naive_rows(avoid, count, t, n):
+    """For k = 0..n, {occurrences of count: objects} over the objects of length
+    k that avoid every pattern of `avoid`, by the per-object filter."""
+    mode = Mode.PERMUTATION if t is None else Mode.WORD
+    return [
+        Counter(len(naive_occurrences(count, seq)) if count else 0
+                for seq in _objects(mode, k, t)
+                if not any(naive_occurrences(p, seq) for p in avoid))
+        for k in range(n + 1)
+    ]
+
+
+def test_every_entry_point_equals_the_per_object_filter(rng):
+    for _ in range(60):
+        avoid, count, t, n, _ = _random_scan(rng)
+        want = _naive_rows(avoid, count, t, n)
+        case = (avoid, count, t, n)
+        if count is None and t is None:
+            assert perm_multi_avoiders(avoid, n) == want[n][0], case
+        elif count is None:
+            assert word_multi_avoiders(avoid, t, n) == want[n][0], case
+            assert word_avoider_counts(avoid, t, n) == [row[0] for row in want], case
+        elif not avoid:
+            single = perm_distribution(count, n) if t is None else word_distribution(count, t, n)
+            every = perm_distributions(count, n) if t is None else word_distributions(count, t, n)
+            assert list(single.counts.items()) == sorted(want[n].items()), case
+            assert [table.length for table in every] == list(range(n + 1)), case
+            assert [list(table.counts.items()) for table in every] == [
+                sorted(row.items()) for row in want], case
+        else:  # no entry point both avoids and counts: walk each length of the plan
+            plan = plan_scan(avoid, count, t, n, each_length=True)
+            for k in range(n + 1):
+                assert Counter(c for _, c in prefix_walk(plan, k)) == want[k], (case, k)
+
+
+def test_prefix_walk_refuses_a_walk_its_plan_did_not_check():
+    rise = parse_pattern(_FREE, Mode.WORD)
+    anchored = parse_pattern(_ANCHORED, Mode.WORD)
+    series = plan_scan([rise], None, 2, 4)
+    per_length = plan_scan([anchored], None, 2, 4, each_length=True)
+    assert series.path == "series" and not per_length.one_walk
+    for walk in (prefix_walk(series), prefix_walk(per_length, prefixes=True),
+                 prefix_walk(per_length, 5), prefix_walk(per_length, -1)):
+        with pytest.raises(ValueError, match="plan of length 4 has no such walk"):
+            next(walk)
+    assert sum(1 for _ in prefix_walk(per_length, 3)) == word_multi_avoiders([anchored], 2, 3)

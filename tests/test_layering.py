@@ -1,6 +1,6 @@
 """Only matcher.py and transfer.py may use their private names, the
-matcher has one search, the scans have one walker, and only
-`budget.check_work` decides a budget.
+matcher has one search, the scans have one walker and one planner, and
+only `budget.check_work` decides a budget.
 
 Other modules reach the matcher and the polynomials through their public
 entry points, so the matcher's compiled tables and search, and the layout
@@ -119,9 +119,10 @@ def test_the_search_lint_counts_compile_sites():
     assert _compile_sites(ast.parse(source)) == {1, 3}
 
 
-def _search_users(tree: ast.AST) -> list[str]:
-    """The outermost functions that name `matcher.search_ending_at`, by either
-    spelling, one entry per use; a use outside any function is "<module>"."""
+def _users(tree: ast.AST, names: set[str]) -> list[str]:
+    """The outermost functions that name one of `names`, by either spelling
+    (`name`, `module.name` or an import), one entry per use; a use outside
+    any function is "<module>".  A definition is no use."""
     found = []
 
     def visit(node, owner):
@@ -129,25 +130,27 @@ def _search_users(tree: ast.AST) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, owner or child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "search_ending_at"
-                    and isinstance(child.value, ast.Name) and child.value.id == "matcher"):
+            if isinstance(child, ast.Attribute) and child.attr in names:
                 found.append(owner or "<module>")
-            elif isinstance(child, ast.Name) and child.id == "search_ending_at":
+            elif isinstance(child, ast.Name) and child.id in names:
                 found.append(owner or "<module>")
-            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("matcher"):
-                found.extend(owner or "<module>" for alias in child.names
-                             if alias.name == "search_ending_at")
+            elif isinstance(child, ast.ImportFrom):
+                found.extend(owner or "<module>" for alias in child.names if alias.name in names)
             visit(child, owner)
 
     visit(tree, None)
     return found
 
 
+def _module_tree(name: str) -> ast.AST:
+    return ast.parse((PACKAGE / name).read_text())
+
+
 def test_only_the_prefix_walk_searches_in_the_scans():
     # one walker: every scan, problem and check reaches the per-position
     # search through `exhaustive.prefix_walk`, whose child step alone picks
     # the value walk or the generating tree
-    users = {name: _search_users(ast.parse((PACKAGE / name).read_text()))
+    users = {name: _users(_module_tree(name), {"search_ending_at"})
              for name in ("exhaustive.py", "problems.py", "checks.py")}
     assert users == {"exhaustive.py": ["prefix_walk", "prefix_walk"],
                      "problems.py": [], "checks.py": []}
@@ -166,9 +169,85 @@ def test_the_walker_lint_sees_a_second_caller():
         "found = matcher.search_ending_at\n"
         "matcher.count_entries(p, buf, 3)\n"
     )
-    assert _search_users(ast.parse(source)) == [
+    assert _users(ast.parse(source), {"search_ending_at"}) == [
         "<module>", "prefix_walk", "other_walk", "<module>"
     ]
+
+
+# What decides a scan's path and work: whether its patterns are order-only
+# or statistics, and the work check.
+_DECIDERS = {"order_only", "statistic_refusal", "check_work"}
+
+
+def test_only_the_plan_decides_a_scan():
+    # one planner: in the modules that scan, `exhaustive.plan_scan` alone
+    # picks a path and checks a scan's work; problems' one other work check
+    # is the morphism word's, which is no scan
+    users = {name: _users(_module_tree(name), _DECIDERS)
+             for name in ("exhaustive.py", "problems.py", "checks.py", "cli.py")}
+    assert users == {"exhaustive.py": ["plan_scan"] * 4, "problems.py": ["morphism_rises"],
+                     "checks.py": [], "cli.py": []}
+
+
+def test_the_planner_lint_sees_a_second_decider():
+    source = (
+        "from . import budget, transfer\n"
+        "from .exhaustive import order_only\n"
+        "def plan_scan(pats):\n"
+        "    return all(map(order_only, pats))\n"
+        "def second(pats, n):\n"
+        "    if not any(map(transfer.statistic_refusal, pats)):\n"
+        "        budget.check_work('scan', n, 0)\n"
+        "fits = budget.check_work\n"
+        "budget.ceiling()\n"
+    )
+    assert _users(ast.parse(source), _DECIDERS) == [
+        "<module>", "plan_scan", "second", "second", "<module>"
+    ]
+
+
+def _unplanned_walks(tree: ast.AST) -> list[int]:
+    """Lines of the calls of `prefix_walk` whose plan (first argument) is
+    neither a call of `plan_scan` nor a name the module binds to one."""
+    def planning(node):
+        return isinstance(node, ast.Call) and _callee(node.func) == "plan_scan"
+
+    plans = {target.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and planning(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node.func) == "prefix_walk":
+            plan = node.args[:1] + [k.value for k in node.keywords if k.arg == "plan"]
+            if not (plan and (planning(plan[0]) or isinstance(plan[0], ast.Name)
+                              and plan[0].id in plans)):
+                found.append(node.lineno)
+    return found
+
+
+def test_walks_outside_exhaustive_start_from_a_plan():
+    walkers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "exhaustive.py":
+            tree = ast.parse(path.read_text())
+            assert _unplanned_walks(tree) == [], path.name
+            if _users(tree, {"prefix_walk"}):
+                walkers.add(path.name)
+    assert walkers == {"problems.py", "checks.py"}
+
+
+def test_the_walk_lint_sees_a_walk_without_a_plan():
+    source = (
+        "plan = exhaustive.plan_scan(avoid, None, None, n, each_length=True)\n"
+        "exhaustive.prefix_walk(plan, prefixes=True)\n"
+        "exhaustive.prefix_walk(exhaustive.plan_scan(avoid, None, 2, n))\n"
+        "prefix_walk(plan=plan)\n"
+        "exhaustive.prefix_walk(n, avoid=avoid, prefixes=True)\n"
+        "other = make_plan(avoid)\n"
+        "exhaustive.prefix_walk(other)\n"
+        "prefix_walk()\n"
+    )
+    assert _unplanned_walks(ast.parse(source)) == [5, 7, 8]
 
 
 def _unbounded_caches(tree: ast.AST) -> list[int]:
