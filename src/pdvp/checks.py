@@ -131,11 +131,6 @@ def mod4_pattern() -> Pdvp:
 # ---------------------------------------------------------------------------
 # check plumbing
 
-# entries per cache below: one `pdvp verify` stores at most 9 in any of them
-# (`_dp_table` for 7 names at order 14 and 2 more), so it recomputes nothing
-_CACHE_SIZE = 16
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -154,18 +149,13 @@ class CheckResult:
         self.lines.append(f"  {text}")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _classical_rows(base: tuple[int, ...], kmax: int):
-    tables = exhaustive.perm_distributions(make_classical(base), kmax)
-    return {k: dict(table.counts) for k, table in enumerate(tables)}
-
-
 def check_eq1() -> CheckResult:
     """Occurrence-count transfer to even lengths, all occurrence counts."""
     t = CheckResult("eq1")
     tables = {}  # (base, n): the parity pattern's table over S_2n
     for base in ((1, 2), (2, 1), (1, 2, 3)):
-        a_row = _classical_rows(base, 3)
+        classical = exhaustive.perm_distributions(make_classical(base), 3)
+        a_row = {k: table.counts for k, table in enumerate(classical)}
         pat = parity_position_pattern(base)
         for n in (1, 2, 3):
             table = tables[base, n] = exhaustive.perm_distribution(pat, 2 * n)
@@ -193,7 +183,6 @@ def check_eq1() -> CheckResult:
     return t
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _k4n_brute(n: int) -> int:
     return exhaustive.perm_multi_avoiders([mod4_pattern()], 4 * n)
 
@@ -221,7 +210,6 @@ def _shifted_rise_pattern(k: int) -> Pdvp:
     return parse_pattern(f"12|P,{{{k}}},P|(1,2,{{1}})|P,P")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _ank_scan(n_max: int) -> tuple[dict[int, tuple[int, int]], ...]:
     """For n = 0..n_max and k = 1..3: (avoider count, exactly-one count) of
     the k-th shifted rise over the V-permutations of S_n.
@@ -235,7 +223,7 @@ def _ank_scan(n_max: int) -> tuple[dict[int, tuple[int, int]], ...]:
     walked = [_CONS_231, _CONS_132]
     plan = exhaustive.plan_scan(walked, None, None, n_max, each_length=True)
     scans = [{k: [0, 0] for k in ks} for _ in range(n_max + 1)]
-    for entries, _ in exhaustive.prefix_walk(plan, prefixes=True):
+    for entries, _ in exhaustive.prefix_walk(plan):
         rank = {v: r for r, v in enumerate(sorted(entries), 1)}
         pi = [rank[v] for v in entries]
         for k, rise in zip(ks, rises):
@@ -276,19 +264,20 @@ def check_ank() -> CheckResult:
     return t
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _dp_table(name: str, n_max: int) -> transfer.ZSeriesTable:
-    return transfer.dp_series(stat_pattern(name), STAT_ALPHABETS[name][1], n_max)
+@lru_cache(maxsize=len(STAT_ALPHABETS))
+def _dp_table(name: str) -> transfer.ZSeriesTable:
+    """The dp series of a named statistic to order 14, which every check
+    reads a prefix of: one table per name in a `pdvp verify`."""
+    return transfer.dp_series(stat_pattern(name), STAT_ALPHABETS[name][1], 14)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _solver_gf(name: str) -> RationalGF:
     return transfer.solve_transfer_system(stat_pattern(name), STAT_ALPHABETS[name][1])
 
 
 def _dp_matches_brute(t: CheckResult, name: str, n_scan: int):
     pat, alpha = stat_pattern(name).pattern, STAT_ALPHABETS[name][1]
-    dp = _dp_table(name, n_scan)
+    dp = _dp_table(name)
     for n, brute in enumerate(exhaustive.word_distributions(pat, alpha, n_scan)):
         t.expect(
             f"{name} dp row n={n} vs word scan",
@@ -299,7 +288,7 @@ def _dp_matches_brute(t: CheckResult, name: str, n_scan: int):
 
 def check_a3() -> CheckResult:
     t = CheckResult("a3")
-    dp = _dp_table("a3", 14)
+    dp = _dp_table("a3")
     _dp_matches_brute(t, "a3", 9)
     t.expect(
         "a3 dp vs closed form, order 14",
@@ -338,7 +327,7 @@ def check_a3() -> CheckResult:
 
 def _solver_check(name: str) -> CheckResult:
     t = CheckResult(name)
-    dp = _dp_table(name, 14)
+    dp = _dp_table(name)
     solved = _solver_gf(name)
     t.expect(
         f"{name} solver expansion equals dp, order 14",
@@ -361,7 +350,7 @@ def check_b3() -> CheckResult:
     # the avoidance slice is also the even-index Fibonacci series
     t.expect(
         "b3 avoidance slice vs 1/(1-3q+q^2), order 14",
-        _dp_table("b3", 14).z0_series(),
+        _dp_table("b3").z0_series(),
         [
             transfer.expand_rational(fib_even_gf(), 14).coefficient(n, 0)
             for n in range(15)
@@ -373,16 +362,15 @@ def check_b3() -> CheckResult:
 def check_d4() -> CheckResult:
     """The two recorded d4 displays conflict; adjudicate against the dp oracle."""
     t = _solver_check("d4")
-    biv = transfer.expand_rational(d4_display_bivariate(), 8) == _dp_table("d4", 8)
-    z0 = (
-        transfer.expand_rational(d4_display_z0(), 8).z0_series()
-        == _dp_table("d4", 8).z0_series()
-    )
+    dp = _dp_table("d4")
+    shown = transfer.expand_rational(d4_display_bivariate(), 8)
+    biv = all(shown.z_poly(n) == dp.z_poly(n) for n in range(9))
+    z0 = transfer.expand_rational(d4_display_z0(), 8).z0_series() == dp.z0_series()[:9]
     t.note(f"bivariate display matches dp: {biv}")
     t.note(f"z=0 display matches dp: {z0}")
     t.expect("exactly one display matches the dp oracle", int(biv) + int(z0), 1)
     if not t.ok:
-        computed = _dp_table("d4", 14).z0_series()[:8]
+        computed = dp.z0_series()[:8]
         t.note(f"computed avoidance series: {computed}")
         scans = exhaustive.word_avoider_counts([stat_pattern("d4").pattern], 4, 7)
         if scans == computed:

@@ -25,12 +25,14 @@ import re
 import sys
 from contextlib import nullcontext
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import checks, exhaustive, problems, transfer
 from .dsl import ParseError, parse_gp, parse_pattern, render_pattern
 from .matcher import PermSequence, WordSequence, iter_occurrences
 from .pattern import Mode, Pdvp
+
+_json = json.JSONEncoder(indent=2).iterencode  # the pieces of an object's indented JSON
 
 
 def _parse_any_pattern(text: str, mode: Mode) -> Pdvp:
@@ -44,14 +46,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in toks)
 
 
-def _emit(args, lines: Iterable[str], json_obj: Callable[[], object]) -> None:
+def _emit(args, lines: Iterable[str], json_chunks: Callable[[], Iterator[str]]) -> None:
     """Write the output to --out or stdout: the text `lines`, each as it is
-    rendered, or the indented JSON of `json_obj()`.  Only the format asked
-    for is built, so `lines` may be a generator and `json_obj` is called only
-    for JSON."""
+    rendered, or the indented JSON whose pieces `json_chunks()` yields, in
+    batches.  Only the format asked for is built, so `lines` may be a
+    generator and `json_chunks` is called only for JSON."""
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "json":
-            chunks = json.JSONEncoder(indent=2).iterencode(json_obj())
+            chunks = json_chunks()
             while batch := "".join(islice(chunks, 4096)):
                 fh.write(batch)
             fh.write("\n")
@@ -65,6 +67,16 @@ def _table_json(table: exhaustive.DistributionTable) -> dict:
         "n": table.length,
         "entries": {str(m): str(table.counts[m]) for m in sorted(table.counts)},
     }
+
+
+def _series_json(table: transfer.ZSeriesTable) -> Iterator[str]:
+    """The pieces of `_json(table.to_json_obj())`, encoding one entry at a time."""
+    yield f'{{\n  "n": {table.n_max},\n  "entries": ['
+    for n in range(table.n_max + 1):
+        yield ",\n    " if n else "\n    "
+        for chunk in _json(table.json_entry(n)):
+            yield chunk.replace("\n", "\n    ")
+    yield "\n  ]\n}"
 
 
 def _zpoly_text(row: dict[int, int]) -> str:
@@ -106,7 +118,7 @@ def _cmd_match(args) -> int:
             for occ in occs
         ],
     }
-    _emit(args, lines or ["no occurrences"], lambda: obj)
+    _emit(args, lines or ["no occurrences"], lambda: _json(obj))
     return 0
 
 
@@ -118,7 +130,7 @@ def _cmd_dist(args) -> int:
         pat = _parse_any_pattern(args.pattern, Mode.WORD)
         table = exhaustive.word_distribution(pat, args.alphabet, args.word_n)
     lines = [f"{m} {table.counts[m]}" for m in sorted(table.counts)]
-    _emit(args, lines, lambda: _table_json(table))
+    _emit(args, lines, lambda: _json(_table_json(table)))
     return 0
 
 
@@ -138,7 +150,7 @@ def _cmd_avoid(args) -> int:
         n = args.word_n
         count = exhaustive.word_multi_avoiders(pats, args.alphabet, n)
     obj = {"n": n, "patterns": [render_pattern(p) for p in pats], "avoiders": str(count)}
-    _emit(args, [str(count)], lambda: obj)
+    _emit(args, [str(count)], lambda: _json(obj))
     return 0
 
 
@@ -147,11 +159,11 @@ def _cmd_gf(args) -> int:
     sp = transfer.StatPattern(pat)
     if args.solve:
         gf = transfer.solve_transfer_system(sp, args.alphabet)
-        _emit(args, [f"({gf.num!r}) / ({gf.den!r})"], gf.to_json_obj)
+        _emit(args, [f"({gf.num!r}) / ({gf.den!r})"], lambda: _json(gf.to_json_obj()))
     else:
         table = transfer.dp_series(sp, args.alphabet, args.max_n)
         lines = (f"q^{n}: {_zpoly_text(table.z_poly(n))}" for n in range(table.n_max + 1))
-        _emit(args, lines, table.to_json_obj)
+        _emit(args, lines, lambda: _series_json(table))
     return 0
 
 
@@ -175,13 +187,13 @@ def _cmd_verify(args) -> int:
         "checks": [{"name": r.name, "ok": r.ok, "lines": r.lines} for r in results],
         "all_ok": all_ok,
     }
-    _emit(args, lines, lambda: obj)
+    _emit(args, lines, lambda: _json(obj))
     return 0 if all_ok else 1
 
 
 def _cmd_problem(args) -> int:
     report = problems.problem_report(args.which, args.max_size)
-    _emit(args, [report.to_text()], report.to_json_obj)
+    _emit(args, [report.to_text()], lambda: _json(report.to_json_obj()))
     return 0
 
 
@@ -245,7 +257,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if needs_alphabet and getattr(args, "alphabet", None) is None:
         parser.error("--alphabet is required for word input")
     if args.command == "avoid" and not (args.pattern or args.patterns):
-        # an empty pattern list is legal (counts everything); require explicit intent
+        # no pattern at all is allowed: an empty list, so every object is counted
         args.pattern = []
 
 

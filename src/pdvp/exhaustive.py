@@ -15,11 +15,13 @@ pattern modes, picks one of four paths and checks that path's predicted work
 * ``values``: any other permutation scan appends an unused value.
 * ``words``: any other word scan appends any letter.
 
-A walk (`prefix_walk`) goes depth first over prefixes: a prefix of length p
-already decides every occurrence that ends at p, so each step adds the
-occurrences ending at the new position, and a branch is dropped as soon as
-an avoided pattern ends there.  Only the walk's buffer is ever materialised.
-The every-length scans never read the series: they are the scan oracle that
+`prefix_walk(plan)` streams the objects of every length the plan covers,
+from one walk, or a walk per length when one cannot settle them all.  A
+walk goes depth first over prefixes: a prefix of length p already decides
+every occurrence that ends at p, so each step adds the occurrences ending
+at the new position, and a branch is dropped as soon as an avoided pattern
+ends there.  Only the walk's buffer is ever materialised.  The every-length
+scans never read the series: they are the scan oracle that
 `verify` (a3, d4) and the tests compare the automaton with, and with the
 per-object recounts of the tests the ground truth for every closed formula
 and generating function in the toolkit.
@@ -69,6 +71,7 @@ class ScanPlan:
     t: int | None
     n: int
     path: str  # "series", "tree", "values" or "words"
+    each_length: bool  # the scan asks for every length 0..n, not n alone
     one_walk: bool  # one walk settles every length the scan asks for
 
 
@@ -106,7 +109,7 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
         if not (each_length or mixed or any(map(transfer.statistic_refusal, pats))):
             sps = tuple(map(transfer.StatPattern, pats))
             if budget.check_work("series", *transfer.series_work(sps, t, n, 1), refuse=False):
-                return ScanPlan(avoid, count, t, n, "series", True)
+                return ScanPlan(avoid, count, t, n, "series", each_length, True)
     one_walk = not each_length or (
         path != "values" and all(pat.x[-1].steps == (1,) for pat in pats))
     if t == 1:
@@ -126,28 +129,23 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
                 break
     rows = (n + 1) * each_length
     budget.check_work("scan", nodes, n * budget.WALK_POSITION_BITS + rows * budget.ROW_BITS)
-    return ScanPlan(avoid, count, t, n, path, one_walk)
+    return ScanPlan(avoid, count, t, n, path, each_length, one_walk)
 
 
-def prefix_walk(
-    plan: ScanPlan,
-    length: int | None = None,
-    cap: int | None = None,
-    prefixes: bool = False,
-) -> Iterator[tuple[list[int], int]]:
-    """Walk the objects of the plan's space of `length` (plan.n when None).
+def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[int], int]]:
+    """Walk the objects of every length the plan covers (n, or 0..n).
 
     Yields (entries, c) for every object that no pattern in plan.avoid occurs
     in, c the occurrences of plan.count (0 when it is None).  A branch is
     dropped once an avoided pattern ends at its last position, or once c
-    exceeds `cap`.  `entries` is the walk's own buffer, valid until the next
-    item is drawn.  With `prefixes`, every shorter prefix the walk keeps is
-    yielded too, before its extensions, as a list of its own, with the count
-    of a sequence of the walk's length (its own when X_m holds every positive
-    integer).  The walk keeps its own stack of candidate iterators, so the
-    length is not bounded by the recursion limit.  Drawing from it raises
-    ValueError for a series plan, a length above plan.n, or `prefixes` on a
-    plan that walks each length.
+    exceeds `cap`.  An every-length plan with `one_walk` also yields each
+    shorter prefix its walk keeps, before its extensions, as a list of its
+    own with its own count (every closing gap set is P); any other takes a
+    walk per length 0..n, in order.  An object as long as its walk is the
+    walk's own buffer, valid until the next item is drawn.  Each walk keeps
+    its own stack of candidate iterators, so the length is not bounded by
+    the recursion limit.  Drawing from it raises ValueError for a series
+    plan.
 
     Words and values come in lexicographic order.  On the tree a child takes
     the midpoint of a gap between consecutive values of the sorted prefix,
@@ -157,59 +155,60 @@ def prefix_walk(
     values spans at least 2^(n-d), so depth n never closes a gap; `top` is
     also the high sentinel the patterns see.
     """
-    n = plan.n if length is None else length
-    if plan.path == "series" or not 0 <= n <= plan.n or prefixes and not plan.one_walk:
-        raise ValueError(f"a {plan.path} plan of length {plan.n} has no such walk")
+    if plan.path == "series":
+        raise ValueError(f"a series plan of length {plan.n} has no walk")
     tree = plan.path == "tree"
     by_value = plan.path == "values"
-    top = plan.t or (1 << n if tree else n + 1)
-    letters = range(1, (plan.t or n) + 1)
-    stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
-    tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
-    buf = [0] * n
-    used = [False] * (n + 1)  # used[v]: the value walk has placed v
-    within = [0] * (n + 1)  # within[d]: the occurrences inside buf[:d]
-    if n == 0 or prefixes:
-        yield buf[:0], 0
-        if n == 0:
-            return
-    # rows[d - 1]: the candidates for position d
-    rows = [iter([top >> 1] if tree else letters)] + [None] * n
-    d = 1  # the position being filled
-    while d:
-        for v in rows[d - 1]:
-            if by_value and used[v]:
+    prefixes = plan.each_length and plan.one_walk
+    for n in [plan.n] if plan.one_walk else range(plan.n + 1):
+        top = plan.t or (1 << n if tree else n + 1)
+        letters = range(1, (plan.t or n) + 1)
+        stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
+        tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
+        buf = [0] * n
+        used = [False] * (n + 1)  # used[v]: the value walk has placed v
+        within = [0] * (n + 1)  # within[d]: the occurrences inside buf[:d]
+        if n == 0 or prefixes:
+            yield buf[:0], 0
+            if n == 0:
                 continue
-            buf[d - 1] = v
-            for stop in stops:
-                if stop(buf, d):
-                    break  # to the next candidate v
+        # rows[d - 1]: the candidates for position d
+        rows = [iter([top >> 1] if tree else letters)] + [None] * n
+        d = 1  # the position being filled
+        while d:
+            for v in rows[d - 1]:
+                if by_value and used[v]:
+                    continue
+                buf[d - 1] = v
+                for stop in stops:
+                    if stop(buf, d):
+                        break  # to the next candidate v
+                else:
+                    got = within[d - 1]
+                    if tally:
+                        got += tally(buf, d)
+                        if cap is not None and got > cap:
+                            continue
+                    break  # v is placed
             else:
-                got = within[d - 1]
-                if tally:
-                    got += tally(buf, d)
-                    if cap is not None and got > cap:
-                        continue
-                break  # v is placed
-        else:
-            d -= 1
-            if by_value and d:
-                used[buf[d - 1]] = False
-            continue
-        if d == n:
-            yield buf, got
-            continue
-        if prefixes:
-            yield buf[:d], got
-        if by_value:
-            used[v] = True
-        within[d] = got
-        if tree:
-            ends = [0, *sorted(buf[:d]), top]
-            rows[d] = iter([(lo + hi) >> 1 for lo, hi in zip(ends, ends[1:])])
-        else:
-            rows[d] = iter(letters)
-        d += 1
+                d -= 1
+                if by_value and d:
+                    used[buf[d - 1]] = False
+                continue
+            if d == n:
+                yield buf, got
+                continue
+            if prefixes:
+                yield buf[:d], got
+            if by_value:
+                used[v] = True
+            within[d] = got
+            if tree:
+                ends = [0, *sorted(buf[:d]), top]
+                rows[d] = iter([(lo + hi) >> 1 for lo, hi in zip(ends, ends[1:])])
+            else:
+                rows[d] = iter(letters)
+            d += 1
 
 
 def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
@@ -221,19 +220,15 @@ def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     if plan.path == "series":
         sps = tuple(transfer.StatPattern(p) for p in (*plan.avoid, count) if p is not None)
         return [DistributionTable(n, transfer.series_row(sps, t, n))]
-    lengths = range(n + 1) if each_length else [n]
-    rows: dict[int, dict[int, int]] = {k: {} for k in lengths}
-    if each_length and plan.one_walk:
-        for entries, c in prefix_walk(plan, prefixes=True):
-            row = rows[len(entries)]
-            row[c] = row.get(c, 0) + 1
-    elif count is None:  # every c is 0, so the objects are only counted
-        for k in lengths:
-            rows[k][0] = sum(1 for _ in prefix_walk(plan, k))
-    else:
-        for k in lengths:
-            rows[k] = Counter(map(itemgetter(1), prefix_walk(plan, k)))
-    return [DistributionTable(k, dict(sorted(row.items()))) for k, row in rows.items()]
+    if not each_length:
+        walk = prefix_walk(plan)  # with no count every c is 0: the objects are only counted
+        row = {0: sum(1 for _ in walk)} if count is None else Counter(map(itemgetter(1), walk))
+        return [DistributionTable(n, dict(sorted(row.items())))]
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for entries, c in prefix_walk(plan):
+        row = rows[len(entries)]
+        row[c] = row.get(c, 0) + 1
+    return [DistributionTable(k, dict(sorted(row.items()))) for k, row in enumerate(rows)]
 
 
 def perm_distribution(pat: Pdvp, n: int) -> DistributionTable:

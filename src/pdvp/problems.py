@@ -171,7 +171,7 @@ def two_stack_sortable_counts(
     count = _CLASSICAL_123 if require_exactly_one_123 else None
     plan = exhaustive.plan_scan(avoid, count, None, n_max, each_length=True)
     totals = [0] * (n_max + 1)
-    for pi, c in exhaustive.prefix_walk(plan, cap=1, prefixes=True):
+    for pi, c in exhaustive.prefix_walk(plan, cap=1):
         if require_exactly_one_123 and c == 0:
             continue  # one occurrence of 123 is required, and this has none
         if stack_sort(stack_sort(tuple(pi))) == tuple(sorted(pi)):

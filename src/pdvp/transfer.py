@@ -335,13 +335,13 @@ class ZSeriesTable:
     def __repr__(self) -> str:
         return f"ZSeriesTable(n_max={self.n_max})"
 
+    def json_entry(self, n: int) -> dict:
+        """Row n as `to_json_obj` lists it."""
+        row = self._rows[n]
+        return {"q": n, "coeffs": {str(j): str(row[j]) for j in sorted(row)}}
+
     def to_json_obj(self) -> dict:
-        entries = []
-        for n, row in enumerate(self._rows):
-            entries.append(
-                {"q": n, "coeffs": {str(j): str(row[j]) for j in sorted(row)}}
-            )
-        return {"n": self.n_max, "entries": entries}
+        return {"n": self.n_max, "entries": list(map(self.json_entry, range(len(self._rows))))}
 
 
 def expand_rational(gf: RationalGF, n_max: int) -> ZSeriesTable:

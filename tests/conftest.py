@@ -149,7 +149,7 @@ class WorkMeter:
         exhaustive.word_distribution, exhaustive.word_distributions,
         exhaustive.perm_multi_avoiders,
         exhaustive.word_multi_avoiders, exhaustive.word_avoider_counts,
-        problems.two_stack_sortable_counts, problems.morphism_rises, checks._ank_scan.__wrapped__,
+        problems.two_stack_sortable_counts, problems.morphism_rises, checks._ank_scan,
         transfer.dp_series, transfer.series_row, transfer.solve_transfer_system,
     ]
 
@@ -198,14 +198,16 @@ class WorkMeter:
 
     def _search(self, pat, n, upper, first=False):
         """The searches of one walk, the first of them counting its calls: a
-        walk calls its first stop, or with none its tally, once per node."""
+        walk calls its first stop, or with none its tally, once per node.
+        A walk is its `prefix_walk` frame and its length n, since one frame
+        walks each length of a plan that needs a walk per length."""
         search = matcher.search_ending_at(pat, n, upper, first)
-        walk, rec = sys._getframe(1), self.record()
-        while walk.f_code is not self.walk_code:  # past a comprehension's frame
-            walk = walk.f_back
-        if rec is None or walk is self.walk:
+        frame, rec = sys._getframe(1), self.record()
+        while frame.f_code is not self.walk_code:  # past a comprehension's frame
+            frame = frame.f_back
+        if rec is None or self.walk == (frame, n):
             return search
-        self.walk = walk  # held, so that no later walk reuses its id
+        self.walk = (frame, n)  # the frame held, so that no later walk reuses its id
 
         def counted(buf, d):
             rec.counted += 1

@@ -108,7 +108,6 @@ def test_eq1_walks_each_parity_table_once(monkeypatch):
     walk, paths = exhaustive.prefix_walk, []
     monkeypatch.setattr(exhaustive, "prefix_walk",
                         lambda plan, *a, **k: paths.append(plan.path) or walk(plan, *a, **k))
-    checks._classical_rows.cache_clear()
     result = checks.check_eq1()
     assert Counter(paths) == {"values": 9, "tree": 3}
     assert result.ok
@@ -215,7 +214,7 @@ def test_criterion_09_d4(check):
         for n in range(7)
     ]
     assert naive == [1, 4, 14, 44, 134, 400, 1184]
-    dp = checks._dp_table("d4", 14)
+    dp = checks._dp_table("d4")
     assert dp.z0_series()[:7] == naive
     assert expand_rational(checks._solver_gf("d4"), 14) == dp
     assert checks.REFERENCE_Z0["d4"][:7] != naive
@@ -306,11 +305,11 @@ def test_criterion_15b_dp_equals_word_scans():
 def test_criterion_15c_solver_equals_dp(check):
     """All seven named systems: solver expansion equals dp to order 14."""
     for name in checks.STAT_ALPHABETS:
-        assert expand_rational(checks._solver_gf(name), 14) == checks._dp_table(name, 14)
+        assert expand_rational(checks._solver_gf(name), 14) == checks._dp_table(name)
 
 
 def test_criterion_15d_totals_normalisation():
     """Every dp table row sums to t^n (the z = 1 slice)."""
     for name, (_, t) in checks.STAT_ALPHABETS.items():
-        table = checks._dp_table(name, 12)
-        assert table.totals() == [t**n for n in range(13)]
+        table = checks._dp_table(name)
+        assert table.totals() == [t**n for n in range(15)]

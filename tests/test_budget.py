@@ -91,13 +91,21 @@ def test_every_kind_of_work_is_counted(work_meter):
     exhaustive.word_distribution(parse_pattern("12|P,P,P|-|P,P", word), 3, 6)  # a walk
     exhaustive.word_distribution(rise, 3, 40)  # the automaton's row
     transfer.solve_transfer_system(StatPattern(rise), 5)
-    checks._ank_scan.__wrapped__(6)
+    checks._ank_scan(6)
     problems.morphism_rises(12)
     kinds = {rec.what: rec for rec in work_meter.records if rec.counted}
     assert set(kinds) == {"scan", "series", "solve", "morphism word"}
     assert work_meter.over() == []
     # the solve counts exactly its 1 + 5 states' windows
     assert kinds["solve"].counted == kinds["solve"].steps == 30
+
+
+def test_the_meter_counts_every_length_of_a_walk(work_meter):
+    # one stream walks S_1..S_5 by values, a walk per length: 1 + 4 + 15 +
+    # 64 + 325 nodes, none pruned, since the scan only counts
+    exhaustive.perm_distributions(parse_pattern("12|P,P,P|-|O,P"), 5)
+    (rec,) = work_meter.records
+    assert (rec.what, rec.counted, rec.steps) == ("scan", 409, 409)
 
 
 def test_the_meter_sees_work_past_a_prediction(work_meter, monkeypatch):

@@ -103,22 +103,27 @@ def test_gf_dp_builds_only_the_format_asked_for(capsys, monkeypatch, tmp_path):
 
     with monkeypatch.context() as patched:
         patched.setattr(transfer.ZSeriesTable, "to_json_obj", refuse)
+        patched.setattr(transfer.ZSeriesTable, "json_entry", refuse)
         assert run(capsys, *_ONE_STATE)[0] == 0
     with monkeypatch.context() as patched:
         patched.setattr(cli, "_zpoly_text", refuse)
         assert run(capsys, "--format", "json", *_ONE_STATE)[0] == 0
-    # text rows are not held together: writing them adds far less than the
-    # output's size to the peak of the dp itself
-    target = str(tmp_path / "rows.txt")
-    argv = ["--out", target, *_ONE_STATE]
-    main(argv)
-    peaks = []
-    for run_once in (_dp_table, lambda: main(argv)):
+    # neither the text rows nor the JSON entries are held together: writing
+    # them adds far less than the output's size to the peak of the dp itself
+    def peak(run_once):
         tracemalloc.start()
         run_once()
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        took = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert peaks[1] - peaks[0] < Path(target).stat().st_size // 4, peaks
+        return took
+
+    dp = peak(_dp_table)
+    for fmt in ("text", "json"):
+        target = str(tmp_path / f"rows.{fmt}")
+        argv = ["--format", fmt, "--out", target, *_ONE_STATE]
+        main(argv)
+        written = peak(lambda: main(argv)) - dp
+        assert written < Path(target).stat().st_size // 4, (fmt, written)
 
 
 @pytest.mark.parametrize(

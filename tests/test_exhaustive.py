@@ -7,7 +7,7 @@ import pytest
 
 from conftest import naive_occurrences, random_pattern, random_set
 
-from pdvp import budget, cli, exhaustive
+from pdvp import budget, checks, cli, exhaustive, problems
 from pdvp.budget import EnumerationLimitError
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.cli import main
@@ -27,7 +27,7 @@ from pdvp.exhaustive import (
 from pdvp.intset import EVENS, POSITIVES, finite
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
-from pdvp.problems import problem_report, two_stack_sortable_counts
+from pdvp.problems import problem_report, stack_sort, two_stack_sortable_counts
 from pdvp.transfer import StatPattern, series_row
 
 
@@ -182,24 +182,32 @@ def test_prefix_walk_equals_per_object_filter(rng):
         cap = rng.choice([0, 1, 2]) if capped else None
         n = rng.randint(0, 5)
         t = None if mode is Mode.PERMUTATION else rng.randint(1, 3)
-        want = []
-        for seq in _objects(mode, n, t):
-            if any(naive_occurrences(p, seq) for p in avoid):
-                continue
-            c = len(naive_occurrences(count, seq)) if counted else 0
-            if cap is not None and c > cap:
-                continue
-            want.append((seq.entries, c))
+        want = [[] for _ in range(n + 1)]
+        for k, row in enumerate(want):
+            for seq in _objects(mode, k, t):
+                if any(naive_occurrences(p, seq) for p in avoid):
+                    continue
+                c = len(naive_occurrences(count, seq)) if counted else 0
+                if cap is None or c <= cap:
+                    row.append((seq.entries, c))
         # an every-length plan, so that no word scan reads the automaton
         walk = prefix_walk(plan_scan(avoid, count, t, n, each_length=True), cap=cap)
-        got = [(tuple(e) if t else _standardised(e), c) for e, c in walk]
-        assert sorted(got) == sorted(want)
+        assert _by_length(walk, n, t) == [sorted(row) for row in want], (avoid, count, t, n)
 
 
 def _standardised(entries):
     """The permutation of 1..d order-isomorphic to the distinct `entries`."""
     rank = {v: r for r, v in enumerate(sorted(entries), 1)}
     return tuple(rank[v] for v in entries)
+
+
+def _by_length(walk, n, t):
+    """For k = 0..n, the sorted (entries, c) a walk's stream yields at length
+    k, a permutation's entries standardised."""
+    rows = [[] for _ in range(n + 1)]
+    for entries, c in walk:
+        rows[len(entries)].append((tuple(entries) if t else _standardised(entries), c))
+    return [sorted(row) for row in rows]
 
 
 def _random_order_only(rng):
@@ -419,11 +427,11 @@ def test_long_one_letter_words():
     assert time.perf_counter() - start < 1
 
 
-def test_ank_scan_equals_per_object_recount():
-    blocks = [parse_gp("231"), parse_gp("132")]
-    scans = _ank_scan(7)
-    assert len(scans) == 8
-    for n in range(8):
+def _ank_recount(blocks, n_max):
+    """`_ank_scan(n_max)` of the V-permutations that avoid `blocks`, by the
+    per-object filter."""
+    scans = []
+    for n in range(n_max + 1):
         want = {k: [0, 0] for k in (1, 2, 3)}
         for seq in _objects(Mode.PERMUTATION, n, None):
             if any(naive_occurrences(b, seq) for b in blocks):
@@ -432,7 +440,12 @@ def test_ank_scan_equals_per_object_recount():
                 c = len(naive_occurrences(_shifted_rise_pattern(k), seq))
                 if c <= 1:
                     want[k][c] += 1
-        assert scans[n] == {k: tuple(v) for k, v in want.items()}, n
+        scans.append({k: tuple(v) for k, v in want.items()})
+    return tuple(scans)
+
+
+def test_ank_scan_equals_per_object_recount():
+    assert _ank_scan(7) == _ank_recount([parse_gp("231"), parse_gp("132")], 7)
 
 
 # Word scans of bounded-window patterns read the window automaton; the
@@ -691,20 +704,83 @@ def test_every_entry_point_equals_the_per_object_filter(rng):
             assert [table.length for table in every] == list(range(n + 1)), case
             assert [list(table.counts.items()) for table in every] == [
                 sorted(row.items()) for row in want], case
-        else:  # no entry point both avoids and counts: walk each length of the plan
-            plan = plan_scan(avoid, count, t, n, each_length=True)
-            for k in range(n + 1):
-                assert Counter(c for _, c in prefix_walk(plan, k)) == want[k], (case, k)
+        else:  # no entry point both avoids and counts: group the plan's stream by length
+            got = [Counter() for _ in range(n + 1)]
+            for entries, c in prefix_walk(plan_scan(avoid, count, t, n, each_length=True)):
+                got[len(entries)][c] += 1
+            assert got == want, case
 
 
 def test_prefix_walk_refuses_a_walk_its_plan_did_not_check():
-    rise = parse_pattern(_FREE, Mode.WORD)
-    anchored = parse_pattern(_ANCHORED, Mode.WORD)
-    series = plan_scan([rise], None, 2, 4)
-    per_length = plan_scan([anchored], None, 2, 4, each_length=True)
-    assert series.path == "series" and not per_length.one_walk
-    for walk in (prefix_walk(series), prefix_walk(per_length, prefixes=True),
-                 prefix_walk(per_length, 5), prefix_walk(per_length, -1)):
-        with pytest.raises(ValueError, match="plan of length 4 has no such walk"):
-            next(walk)
-    assert sum(1 for _ in prefix_walk(per_length, 3)) == word_multi_avoiders([anchored], 2, 3)
+    series = plan_scan([parse_pattern(_FREE, Mode.WORD)], None, 2, 4)
+    assert series.path == "series"
+    with pytest.raises(ValueError, match="^a series plan of length 4 has no walk$"):
+        next(prefix_walk(series))
+
+
+def _per_length_scans(rng):
+    """Scans (avoid, count, t, n) whose every-length plan walks each length:
+    value-walk patterns, and patterns whose closing gap set is not P."""
+    anchored = Pdvp(Mode.PERMUTATION, (1, 2), (POSITIVES, POSITIVES, finite([1])), (),
+                    (POSITIVES, POSITIVES))
+    scans = [([_ODD_RISE], None, None, 6), ([], _ODD_RISE, None, 6),
+             ([anchored], make_classical((1, 2)), None, 6),
+             ([parse_pattern(_ANCHORED, Mode.WORD)], None, 2, 6),
+             ([], parse_pattern(_ANCHORED, Mode.WORD), 3, 5)]
+    while len(scans) < 30:
+        perm = rng.random() < 0.5
+        mode = Mode.PERMUTATION if perm else Mode.WORD
+        pats = [random_pattern(rng, mode) for _ in range(rng.randint(1, 3))]
+        count = pats.pop() if rng.random() < 0.5 else None
+        scan = (pats, count, None if perm else rng.randint(1, 3), rng.randint(0, 5))
+        if not plan_scan(*scan, each_length=True).one_walk:
+            scans.append(scan)
+    return scans
+
+
+def test_a_plan_that_walks_each_length_streams_them_all(rng):
+    # grouped by length, the stream equals each length's own scan and the
+    # per-object filter
+    for avoid, count, t, n in _per_length_scans(rng):
+        case = (avoid, count, t, n)
+        plan = plan_scan(avoid, count, t, n, each_length=True)
+        rows = _by_length(prefix_walk(plan), n, t)
+        want = _naive_rows(avoid, count, t, n)
+        assert [Counter(c for _, c in row) for row in rows] == want, case
+        for k, row in enumerate(rows):
+            single = plan_scan(avoid, count, t, k)
+            if single.path != "series":
+                assert row == _by_length(prefix_walk(single), k, t)[k], (case, k)
+            if count is None:
+                got = perm_multi_avoiders(avoid, k) if t is None else word_multi_avoiders(
+                    avoid, t, k)
+                assert got == len(row), (case, k)
+            elif not avoid:
+                table = perm_distribution(count, k) if t is None else word_distribution(
+                    count, t, k)
+                assert table.counts == want[k], (case, k)
+
+
+def _stack_sortable(avoid, n):
+    """The 2-stack-sortable permutations of S_n that avoid `avoid`, by the
+    per-object filter: for each of them its occurrences of 123."""
+    return [len(naive_occurrences(make_classical((1, 2, 3)), PermSequence(pi)))
+            for pi in permutations(range(1, n + 1))
+            if not naive_occurrences(avoid, PermSequence(pi))
+            and stack_sort(stack_sort(pi)) == tuple(range(1, n + 1))]
+
+
+def test_the_every_length_loops_take_a_plan_that_walks_each_length(monkeypatch):
+    # problem 4 and the ank check tally one stream by length: with a block
+    # anchored at the end or read by values, their plans walk each length
+    anchored = Pdvp(Mode.PERMUTATION, (1, 3, 2), (POSITIVES,) * 3 + (finite([1]),), (),
+                    (POSITIVES,) * 3)
+    monkeypatch.setattr(problems, "_CLASSICAL_132", anchored)
+    assert not plan_scan([anchored], None, None, 6, each_length=True).one_walk
+    rows = [_stack_sortable(anchored, n) for n in range(7)]
+    assert two_stack_sortable_counts(6, True) == [len(row) for row in rows]
+    assert two_stack_sortable_counts(6, True, True) == [row.count(1) for row in rows]
+    odd_descent = parse_pattern("21|P,{1},P|-|O,P")
+    monkeypatch.setattr(checks, "_CONS_231", odd_descent)
+    assert plan_scan([odd_descent], None, None, 6, each_length=True).path == "values"
+    assert _ank_scan(6) == _ank_recount([odd_descent, parse_gp("132")], 6)

@@ -239,10 +239,10 @@ def test_walks_outside_exhaustive_start_from_a_plan():
 def test_the_walk_lint_sees_a_walk_without_a_plan():
     source = (
         "plan = exhaustive.plan_scan(avoid, None, None, n, each_length=True)\n"
-        "exhaustive.prefix_walk(plan, prefixes=True)\n"
+        "exhaustive.prefix_walk(plan, cap=1)\n"
         "exhaustive.prefix_walk(exhaustive.plan_scan(avoid, None, 2, n))\n"
         "prefix_walk(plan=plan)\n"
-        "exhaustive.prefix_walk(n, avoid=avoid, prefixes=True)\n"
+        "exhaustive.prefix_walk(n, avoid=avoid)\n"
         "other = make_plan(avoid)\n"
         "exhaustive.prefix_walk(other)\n"
         "prefix_walk()\n"

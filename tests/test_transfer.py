@@ -357,10 +357,10 @@ def test_boundary_sets_written_unusually_are_p():
 
 
 def test_dp_series_published_slices():
-    assert checks._dp_table("a3", 4).coefficient(4, 0) == 64
-    assert checks._dp_table("a4", 6).coefficient(6, 0) == 2304
-    assert checks._dp_table("d3", 6).coefficient(6, 0) == 288
-    assert checks._dp_table("e4", 5).coefficient(5, 0) == 688
+    assert checks._dp_table("a3").coefficient(4, 0) == 64
+    assert checks._dp_table("a4").coefficient(6, 0) == 2304
+    assert checks._dp_table("d3").coefficient(6, 0) == 288
+    assert checks._dp_table("e4").coefficient(5, 0) == 688
 
 
 def test_dp_matches_word_scan_bivariately():
@@ -453,8 +453,8 @@ def test_dp_rejects_negative_order():
 def test_totals_conserved():
     for name in ("a3", "b4", "d3", "e4"):
         _, t = checks.STAT_ALPHABETS[name]
-        table = checks._dp_table(name, 9)
-        assert table.totals() == [t**n for n in range(10)]
+        table = checks._dp_table(name)
+        assert table.totals() == [t**n for n in range(15)]
 
 
 def test_solver_matches_reference_forms():
@@ -691,7 +691,7 @@ def test_series_row_budget_charges_one_row():
 
 def test_solver_matches_dp_for_all_fixtures():
     for name in checks.STAT_ALPHABETS:
-        assert expand_rational(checks._solver_gf(name), 14) == checks._dp_table(name, 14)
+        assert expand_rational(checks._solver_gf(name), 14) == checks._dp_table(name)
 
 
 def test_single_letter_statistic_window():
