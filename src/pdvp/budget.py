@@ -1,9 +1,9 @@
 """One work model: before any work, each scan, window automaton, series,
-solve and morphism iterate bounds its steps, each at most about one matcher
-call (2-7 us per window, 3 us per walk node), and the bits it holds, at the
-sizes below (measured).  `check_work` refuses steps above PDVP_BUDGET (10^8
-when unset), bits above 2^30 and a solve above 64 full states.  Predictions
-stop counting at `ceiling()`, so an input of any size is refused at once.
+phase of a solve and morphism iterate bounds its steps, each at most about
+one matcher call (2-7 us per window, 3 us per walk node), and the bits it
+holds, at the sizes below (measured).  `check_work` refuses steps above
+PDVP_BUDGET (10^8 when unset) and bits above 2^30.  Predictions stop
+counting at `ceiling()`, so an input of any size is refused at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ LETTER_BITS = 8 * 8  # per letter of a morphism iterate
 
 DEFAULT_BUDGET = 10**8  # steps, when PDVP_BUDGET is unset
 DEFAULT_BITS_BUDGET = 2**30
-DEFAULT_SOLVE_BUDGET = 64  # full states of one solve
 
 
 class EnumerationLimitError(ValueError):
@@ -38,8 +37,7 @@ def power(t: int, k: int) -> int:
     return top if k * (t.bit_length() - 1) >= top.bit_length() else min(t**k, top)
 
 
-def check_work(what: str, steps: int, bits: int, full_states: int = 0,
-               refuse: bool = True) -> bool:
+def check_work(what: str, steps: int, bits: int, refuse: bool = True) -> bool:
     """Whether the predicted work of `what` is within every limit; if not, raise
     EnumerationLimitError naming the first it exceeds, unless `refuse` is false.
     A malformed PDVP_BUDGET raises ValueError."""
@@ -53,7 +51,6 @@ def check_work(what: str, steps: int, bits: int, full_states: int = 0,
         raise ValueError(f"{var} must be a non-negative integer, got {raw!r}")
     top = ceiling()
     for amount, unit, name, limit in (
-        (full_states, "full states", "solve cap", DEFAULT_SOLVE_BUDGET),
         (steps, "steps", "budget", budget),
         (bits, "bits", "bound", DEFAULT_BITS_BUDGET),
     ):

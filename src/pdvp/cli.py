@@ -6,10 +6,10 @@ a "gp:" prefix ("gp:2-31").  Sequences are whitespace- or comma-separated
 integers, so lengths above 9 work.  All numeric output is rendered as decimal
 strings; values can exceed 64 bits.
 
-Every command but match predicts its work before it starts and exits 2
-when its steps (about one matcher call each) exceed the PDVP_BUDGET
-environment variable (10^8 when unset), its bits held 2^30, or a gf --solve
-64 full states; see `budget`.  A word dist or avoid whose patterns gf
+Every command but match predicts its work before it starts (gf --solve
+before each of its phases) and exits 2 when its steps (about one matcher
+call each) exceed the PDVP_BUDGET environment variable (10^8 when unset) or
+its bits held 2^30; see `budget`.  A word dist or avoid whose patterns gf
 accepts reads row n of the series gf --dp computes when that fits, and
 walks the words otherwise, with the same output.
 

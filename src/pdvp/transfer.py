@@ -4,41 +4,43 @@ A statistic here is "number of occurrences of a fixed bounded-window pattern"
 in a word over {1..t}, or the sum of several such counts.  The bivariate series sum_w q^|w| z^stat(w) is the
 series of one weighted automaton: its states are the words of length at most
 W - 1, and appending a letter reads z^e, e = the occurrences that end at that
-letter.  `_automaton` lists its edges once, and two readers share them: a
-forward dynamic program that expands the series (every row, or only the last
-one for a word scan), and the bordered matrix [[I - qA, 1], [-alpha, 0]],
-solved exactly over integer polynomials in q and z by one fraction-free
-elimination.  The dynamic program steps the lumped quotient of the automaton
-(`_lump`: states with the same future share one class), because its output,
-the series, does not depend on the states; the elimination still reads the
-full states, since a lumped elimination prints a more reduced pair whenever
-the full one is not in lowest terms.  Before any work, the dp's steps and
-bits (`series_work`) and the solve's automaton and full states go through
-`budget.check_work`.  Everything is exact integer arithmetic.
+letter.  `_automaton` lists its edges once, and `_lump` merges the states
+with the same future (exact lumpability), which leaves the series as it is.
+A forward dynamic program over the c classes expands it: every row, or
+only the last one for a word scan.  The closed form is read from the same
+rows: the lumped automaton is a linear representation of the series, so its
+lowest-terms form P / Q has q-degrees at most c, and 2c + 1 rows determine
+it.  `solve_transfer_system` runs Berlekamp-Massey on those rows over GF(p)
+at points z = 0, 1, 2, .., interpolates Q in z, combines primes by CRT and
+certifies the candidate exactly against the rows (Berlekamp 1968; Massey
+1969; Berstel-Reutenauer, Rational Series and Their Languages, ch. 1-2).
+Before any work, the dp's steps and bits (`series_work`), and each phase of
+a solve, go through `budget.check_work`.  Everything is exact integer
+arithmetic, the modular steps included: they only propose a Q, and the
+certificate proves it over Z.
 
 Polynomials in q and z are stored as polynomials in q over Z[z], one
 z-polynomial {z-degree: coefficient} per q-degree, as series rows are; their
-products and the elimination share one kernel, `_mul_acc`.
+products go through one kernel, `_mul_acc`.
 
-Inside the dynamic program, the elimination and the expansion of a rational
+Inside the dynamic program, the certificate and the expansion of a rational
 series, z is carried as an integer: a z-polynomial is replaced by its value
 at z = 2^B (Kronecker substitution), so its arithmetic is one big-integer
-operation.  z -> 2^B is a ring homomorphism, so sums, products and exact
-divisions of the images are the images of the true results; each division
-exact in Z[z][q] stays exact in Z[q].  The slot width B is fixed before any
-work from a proven bound on the coefficients (t^n for the dp, Hadamard's
-inequality for the elimination, a recurrence on the rows' 1-norms for the
+operation.  z -> 2^B is a ring homomorphism, so sums and products of the
+images are the images of the true results.  The slot width B is fixed
+before any work from a proven bound on the coefficients (t^n for the dp,
+|Q|_1 t^(2c) for the certificate, a recurrence on the rows' 1-norms for the
 expansion), with 2^(B-1) above it, so balanced base-2^B digits give back
-every coefficient exactly, and only the series rows, the numerator and the
-last pivot are decoded.
+every coefficient exactly, and a packed value is 0 only when its polynomial
+is.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import budget, matcher
 from .pattern import Mode, Pdvp
@@ -52,10 +54,10 @@ ZPoly = dict[int, int]
 
 def _mul_acc(acc: ZPoly, a: ZPoly, b: ZPoly, sign: int = 1) -> None:
     """acc += sign * a * b for integer polynomials {degree: coefficient}, in
-    place: in Z[z] for BivarPoly, in q over packed z for the elimination.
-    The dp and the expansion of a rational series do not call it: they add
-    and multiply packed integers.  A coefficient that cancels is dropped, so
-    acc keeps no zero coefficient."""
+    place, in Z[z] for BivarPoly.  The dp, the solver and the expansion of a
+    rational series do not call it: they add and multiply packed integers.
+    A coefficient that cancels is dropped, so acc keeps no zero
+    coefficient."""
     for i, x in a.items():
         x *= sign
         for j, y in b.items():
@@ -189,23 +191,7 @@ Z = BivarPoly.mono(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
-# z carried as an integer, and the elimination over it
-
-
-def _exact_div(num: ZPoly, den: ZPoly) -> ZPoly:
-    """Exact division of integer polynomials {degree: coefficient}; raises
-    ArithmeticError if not exact."""
-    num = dict(num)
-    dd = max(den)
-    dl = den[dd]
-    out: ZPoly = {}
-    while num:
-        nd = max(num)
-        if nd < dd or num[nd] % dl:
-            raise ArithmeticError("inexact polynomial division")
-        out[nd - dd] = num[nd] // dl
-        _mul_acc(num, {nd - dd: out[nd - dd]}, den, -1)
-    return out
+# z carried as an integer
 
 
 def _slot_bytes(bits: int) -> int:
@@ -234,40 +220,6 @@ def _decode(x: int, width: int) -> ZPoly:
         if c:
             out[j] = c
     return out
-
-
-def _bareiss(m: list[list[ZPoly]]) -> tuple[ZPoly, ZPoly]:
-    """Fraction-free elimination of the square matrix m, in place; its
-    entries are integer polynomials {degree: coefficient}.
-
-    Returns det(m) and the last pivot before it, the leading principal minor
-    of order n - 1.  Every interior division is exact.  Rows are never
-    swapped: a zero pivot raises ArithmeticError.  A row whose entry under
-    the pivot is 0 is left as it is when the pivot equals the one before,
-    and an entry that would stay 0 is not recomputed.
-    """
-    n = len(m)
-    prev: ZPoly = {0: 1}
-    for k in range(n - 1):
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        if not pivot:
-            raise ArithmeticError("zero pivot")
-        same = pivot == prev
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            if same and not lead:
-                continue
-            for j in range(k + 1, n):
-                if row_i[j] or pivot_row[j]:
-                    acc: ZPoly = {}
-                    _mul_acc(acc, pivot, row_i[j])
-                    _mul_acc(acc, lead, pivot_row[j], -1)
-                    row_i[j] = _exact_div(acc, prev)
-            row_i[k] = {}
-        prev = pivot
-    return m[n - 1][n - 1], prev
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +384,15 @@ def _window_occurrences(pat: Pdvp, t: int):
     return ending_at_last
 
 
-def _shape(sps: tuple[StatPattern, ...], t: int) -> tuple[int, int, int, int]:
-    """keep = W - 1 for the widest window W, the t^keep full states, the
-    1 + t + ... + t^keep states in all, and the lumping rounds allowed: at most
-    the class count, and t * keep + 2 covers every window automaton tried."""
+def _shape(sps: tuple[StatPattern, ...], t: int) -> tuple[int, int, int]:
+    """keep = W - 1 for the widest window W, the 1 + t + ... + t^keep states,
+    and the lumping rounds allowed: at most the class count, and t * keep + 2
+    covers every window automaton tried."""
     if t < 1:
         raise ValueError("alphabet size must be positive")
     keep = max((sp.window_width - 1 for sp in sps), default=0)
-    full = budget.power(t, keep)
-    states = keep + 1 if t == 1 else (t * full - 1) // (t - 1)
-    return keep, full, states, min(states, t * keep + 2)
+    states = keep + 1 if t == 1 else (t * budget.power(t, keep) - 1) // (t - 1)
+    return keep, states, min(states, t * keep + 2)
 
 
 def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tuple[int, int]]]:
@@ -502,53 +453,74 @@ def _lump(edges: list[list[tuple[int, int]]], rounds: int) -> list[int]:
     return list(range(len(edges)))
 
 
-def series_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int) -> tuple[int, int]:
-    """The steps and bits (see `budget`) of `_packed_dp` and the dp to order n
-    keeping `rows` rows, from the full states.  Each of the E edges costs a
-    step per pattern counting its window and one per lumping round.  At order
-    k a weight has at most k*c + 1 slots of B bits (c = sum C(W-1, m-1): that
-    many occurrences can end at one letter; B holds t^n, or n * t.bit_length()
-    bits when t^n is too large to compute), and an edge shifts it at a step per
-    CHUNK_BITS.  `_decode` takes a step per slot.  The weights and five values
-    of `_decode` hold n*c + 1 slots each, and the kept rows their nonzero
-    coefficients, at most one per slot and t^n per row, of B bits each.
-    """
-    if n < 0:
-        raise ValueError(f"series order must be non-negative, got {n}")
-    _, _, states, rounds = _shape(sps, t)
-    edges = states * t
-    c = sum(comb(sp.window_width - 1, sp.pattern.m - 1) for sp in sps)
-    power = budget.power(t, n)
-    slot = 8 * _slot_bytes(power.bit_length() if power < budget.ceiling() else n * t.bit_length())
-    chunks = n - (-slot * (c * n * (n - 1) // 2 + n) // budget.CHUNK_BITS)  # sum_k ceil
-    kept = rows + c * rows * (2 * n - rows + 1) // 2  # the slots of the last `rows` rows
-    steps = edges * (len(sps) + rounds + chunks) + kept
-    held = (states + 5) * (n * c + 1) * slot
-    held += min(kept, rows * power) * (budget.COEFF_BITS + slot * 17 // 16)
-    return steps, edges * budget.EDGE_BITS + held
-
-
-def _packed_dp(sps: tuple[StatPattern, ...], t: int, n_max: int, rows: int):
-    """The lumped automaton of `sps` packed for the dp to order n_max: one
-    list of edges (target class, shift) per class of `_lump`, and the slot
-    width in bytes, once `series_work` fits the budget.
-
-    A class's weight sums z^stat over the words that end in its states,
-    carried at z = 2^B, B = 8 * width, so appending a letter that reads z^e
-    is a shift by e*B bits.  Every coefficient at order n counts words of
-    length n, so it is at most t^n, and B leaves room for t^n_max.
-    """
-    budget.check_work("series", *series_work(sps, t, n_max, rows))
-    keep, _, _, rounds = _shape(sps, t)
-    width = _slot_bytes((t**n_max).bit_length())
-    bits = 8 * width
+def _quotient(sps: tuple[StatPattern, ...], t: int) -> list[list[tuple[int, int]]]:
+    """The lumped automaton: for each class of `_lump`, the edges (target
+    class, e) of its first state."""
+    keep, _, rounds = _shape(sps, t)
     edges = _automaton(sps, t, keep)
     classes = _lump(edges, rounds)
     first: dict[int, int] = {}
     for state, c in enumerate(classes):
         first.setdefault(c, state)
-    lumped = [[(classes[v], e * bits) for v, e in edges[state]] for state in first.values()]
-    return lumped, width
+    return [[(classes[v], e) for v, e in edges[state]] for state in first.values()]
+
+
+def _automaton_work(sps: tuple[StatPattern, ...], t: int) -> tuple[int, int]:
+    """The steps and bits (see `budget`) of `_quotient`: each of the E edges
+    costs a step per pattern counting its window and one per lumping round."""
+    _, states, rounds = _shape(sps, t)
+    edges = states * t
+    return edges * (len(sps) + rounds), edges * budget.EDGE_BITS
+
+
+def _dp_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int,
+             states: int) -> tuple[int, int]:
+    """The steps and bits of the dp to order n over `states` states or
+    classes, keeping `rows` rows.  At order k a weight has at most k*c + 1
+    slots of B bits (c = sum C(W-1, m-1): that many occurrences can end at
+    one letter; B holds t^n, or n * t.bit_length() bits when t^n is too
+    large to compute), and each of its t edges shifts it at a step per
+    CHUNK_BITS.  `_decode` takes a step per slot.  The weights and five
+    values of `_decode` hold n*c + 1 slots each, and the kept rows their
+    nonzero coefficients, at most one per slot and t^n per row, of B bits
+    each.
+    """
+    c = sum(comb(sp.window_width - 1, sp.pattern.m - 1) for sp in sps)
+    power = budget.power(t, n)
+    slot = 8 * _slot_bytes(power.bit_length() if power < budget.ceiling() else n * t.bit_length())
+    chunks = n - (-slot * (c * n * (n - 1) // 2 + n) // budget.CHUNK_BITS)  # sum_k ceil
+    kept = rows + c * rows * (2 * n - rows + 1) // 2  # the slots of the last `rows` rows
+    held = (states + 5) * (n * c + 1) * slot
+    held += min(kept, rows * power) * (budget.COEFF_BITS + slot * 17 // 16)
+    return states * t * chunks + kept, held
+
+
+def series_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int) -> tuple[int, int]:
+    """The steps and bits of `_quotient` and of the dp to order n keeping
+    `rows` rows, predicted from all the states, before any lumping."""
+    if n < 0:
+        raise ValueError(f"series order must be non-negative, got {n}")
+    steps, bits = _automaton_work(sps, t)
+    more_steps, more_bits = _dp_work(sps, t, n, rows, _shape(sps, t)[1])
+    return steps + more_steps, bits + more_bits
+
+
+def _weights(lumped: list[list[tuple[int, int]]], width: int, n_max: int) -> Iterator[list[int]]:
+    """The packed dp over the lumped automaton: the weight of each class
+    after 0, 1, .., n_max letters.
+
+    A class's weight sums z^stat over the words that end in its states,
+    carried at z = 2^B, B = 8 * width, so appending a letter that reads z^e
+    is a shift by e*B bits.  Every coefficient at order n counts words of
+    length n, so it is at most t^n, and the width must leave room for t^n_max.
+    """
+    bits = 8 * width
+    edges = [[(v, e * bits) for v, e in out] for out in lumped]
+    weights = [1] + [0] * (len(edges) - 1)
+    yield weights
+    for _ in range(n_max):
+        weights = _step(weights, edges)
+        yield weights
 
 
 def _step(weights: list[int], edges: list[list[tuple[int, int]]]) -> list[int]:
@@ -570,17 +542,13 @@ def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
     letter multiplies it by z^e, where e counts the occurrences inside the
     window that use its final position.  Words shorter than W - 1 are states
     of their own, so occurrences inside short words are exact as well.  The
-    dp steps one weight per class of states with the same future; the
-    packing and the lumping are those of `_packed_dp`, and its predicted
-    work (`series_work`, keeping all n_max + 1 rows) is checked first.
+    dp steps one weight per class of states with the same future
+    (`_weights`), and its predicted work (`series_work`, keeping all
+    n_max + 1 rows) is checked first.
     """
-    edges, width = _packed_dp((sp,), t, n_max, n_max + 1)
-    weights = [1] + [0] * (len(edges) - 1)
-    rows = [_decode(sum(weights), width)]
-    for _ in range(n_max):
-        weights = _step(weights, edges)
-        rows.append(_decode(sum(weights), width))
-    return ZSeriesTable(rows)
+    budget.check_work("series", *series_work((sp,), t, n_max, n_max + 1))
+    width = _slot_bytes((t**n_max).bit_length())
+    return ZSeriesTable(_decode(sum(w), width) for w in _weights(_quotient((sp,), t), width, n_max))
 
 
 def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
@@ -592,51 +560,235 @@ def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
     decoded, so the predicted bits are the weights and that one row.  Its
     z^0 coefficient counts the words that avoid them all.
     """
-    edges, width = _packed_dp(tuple(sps), t, n, 1)
-    weights = [1] + [0] * (len(edges) - 1)
-    for _ in range(n):
-        weights = _step(weights, edges)
+    sps = tuple(sps)
+    budget.check_work("series", *series_work(sps, t, n, 1))
+    width = _slot_bytes((t**n).bit_length())
+    for weights in _weights(_quotient(sps, t), width, n):
+        pass
     return _decode(sum(weights), width)
 
 
-def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
-    """Closed-form series of the automaton of `_automaton`.
+# ---------------------------------------------------------------------------
+# the closed form, from the series modulo primes
 
-    With A[u][v] summing z^e over the edges u -> v, the series is
-    alpha (I - qA)^-1 1, where alpha picks the empty word.  By the Schur
-    complement it is det [[I - qA, 1], [-alpha, 0]] / det(I - qA), and one
-    fraction-free elimination of that bordered matrix yields both:
-    det(I - qA) is its last pivot.  No row is ever swapped, because every
-    leading minor of I - qA is 1 at q = 0.  The words shorter than W - 1
-    come first, and their rows are eliminated with pivots 1.  Before any
-    work, the automaton's windows and edges are checked as steps and bits,
-    and its t^(W-1) full states against the solve cap (see `budget`).
 
-    The entries are polynomials in q whose coefficients are z-polynomials
-    carried at z = 2^B.  Every entry the elimination keeps, each pivot and
-    both results are minors of the bordered matrix.  On |q| = |z| = 1,
-    Hadamard's inequality bounds a minor, and so each of its coefficients,
-    by the product over the rows of sqrt(sum_j |m_ij|_1^2), where |m_ij|_1
-    is [i = j] plus the edges i -> j, and the border adds 1 to the sum.
-    2^(B-1) exceeds that bound, so a minor decodes exactly, and it is 0 only
-    when its image is.
+def _primes() -> Iterator[int]:
+    """The primes below 2^61, largest first, each found when it is asked
+    for: Miller-Rabin to the twelve prime bases up to 37 decides every
+    n < 2^64."""
+    n = (1 << 61) - 1
+    while True:
+        d, s = n - 1, 0
+        while not d & 1:
+            d, s = d >> 1, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break  # a witnesses that n is composite
+        else:
+            yield n
+        n -= 2
+
+
+def _berlekamp_massey(seq: list[int], p: int) -> tuple[int, list[int]]:
+    """The shortest linear recurrence of seq over GF(p): its length L and
+    its connection polynomial C, C[0] = 1, of degree at most L, with
+    sum_i C[i] seq[n - i] = 0 for L <= n < len(seq).  When 2L <= len(seq)
+    no other C of degree at most L does this (Massey 1969).
+
+    Division-free: C and the copy B kept from the last change of length
+    are carried times nonzero factors, so an update is lead C - d x^m B,
+    lead the discrepancy B was kept at, and one inverse makes C[0] = 1.
     """
-    keep, full, states, _ = _shape((sp,), t)
-    budget.check_work("solve", states * t, states * t * budget.EDGE_BITS, full)
-    edges = _automaton((sp,), t, keep)
-    size = len(edges)
-    square = 1  # the square of the Hadamard bound; the last row adds a factor 1
-    for i, out in enumerate(edges):
-        norms = Counter(j for j, _ in out)
-        norms[i] += 1
-        square *= 1 + sum(c * c for c in norms.values())
-    width = _slot_bytes((square.bit_length() + 1) // 2)
+    c, b = [1], [1]
+    length, shift, lead = 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(map(mul, c, reversed(seq[n + 1 - len(c):n + 1]))) % p
+        if not d:
+            shift += 1
+            continue
+        new = [x * lead % p for x in c] + [0] * (len(b) + shift - len(c))
+        for i, x in enumerate(b, shift):
+            new[i] = (new[i] - d * x) % p
+        if 2 * length <= n:
+            length, b, lead, shift = n + 1 - length, c, d, 1
+        else:
+            shift += 1
+        c = new[:length + 1]  # the rest is 0: C has degree at most L
+    inv = pow(c[0], -1, p)
+    return length, [x * inv % p for x in c]
+
+
+def _interpolate(xs: list[int], ys: list[list[int]], p: int) -> list[list[int]]:
+    """Newton interpolation over GF(p), one vector at a time: poly[j][i] is
+    the z^j coefficient of the polynomial of degree below len(xs) that takes
+    the value ys[k][i] at z = xs[k].  The xs increase, so the divided
+    differences divide by 1 .. xs[-1] - xs[0], whose inverses come from
+    inv(k) = -(p // k) inv(p mod k)."""
+    inv = [0, 1]
+    for k in range(2, xs[-1] - xs[0] + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    dd = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            w = inv[xs[i] - xs[i - k]]
+            dd[i] = [(a - b) * w % p for a, b in zip(dd[i], dd[i - 1])]
+    poly = [dd[-1]]
+    for k in range(len(xs) - 2, -1, -1):  # poly * (z - xs[k]) + dd[k]
+        x = xs[k]
+        poly = (
+            [[(a - x * b) % p for a, b in zip(dd[k], poly[0])]]
+            + [[(a - x * b) % p for a, b in zip(u, v)] for u, v in zip(poly, poly[1:])]
+            + [poly[-1]]
+        )
+    return poly
+
+
+def _crt(residues: list[list[list[int]]], primes: list[int]) -> list[ZPoly]:
+    """The rows {z-degree: coefficient} of the polynomial in q and z whose
+    coefficients, as balanced residues modulo the product of the primes,
+    are those of each poly[j][i] of `_interpolate` (Garner's mixed radix)."""
+    radix = [1]  # the products of the primes before each one
+    for p in primes:
+        radix.append(radix[-1] * p)
+    invs = [pow(m, -1, p) for m, p in zip(radix, primes)]
+    rows: list[ZPoly] = [{} for _ in residues[0][0]]
+    for j, column in enumerate(zip(*residues)):
+        for i, values in enumerate(zip(*column)):
+            x = 0
+            for r, p, m, inv in zip(values, primes, radix, invs):
+                x += m * ((r - x) * inv % p)
+            if x > radix[-1] // 2:
+                x -= radix[-1]
+            if x:
+                rows[i][j] = x
+    return rows
+
+
+def _certify(rows: list[list[int]], den: list[ZPoly], length: int, t: int,
+             held: int) -> RationalGF | None:
+    """P / Q if it is the series f of the rows, else None: the exact
+    certificate of a candidate Q.
+
+    den is Q, row by q-degree, with Q(0) = 1 and q-degree at most L =
+    `length`, and P = (Q f) mod q^L.  The rows are f through q^(2c), c at
+    least the L' = max(deg Q', deg P' + 1) of f = P'/Q' in lowest terms.
+    Q P' - P Q' = (Q f - P) Q' has q-degree below L + L'; so when L <= c
+    and Q f - P vanishes through q^(2c), Q P' = P Q', and P / Q = f.  The
+    products are taken with z carried at 2^B: each coefficient of Q f
+    through q^(2c) is at most |Q|_1 t^(2c), and 2^(B-1) is above that, so a
+    packed row is 0 only when the row is.
+    """
+    order = len(rows) - 1
+    if 2 * length > order:
+        return None
+    norm = sum(abs(c) for row in den for c in row.values())
+    width = _slot_bytes((norm * t**order).bit_length())
     bits = 8 * width
-    m = [[{} for _ in range(size)] + [{0: 1}] for _ in range(size)]
-    for i, out in enumerate(edges):
-        m[i][i] = {0: 1}
-        for j, e in out:
-            m[i][j][1] = m[i][j].get(1, 0) - (1 << (bits * e))
-    m.append([{0: -1}] + [{} for _ in range(size)])
-    num, den = (BivarPoly._of({i: _decode(x, width) for i, x in p.items()}) for p in _bareiss(m))
-    return RationalGF(num, den)
+    # packing takes a step per slot, a product of a row of Q by a row of
+    # the series one per pair of CHUNK_BITS chunks, decoding one per slot;
+    # held are the packed rows, a few products and the rows of P
+    row_slots, den_slots = max(map(len, rows)), 1 + max(max(row, default=0) for row in den)
+    chunks = -(-bits * row_slots // budget.CHUNK_BITS) * -(-bits * den_slots // budget.CHUNK_BITS)
+    p_slots = row_slots + den_slots  # of a row of P
+    budget.check_work(
+        "solve",
+        sum(map(len, rows)) + (length + 1) * (order + 1) * chunks + length * p_slots,
+        held + bits * ((order + 7) * row_slots + (length + 7) * den_slots)
+        + length * p_slots * (budget.COEFF_BITS + bits * 17 // 16),
+    )
+    f = [int.from_bytes(b"".join(c.to_bytes(width, "little") for c in row), "little")
+         for row in rows]
+    q = [sum(c << (bits * j) for j, c in row.items()) for row in den]
+
+    def product(n: int) -> int:  # row n of Q f, packed
+        return sum(q[i] * f[n - i] for i in range(min(n, length) + 1))
+
+    if any(map(product, range(length, order + 1))):  # a wrong Q fails at once
+        return None
+    num = {n: _decode(x, width) for n in range(length) if (x := product(n))}
+    return RationalGF(BivarPoly._of(num), BivarPoly._of({i: r for i, r in enumerate(den) if r}))
+
+
+def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
+    """The series of the automaton of `_automaton` in lowest terms, P / Q
+    with Q(0) = 1, from its first 2c + 1 rows, c the classes of `_lump`.
+
+    Lumped, the series is e_0 (I - qA_c)^-1 1: a rational function whose
+    denominator det(I - qA_c) has q-degree at most c and z-degree at most
+    D, the sum over the classes of the largest e on a class's edges.  Q
+    divides it, so it has the same bounds, and at any point z over any
+    GF(p) the rows satisfy a linear recurrence of length at most L, the
+    larger of deg Q and deg P + 1 (L <= c).  Berlekamp-Massey on the 2c + 1
+    values of the rows at a point finds Q there, mod p, wherever the
+    shortest recurrence has length L (at all but finitely many z and p),
+    and a shorter recurrence elsewhere.  So in round r the first r primes
+    below 2^61 run it at z = 0, 1, .. until D + 1 points share the longest
+    length seen (r(D + 3) points at most, so that points a short round
+    found too few of are made up for later); interpolated in z, each prime
+    with enough points gives Q mod p; the primes combine by CRT into
+    balanced residues, and `_certify` proves the candidate exactly or sends
+    the loop to the next round.
+
+    Each phase predicts its steps and bits before it starts: the automaton
+    and its lumping; once c is known, the dp to order 2c (`_dp_work`); the
+    recurrences and interpolations of every round so far; each
+    certificate.
+    """
+    sps = (sp,)
+    budget.check_work("solve", *_automaton_work(sps, t))
+    lumped = _quotient(sps, t)
+    classes, order = len(lumped), 2 * len(lumped)
+    steps, held = _dp_work(sps, t, order, order + 1, classes)
+    budget.check_work("solve", steps, held)
+    width = _slot_bytes((t**order).bit_length())
+    rows = []
+    for weights in _weights(lumped, width, order):
+        row = _decode(sum(weights), width)
+        rows.append([row.get(j, 0) for j in range(max(row) + 1)])
+    need = sum(max(e for _, e in out) for out in lumped) + 1
+    slots, span = sum(map(len, rows)), max(map(len, rows))
+    held += slots * budget.COEFF_BITS
+    runs: dict[int, list[tuple[int, list[int]]]] = {}  # per prime, (L, C) at z = 0, 1, ..
+    top = 0  # the longest recurrence found
+    primes = _primes()
+    while True:
+        runs[next(primes)] = []
+        cap = len(runs) * (need + 2)
+        budget.check_work(  # every round so far: a run evaluates the rows and their recurrence
+            "solve",
+            len(runs) * (cap * (slots + (order + 1) * (classes + 1)) + need * need * (classes + 2)),
+            held + len(runs) * cap * (classes + 2) * budget.COEFF_BITS,
+        )
+        while True:
+            before = top
+            for p, done in runs.items():
+                while sum(length == top for length, _ in done) < need and len(done) < cap:
+                    powers, z = [1], len(done)
+                    while len(powers) < span:
+                        powers.append(powers[-1] * z % p)
+                    values = [sum(map(mul, row, powers)) % p for row in rows]
+                    length, c = _berlekamp_massey(values, p)
+                    done.append((length, c))
+                    top = max(top, length)
+            if top == before:
+                break
+        ready = []
+        for p, done in runs.items():
+            points = [(z, c + [0] * (top + 1 - len(c)))
+                      for z, (length, c) in enumerate(done) if length == top][:need]
+            if len(points) == need:
+                xs, ys = zip(*points)
+                ready.append((p, _interpolate(list(xs), list(ys), p)))
+        if ready:
+            den = _crt([poly for _, poly in ready], [p for p, _ in ready])
+            gf = _certify(rows, den, top, t, held)
+            if gf is not None:
+                return gf
+

@@ -135,7 +135,8 @@ class WorkMeter:
     """Counts the steps of each budgeted computation: walk nodes (the first
     stop or tally call at each node), windows counted by the automaton,
     edges in each lumping round, dp edges per CHUNK_BITS of the weight they
-    shift, slots the dp decodes, and morphism letters built.
+    shift, slots `_decode` reads, a solve's recurrence terms, interpolation
+    entries and certificate products, and morphism letters built.
 
     Every admitted `budget.check_work` call opens a record for the nearest
     budgeted entry point on the stack; the work done under that entry point
@@ -166,6 +167,9 @@ class WorkMeter:
             (transfer, "_lump", self._lump),
             (transfer, "_step", self._step),
             (transfer, "_decode", self._decode),
+            (transfer, "_berlekamp_massey", self._recurrence),
+            (transfer, "_interpolate", self._interpolation),
+            (transfer, "_certify", self._certificate),
             (problems, "MORPHISM", self._letters),
         ):
             monkeypatch.setattr(module, name, wrap(getattr(module, name)))
@@ -180,8 +184,8 @@ class WorkMeter:
         return [rec for rec in self.records if rec.counted > rec.steps]
 
     def _check(self, check_work):
-        def check(what, steps, bits, full_states=0, refuse=True):
-            fits = check_work(what, steps, bits, full_states, refuse)
+        def check(what, steps, bits, refuse=True):
+            fits = check_work(what, steps, bits, refuse)
             frame = sys._getframe(1)
             while fits and frame is not None:
                 if frame.f_code in self.entries:
@@ -249,11 +253,39 @@ class WorkMeter:
     def _decode(self, decode):
         def decoded(x, width):
             rec = self.record()
-            if rec is not None and rec.what == "series":  # a solve's decoding is not charged
+            if rec is not None:
                 rec.counted += abs(x).bit_length() // (8 * width) + 1
             return decode(x, width)
 
         return decoded
+
+    def _recurrence(self, berlekamp_massey):
+        def found(seq, p):
+            rec, out = self.record(), berlekamp_massey(seq, p)
+            if rec is not None:  # a discrepancy and an update per term
+                rec.counted += len(seq) * len(out[1])
+            return out
+
+        return found
+
+    def _interpolation(self, interpolate):
+        def interpolated(xs, ys, p):
+            rec = self.record()
+            if rec is not None:  # the divided differences of each vector entry
+                rec.counted += len(xs) ** 2 * len(ys[0])
+            return interpolate(xs, ys, p)
+
+        return interpolated
+
+    def _certificate(self, certify):
+        def certified(rows, den, length, t, held):
+            out = certify(rows, den, length, t, held)
+            rec = self.record()
+            if rec is not None:  # at most one product per row of Q by row of the series
+                rec.counted += len(den) * len(rows)
+            return out
+
+        return certified
 
     def _letters(self, rules):
         meter = self

@@ -96,8 +96,11 @@ def test_every_kind_of_work_is_counted(work_meter):
     kinds = {rec.what: rec for rec in work_meter.records if rec.counted}
     assert set(kinds) == {"scan", "series", "solve", "morphism word"}
     assert work_meter.over() == []
-    # the solve counts exactly its 1 + 5 states' windows
-    assert kinds["solve"].counted == kinds["solve"].steps == 30
+    # the solve's phases, each checked before it starts: the 30 windows of
+    # its 1 + 5 states and 5 lumping rounds of 30 edges; the dp to order 2c;
+    # the first prime's recurrences and interpolation; the certificate
+    solves = [(rec.counted, rec.steps) for rec in work_meter.records if rec.what == "solve"]
+    assert solves == [(180, 210), (281, 341), (502, 994), (67, 187)]
 
 
 def test_the_meter_counts_every_length_of_a_walk(work_meter):
@@ -126,8 +129,8 @@ def _peak(run) -> tuple[int, int]:
     bits = [0]
     check = budget.check_work
 
-    def spy(what, steps, held, full_states=0, refuse=True):
-        fits = check(what, steps, held, full_states, refuse)
+    def spy(what, steps, held, refuse=True):
+        fits = check(what, steps, held, refuse)
         if fits:
             bits.append(held)
         return fits
@@ -150,6 +153,7 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
     repeat = parse_pattern("11|P,{1},P|-|P,P", word)
     w4 = StatPattern(parse_pattern("12|P,{1,2,3},P|(1,2,{2})|P,P", word))
     single = StatPattern(parse_pattern("1|P,P|-|{2}", word))
+    rise = StatPattern(parse_pattern("12|P,{1},P|(1,2,{2})|P,P", word))
     # the largest input of each kind, where the per-unit sizes dominate
     runs = {
         "walk": lambda: exhaustive.word_multi_avoiders([anchored], 1, 20000),
@@ -158,15 +162,13 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
         "dp": lambda: transfer.dp_series(w4, 6, 60),
         "one-state dp": lambda: transfer.dp_series(single, 2, 300),
         "morphism word": lambda: problems.morphism_rises(17),
+        # each phase of a solve predicts the bits held through it
+        "solve": lambda: transfer.solve_transfer_system(w4, 4),
+        "solve over many letters": lambda: transfer.solve_transfer_system(rise, 65),
     }
     for kind, run in runs.items():
         peak, bits = _peak(run)
         assert peak <= bits // 8, (kind, peak, bits // 8)
-    # a solve predicts the bits of its automaton, and the cap of 64 full
-    # states bounds its elimination: the largest, W4 at t = 4
-    states = transfer._shape((w4,), 4)[2]
-    peak = _peak(lambda: transfer._automaton((w4,), 4, 3))[0]
-    assert peak <= states * 4 * budget.EDGE_BITS // 8
 
 
 def test_malformed_budgets_are_named(monkeypatch):

@@ -254,7 +254,7 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
         (["--pattern", "1|P,P|-|{2}", "--alphabet", "1000000000", "--dp", "--max-n", "1"],
          ("error: series of ", " steps exceeds the budget 100000000")),
         (["--pattern", "12|P,{1},P|(1,2,{2})|P,P", "--alphabet", "4000", "--solve"],
-         ("error: solve of 4000 full states", "exceeds the solve cap 64")),
+         ("error: solve of 64048008000 steps", "exceeds the budget 100000000")),
         # one state, but every step walks its 4096 edges
         (["--pattern", "1|P,P|-|{2}", "--alphabet", "4096", "--dp", "--max-n", "99999"],
          ("error: series of ", " steps exceeds the budget 100000000")),
@@ -265,7 +265,7 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
         (["--pattern", "12|P,{1000000000000},P|-|P,P", "--alphabet", "2", "--dp"],
          ("error: series of at least 2^", " steps exceeds the budget 100000000")),
         (["--pattern", "12|P,{1000000000000},P|-|P,P", "--alphabet", "2", "--solve"],
-         ("error: solve of at least 2^", " full states exceeds the solve cap 64")),
+         ("error: solve of at least 2^", " steps exceeds the budget 100000000")),
     ],
 )
 def test_gf_budgets_exit_2_before_the_work(capsys, argv, sizes):

@@ -1,13 +1,15 @@
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from conftest import fib_series_gf, naive_occurrences
 
-from pdvp import checks
+from pdvp import checks, transfer
 from pdvp.budget import EnumerationLimitError
 from pdvp.dsl import parse_pattern
 from pdvp.exhaustive import word_distributions
@@ -23,11 +25,13 @@ from pdvp.transfer import (
     ZSeriesTable,
     BivarPoly,
     _automaton,
-    _bareiss,
+    _certify,
     _decode,
     _lump,
     _mul_acc,
+    _quotient,
     _shape,
+    _slot_bytes,
     dp_series,
     expand_rational,
     gf_equal_series,
@@ -37,8 +41,10 @@ from pdvp.transfer import (
 )
 
 
-# The elimination over BivarPoly that the solver ran before it carried z as an
-# integer: the oracle for the packed `_bareiss`, sharing no packing code.
+# The eliminations the solver ran before it read the lumped series: the
+# bordered matrix [[I - qA, 1], [-alpha, 0]] solved by one fraction-free
+# elimination, first over BivarPoly and then with z carried as an integer.
+# They share no code with the solver, so they are its oracles.
 
 
 def _zpoly_exact_div(num, den):
@@ -99,6 +105,72 @@ def _bivar_bareiss(m):
             row_i[k] = ZERO
         prev = pivot
     return m[n - 1][n - 1], prev
+
+
+def _bareiss(m):
+    """Fraction-free elimination of the square matrix m, in place; its
+    entries are integer polynomials {degree: coefficient}, in q over z
+    carried as an integer.
+
+    Returns det(m) and the last pivot before it, the leading principal minor
+    of order n - 1.  Every interior division is exact.  Rows are never
+    swapped: a zero pivot raises ArithmeticError.  A row whose entry under
+    the pivot is 0 is left as it is when the pivot equals the one before,
+    and an entry that would stay 0 is not recomputed.
+    """
+    n = len(m)
+    prev = {0: 1}
+    for k in range(n - 1):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if not pivot:
+            raise ArithmeticError("zero pivot")
+        same = pivot == prev
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            if same and not lead:
+                continue
+            for j in range(k + 1, n):
+                if row_i[j] or pivot_row[j]:
+                    acc = {}
+                    _mul_acc(acc, pivot, row_i[j])
+                    _mul_acc(acc, lead, pivot_row[j], -1)
+                    row_i[j] = _zpoly_exact_div(acc, prev)
+            row_i[k] = {}
+        prev = pivot
+    return m[n - 1][n - 1], prev
+
+
+def _bordered_solve(sp, t):
+    """The automaton's bordered matrix, eliminated by the packed `_bareiss`:
+    det [[I - qA, 1], [-alpha, 0]] / det(I - qA), a pair that need not be
+    in lowest terms.
+
+    Every entry the elimination keeps is a minor of the bordered matrix.
+    On |q| = |z| = 1, Hadamard's inequality bounds a minor, and so each of
+    its coefficients, by the product over the rows of sqrt(sum_j
+    |m_ij|_1^2), where |m_ij|_1 is [i = j] plus the edges i -> j, and the
+    border adds 1 to the sum.  2^(B-1) exceeds that bound, so a minor
+    decodes exactly.
+    """
+    edges = _automaton((sp,), t, sp.window_width - 1)
+    size = len(edges)
+    square = 1  # the square of the Hadamard bound; the last row adds a factor 1
+    for i, out in enumerate(edges):
+        norms = Counter(j for j, _ in out)
+        norms[i] += 1
+        square *= 1 + sum(c * c for c in norms.values())
+    width = _slot_bytes((square.bit_length() + 1) // 2)
+    bits = 8 * width
+    m = [[{} for _ in range(size)] + [{0: 1}] for _ in range(size)]
+    for i, out in enumerate(edges):
+        m[i][i] = {0: 1}
+        for j, e in out:
+            m[i][j][1] = m[i][j].get(1, 0) - (1 << (bits * e))
+    m.append([{0: -1}] + [{} for _ in range(size)])
+    num, den = (BivarPoly._of({i: _decode(x, width) for i, x in p.items()}) for p in _bareiss(m))
+    return RationalGF(num, den)
 
 
 def test_ring_basics():
@@ -382,30 +454,41 @@ def test_dp_state_budget():
 
 
 _HUGE_GAP = "12|P,{1000000000000},P|-|P,P"
+W4_PATTERN = "12|P,{1,2,3},P|(1,2,{2})|P,P"
 
 
 @pytest.mark.parametrize(
-    "text, t, method, message",
+    "text, t, method, budget, message",
     [
         # one state, but 10^9 windows
-        ("1|P,P|-|{2}", 10**9, "dp", r"^series of \d+ steps exceeds the budget 100000000$"),
-        # 4098 states of 4097 edges, each lumped in up to 4098 rounds
-        ("12|P,{1},P|(1,2,{2})|P,P", 4097, "dp",
+        ("1|P,P|-|{2}", 10**9, "dp", None,
          r"^series of \d+ steps exceeds the budget 100000000$"),
-        ("12|P,{1},P|(1,2,{2})|P,P", 4000, "solve",
-         r"^solve of 4000 full states exceeds the solve cap 64$"),
-        ("12|P,{1},P|(1,2,{2})|P,P", 65, "solve",
-         r"^solve of 65 full states exceeds the solve cap 64$"),
-        ("12|P,{1,2,3},P|(1,2,{2})|P,P", 5, "solve",
-         r"^solve of 125 full states exceeds the solve cap 64$"),
+        # 4098 states of 4097 edges, each lumped in up to 4098 rounds
+        ("12|P,{1},P|(1,2,{2})|P,P", 4097, "dp", None,
+         r"^series of \d+ steps exceeds the budget 100000000$"),
+        # the automaton: 4001 states of 4000 edges, each lumped in up to 4001 rounds
+        ("12|P,{1},P|(1,2,{2})|P,P", 4000, "solve", None,
+         r"^solve of 64048008000 steps exceeds the budget 100000000$"),
+        # the dp to order 2c: 1111 states lump into c = 338 classes
+        (W4_PATTERN, 10, "solve", None,
+         r"^solve of 1273909495 steps exceeds the budget 100000000$"),
+        (W4_PATTERN, 10, "solve", "10000000000",
+         r"^solve of 3821105876 bits exceeds the bound 1073741824$"),
+        # the recurrences of the first prime, once the dp to order 116 ran
+        (W4_PATTERN, 6, "solve", "1000000",
+         r"^solve of 1851820 steps exceeds the budget 1000000$"),
         # 2^(10^12) states: counted only up to the ceiling, never computed
-        (_HUGE_GAP, 2, "dp", r"^series of at least 2\^\d+ steps exceeds the budget 100000000$"),
-        (_HUGE_GAP, 2, "solve", r"^solve of at least 2\^\d+ full states exceeds the solve cap 64$"),
+        (_HUGE_GAP, 2, "dp", None,
+         r"^series of at least 2\^\d+ steps exceeds the budget 100000000$"),
+        (_HUGE_GAP, 2, "solve", None,
+         r"^solve of at least 2\^\d+ steps exceeds the budget 100000000$"),
     ],
-    ids=["dp-one-state-t1e9", "dp-t4097", "solve-4000", "solve-65", "solve-125",
-         "dp-huge-gap", "solve-huge-gap"],
+    ids=["dp-one-state-t1e9", "dp-t4097", "solve-4000", "solve-dp-t10", "solve-dp-bits-t10",
+         "solve-recurrences-t6", "dp-huge-gap", "solve-huge-gap"],
 )
-def test_gf_budgets_fail_before_the_work(text, t, method, message):
+def test_gf_budgets_fail_before_the_work(monkeypatch, text, t, method, budget, message):
+    if budget is not None:
+        monkeypatch.setenv("PDVP_BUDGET", budget)
     sp = StatPattern(parse_pattern(text, Mode.WORD))
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError, match=message):
@@ -492,8 +575,6 @@ def test_solver_matches_naive_recount(rng):
             assert expanded.z_poly(n) == dict(hist), (sp.pattern, t, n)
 
 
-W4_PATTERN = "12|P,{1,2,3},P|(1,2,{2})|P,P"
-
 
 def _oracle_cases():
     """The 7 fixtures, the W = 4 rise at t = 3 and 20 random StatPatterns."""
@@ -556,17 +637,83 @@ def _reference_solve(sp, t):
     return RationalGF(num, den)
 
 
+def _at(p, z):
+    """p(q, z) at an integer z, as Fraction coefficients in q, lowest first,
+    without trailing zeros."""
+    out = [Fraction(0)] * (max(p._rows, default=-1) + 1)
+    for i, j, c in p.terms():
+        out[i] += c * z**j
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_degree(a, b):
+    """The degree of gcd(a, b) in Q[q], by Euclid's algorithm."""
+    while b:
+        a = list(a)
+        while len(a) >= len(b):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            for k, x in enumerate(b):
+                a[shift + k] -= f * x
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _assert_lowest_terms(sp, t, solved, ref):
+    """solved is the pair ref in lowest terms, with its denominator's
+    constant term 1: equal to it by cross-multiplication, with a denominator
+    that divides ref's; coprime in Q(z)[q], seen at an integer z that keeps
+    the denominator's q-degree, where Euclid over Fraction finds a constant
+    gcd; content 1, the denominator's q^0 row being 1; and expanding to the
+    dp's rows well past the 2c + 1 the solver reads."""
+    why = (sp.pattern, t)
+    assert solved.num * ref.den == ref.num * solved.den, why
+    exact_div(ref.den, solved.den)  # raises if it does not divide
+    top = max(solved.den._rows)
+    assert any(len(_at(solved.den, z)) == top + 1
+               and _gcd_degree(_at(solved.num, z), _at(solved.den, z)) == 0
+               for z in (2, 3, 5, 7, 11)), why
+    assert solved.den._rows[0] == {0: 1}
+    assert gcd(*(c for *_, c in solved.num.terms() + solved.den.terms())) == 1
+    order = 2 * len(_automaton((sp,), t, sp.window_width - 1)) + 12  # classes <= states
+    assert expand_rational(solved, order) == dp_series(sp, t, order), why
+
+
+def _lowest_terms_cases():
+    """The oracle cases, 10 random StatPatterns of three adjacent letters
+    (W = 3), and two whose eliminations are not in lowest terms."""
+    rng = random.Random(41)
+    cases = _oracle_cases()
+    for _ in range(10):
+        base = rng.choice(["123", "121", "112", "111", "132", "212"])
+        y = rng.choice(["-", f"(1,3,{{{rng.randint(0, 2)}}})"])
+        z = ",".join(rng.choice(["P", "O", "{1,2}", "{2}"]) for _ in range(3))
+        cases.append((StatPattern(parse_pattern(f"{base}|P,{{1}},{{1}},P|{y}|{z}", Mode.WORD)),
+                      rng.randint(1, 3)))
+    for text, t in (("11|P,{1,2},P|-|P,O", 3), ("11|P,{1},P|-|{1,2},{1,2}", 2)):
+        cases.append((StatPattern(parse_pattern(text, Mode.WORD)), t))
+    return cases
+
+
 def test_solver_equals_the_suffix_state_reference():
-    for sp, t in _oracle_cases():
+    reduced = 0
+    for sp, t in _lowest_terms_cases():
         solved, ref = solve_transfer_system(sp, t), _reference_solve(sp, t)
-        assert (solved.num, solved.den) == (ref.num, ref.den), (sp.pattern, t)
+        _assert_lowest_terms(sp, t, solved, ref)
+        reduced += solved.den != ref.den
+    assert reduced >= 2  # some references are not in lowest terms
 
 
 def test_solver_equals_the_bivariate_elimination():
     # the automaton's own bordered matrix [[I - qA, 1], [-alpha, 0]] over
-    # BivarPoly, eliminated without packing; the W = 4 rise at t = 3 is
-    # among the oracle cases
-    for sp, t in _oracle_cases():
+    # BivarPoly, eliminated without packing, equals the packed elimination
+    # pair for pair; the solver prints it in lowest terms.  The W = 4 rise
+    # at t = 3 is among the oracle cases
+    reduced = 0
+    for sp, t in _lowest_terms_cases():
         edges = _automaton((sp,), t, sp.window_width - 1)
         size = len(edges)
         m = [[ZERO] * size + [ONE] for _ in range(size)]
@@ -575,7 +722,151 @@ def test_solver_equals_the_bivariate_elimination():
             for j, e in out:
                 m[i][j] = m[i][j] - Q * Z**e
         m.append([-ONE] + [ZERO] * size)
-        assert solve_transfer_system(sp, t) == RationalGF(*_bivar_bareiss(m)), (sp.pattern, t)
+        ref = RationalGF(*_bivar_bareiss(m))
+        assert _bordered_solve(sp, t) == ref, (sp.pattern, t)
+        solved = solve_transfer_system(sp, t)
+        _assert_lowest_terms(sp, t, solved, ref)
+        reduced += solved.den != ref.den
+    assert reduced >= 2
+
+
+def test_w4_at_t4_prints_in_lowest_terms():
+    # the elimination printed a denominator of q-degree 10 here
+    sp = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
+    gf = solve_transfer_system(sp, 4)
+    assert max(gf.den._rows) == 8
+    assert expand_rational(gf, 60) == dp_series(sp, 4, 60)
+
+
+def test_repeat_within_distance_three_prints_in_lowest_terms():
+    # the elimination printed a denominator of q-degree 27 here
+    sp = StatPattern(parse_pattern("11|P,{1,3},P|-|{1,2},P", Mode.WORD))
+    gf = solve_transfer_system(sp, 3)
+    assert max(gf.den._rows) == 14
+    ref = _bordered_solve(sp, 3)
+    assert max(ref.den._rows) == 27
+    _assert_lowest_terms(sp, 3, gf, ref)
+
+
+def _dense_rows(sp, t, order):
+    table = dp_series(sp, t, order)
+    return [[table.coefficient(n, j) for j in range(max(table.z_poly(n)) + 1)]
+            for n in range(order + 1)]
+
+
+def test_the_certificate_rejects_a_perturbed_denominator():
+    sp = StatPattern(parse_pattern("12|P,{1,2},P|(1,2,{2})|P,P", Mode.WORD))
+    gf = solve_transfer_system(sp, 4)
+    order = 2 * len(_quotient((sp,), 4))
+    rows = _dense_rows(sp, 4, order)
+    length = max(max(gf.den._rows), max(gf.num._rows) + 1)
+    den = [dict(gf.den._rows.get(i, {})) for i in range(length + 1)]
+    assert _certify(rows, den, length, 4, 0) == gf
+    perturbed = 0
+    for i in range(1, length + 1):
+        for j in range(3):
+            for delta in (1, -1):
+                bad = [dict(row) for row in den]
+                bad[i][j] = bad[i].get(j, 0) + delta
+                if not bad[i][j]:
+                    del bad[i][j]
+                assert _certify(rows, bad, length, 4, 0) is None, (i, j, delta)
+                perturbed += 1
+    assert perturbed == 6 * length
+    # a recurrence one shorter than the series' is refused as well
+    assert _certify(rows, den[:-1], length - 1, 4, 0) is None
+
+
+def test_berlekamp_massey_finds_the_shortest_recurrence():
+    rng = random.Random(43)
+    p = 1000003
+    assert transfer._berlekamp_massey([1, 1, 2, 3, 5, 8], p) == (2, [1, p - 1, p - 1])
+    for _ in range(100):
+        length = rng.randint(1, 6)
+        rec = [rng.randrange(p) for _ in range(length)]
+        seq = [rng.randrange(p) for _ in range(length)]
+        while len(seq) < 2 * length + rng.randint(0, 3):
+            seq.append(sum(r * x for r, x in zip(rec, reversed(seq))) % p)
+        found, c = transfer._berlekamp_massey(seq, p)
+        assert found <= length and c[0] == 1 and len(c) <= found + 1
+        for n in range(found, len(seq)):
+            assert sum(ci * seq[n - i] for i, ci in enumerate(c)) % p == 0
+        assert found == 0 or not _has_recurrence(seq, found - 1, p)
+
+
+def _has_recurrence(seq, length, p):
+    """Is there c_1..c_length with seq[n] + sum_i c_i seq[n - i] = 0 mod p
+    for length <= n < len(seq)?  Gaussian elimination on the augmented
+    system: it is solvable unless a row reduces to 0 = nonzero."""
+    rows = [[seq[n - i] for i in range(1, length + 1)] + [-seq[n] % p]
+            for n in range(length, len(seq))]
+    rank = 0
+    for col in range(length):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return all(row[-1] % p == 0 for row in rows[rank:])
+
+
+def test_primes_too_small_for_the_coefficients_are_combined(monkeypatch):
+    # below 2^7 one prime cannot tell the coefficient -126 of this
+    # denominator from 1: the certificate rejects the first candidate, and
+    # the CRT of two primes is proved
+    sp = StatPattern(parse_pattern("11|P,{1,3},P|-|{1,2},P", Mode.WORD))
+    want = solve_transfer_system(sp, 3)
+    assert -126 in [c for *_, c in want.den.terms()]
+    verdicts = []
+    certify = transfer._certify
+
+    def small_primes():
+        yield from (n for n in range(127, 12, -1) if all(n % d for d in range(2, 12)))
+
+    def spy(*args):
+        out = certify(*args)
+        verdicts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(transfer, "_primes", small_primes)
+    monkeypatch.setattr(transfer, "_certify", spy)
+    assert solve_transfer_system(sp, 3) == want
+    assert verdicts == [False, True]
+
+
+def test_a_point_with_a_shorter_recurrence_is_dropped(monkeypatch):
+    # at z = 1 the series is 1/(1 - 3q), a recurrence of length 1, and at
+    # z = 0 the avoiders' series; neither may feed the interpolation
+    sp = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
+    lengths, used = [], []
+    bm, interpolate = transfer._berlekamp_massey, transfer._interpolate
+
+    def spy_bm(seq, p):
+        found = bm(seq, p)
+        lengths.append(found[0])
+        return found
+
+    def spy_interpolate(xs, ys, p):
+        used.append(xs)
+        return interpolate(xs, ys, p)
+
+    monkeypatch.setattr(transfer, "_berlekamp_massey", spy_bm)
+    monkeypatch.setattr(transfer, "_interpolate", spy_interpolate)
+    gf = solve_transfer_system(sp, 3)
+    top = max(lengths)
+    assert lengths[1] == 1 < top
+    (xs,) = used  # one prime was enough
+    need = sum(max(e for _, e in out) for out in _quotient((sp,), 3)) + 1
+    assert len(xs) == need and 1 not in xs
+    assert [lengths[z] for z in xs] == [top] * need
+    assert xs == [z for z, length in enumerate(lengths) if length == top]
+    assert expand_rational(gf, 40) == dp_series(sp, 3, 40)
 
 
 def _full_state_rows(sps, t, n_max):
@@ -636,7 +927,7 @@ def test_lumped_partition_is_stable():
     for sps, t in _lump_cases():
         keep = max(sp.window_width for sp in sps) - 1
         edges = _automaton(sps, t, keep)
-        classes = _lump(edges, _shape(sps, t)[3])
+        classes = _lump(edges, _shape(sps, t)[2])
         assert classes == _lump(edges, len(edges))  # stable within the rounds allowed
         assert classes[0] == 0
         # numbered by first appearance in state order
@@ -664,7 +955,7 @@ def test_lumped_partition_is_stable():
 def test_lumped_class_counts(text, t, states, count):
     sp = StatPattern(parse_pattern(text, Mode.WORD))
     edges = _automaton((sp,), t, sp.window_width - 1)
-    assert (len(edges), max(_lump(edges, _shape((sp,), t)[3])) + 1) == (states, count)
+    assert (len(edges), max(_lump(edges, _shape((sp,), t)[2])) + 1) == (states, count)
 
 
 def test_lumping_past_its_rounds_keeps_every_state():
