@@ -10,8 +10,9 @@ Every command but match predicts its work before it starts (gf --solve
 before each of its phases) and exits 2 when its steps (about one matcher
 call each) exceed the PDVP_BUDGET environment variable (10^8 when unset) or
 its bits held 2^30; see `budget`.  A word dist or avoid whose patterns gf
-accepts reads row n of the series gf --dp computes when that fits, and
-walks the words otherwise, with the same output.
+accepts reads row n of the series gf --dp computes when that fits and is
+predicted to take no more steps than walking the words, and walks the
+words otherwise, with the same output.
 
 Exit codes: 0 on success (verify: all checks pass), 1 when a verify check
 fails, 2 on usage, pattern parse or file errors.

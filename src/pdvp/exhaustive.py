@@ -6,7 +6,8 @@ pattern modes, picks one of four paths and checks that path's predicted work
 
 * ``series``: a single-length word scan that avoids a set of bounded-window
   statistics (`transfer.StatPattern`), or counts one, reads row n of the
-  series of their window automaton (`transfer.series_row`) when it fits.
+  series of their window automaton (`transfer.series_row`) when that is
+  predicted to take no more steps than the word walk has nodes, and fits.
 * ``tree``: a permutation scan whose patterns are all order-only
   (`order_only`) walks the generating tree (West 1996): a child appends a
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
@@ -79,13 +80,17 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
               each_length: bool = False) -> ScanPlan:
     """The plan of a scan of length n or, with `each_length`, of every length
     0..n: validate t, n and the pattern modes, pick the path and check its
-    predicted work, in that order.  The series is predicted by
-    `transfer.series_work`; when it does not fit, the scan walks the words.
+    predicted work, in that order.  A scan the series can answer takes it
+    when `transfer.series_work` predicts at most as many steps as the word
+    walk has nodes, and work that fits; else it walks the words.  Since a
+    series the budget refuses then predicts more steps than the budget, so
+    does the walk, and an admitted scan's path depends on its input alone.
 
     A walked every-length scan takes one walk when every pattern's closing
     gap set is P (its occurrences do not depend on the final length) and the
     path is not ``values``, else one walk per length, and returns n + 1
-    rows.  A walk of length k holds k positions and has a node, a step,
+    rows.  A walk of length k holds k positions, each with its count when
+    the scan counts a pattern, and has a node, a step,
     per prefix of length d = 1..k that it tries, counted unpruned: t^d over
     words and k!/(k-d)! by values, so W(k) = f(k) * (1 + W(k - 1)) with
     W(0) = 0 and f(k) = t or k; on the generating tree d!, so W(k) = 1! +
@@ -101,15 +106,7 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     want = Mode.PERMUTATION if perm else Mode.WORD
     if any(pat.mode is not want for pat in pats):
         raise ValueError(f"{want.value} scan needs {want.value}-mode patterns")
-    if perm:
-        path = "tree" if all(map(order_only, pats)) else "values"
-    else:
-        path = "words"
-        mixed = avoid and count is not None  # the series counts one statistic
-        if not (each_length or mixed or any(map(transfer.statistic_refusal, pats))):
-            sps = tuple(map(transfer.StatPattern, pats))
-            if budget.check_work("series", *transfer.series_work(sps, t, n, 1), refuse=False):
-                return ScanPlan(avoid, count, t, n, "series", each_length, True)
+    path = ("tree" if all(map(order_only, pats)) else "values") if perm else "words"
     one_walk = not each_length or (
         path != "values" and all(pat.x[-1].steps == (1,) for pat in pats))
     if t == 1:
@@ -127,8 +124,14 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
             nodes = walk if one_walk else nodes + walk
             if nodes >= top:
                 break
+    mixed = avoid and count is not None  # the series counts one statistic
+    if not (perm or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
+        steps, bits = transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
+        if steps <= nodes and budget.check_work("series", steps, bits, refuse=False):
+            return ScanPlan(avoid, count, t, n, "series", each_length, one_walk)
+    position = budget.WALK_POSITION_BITS if count is None else budget.COUNT_POSITION_BITS
     rows = (n + 1) * each_length
-    budget.check_work("scan", nodes, n * budget.WALK_POSITION_BITS + rows * budget.ROW_BITS)
+    budget.check_work("scan", nodes, n * position + rows * budget.ROW_BITS)
     return ScanPlan(avoid, count, t, n, path, each_length, one_walk)
 
 

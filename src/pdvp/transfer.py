@@ -728,13 +728,14 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     larger of deg Q and deg P + 1 (L <= c).  Berlekamp-Massey on the 2c + 1
     values of the rows at a point finds Q there, mod p, wherever the
     shortest recurrence has length L (at all but finitely many z and p),
-    and a shorter recurrence elsewhere.  So in round r the first r primes
-    below 2^61 run it at z = 0, 1, .. until D + 1 points share the longest
-    length seen (r(D + 3) points at most, so that points a short round
-    found too few of are made up for later); interpolated in z, each prime
-    with enough points gives Q mod p; the primes combine by CRT into
-    balanced residues, and `_certify` proves the candidate exactly or sends
-    the loop to the next round.
+    and a shorter recurrence elsewhere.  So round r takes the r-th prime
+    below 2^61 and makes one pass over it, at z = 0, 1, .. until D + 1
+    points share that prime's longest length or r(D + 3) points are spent
+    (the cap grows, so a later prime can make up for points an unlucky one
+    lacked); interpolated in z, D + 1 such points give Q mod p.  The primes
+    whose longest length is the longest seen combine by CRT into balanced
+    residues, and `_certify` proves the candidate exactly or sends the loop
+    to the next prime; no prime is evaluated twice.
 
     Each phase predicts its steps and bits before it starts: the automaton
     and its lumping; once c is known, the dp to order 2c (`_dp_work`); the
@@ -755,40 +756,32 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     need = sum(max(e for _, e in out) for out in lumped) + 1
     slots, span = sum(map(len, rows)), max(map(len, rows))
     held += slots * budget.COEFF_BITS
-    runs: dict[int, list[tuple[int, list[int]]]] = {}  # per prime, (L, C) at z = 0, 1, ..
+    ready: list[tuple[int, int, list[list[int]]]] = []  # (L, p, Q mod p) per prime
     top = 0  # the longest recurrence found
-    primes = _primes()
-    while True:
-        runs[next(primes)] = []
-        cap = len(runs) * (need + 2)
+    for rounds, p in enumerate(_primes(), 1):
+        cap = rounds * (need + 2)
         budget.check_work(  # every round so far: a run evaluates the rows and their recurrence
             "solve",
-            len(runs) * (cap * (slots + (order + 1) * (classes + 1)) + need * need * (classes + 2)),
-            held + len(runs) * cap * (classes + 2) * budget.COEFF_BITS,
+            rounds * (cap * (slots + (order + 1) * (classes + 1)) + need * need * (classes + 2)),
+            held + rounds * cap * (classes + 2) * budget.COEFF_BITS,
         )
-        while True:
-            before = top
-            for p, done in runs.items():
-                while sum(length == top for length, _ in done) < need and len(done) < cap:
-                    powers, z = [1], len(done)
-                    while len(powers) < span:
-                        powers.append(powers[-1] * z % p)
-                    values = [sum(map(mul, row, powers)) % p for row in rows]
-                    length, c = _berlekamp_massey(values, p)
-                    done.append((length, c))
-                    top = max(top, length)
-            if top == before:
-                break
-        ready = []
-        for p, done in runs.items():
-            points = [(z, c + [0] * (top + 1 - len(c)))
-                      for z, (length, c) in enumerate(done) if length == top][:need]
-            if len(points) == need:
-                xs, ys = zip(*points)
-                ready.append((p, _interpolate(list(xs), list(ys), p)))
-        if ready:
-            den = _crt([poly for _, poly in ready], [p for p, _ in ready])
-            gf = _certify(rows, den, top, t, held)
+        longest, points = 0, []  # the points at z = 0, 1, .. that share this prime's longest
+        for z in range(cap):
+            powers = [1]
+            while len(powers) < span:
+                powers.append(powers[-1] * z % p)
+            length, c = _berlekamp_massey([sum(map(mul, row, powers)) % p for row in rows], p)
+            if length > longest:
+                longest, points = length, []
+            if length == longest:
+                points.append((z, c + [0] * (length + 1 - len(c))))
+                if len(points) == need:
+                    xs, ys = zip(*points)
+                    ready.append((length, p, _interpolate(list(xs), list(ys), p)))
+                    break
+        top = max(top, longest)
+        if found := [(prime, poly) for length, prime, poly in ready if length == top]:
+            primes, polys = zip(*found)
+            gf = _certify(rows, _crt(list(polys), list(primes)), top, t, held)
             if gf is not None:
                 return gf
-

@@ -151,14 +151,17 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
     word = Mode.WORD
     anchored = parse_pattern("11|P,{1},{1}|-|P,P", word)  # not a statistic: walked
     repeat = parse_pattern("11|P,{1},P|-|P,P", word)
+    odd_repeat = parse_pattern("11|O,{1},P|-|P,P", word)  # not a statistic: walked
     w4 = StatPattern(parse_pattern("12|P,{1,2,3},P|(1,2,{2})|P,P", word))
     single = StatPattern(parse_pattern("1|P,P|-|{2}", word))
     rise = StatPattern(parse_pattern("12|P,{1},P|(1,2,{2})|P,P", word))
     # the largest input of each kind, where the per-unit sizes dominate
     runs = {
         "walk": lambda: exhaustive.word_multi_avoiders([anchored], 1, 20000),
+        # a counting walk keeps a count of about 6000 at each position
+        "counting walk": lambda: exhaustive.word_distribution(odd_repeat, 1, 12000),
         "every-length walk": lambda: exhaustive.word_distributions(repeat, 1, 5000),
-        "series row": lambda: exhaustive.word_distribution(repeat, 1, 12000),
+        "series row": lambda: transfer.series_row([StatPattern(repeat)], 1, 12000),
         "dp": lambda: transfer.dp_series(w4, 6, 60),
         "one-state dp": lambda: transfer.dp_series(single, 2, 300),
         "morphism word": lambda: problems.morphism_rises(17),

@@ -53,6 +53,48 @@ def test_malformed_pattern_exits_2(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ("12|P,P,P|(0,4,P)|P,P",
+         "at position 0: expected Y indices with 0 <= s < t <= 3, found (0,4)"),
+        ("11|P,P,P|-|P,P",
+         "at position 0: expected a valid pattern, found base (1, 1) is not a permutation of 1..2"),
+        ("gp:11", "at position 0: expected a valid dashed pattern, found base (1, 1) is not a "
+                  "permutation of 1..2"),
+        ("12|P,3,P|-|P,P", "at position 6: expected 'P' after a multiplier, found ','"),
+        ("|P,P,P|-|P,P", "at position 0: expected a base letter, found '|'"),
+        ("12|P,P,P|-|P,P x", "at position 15: expected end of input, found 'x'"),
+    ],
+)
+def test_each_parse_error_exits_2_with_one_line(capsys, pattern, message):
+    got = run(capsys, "match", "--pattern", pattern, "--perm", "1 2 3")
+    assert got == (2, "", f"pattern parse error {message}\n")
+
+
+def test_problem_notes_and_a_missing_offset_print_as_lines(capsys):
+    got = run(capsys, "problem", "--which", "1", "--max-size", "8")
+    assert got == (0, """problem 1: V-shaped avoiders vs morphism rises
+  A (avoiders a(n, 2)), indices from 1:
+    1, 2, 3, 6, 12, 24, 48, 96
+  B (rises after n iterations), indices from 1:
+    2, 3, 6, 12, 24, 48, 96, 192
+  offset -1: A(i) = B(i - 1) on all 7 overlapping entries
+  note: B counts rises of the full n-th morphism iterate of 1
+  note: the length-7 example word 1231323 has 4 rises and is not the third iterate \
+(length 12); no equality is asserted for this problem
+""", "")
+    got = run(capsys, "problem", "--which", "4", "--max-size", "2")
+    assert got == (0, """problem 4: three-letter avoiders vs filtered 2-stack-sortable permutations
+  A (avoiders over t=3), indices from 1:
+    3, 7
+  B (2-stack-sortable, 132-avoiding, exactly one 123), indices from 1:
+    0, 0
+  no constant offset aligns the sequences
+  note: no offset in [-3, 3] aligns the sequences
+""", "")
+
+
 def test_dist_json_golden(capsys):
     rc, out, _ = run(
         capsys, "--format", "json", "dist", "--pattern", "gp:2-31", "--perm-n", "4"
@@ -78,8 +120,8 @@ def test_gf_dp_json_golden(capsys):
 _ONE_STATE = ["gf", "--pattern", "1|P,P|-|{2}", "--alphabet", "2", "--dp", "--max-n", "300"]
 
 
-def _dp_table():
-    return transfer.dp_series(StatPattern(parse_pattern(_ONE_STATE[2], Mode.WORD)), 2, 300)
+def _dp_table(max_n=300):
+    return transfer.dp_series(StatPattern(parse_pattern(_ONE_STATE[2], Mode.WORD)), 2, max_n)
 
 
 def test_gf_dp_prints_the_rows_and_the_json_as_one_string_would(capsys, tmp_path):
@@ -109,7 +151,9 @@ def test_gf_dp_builds_only_the_format_asked_for(capsys, monkeypatch, tmp_path):
         patched.setattr(cli, "_zpoly_text", refuse)
         assert run(capsys, "--format", "json", *_ONE_STATE)[0] == 0
     # neither the text rows nor the JSON entries are held together: writing
-    # them adds far less than the output's size to the peak of the dp itself
+    # them adds far less than the output's size to the peak of the dp itself.
+    # The text needs 200 rows for that; the JSON needs about 300, because its
+    # batch of 4096 pieces holds about 0.5 MB at any size
     def peak(run_once):
         tracemalloc.start()
         run_once()
@@ -117,10 +161,10 @@ def test_gf_dp_builds_only_the_format_asked_for(capsys, monkeypatch, tmp_path):
         tracemalloc.stop()
         return took
 
-    dp = peak(_dp_table)
-    for fmt in ("text", "json"):
+    for fmt, max_n in (("text", 200), ("json", 300)):
+        dp = peak(lambda: _dp_table(max_n))
         target = str(tmp_path / f"rows.{fmt}")
-        argv = ["--format", fmt, "--out", target, *_ONE_STATE]
+        argv = ["--format", fmt, "--out", target, *_ONE_STATE[:-1], str(max_n)]
         main(argv)
         written = peak(lambda: main(argv)) - dp
         assert written < Path(target).stat().st_size // 4, (fmt, written)

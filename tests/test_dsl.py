@@ -31,6 +31,12 @@ def test_arity_is_a_parse_error():
         parse_pattern("12|P,P,P|-|P")
 
 
+def test_a_set_with_trailing_text_is_a_parse_error():
+    with pytest.raises(ParseError) as caught:
+        parse_set("P x")
+    assert str(caught.value) == "at position 2: expected end of input, found 'x'"
+
+
 def test_parse_error_reports_position():
     try:
         parse_pattern("12|P,Q,P|-|P,P")

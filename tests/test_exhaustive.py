@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import naive_occurrences, random_pattern, random_set
 
-from pdvp import budget, checks, cli, exhaustive, problems
+from pdvp import budget, checks, cli, exhaustive, problems, transfer
 from pdvp.budget import EnumerationLimitError
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.cli import main
@@ -420,7 +421,7 @@ def test_long_one_letter_words():
     assert dict(word_distribution(rise, 1, 3000).counts) == {0: 1}
     assert word_multi_avoiders([rise], 1, 3000) == 1
     assert word_multi_avoiders([adjacent_equal], 1, 3000) == 0
-    # the window automaton decodes only the last row: 10000 slots, not 10000 rows
+    # 10000 positions walk a node each
     start = time.perf_counter()
     assert dict(word_distribution(adjacent_equal, 1, 10000).counts) == {9999: 1}
     assert word_multi_avoiders([adjacent_equal], 1, 10000) == 0
@@ -448,8 +449,10 @@ def test_ank_scan_equals_per_object_recount():
     assert _ank_scan(7) == _ank_recount([parse_gp("231"), parse_gp("132")], 7)
 
 
-# Word scans of bounded-window patterns read the window automaton; the
-# every-length scans still walk, and are its oracle here, beside the
+# Word scans of bounded-window patterns read the window automaton when its
+# predicted steps are at most the walk's nodes; the tests call `series_row`
+# itself wherever the plan walks, so the series is compared at every size.
+# The walks, every-length ones included, are its oracle here, beside the
 # per-word naive recount.
 
 
@@ -477,28 +480,31 @@ def _no_walk(*args, **kwargs):
     raise AssertionError("the window automaton should have answered")
 
 
-def test_long_one_letter_words_read_one_row(monkeypatch):
+def test_long_one_letter_words_read_one_row():
     # series_row keeps one row, so its bits budget charges one row, not 12001
     adjacent_equal = parse_pattern("11|P,{1},P|-|P,P", Mode.WORD)
-    monkeypatch.setattr(exhaustive, "prefix_walk", _no_walk)
     start = time.perf_counter()
-    assert dict(word_distribution(adjacent_equal, 1, 12000).counts) == {11999: 1}
+    assert series_row([StatPattern(adjacent_equal)], 1, 12000) == {11999: 1}
     assert time.perf_counter() - start < 1
+    # the walk's 12000 nodes are fewer than the series' steps, so the plan walks
+    assert plan_scan([], adjacent_equal, 1, 12000).path == "words"
+    assert dict(word_distribution(adjacent_equal, 1, 12000).counts) == {11999: 1}
 
 
-def test_window_pattern_scans_equal_the_walks_and_the_naive_recount(rng, monkeypatch):
+def test_window_pattern_scans_equal_the_walks_and_the_naive_recount(rng):
     for _ in range(40):
         pat = _random_window_pattern(rng)
         t, n = rng.randint(1, 3), rng.randint(0, 7)
         hist = _naive_histogram(pat, _objects(Mode.WORD, n, t))
         walked = word_distributions(pat, t, n)[n]
         avoiders = word_avoider_counts([pat], t, n)[n]
-        with monkeypatch.context() as patched:
-            patched.setattr(exhaustive, "prefix_walk", _no_walk)
-            got = word_distribution(pat, t, n)
-            assert word_multi_avoiders([pat], t, n) == avoiders == hist.get(0, 0), (pat, t, n)
+        row = series_row([StatPattern(pat)], t, n)
+        got = word_distribution(pat, t, n)  # by the path of its plan
+        assert word_multi_avoiders([pat], t, n) == avoiders == row.get(0, 0) == hist.get(0, 0), (
+            pat, t, n)
         assert got.length == n
-        assert list(got.counts.items()) == list(walked.counts.items()) == sorted(hist.items())
+        assert list(got.counts.items()) == list(walked.counts.items()) == list(row.items()) == (
+            sorted(hist.items())), (pat, t, n)
 
 
 def _random_avoid_sets(rng):
@@ -510,7 +516,7 @@ def _random_avoid_sets(rng):
     return sets
 
 
-def test_window_avoid_sets_equal_the_walks_and_the_naive_recount(rng, monkeypatch):
+def test_window_avoid_sets_equal_the_walks_and_the_naive_recount(rng):
     for pats in _random_avoid_sets(rng):
         t, n = rng.randint(1, 3), rng.randint(0, 7)
         naive = sum(
@@ -518,9 +524,8 @@ def test_window_avoid_sets_equal_the_walks_and_the_naive_recount(rng, monkeypatc
             if not any(naive_occurrences(p, seq) for p in pats)
         )
         walked = word_avoider_counts(pats, t, n)[n]
-        with monkeypatch.context() as patched:
-            patched.setattr(exhaustive, "prefix_walk", _no_walk)
-            assert word_multi_avoiders(pats, t, n) == walked == naive, (pats, t, n)
+        row = series_row([StatPattern(p) for p in pats], t, n)
+        assert word_multi_avoiders(pats, t, n) == walked == row.get(0, 0) == naive, (pats, t, n)
 
 
 def test_series_refusals_fall_back_to_the_walk(monkeypatch):
@@ -576,12 +581,16 @@ def test_cli_word_scans_print_what_the_walk_prints(rng, capsys, monkeypatch):
         t, n = rng.randint(1, 3), rng.randint(0, 7)
         flags = [arg for p in pats for arg in ("--pattern", render_pattern(p))]
         runs.append(["avoid", *flags, "--word-n", str(n), "--alphabet", str(t)])
-    walk, check = exhaustive.prefix_walk, budget.check_work
+    walk, check, plan_of = exhaustive.prefix_walk, budget.check_work, exhaustive.plan_scan
     for argv in runs:
         for fmt in ("text", "json"):
+            routed = _cli(capsys, ["--format", fmt, *argv])  # by the path of its plan
+            # a plan sent to the series reads its row
             with monkeypatch.context() as patched:
                 patched.setattr(exhaustive, "prefix_walk", _no_walk)
-                routed = _cli(capsys, ["--format", fmt, *argv])
+                patched.setattr(exhaustive, "plan_scan",
+                                lambda *a, **k: replace(plan_of(*a, **k), path="series"))
+                series = _cli(capsys, ["--format", fmt, *argv])
             # the plan takes the series only when its work fits: a check that
             # admits no series forces the word walk
             walks = []
@@ -592,7 +601,7 @@ def test_cli_word_scans_print_what_the_walk_prints(rng, capsys, monkeypatch):
                                 lambda plan, *a, **k: walks.append(plan) or walk(plan, *a, **k))
                 walked = _cli(capsys, ["--format", fmt, *argv])
             assert [plan.path for plan in walks] == ["words"], argv
-            assert routed == walked, argv
+            assert routed == series == walked, argv
             assert routed[0] == 0 and routed[2] == "", argv
 
 
@@ -660,9 +669,9 @@ def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
         plan = plan_scan(avoid, count, t, n, each_length)
         assert (plan.avoid, plan.count, plan.t, plan.n) == (tuple(avoid), count, t, n)
         assert (plan.path == "tree") == (t is None and all(map(order_only, pats)))
-        # the series' work fits the default budget at these sizes
         single = not each_length and not (avoid and count)
-        series = t is not None and single and all(map(_statistic, pats))
+        series = t is not None and single and all(map(_statistic, pats)) and _series_wins(
+            pats, t, n)
         assert (plan.path == "series") == series, (avoid, count, t, n, each_length)
         assert plan.path in (("tree", "values") if t is None else ("series", "words"))
         closing_p = all(pat.x[-1].steps == (1,) for pat in pats)
@@ -673,6 +682,45 @@ def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
     # a series whose work does not fit walks: at n = 0 the walk has no node
     monkeypatch.setenv("PDVP_BUDGET", "0")
     assert plan_scan([_random_window_pattern(rng)], None, 2, 0).path == "words"
+
+
+def _word_walk_nodes(t, n):
+    return sum(t**d for d in range(1, n + 1))
+
+
+def _series_wins(pats, t, n):
+    """Whether the series of these statistics fits, and predicts at most as
+    many steps as the word walk of length n has nodes."""
+    steps, bits = transfer.series_work(tuple(map(StatPattern, pats)), t, n, 1)
+    return steps <= _word_walk_nodes(t, n) and budget.check_work(
+        "series", steps, bits, refuse=False)
+
+
+def test_word_scans_take_the_path_predicted_to_do_less(rng, monkeypatch):
+    # single-length statistic scans: an avoid set or one counted pattern
+    seen = Counter()
+    for _ in range(300):
+        pats = [_random_window_pattern(rng) for _ in range(rng.randint(0, 3))]
+        avoid, count = ([], pats[0]) if pats and rng.random() < 0.5 else (pats, None)
+        t, n = rng.randint(1, 4), rng.randint(0, 10)
+        case = (avoid, count, t, n)
+        monkeypatch.delenv("PDVP_BUDGET", raising=False)
+        plan = plan_scan(avoid, count, t, n)
+        stats = [count] if count else avoid
+        assert (plan.path == "series") == _series_wins(stats, t, n), case
+        seen[plan.path] += 1
+        # under a budget of exactly the chosen path's steps, the path is the same
+        sps = tuple(map(StatPattern, stats))
+        steps = transfer.series_work(sps, t, n, 1)[0] if plan.path == "series" else (
+            _word_walk_nodes(t, n))
+        monkeypatch.setenv("PDVP_BUDGET", str(steps))
+        assert plan_scan(avoid, count, t, n).path == plan.path, case
+    assert seen["series"] >= 30 and seen["words"] >= 30
+    # the gap-7 rise at t = 4 walks 84 nodes rather than step 21845 states
+    gap7 = parse_pattern("12|P,{7},P|(1,2,{2})|P,P", Mode.WORD)
+    monkeypatch.delenv("PDVP_BUDGET")
+    assert plan_scan([], gap7, 4, 3).path == "words"
+    assert plan_scan([], gap7, 4, 30).path == "series"
 
 
 def _naive_rows(avoid, count, t, n):
@@ -712,9 +760,10 @@ def test_every_entry_point_equals_the_per_object_filter(rng):
 
 
 def test_prefix_walk_refuses_a_walk_its_plan_did_not_check():
-    series = plan_scan([parse_pattern(_FREE, Mode.WORD)], None, 2, 4)
+    # 241 series steps against the walk's 510 nodes
+    series = plan_scan([parse_pattern(_FREE, Mode.WORD)], None, 2, 8)
     assert series.path == "series"
-    with pytest.raises(ValueError, match="^a series plan of length 4 has no walk$"):
+    with pytest.raises(ValueError, match="^a series plan of length 8 has no walk$"):
         next(prefix_walk(series))
 
 

@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -814,6 +814,13 @@ def _has_recurrence(seq, length, p):
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return all(row[-1] % p == 0 for row in rows[rank:])
+
+
+def test_the_primes_come_largest_first():
+    # 2^61 - 1 is prime; the odd numbers between the primes below it are
+    # composites the Miller-Rabin bases rule out
+    first = list(islice(transfer._primes(), 6))
+    assert [(1 << 61) - p for p in first] == [1, 31, 45, 229, 259, 283]
 
 
 def test_primes_too_small_for_the_coefficients_are_combined(monkeypatch):
