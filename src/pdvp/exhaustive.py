@@ -13,7 +13,10 @@ pattern modes, picks one of four paths and checks that path's predicted work
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
   ending at a position then depend only on how the prefix is ordered, and
   each permutation of S_d is visited once, for every d.
-* ``values``: any other permutation scan appends an unused value.
+* ``values``: any other permutation scan appends an unused value, at the
+  positions and from the values some occurrence can use (`_relevant`); a
+  placeholder stands for the other values, and each leaf for the
+  permutations it represents (`ScanPlan.weight`).
 * ``words``: any other word scan appends any letter.
 
 `prefix_walk(plan)` streams the objects of every length the plan covers,
@@ -32,10 +35,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from itertools import repeat
+from math import comb, factorial, perm
+from operator import itemgetter, or_
 from typing import Iterator, Mapping, Sequence
 
 from . import budget, matcher, transfer
+from .intset import IntSet
 from .pattern import Mode, Pdvp
 
 
@@ -62,6 +69,18 @@ def order_only(pat: Pdvp) -> bool:
 
 
 @dataclass(frozen=True)
+class Cut:
+    """What a value walk of length n fills: the positions and values some
+    occurrence of a scanned pattern can use (see `plan_scan`)."""
+
+    n: int
+    positions: tuple[int, ...]  # ascending; the others hold 0
+    values: tuple[int, ...]  # ascending: the relevant values, and `star`
+    star: int | None  # one irrelevant value, a placeholder; None when there is none
+    weights: tuple[int, ...]  # weights[j]: the permutations a leaf with j placeholders stands for
+
+
+@dataclass(frozen=True)
 class ScanPlan:
     """A scan over S_n (t None) or {1..t}^n whose predicted work fits: it drops
     the objects an `avoid` pattern occurs in and counts the occurrences of
@@ -74,6 +93,101 @@ class ScanPlan:
     path: str  # "series", "tree", "values" or "words"
     each_length: bool  # the scan asks for every length 0..n, not n alone
     one_walk: bool  # one walk settles every length the scan asks for
+    cuts: tuple[Cut, ...] = ()  # on the values path, the cut of each length walked
+
+    def weight(self, entries: Sequence[int]) -> int:
+        """The objects that `entries`, as `prefix_walk(self)` yields it, stands
+        for: a value walk's leaf with j placeholders stands for P(e, j) (n - p)!
+        permutations, e the irrelevant values and p the relevant positions;
+        anything else for itself."""
+        if not self.cuts:
+            return 1
+        cut = self.cuts[len(entries) - self.cuts[0].n]
+        return cut.weights[entries.count(cut.star)]
+
+
+def _spread(mask: int, s: IntSet, k: int, up: bool) -> int:
+    """The numbers x + d in 1..k (x - d when not `up`), for x a member of the
+    bit mask `mask` (bit x for x) and d >= 1 a member of s, as a bit mask.
+    Each progression of s's normal form takes a shift and log2(k) doublings."""
+    out = 0
+    for d in s.extra:
+        if 0 < d <= k:
+            out |= mask << d if up else mask >> d
+    for start, step in [(1, 2)] * s.odd + [(step, step) for step in s.steps if step <= k]:
+        reach = mask << start if up else mask >> start
+        while step <= k:  # reach holds start + a multiple of step below 2 step
+            reach |= reach << step if up else reach >> step
+            step <<= 1
+        out |= reach
+    return out & ((2 << k) - 2)
+
+
+def _relevant(pats: Sequence[Pdvp], k: int) -> tuple[int, int]:
+    """Bit masks of the positions and of the values in 1..k that an occurrence
+    of some pattern of `pats` in a permutation of length k can use.  Both are
+    sound supersets: a slot's positions run forward from X_0 through the
+    interior gap sets, are filtered by the closing gap X_m and run back; a
+    slot's values start from its Z set and shrink to a fixpoint through the
+    Y pairs and the sentinel triples (0 below, k + 1 above).  A pattern with
+    an empty slot has no occurrence and adds nothing."""
+    places = values = 0
+    for pat in pats:
+        m = pat.m
+        if any(s == 0 and t == m + 1 and k + 1 not in diffs for s, t, diffs in pat.y):
+            continue
+        at = [_spread(1, pat.x[0], k, True)]
+        for gaps in pat.x[1:m]:
+            at.append(_spread(at[-1], gaps, k, True))
+        at[-1] &= _spread(1 << k + 1, pat.x[m], k, False)
+        for j in range(m - 2, -1, -1):
+            at[j] &= _spread(at[j + 1], pat.x[j + 1], k, False)
+        vals = [_spread(1, z, k, True) for z in pat.z]
+        pairs = []
+        for s, t, diffs in pat.y:
+            if s >= 1 and t <= m:
+                pairs += [(s - 1, t - 1, diffs), (t - 1, s - 1, diffs)]
+            elif s >= 1:
+                vals[s - 1] &= _spread(1 << k + 1, diffs, k, False)
+            elif t <= m:
+                vals[t - 1] &= _spread(1, diffs, k, True)
+        shrunk = True
+        while shrunk:  # a value needs a partner |v - w| in D; 0 never is one between slots
+            shrunk = False
+            for a, b, diffs in pairs:
+                kept = vals[a] & (_spread(vals[b], diffs, k, True)
+                                  | _spread(vals[b], diffs, k, False))
+                shrunk = shrunk or kept != vals[a]
+                vals[a] = kept
+        if all(at) and all(vals):
+            places |= reduce(or_, at)
+            values |= reduce(or_, vals)
+    return places, values
+
+
+def _value_work(k: int, p: int, r: int, top: int) -> int:
+    """The unpruned nodes of a value walk of length k over p relevant
+    positions and r relevant values, or at least `top`: for d = 1..p, the
+    prefixes with j <= e = k - r placeholders, C(d, j) P(r, d - j) of them,
+    which sum to k!/(k - d)! when p = r = k."""
+    nodes = 0
+    for d in range(1, p + 1):
+        nodes += sum(comb(d, j) * perm(r, d - j) for j in range(max(0, d - r), min(d, k - r) + 1))
+        if nodes >= top:
+            break
+    return nodes
+
+
+def _cut(k: int, places: int, values: int) -> Cut:
+    """The cut of length k whose relevant positions and values are the bit
+    masks `places` and `values`; its placeholder is the least other value."""
+    positions = tuple(q for q in range(1, k + 1) if places >> q & 1)
+    relevant = tuple(v for v in range(1, k + 1) if values >> v & 1)
+    e = k - len(relevant)
+    star = next((v for v in range(1, k + 1) if not values >> v & 1), None)
+    weights = tuple(perm(e, j) * factorial(k - len(positions))
+                    for j in range(min(len(positions), e) + 1))
+    return Cut(k, positions, tuple(sorted(relevant + (star,))) if e else relevant, star, weights)
 
 
 def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
@@ -90,29 +204,52 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     gap set is P (its occurrences do not depend on the final length) and the
     path is not ``values``, else one walk per length, and returns n + 1
     rows.  A walk of length k holds k positions, each with its count when
-    the scan counts a pattern, and has a node, a step,
+    the scan counts a pattern (by values the plan also holds each length's
+    cut, its weights below 2^(k bit_length(k)) each), and has a node, a step,
     per prefix of length d = 1..k that it tries, counted unpruned: t^d over
-    words and k!/(k-d)! by values, so W(k) = f(k) * (1 + W(k - 1)) with
-    W(0) = 0 and f(k) = t or k; on the generating tree d!, so W(k) = 1! +
-    2! + ... + k!.
+    words, so W(k) = t * (1 + W(k - 1)) with W(0) = 0; on the generating
+    tree d!, so W(k) = 1! + 2! + ... + k!.  By values a plan finds, for each
+    length k it walks, the positions and values some occurrence of a
+    pattern can use (`_relevant`, the union over every avoided and counted
+    pattern) and charges `_value_work`, which is sum_d k!/(k-d)! when every
+    position and value is relevant.  A length with k! >= `budget.ceiling()`
+    is not searched: its whole walk, and so the plan, has at least that many
+    nodes.
     """
-    perm = t is None
-    if not perm and t < 1:
+    perms = t is None
+    if not perms and t < 1:
         raise ValueError("alphabet size must be positive")
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
     avoid = tuple(avoid)
     pats = avoid if count is None else (*avoid, count)
-    want = Mode.PERMUTATION if perm else Mode.WORD
+    want = Mode.PERMUTATION if perms else Mode.WORD
     if any(pat.mode is not want for pat in pats):
         raise ValueError(f"{want.value} scan needs {want.value}-mode patterns")
-    path = ("tree" if all(map(order_only, pats)) else "values") if perm else "words"
+    path = ("tree" if all(map(order_only, pats)) else "values") if perms else "words"
     one_walk = not each_length or (
         path != "values" and all(pat.x[-1].steps == (1,) for pat in pats))
-    if t == 1:
+    position = budget.WALK_POSITION_BITS if count is None else budget.COUNT_POSITION_BITS
+    top = budget.ceiling()
+    masks = []
+    held = n * position + (n + 1) * each_length * budget.ROW_BITS
+    if path == "values":
+        nodes = 0
+        for k in range(n + 1) if each_length else [n]:
+            if k >= top.bit_length() or factorial(k) >= top:  # so is the whole walk
+                nodes = top
+                break
+            masks.append(_relevant(pats, k))
+            p, r = (mask.bit_count() for mask in masks[-1])
+            nodes += _value_work(k, p, r, top)
+            # the cut's positions, values and weights, each weight below 2^(k bit_length(k))
+            weights = min(p, k - r) + 1
+            held += (p + r + 1 + weights) * position + weights * 2 * k * k.bit_length()
+            if nodes >= top:
+                break
+    elif t == 1:
         nodes = n if one_walk else n * (n + 1) // 2  # one node per length
     else:
-        top = budget.ceiling()
         walk = nodes = 0
         k_factorial = 1
         for k in range(1, n + 1):
@@ -120,19 +257,18 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
                 k_factorial *= k
                 walk += k_factorial
             else:
-                walk = (k if perm else t) * (walk + 1)  # W(k)
+                walk = t * (walk + 1)  # W(k)
             nodes = walk if one_walk else nodes + walk
             if nodes >= top:
                 break
     mixed = avoid and count is not None  # the series counts one statistic
-    if not (perm or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
+    if not (perms or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
         steps, bits = transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
         if steps <= nodes and budget.check_work("series", steps, bits, refuse=False):
             return ScanPlan(avoid, count, t, n, "series", each_length, one_walk)
-    position = budget.WALK_POSITION_BITS if count is None else budget.COUNT_POSITION_BITS
-    rows = (n + 1) * each_length
-    budget.check_work("scan", nodes, n * position + rows * budget.ROW_BITS)
-    return ScanPlan(avoid, count, t, n, path, each_length, one_walk)
+    budget.check_work("scan", nodes, held)
+    cuts = tuple(_cut(k, *pair) for k, pair in zip(range(n + 1 - len(masks), n + 1), masks))
+    return ScanPlan(avoid, count, t, n, path, each_length, one_walk, cuts)
 
 
 def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[int], int]]:
@@ -150,7 +286,17 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
     the recursion limit.  Drawing from it raises ValueError for a series
     plan.
 
-    Words and values come in lexicographic order.  On the tree a child takes
+    Words and values come in lexicographic order.  By values a walk fills
+    only the positions of its length's cut, each with an unused relevant
+    value or with the placeholder `star`, at most min(p, e) times; the other
+    positions hold 0.  No occurrence uses a position or value outside the
+    cut, so the generated search rejects every index tuple through one by
+    its own X, Z, Y and order tests (two slots never pass the order test on
+    equal values), and each leaf stands for `plan.weight(entries)`
+    permutations; a caller that reads the entries themselves, as problem 4
+    and the ank check do on the tree, needs a cut that skips nothing.  With
+    every position and value relevant the walk visits every prefix of S_n
+    by values.  On the tree a child takes
     the midpoint of a gap between consecutive values of the sorted prefix,
     with 0 and `top` at its ends, the child of rank r before that of rank
     r + 1, so the entries are order-isomorphic to a permutation of S_d and
@@ -163,48 +309,60 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
     tree = plan.path == "tree"
     by_value = plan.path == "values"
     prefixes = plan.each_length and plan.one_walk
-    for n in [plan.n] if plan.one_walk else range(plan.n + 1):
+    lengths = [plan.n] if plan.one_walk else range(plan.n + 1)
+    for n, cut in zip(lengths, plan.cuts or repeat(None)):
         top = plan.t or (1 << n if tree else n + 1)
-        letters = range(1, (plan.t or n) + 1)
+        letters = cut.values if by_value else range(1, (plan.t or n) + 1)
+        at = cut.positions if by_value else range(1, n + 1)  # at[d - 1]: the position of depth d
         stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
         tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
         buf = [0] * n
-        used = [False] * (n + 1)  # used[v]: the value walk has placed v
-        within = [0] * (n + 1)  # within[d]: the occurrences inside buf[:d]
-        if n == 0 or prefixes:
-            yield buf[:0], 0
-            if n == 0:
+        free = [0] * (n + 1)  # free[v]: the times the value walk may still place v
+        if by_value:
+            for v in letters:
+                free[v] = 1
+            if cut.star:
+                free[cut.star] = len(cut.weights) - 1
+        depth = len(at)
+        within = [0] * (depth + 1)  # within[d]: the occurrences ending at depths up to d
+        if prefixes or not depth:
+            yield buf[:0] if prefixes else buf, 0
+            if not depth:
                 continue
-        # rows[d - 1]: the candidates for position d
-        rows = [iter([top >> 1] if tree else letters)] + [None] * n
-        d = 1  # the position being filled
+        # rows[d - 1]: the candidates for depth d
+        rows = [iter([top >> 1] if tree else letters)] + [None] * depth
+        d, q = 1, at[0]  # the depth being filled and its position
         while d:
             for v in rows[d - 1]:
-                if by_value and used[v]:
+                if by_value and not free[v]:
                     continue
-                buf[d - 1] = v
+                buf[q - 1] = v
                 for stop in stops:
-                    if stop(buf, d):
+                    if stop(buf, q):
                         break  # to the next candidate v
                 else:
                     got = within[d - 1]
                     if tally:
-                        got += tally(buf, d)
+                        got += tally(buf, q)
                         if cap is not None and got > cap:
                             continue
                     break  # v is placed
             else:
                 d -= 1
-                if by_value and d:
-                    used[buf[d - 1]] = False
+                if by_value:
+                    q = at[d - 1]
+                    if d:
+                        free[buf[q - 1]] += 1
+                else:
+                    q = d
                 continue
-            if d == n:
+            if d == depth:
                 yield buf, got
                 continue
             if prefixes:
                 yield buf[:d], got
             if by_value:
-                used[v] = True
+                free[v] -= 1
             within[d] = got
             if tree:
                 ends = [0, *sorted(buf[:d]), top]
@@ -212,6 +370,7 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
             else:
                 rows[d] = iter(letters)
             d += 1
+            q = at[d - 1] if by_value else d
 
 
 def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
@@ -223,15 +382,22 @@ def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     if plan.path == "series":
         sps = tuple(transfer.StatPattern(p) for p in (*plan.avoid, count) if p is not None)
         return [DistributionTable(n, transfer.series_row(sps, t, n))]
-    if not each_length:
-        walk = prefix_walk(plan)  # with no count every c is 0: the objects are only counted
+    walk = prefix_walk(plan)  # with no count every c is 0: the objects are only counted
+    weighed = any(cut.weights != (1,) for cut in plan.cuts)  # some leaf stands for more
+    if not (each_length or weighed):
         row = {0: sum(1 for _ in walk)} if count is None else Counter(map(itemgetter(1), walk))
         return [DistributionTable(n, dict(sorted(row.items())))]
     rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for entries, c in prefix_walk(plan):
-        row = rows[len(entries)]
-        row[c] = row.get(c, 0) + 1
-    return [DistributionTable(k, dict(sorted(row.items()))) for k, row in enumerate(rows)]
+    if weighed:  # a leaf of the value walk stands for plan.weight(entries) permutations
+        for entries, c in walk:
+            row = rows[len(entries)]
+            row[c] = row.get(c, 0) + plan.weight(entries)
+    else:
+        for entries, c in walk:
+            row = rows[len(entries)]
+            row[c] = row.get(c, 0) + 1
+    return [DistributionTable(k, dict(sorted(row.items())) if count else {0: row.get(0, 0)})
+            for k, row in enumerate(rows) if each_length or k == n]
 
 
 def perm_distribution(pat: Pdvp, n: int) -> DistributionTable:

@@ -104,11 +104,12 @@ def test_every_kind_of_work_is_counted(work_meter):
 
 
 def test_the_meter_counts_every_length_of_a_walk(work_meter):
-    # one stream walks S_1..S_5 by values, a walk per length: 1 + 4 + 15 +
-    # 64 + 325 nodes, none pruned, since the scan only counts
+    # one stream walks S_2..S_5 by values, a walk per length: 4 + 15 + 64 +
+    # 325 nodes, none pruned, since the scan only counts (no pair occurs in
+    # S_1, so its walk has no node)
     exhaustive.perm_distributions(parse_pattern("12|P,P,P|-|O,P"), 5)
     (rec,) = work_meter.records
-    assert (rec.what, rec.counted, rec.steps) == ("scan", 409, 409)
+    assert (rec.what, rec.counted, rec.steps) == ("scan", 408, 408)
 
 
 def test_the_meter_sees_work_past_a_prediction(work_meter, monkeypatch):
@@ -152,6 +153,7 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
     anchored = parse_pattern("11|P,{1},{1}|-|P,P", word)  # not a statistic: walked
     repeat = parse_pattern("11|P,{1},P|-|P,P", word)
     odd_repeat = parse_pattern("11|O,{1},P|-|P,P", word)  # not a statistic: walked
+    one_value = parse_pattern("1|P,P|-|{1}")
     w4 = StatPattern(parse_pattern("12|P,{1,2,3},P|(1,2,{2})|P,P", word))
     single = StatPattern(parse_pattern("1|P,P|-|{2}", word))
     rise = StatPattern(parse_pattern("12|P,{1},P|(1,2,{2})|P,P", word))
@@ -161,6 +163,9 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
         # a counting walk keeps a count of about 6000 at each position
         "counting walk": lambda: exhaustive.word_distribution(odd_repeat, 1, 12000),
         "every-length walk": lambda: exhaustive.word_distributions(repeat, 1, 5000),
+        # a value walk over every position and one value: its plan holds the
+        # cut of each length, with up to k weights below k!
+        "every-length value walk": lambda: exhaustive.perm_distributions(one_value, 50),
         "series row": lambda: transfer.series_row([StatPattern(repeat)], 1, 12000),
         "dp": lambda: transfer.dp_series(w4, 6, 60),
         "one-state dp": lambda: transfer.dp_series(single, 2, 300),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pdvp import cli, transfer
+from pdvp import cli, formulas, transfer
 from pdvp.cli import _zpoly_text, main
 from pdvp.dsl import parse_pattern
 from pdvp.pattern import Mode
@@ -256,7 +256,9 @@ def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
     [
         # one walk over the generating tree of S_1..S_8: 1! + 2! + ... + 8!
         (["problem", "--which", "4", "--max-size", "8"], 46233),
-        (["verify"], 1956),  # eq1 scans S_6 after S_2 and S_4, by values
+        # k4n scans S_8 after S_4 by values, over its 4 relevant positions and
+        # 4 relevant values: 5 + 21 + 73 + 209 prefixes
+        (["verify"], 308),
         # Z_1 = O: by values, 6 + 30 + 120 + 360 + 720 + 720 nodes
         (["dist", "--pattern", "21|P,{1},P|-|O,P", "--perm-n", "6"], 1956),
         (["dist", "--pattern", "12|P,{2},P|(1,2,{2})|P,P", "--word-n", "5", "--alphabet", "4"],
@@ -326,6 +328,13 @@ def test_avoid_repeated_flags(capsys):
     )
     assert rc == 0
     assert out.strip() == "32"
+
+
+def test_avoid_counts_k4n_past_the_old_cap(capsys):
+    # the value walk of S_12 fills only odd positions with odd values
+    # (18702 nodes); all of S_12 by values was 1302061344, past the budget
+    got = run(capsys, "avoid", "--pattern", "12|O,4P,P|(1,2,4P)|O,P", "--perm-n", "12")
+    assert got == (0, f"{formulas.k4n_exact(3)}\n", "") == (0, "360000000\n", "")
 
 
 def test_avoid_pattern_file(tmp_path, capsys):

@@ -2,13 +2,13 @@ import time
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 
 from conftest import naive_occurrences, random_pattern, random_set
 
-from pdvp import budget, checks, cli, exhaustive, problems, transfer
+from pdvp import budget, checks, cli, exhaustive, formulas, problems, transfer
 from pdvp.budget import EnumerationLimitError
 from pdvp.checks import STAT_ALPHABETS, _ank_scan, _shifted_rise_pattern
 from pdvp.cli import main
@@ -25,7 +25,7 @@ from pdvp.exhaustive import (
     word_distributions,
     word_multi_avoiders,
 )
-from pdvp.intset import EVENS, POSITIVES, finite
+from pdvp.intset import EVENS, ODDS, POSITIVES, finite, multiples
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
 from pdvp.problems import problem_report, stack_sort, two_stack_sortable_counts
@@ -192,8 +192,28 @@ def test_prefix_walk_equals_per_object_filter(rng):
                 if cap is None or c <= cap:
                     row.append((seq.entries, c))
         # an every-length plan, so that no word scan reads the automaton
-        walk = prefix_walk(plan_scan(avoid, count, t, n, each_length=True), cap=cap)
-        assert _by_length(walk, n, t) == [sorted(row) for row in want], (avoid, count, t, n)
+        plan = plan_scan(avoid, count, t, n, each_length=True)
+        walk = prefix_walk(plan, cap=cap)
+        if _whole(plan):
+            assert _by_length(walk, n, t) == [sorted(row) for row in want], (avoid, count, t, n)
+        else:  # a value walk that skips positions or values: its leaves weighed
+            assert _weighed(plan, walk) == [Counter(c for _, c in row) for row in want], (
+                avoid, count, t, n)
+
+
+def _whole(plan):
+    """Whether every walk of the plan fills every position with any value:
+    each leaf is then an object, of weight 1."""
+    return all(cut.star is None and len(cut.positions) == cut.n for cut in plan.cuts)
+
+
+def _weighed(plan, walk):
+    """For k = 0..plan.n, {c: objects} over the (entries, c) a walk of the
+    plan yields at length k, each weighed by `plan.weight`."""
+    rows = [Counter() for _ in range(plan.n + 1)]
+    for entries, c in walk:
+        rows[len(entries)][c] += plan.weight(entries)
+    return rows
 
 
 def _standardised(entries):
@@ -235,7 +255,10 @@ def _by_values(pat, n):
 
 
 def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
-    # avoid sets alone, and with one counted pattern, with and without a cap
+    # avoid sets alone, and with one counted pattern, with and without a cap;
+    # the twins' values are all relevant, and where their gap sets leave
+    # every position relevant too, the value walk yields every object
+    whole = Counter()
     for counted, capped in [(False, False), (True, False), (True, True)] * 15:
         n = rng.randint(1, 6)
         avoid = [_random_order_only(rng) for _ in range(rng.randint(not counted, 2))]
@@ -253,8 +276,15 @@ def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
                           None, n)
         assert (plan.path, twins.path) == ("tree", "values")
         tree = [(_standardised(e), c) for e, c in prefix_walk(plan, cap=cap)]
-        values = [(tuple(e), c) for e, c in prefix_walk(twins, cap=cap)]
-        assert sorted(tree) == values == want, (avoid, count, cap, n)
+        assert sorted(tree) == want, (avoid, count, cap, n)
+        whole[_whole(twins)] += 1
+        if _whole(twins):
+            values = [(tuple(e), c) for e, c in prefix_walk(twins, cap=cap)]
+            assert values == want, (avoid, count, cap, n)
+        else:
+            assert _weighed(twins, prefix_walk(twins, cap=cap))[n] == Counter(
+                c for _, c in want), (avoid, count, cap, n)
+    assert whole[True] >= 5 and whole[False] >= 5, whole
 
 
 def test_every_length_perm_scans_equal_a_walk_per_length(rng):
@@ -333,7 +363,8 @@ def test_walk_nodes_are_the_prefixes_itertools_enumerates(monkeypatch):
     for t, pats, tree, one_walk in cases:
         total = 0  # the nodes of one walk of each length 0..n
         for n in range(7):
-            nodes = len(_prefixes(n, t, tree))
+            # by values, S_1 holds no position an occurrence of a pair can use
+            nodes = len(_prefixes(n, t, tree)) if t or tree or n > 1 else 0
             total += nodes
             for each_length, want in ((False, nodes), (True, nodes if one_walk else total)):
                 monkeypatch.setenv("PDVP_BUDGET", str(want))
@@ -384,12 +415,12 @@ def test_scan_budget_boundaries(monkeypatch):
     "scan, nodes",
     [
         # by values: 5 + 20 + 60 + 120 + 120 nodes over S_5, and one walk per
-        # length, 1 + 4 + 15 + 64 + 325, over S_1..S_5; a mixed avoid set
-        # walks by values
+        # length, 4 + 15 + 64 + 325, over S_2..S_5 (in S_1 no pair occurs, so
+        # its walk has no node); a mixed avoid set walks by values
         (lambda: perm_distribution(_ODD_RISE, 5), 325),
         (lambda: perm_multi_avoiders([_ODD_RISE], 5), 325),
         (lambda: perm_multi_avoiders([make_classical((1, 2)), _ODD_RISE], 5), 325),
-        (lambda: perm_distributions(_ODD_RISE, 5), 409),
+        (lambda: perm_distributions(_ODD_RISE, 5), 408),
         # the generating tree: 1! + 2! + 3! + 4! + 5!, every length at once
         (lambda: perm_distribution(make_classical((1, 2)), 5), 153),
         (lambda: perm_multi_avoiders([make_classical((1, 2))], 5), 153),
@@ -752,11 +783,9 @@ def test_every_entry_point_equals_the_per_object_filter(rng):
             assert [table.length for table in every] == list(range(n + 1)), case
             assert [list(table.counts.items()) for table in every] == [
                 sorted(row.items()) for row in want], case
-        else:  # no entry point both avoids and counts: group the plan's stream by length
-            got = [Counter() for _ in range(n + 1)]
-            for entries, c in prefix_walk(plan_scan(avoid, count, t, n, each_length=True)):
-                got[len(entries)][c] += 1
-            assert got == want, case
+        else:  # no entry point both avoids and counts: weigh the plan's stream by length
+            plan = plan_scan(avoid, count, t, n, each_length=True)
+            assert _weighed(plan, prefix_walk(plan)) == want, case
 
 
 def test_prefix_walk_refuses_a_walk_its_plan_did_not_check():
@@ -795,7 +824,8 @@ def test_a_plan_that_walks_each_length_streams_them_all(rng):
         plan = plan_scan(avoid, count, t, n, each_length=True)
         rows = _by_length(prefix_walk(plan), n, t)
         want = _naive_rows(avoid, count, t, n)
-        assert [Counter(c for _, c in row) for row in rows] == want, case
+        weighed = _weighed(plan, prefix_walk(plan))
+        assert weighed == want, case
         for k, row in enumerate(rows):
             single = plan_scan(avoid, count, t, k)
             if single.path != "series":
@@ -803,7 +833,7 @@ def test_a_plan_that_walks_each_length_streams_them_all(rng):
             if count is None:
                 got = perm_multi_avoiders(avoid, k) if t is None else word_multi_avoiders(
                     avoid, t, k)
-                assert got == len(row), (case, k)
+                assert got == weighed[k][0], (case, k)
             elif not avoid:
                 table = perm_distribution(count, k) if t is None else word_distribution(
                     count, t, k)
@@ -833,3 +863,104 @@ def test_the_every_length_loops_take_a_plan_that_walks_each_length(monkeypatch):
     monkeypatch.setattr(checks, "_CONS_231", odd_descent)
     assert plan_scan([odd_descent], None, None, 6, each_length=True).path == "values"
     assert _ank_scan(6) == _ank_recount([odd_descent, parse_gp("132")], 6)
+
+
+# Value walks fill only the positions and values some occurrence can use;
+# each leaf stands for P(e, j) (n - p)! permutations.  Their oracle is the
+# per-object filter, beside the closed forms of the k4n check.
+
+_K4N = "12|O,4P,P|(1,2,4P)|O,P"
+
+
+def _reduced_nodes(p, r, e):
+    """The unpruned nodes of a value walk over p positions, r relevant values
+    and e placeholders: prefixes of length d = 1..p holding j <= e of them."""
+    return sum(comb(d, j) * perm(r, d - j) for d in range(1, p + 1) for j in range(min(d, e) + 1))
+
+
+def test_the_value_walk_counts_k4n_past_the_old_cap():
+    # S_12 by values was 1302061344 nodes; the relevant ones are 18702, and
+    # 1952456 at S_16
+    pat = checks.mod4_pattern()
+    assert perm_multi_avoiders([pat], 12) == formulas.k4n_exact(3) == 360000000
+    assert perm_multi_avoiders([pat], 16) == formulas.k4n_exact(4) == 11239480062720
+
+
+def test_k4n_budget_boundary_at_s12(monkeypatch):
+    # odd positions and odd values only: 6 of each in S_12, and 6 placeholders
+    pat = parse_pattern(_K4N)
+    (cut,) = plan_scan([pat], None, None, 12).cuts
+    odd = tuple(range(1, 12, 2))
+    assert (cut.positions, cut.values, cut.star) == (odd, (1, 2, *odd[1:]), 2)
+    assert cut.weights == tuple(perm(6, j) * factorial(6) for j in range(7))
+    nodes = _reduced_nodes(6, 6, 6)
+    assert nodes == 18702
+    monkeypatch.setenv("PDVP_BUDGET", str(nodes))
+    assert perm_multi_avoiders([pat], 12) == 360000000
+    monkeypatch.setenv("PDVP_BUDGET", str(nodes - 1))
+    with pytest.raises(EnumerationLimitError, match=_refusal(nodes, nodes - 1)):
+        perm_multi_avoiders([pat], 12)
+    # with every position and value relevant the count is the whole value
+    # walk's, as for the odd rise at S_11 (test_perm_limit_error_names_limit)
+    assert _reduced_nodes(11, 11, 0) == 108505111
+
+
+def test_relevance_does_not_depend_on_spelling(monkeypatch):
+    # Z_1 written as its members up to 8, or as the odd numbers
+    odd, listed = parse_pattern(_K4N), parse_pattern("12|O,4P,P|(1,2,4P)|{1,3,5,7},P")
+    assert odd != listed and not order_only(odd) and not order_only(listed)
+    assert plan_scan([odd], None, None, 8).cuts == plan_scan([listed], None, None, 8).cuts
+    assert perm_multi_avoiders([odd], 8) == perm_multi_avoiders([listed], 8) == 37488
+    monkeypatch.setenv("PDVP_BUDGET", "0")
+    for pat in (odd, listed):
+        with pytest.raises(EnumerationLimitError, match=_refusal(_reduced_nodes(4, 4, 4), 0)):
+            perm_multi_avoiders([pat], 8)
+
+
+def _cut_set(rng):
+    """O, E, kP (k = 2..4) or a finite set of 0..7, now and then P."""
+    return rng.choice([ODDS, ODDS, EVENS, EVENS, POSITIVES, multiples(rng.randint(2, 4)),
+                       finite(rng.sample(range(0, 8), rng.randint(1, 4)))])
+
+
+def _cut_pattern(rng):
+    """A random permutation pattern of up to three slots whose X, Z and Y
+    sets are O, E, kP or finite, Y triples on the sentinels included."""
+    m = rng.randint(1, 3)
+    base = list(range(1, m + 1))
+    rng.shuffle(base)
+    y = []
+    for _ in range(rng.randrange(3)):
+        s = rng.randrange(0, m + 1)
+        y.append(YTriple(s, rng.randrange(s + 1, m + 2), _cut_set(rng)))
+    return Pdvp(Mode.PERMUTATION, tuple(base), tuple(_cut_set(rng) for _ in range(m + 1)),
+                tuple(y), tuple(_cut_set(rng) for _ in range(m)))
+
+
+def test_value_walks_weigh_their_leaves_as_the_per_object_filter_counts(rng):
+    # avoid sets and counted patterns, with and without a cap, n <= 7: the
+    # weighed stream of every length equals the per-object filter's rows
+    skipped = 0
+    objects = {k: _objects(Mode.PERMUTATION, k, None) for k in range(8)}
+    for counted, capped in [(False, False), (True, False), (True, True)] * 8:
+        n = rng.randint(3, 7)
+        avoid = [_cut_pattern(rng) for _ in range(rng.randint(not counted, 2))]
+        count = _cut_pattern(rng) if counted else None
+        cap = rng.choice([0, 1, 2]) if capped else None
+        plan = plan_scan(avoid, count, None, n, each_length=True)
+        assert plan.path == "values"
+        skipped += not _whole(plan)
+        want = [Counter() for _ in range(n + 1)]
+        for k in range(n + 1):
+            for seq in objects[k]:
+                if not any(naive_occurrences(p, seq) for p in avoid):
+                    c = len(naive_occurrences(count, seq)) if counted else 0
+                    if cap is None or c <= cap:
+                        want[k][c] += 1
+        case = (avoid, count, cap, n)
+        assert _weighed(plan, prefix_walk(plan, cap=cap)) == want, case
+        if count is None:
+            assert perm_multi_avoiders(avoid, n) == want[n][0], case
+        elif not avoid and cap is None:
+            assert [table.counts for table in perm_distributions(count, n)] == want, case
+    assert skipped >= 18
