@@ -3,7 +3,8 @@ phase of a solve and morphism iterate bounds its steps, each at most about
 one matcher call (2-7 us per window, 3 us per walk node), and the bits it
 holds, at the sizes below (measured).  `check_work` refuses steps above
 PDVP_BUDGET (10^8 when unset) and bits above 2^30.  Predictions stop
-counting at `ceiling()`, so an input of any size is refused at once.
+counting at `ceiling()`, so an input of any size is refused at once, and a
+refusal prints an amount of more than 30 digits as a power of ten below it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ def power(t: int, k: int) -> int:
     return top if k * (t.bit_length() - 1) >= top.bit_length() else min(t**k, top)
 
 
+def _shown(amount: int) -> str:
+    """`amount` in full, or "at least 10^k" (10^k <= amount) when it has more
+    than 30 digits."""
+    if amount < 10**30:
+        return str(amount)
+    k = (amount.bit_length() - 1) * 3010 // 10000  # 2^(b-1) <= amount, and log10(2) > 0.301
+    while 10 ** (k + 1) <= amount:
+        k += 1
+    return f"at least 10^{k}"
+
+
 def check_work(what: str, steps: int, bits: int, refuse: bool = True) -> bool:
     """Whether the predicted work of `what` is within every limit; if not, raise
     EnumerationLimitError naming the first it exceeds, unless `refuse` is false.
@@ -58,6 +70,6 @@ def check_work(what: str, steps: int, bits: int, refuse: bool = True) -> bool:
         if amount > limit or amount >= top:
             if not refuse:
                 return False
-            size = f"at least 2^{top.bit_length() - 1}" if amount >= top else amount
+            size = f"at least 2^{top.bit_length() - 1}" if amount >= top else _shown(amount)
             raise EnumerationLimitError(f"{what} of {size} {unit} exceeds the {name} {limit}")
     return True

@@ -12,7 +12,8 @@ pattern modes, picks one of four paths and checks that path's predicted work
   (`order_only`) walks the generating tree (West 1996): a child appends a
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
   ending at a position then depend only on how the prefix is ordered, and
-  each permutation of S_d is visited once, for every d.
+  each permutation of S_d is visited once, for every d.  A node scores all
+  its children at once, with one `matcher.search_children` per pattern.
 * ``values``: any other permutation scan appends an unused value, at the
   positions and from the values some occurrence can use (`_relevant`); a
   placeholder stands for the other values, and each leaf for the
@@ -24,20 +25,22 @@ from one walk, or a walk per length when one cannot settle them all.  A
 walk goes depth first over prefixes: a prefix of length p already decides
 every occurrence that ends at p, so each step adds the occurrences ending
 at the new position, and a branch is dropped as soon as an avoided pattern
-ends there.  Only the walk's buffer is ever materialised.  The every-length
-scans never read the series: they are the scan oracle that
-`verify` (a3, d4) and the tests compare the automaton with, and with the
-per-object recounts of the tests the ground truth for every closed formula
-and generating function in the toolkit.
+ends there (on the tree, as soon as the parent finds that it would).  Only
+the walk's buffer is ever materialised.  The every-length scans never read
+the series: they are the scan oracle that `verify` (a3, d4) and the tests
+compare the automaton with, and with the per-object recounts of the tests
+the ground truth for every closed formula and generating function in the
+toolkit.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from math import comb, factorial, perm
+from math import comb, factorial, lgamma, log, log10, perm
 from operator import itemgetter, or_
 from typing import Iterator, Mapping, Sequence
 
@@ -265,10 +268,32 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     if not (perms or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
         steps, bits = transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
         if steps <= nodes and budget.check_work("series", steps, bits, refuse=False):
-            return ScanPlan(avoid, count, t, n, "series", each_length, one_walk)
-    budget.check_work("scan", nodes, held)
+            path = "series"
+    if path != "series":
+        budget.check_work("scan", nodes, held)
+    _check_printable(t, n)
     cuts = tuple(_cut(k, *pair) for k, pair in zip(range(n + 1 - len(masks), n + 1), masks))
     return ScanPlan(avoid, count, t, n, path, each_length, one_walk, cuts)
+
+
+def _check_printable(t: int | None, n: int) -> None:
+    """Refuse a scan of length n whose object count, n! (t None) or t^n, has
+    more digits than an int may print with, since a count it finds may then
+    not print; the count is sized by its logarithm, never computed."""
+    digits = sys.get_int_max_str_digits()
+
+    def log10_objects(k: int) -> float:
+        return lgamma(k + 1) / log(10) if t is None else k * log10(t)
+
+    if not digits or log10_objects(n) < digits:
+        return
+    lo, hi = 0, n  # the longest length that prints lies in lo..hi - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if log10_objects(mid) < digits else (lo, mid)
+    objects = f"{n}!" if t is None else f"{t}^{n}"
+    raise budget.EnumerationLimitError(
+        f"length {n} exceeds the allowed length {lo}: {objects} has more than {digits} digits")
 
 
 def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[int], int]]:
@@ -302,7 +327,13 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
     r + 1, so the entries are order-isomorphic to a permutation of S_d and
     come in generating-tree order.  With top = 2^n every gap between d placed
     values spans at least 2^(n-d), so depth n never closes a gap; `top` is
-    also the high sentinel the patterns see.
+    also the high sentinel the patterns see.  A tree node scores its
+    children before the walk descends to them: one `matcher.search_children`
+    per avoided pattern and one for the counted pattern give, through the
+    prefix sums of their difference arrays, each child's kill flag and
+    count, and the children left are the node's row.  Words and values try
+    each candidate with `matcher.search_ending_at`, the avoided patterns'
+    first-occurrence searches before the count.
     """
     if plan.path == "series":
         raise ValueError(f"a series plan of length {plan.n} has no walk")
@@ -314,8 +345,12 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
         top = plan.t or (1 << n if tree else n + 1)
         letters = cut.values if by_value else range(1, (plan.t or n) + 1)
         at = cut.positions if by_value else range(1, n + 1)  # at[d - 1]: the position of depth d
-        stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
-        tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
+        if tree:  # each parent scores all its children at once
+            stops = [matcher.search_children(p, n, top) for p in plan.avoid]
+            tally = None if plan.count is None else matcher.search_children(plan.count, n, top)
+        else:
+            stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
+            tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
         buf = [0] * n
         free = [0] * (n + 1)  # free[v]: the times the value walk may still place v
         if by_value:
@@ -329,11 +364,35 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
             yield buf[:0] if prefixes else buf, 0
             if not depth:
                 continue
+
+        def scored(d: int, got: int) -> Iterator[tuple[int, int]]:
+            """The children of the tree node buf[:d], which has `got`
+            occurrences, that no avoided pattern ends at and that stay
+            within `cap`, each as (its midpoint, its occurrences), by rank."""
+            ends = [0, *sorted(buf[:d])]
+            rank = dict(zip(ends, range(d + 1)))
+            ends.append(top)
+            kills, adds = [0] * (d + 1), [0] * (d + 1)
+            for stop in stops:
+                stop(buf, d + 1, rank, kills)
+            if tally:
+                tally(buf, d + 1, rank, adds)
+            kept, killed = [], 0
+            for r, kill in enumerate(kills):  # the prefix sums of kills and adds
+                killed += kill
+                got += adds[r]
+                if not killed and (cap is None or got <= cap):
+                    kept.append(((ends[r] + ends[r + 1]) >> 1, got))
+            return iter(kept)
+
         # rows[d - 1]: the candidates for depth d
-        rows = [iter([top >> 1] if tree else letters)] + [None] * depth
+        rows = [scored(0, 0) if tree else iter(letters)] + [None] * depth
         d, q = 1, at[0]  # the depth being filled and its position
         while d:
             for v in rows[d - 1]:
+                if tree:  # scored with its siblings when the parent was placed
+                    buf[q - 1], got = v
+                    break
                 if by_value and not free[v]:
                     continue
                 buf[q - 1] = v
@@ -364,11 +423,7 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
             if by_value:
                 free[v] -= 1
             within[d] = got
-            if tree:
-                ends = [0, *sorted(buf[:d]), top]
-                rows[d] = iter([(lo + hi) >> 1 for lo, hi in zip(ends, ends[1:])])
-            else:
-                rows[d] = iter(letters)
+            rows[d] = scored(d, got) if tree else iter(letters)
             d += 1
             q = at[d - 1] if by_value else d
 

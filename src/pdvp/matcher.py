@@ -18,14 +18,18 @@ the closing gap, so a prefix of length p already decides every occurrence
 that ends at p.
 Counting, avoidance, the prefix walks of the exhaustive scans and the
 listing of occurrences (every last index in turn, then sorted) all call the
-generated code, which differs between them only in its innermost statement.
+generated code.  The count, first and list searches differ only in their
+innermost statement.  The children search (`search_children`) scores every
+way of appending a last entry to an ordered prefix at once: it never reads
+the last slot's value, so it drops every test on it, and records the range
+of ranks each partial occurrence admits for that value instead.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .intset import IntSet
 from .pattern import Mode, Pdvp
@@ -70,7 +74,7 @@ class Occurrence:
         return tuple(entries[i - 1] for i in self.indices)
 
 
-_COUNT, _FIRST, _LIST = "count", "first", "list"
+_COUNT, _FIRST, _LIST, _CHILDREN = "count", "first", "list", "children"
 _LOOPS_PER_BLOCK = 16  # the compiler refuses more than 20 nested blocks per function
 
 
@@ -88,12 +92,21 @@ def _generate(pat: Pdvp, mode: str):
     members, ascending, that breaks once q_k drops below k.  The members are
     a tuple literal when X_{k+1} is finite and the tuple g{k}, which make
     builds once per call from the members up to n, when it is not.
-    Only the innermost statement differs between the modes.  Every block of
-    _LOOPS_PER_BLOCK slots is a function of its own that the block above
-    calls in its innermost statement.  The source holds integer literals and
-    the names bound in `namespace` only.
+    The count, first and list modes differ only in their innermost
+    statement.  The children mode's search(entries, p, rank, diff) never
+    reads v_{m-1}, so it has no test on it (see `search_children`); its
+    innermost statement adds 1 at diff[rank[v_a]] and -1 at diff[rank[v_b]],
+    a and b the slots whose base letters are next below and next above
+    base[m-1]: 0 stands for a missing a, and a missing b adds nothing.
+    Every block of _LOOPS_PER_BLOCK slots is a function of its own that the
+    block above calls in its innermost statement, passing rank and diff on
+    in the children mode.  The source holds integer literals and the names
+    bound in `namespace` only.
     """
     m, base = pat.m, pat.base
+    children = mode == _CHILDREN
+    live = m - 1 if children else m  # the slots whose values the search reads
+    extra = ", rank, diff" if children else ""
     namespace: dict[str, object] = {}
     tables: list[str] = []  # make's statements that build the g{k}
 
@@ -122,7 +135,8 @@ def _generate(pat: Pdvp, mode: str):
     entry: list[str] = [f"p < {m:d} or p > n"] + test("n + 1 - p", pat.x[m], 1)
     for s, t, dset in pat.y:
         if s >= 1 and t <= m:
-            pairs[s - 1] += test(f"abs(v{s - 1} - v{t - 1})", dset, 0)
+            if t <= live:
+                pairs[s - 1] += test(f"abs(v{s - 1} - v{t - 1})", dset, 0)
         elif s >= 1:
             bounds[s - 1] += test(f"abs(upper - v{s - 1})", dset, 0)
         elif t <= m:
@@ -131,11 +145,13 @@ def _generate(pat: Pdvp, mode: str):
             entry += test("upper", dset, 0)
 
     def rejects(k: int) -> list[str]:
+        first_gap = test(f"q{k} + 1", pat.x[0], 1) if k == 0 else []
+        if k == live:  # the children mode's last slot, whose value is never read
+            return first_gap
         order = []
-        for a in range(k + 1, m):
+        for a in range(k + 1, live):
             op = ">=" if base[k] < base[a] else "<=" if base[k] > base[a] else "!="
             order.append(f"v{k} {op} v{a}")
-        first_gap = test(f"q{k} + 1", pat.x[0], 1) if k == 0 else []
         return test(f"v{k}", pat.z[k], 1) + order + pairs[k] + bounds[k] + first_gap
 
     def loop(k: int) -> list[str]:
@@ -162,11 +178,18 @@ def _generate(pat: Pdvp, mode: str):
             return f"if {call}: return 1" if call else "return 1"
         if call:
             return call
+        if children:
+            below = [a for a in range(live) if base[a] < base[live]]
+            above = [a for a in range(live) if base[a] > base[live]]
+            lo = f"rank[v{max(below, key=base.__getitem__)}]" if below else "0"
+            hi = f"; diff[rank[v{min(above, key=base.__getitem__)}]] -= 1" if above else ""
+            return f"diff[{lo}] += 1{hi}"
         return "found.append((%s,))" % ", ".join(f"q{k} + 1" for k in range(m))
 
     def placed(k: int) -> str:
-        """The indices and values of slots k..m-1, which a chained block receives."""
-        return ", ".join([f"q{a}" for a in range(k, m)] + [f"v{a}" for a in range(k, m)])
+        """The indices of slots k..m-1 and the values read among them, which
+        a chained block receives after entries (and rank and diff)."""
+        return ", ".join([f"q{a}" for a in range(k, m)] + [f"v{a}" for a in range(k, live)])
 
     result = "return total" if mode == _COUNT else "return 0"
     blocks = []
@@ -174,19 +197,19 @@ def _generate(pat: Pdvp, mode: str):
     while True:
         low = max(top - _LOOPS_PER_BLOCK, 0)
         if top == m - 1:
-            head = ["def search(entries, p):"]
+            head = [f"def search(entries, p{extra}):"]
             head += ["    " + line for cond in entry for line in guard(cond, "return 0")]
-            head += [f"    q{top} = p - 1", f"    v{top} = entries[q{top}]"]
+            head += [f"    q{top} = p - 1"] + [f"    v{top} = entries[q{top}]"] * (top < live)
             head += ["    " + line for cond in rejects(top) for line in guard(cond, "return 0")]
         else:
-            head = [f"def block{top}(entries, {placed(top)}):"]
+            head = [f"def block{top}(entries{extra}, {placed(top)}):"]
         body = ["total = 0"] if mode == _COUNT else []
         for depth, k in enumerate(range(top - 1, low - 1, -1)):
             pad = "    " * depth
             body += [pad + line for line in loop(k)]
             body.append(f"{pad}    v{k} = entries[q{k}]")
             body += [f"{pad}    {line}" for cond in rejects(k) for line in guard(cond, "continue")]
-        inner = hit(f"block{low}(entries, {placed(low)})" if low else None)
+        inner = hit(f"block{low}(entries{extra}, {placed(low)})" if low else None)
         body += ["    " * (top - low) + inner, result]
         blocks.append(head + ["    " + line for line in body])
         if not low:
@@ -201,7 +224,7 @@ def _generate(pat: Pdvp, mode: str):
 
 
 _PREP_CACHE_SIZE = 256
-# each pattern's factories make(n, upper, found) by mode (count, first, list),
+# each pattern's factories make(n, upper, found) by mode (count, first, list, children),
 # compiled at first use; least recently used pattern first
 _PREP_CACHE: OrderedDict[Pdvp, dict[str, Callable]] = OrderedDict()
 
@@ -271,6 +294,28 @@ def search_ending_at(
     the later entries are set.  f is the generated search itself.
     """
     return _compiled(pat, _FIRST if first else _COUNT)(n, upper, None)
+
+
+def search_children(
+    pat: Pdvp, n: int, upper: int
+) -> Callable[[Sequence[int], int, Mapping[int, int], list[int]], int]:
+    """Compile `pat` to score, at once, every last entry that an ordered
+    prefix of a sequence of final length n with high sentinel `upper` can take.
+
+    `pat` must be an order-only permutation pattern: every Z and Y set holds
+    every positive integer, so its tests pass on distinct values below
+    `upper`.  The result f(entries, p, rank, diff) scores the p children of
+    the prefix entries[:p - 1], child r = 0..p-1 placing at p a value with
+    exactly r prefix values below it.  `rank` maps 0 to 0 and each prefix
+    value to the number of prefix values at most it.  f adds, for each way
+    to fill the other slots, 1 at diff[r] for its least child r and -1 past
+    its greatest child unless that is p - 1, so the prefix sums of diff
+    (p entries) count the occurrences ending at p of each child.  It reads
+    only entries[:p - 1], and it visits no more index tuples than the p
+    searches of `search_ending_at` on the children would together.  f is
+    the generated search itself.
+    """
+    return _compiled(pat, _CHILDREN)(n, upper, None)
 
 
 def count_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> int:

@@ -63,6 +63,25 @@ def naive_occurrences(pat: Pdvp, seq) -> list[tuple[int, ...]]:
     return out
 
 
+def longest_printable(objects) -> int:
+    """The largest n whose objects(n) converts to str, objects(n) increasing in n."""
+
+    def prints(k: int) -> bool:
+        try:
+            str(objects(k))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while prints(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if prints(mid) else (lo, mid)
+    return lo
+
+
 def fib_series_gf() -> RationalGF:
     """(1+q)/(1-q-q^2): coefficients 1, 2, 3, 5, 8, .. = fib(n+2)."""
     return RationalGF(ONE + Q, ONE - Q - Q**2)
@@ -102,6 +121,21 @@ def random_pattern(rng: random.Random, mode: Mode) -> Pdvp:
     return Pdvp(mode, tuple(base), x, tuple(triples), z)
 
 
+def random_order_only(rng: random.Random) -> Pdvp:
+    """A random permutation pattern that `exhaustive.order_only` accepts:
+    random gap sets, and Z and Y sets that hold every positive integer (some
+    of them 0 too), Y triples on the sentinels included."""
+    pat = random_pattern(rng, Mode.PERMUTATION)
+
+    def full():
+        return POSITIVES | random_set(rng) if rng.random() < 0.5 else POSITIVES
+
+    y = tuple(YTriple(s, t, full()) for s, t, _ in pat.y)
+    pat = Pdvp(Mode.PERMUTATION, pat.base, pat.x, y, tuple(full() for _ in pat.z))
+    assert exhaustive.order_only(pat)
+    return pat
+
+
 def random_sequence(rng: random.Random, mode: Mode, n_max: int = 8):
     n = rng.randint(1, n_max)
     if mode is Mode.PERMUTATION:
@@ -132,8 +166,10 @@ def lumping_rounds(edges) -> int:
 
 
 class WorkMeter:
-    """Counts the steps of each budgeted computation: walk nodes (the first
-    stop or tally call at each node), windows counted by the automaton,
+    """Counts the steps of each budgeted computation: walk nodes (each call
+    of a walk's first stop or, with none, of its tally: one node per call of
+    a `search_ending_at` search, one per child scored by a `search_children`
+    one), windows counted by the automaton,
     edges in each lumping round, dp edges per CHUNK_BITS of the weight they
     shift, slots `_decode` reads, a solve's recurrence terms, interpolation
     entries and certificate products, and morphism letters built.
@@ -162,7 +198,9 @@ class WorkMeter:
         self.walk, self.walk_code = None, exhaustive.prefix_walk.__code__
         for module, name, wrap in (
             (budget, "check_work", self._check),
-            (exhaustive, "matcher", lambda _: SimpleNamespace(search_ending_at=self._search)),
+            (exhaustive, "matcher", lambda _: SimpleNamespace(
+                search_ending_at=self._searcher(matcher.search_ending_at, lambda p: 1),
+                search_children=self._searcher(matcher.search_children, lambda p: p))),
             (transfer, "_window_occurrences", self._windows),
             (transfer, "_lump", self._lump),
             (transfer, "_step", self._step),
@@ -200,24 +238,30 @@ class WorkMeter:
 
         return check
 
-    def _search(self, pat, n, upper, first=False):
-        """The searches of one walk, the first of them counting its calls: a
-        walk calls its first stop, or with none its tally, once per node.
-        A walk is its `prefix_walk` frame and its length n, since one frame
-        walks each length of a plan that needs a walk per length."""
-        search = matcher.search_ending_at(pat, n, upper, first)
-        frame, rec = sys._getframe(1), self.record()
-        while frame.f_code is not self.walk_code:  # past a comprehension's frame
-            frame = frame.f_back
-        if rec is None or self.walk == (frame, n):
-            return search
-        self.walk = (frame, n)  # the frame held, so that no later walk reuses its id
+    def _searcher(self, compile_search, nodes):
+        """`compile_search` for the walks, the first search of each walk
+        counting nodes(p) per call at position p: a walk calls its first
+        stop, or with none its tally, once per node, or once per node whose
+        children it scores, p of them.  A walk is its `prefix_walk` frame
+        and its length n, since one frame walks each length of a plan that
+        needs a walk per length."""
 
-        def counted(buf, d):
-            rec.counted += 1
-            return search(buf, d)
+        def compiled(pat, n, upper, **flags):
+            search = compile_search(pat, n, upper, **flags)
+            frame, rec = sys._getframe(1), self.record()
+            while frame.f_code is not self.walk_code:  # past a comprehension's frame
+                frame = frame.f_back
+            if rec is None or self.walk == (frame, n):
+                return search
+            self.walk = (frame, n)  # the frame held, so that no later walk reuses its id
 
-        return counted
+            def counted(buf, p, *scores):
+                rec.counted += nodes(p)
+                return search(buf, p, *scores)
+
+            return counted
+
+        return compiled
 
     def _windows(self, window_occurrences):
         def windows(pat, t):

@@ -10,6 +10,8 @@ tracemalloc.
 import contextlib
 import importlib
 import io
+import math
+import re
 import sys
 import time
 import tracemalloc
@@ -17,10 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import longest_printable
+
 from pdvp import budget, checks, cli, exhaustive, problems, transfer
 from pdvp.budget import EnumerationLimitError, check_work
 from pdvp.dsl import parse_gp, parse_pattern
-from pdvp.pattern import Mode
+from pdvp.pattern import Mode, make_classical
 from pdvp.transfer import StatPattern
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -110,6 +114,51 @@ def test_the_meter_counts_every_length_of_a_walk(work_meter):
     exhaustive.perm_distributions(parse_pattern("12|P,P,P|-|O,P"), 5)
     (rec,) = work_meter.records
     assert (rec.what, rec.counted, rec.steps) == ("scan", 408, 408)
+
+
+def test_refusals_print_amounts_of_more_than_30_digits_as_powers_of_ten():
+    for amount, shown in ((10**30 - 1, str(10**30 - 1)), (10**30, "at least 10^30"),
+                          (2**100, "at least 10^30"), (10**50 - 1, "at least 10^49"),
+                          (7 * 10**4000, "at least 10^4000")):
+        with pytest.raises(EnumerationLimitError,
+                           match=rf"^scan of {re.escape(shown)} steps exceeds the budget 100000000$"):
+            check_work("scan", amount, 0)
+
+
+def test_scans_whose_counts_cannot_print_are_refused(monkeypatch):
+    # n! or t^n with more digits than an int may print with, sized by its
+    # logarithm, so a length of 10^30 is refused as fast as one just too
+    # long; a scan the work check refuses is refused for its work first
+    monkeypatch.setenv("PDVP_BUDGET", str(10**40))
+    digits, allowed = sys.get_int_max_str_digits(), longest_printable(math.factorial)
+    one = parse_pattern("1|{1},P|-|{1}")  # avoided by the n! - (n - 1)! not starting with 1
+    start = time.perf_counter()
+    for n in (allowed + 1, allowed + 10):
+        with pytest.raises(EnumerationLimitError, match=rf"^length {n} exceeds the allowed "
+                           rf"length {allowed}: {n}! has more than {digits} digits$"):
+            exhaustive.perm_multi_avoiders([one], n)
+    with pytest.raises(EnumerationLimitError, match=rf"^length {10**30} exceeds the allowed "
+                       rf"length {allowed}: "):
+        exhaustive._check_printable(None, 10**30)
+    assert exhaustive.perm_multi_avoiders([one], allowed) == (
+        math.factorial(allowed) - math.factorial(allowed - 1))
+    for t in (2, 10):
+        allowed = longest_printable(lambda k: t**k)
+        exhaustive._check_printable(t, allowed)
+        with pytest.raises(EnumerationLimitError, match=rf"^length {allowed + 1} exceeds the "
+                           rf"allowed length {allowed}: {t}\^{allowed + 1} has more than"):
+            exhaustive._check_printable(t, allowed + 1)
+    exhaustive._check_printable(1, 10**30)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_meter_counts_every_child_the_tree_scores(work_meter):
+    # a tree node scores all its children at once: counting prunes nothing,
+    # 1! + .. + 5! = 153 nodes; avoiding 123 scores only the children of the
+    # avoiders of S_0..S_4, 1 + 2 + 2 * 3 + 5 * 4 + 14 * 5 = 99
+    exhaustive.perm_distributions(make_classical((1, 2, 3)), 5)
+    exhaustive.perm_multi_avoiders([make_classical((1, 2, 3))], 5)
+    assert [(rec.counted, rec.steps) for rec in work_meter.records] == [(153, 153), (99, 153)]
 
 
 def test_the_meter_sees_work_past_a_prediction(work_meter, monkeypatch):

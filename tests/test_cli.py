@@ -4,9 +4,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import factorial
 from pathlib import Path
 
 import pytest
+
+from conftest import longest_printable
 
 from pdvp import cli, formulas, transfer
 from pdvp.cli import _zpoly_text, main
@@ -277,6 +280,30 @@ def test_scans_obey_the_budget_env_var(monkeypatch, capsys, argv, nodes):
     assert time.perf_counter() - start < 1
     assert _one_line_error(*got)
     assert got[2] == f"error: scan of {nodes} steps exceeds the budget 100\n"
+
+
+def test_scans_whose_counts_cannot_print_exit_2(capsys):
+    # the value walk has one relevant position and value (the avoiders are
+    # the n! - (n - 1)! permutations that do not start with 1), but 1700! has
+    # more digits than an int may print with: refused before the walk
+    digits, allowed = sys.get_int_max_str_digits(), longest_printable(factorial)
+    start = time.perf_counter()
+    got = run(capsys, "avoid", "--pattern", "1|{1},P|-|{1}", "--perm-n", "1700")
+    assert time.perf_counter() - start < 1
+    assert _one_line_error(*got)
+    assert got[2] == (f"error: length 1700 exceeds the allowed length {allowed}: "
+                      f"1700! has more than {digits} digits\n")
+    rc, out, _ = run(capsys, "avoid", "--pattern", "1|{1},P|-|{1}", "--perm-n", str(allowed))
+    assert rc == 0 and out.strip() == str(factorial(allowed) - factorial(allowed - 1))
+
+
+def test_refusals_print_long_amounts_as_powers_of_ten(capsys):
+    # the tree of S_1..S_1500 has 1! + .. + 1500! nodes, a number of 4115 digits
+    got = run(capsys, "avoid", "--pattern", "gp:231", "--perm-n", "1500")
+    assert _one_line_error(*got)
+    nodes = sum(factorial(k) for k in range(1, 1501))
+    assert got[2] == (f"error: scan of at least 10^{len(str(nodes)) - 1} steps "
+                      "exceeds the budget 100000000\n")
 
 
 def test_problem_one_above_the_printable_size_exits_2(capsys):

@@ -6,7 +6,7 @@ from math import comb, factorial, perm
 
 import pytest
 
-from conftest import naive_occurrences, random_pattern, random_set
+from conftest import naive_occurrences, random_order_only, random_pattern, random_set
 
 from pdvp import budget, checks, cli, exhaustive, formulas, problems, transfer
 from pdvp.budget import EnumerationLimitError
@@ -231,21 +231,6 @@ def _by_length(walk, n, t):
     return [sorted(row) for row in rows]
 
 
-def _random_order_only(rng):
-    """A random permutation pattern that `order_only` accepts: random gap sets,
-    and Z and Y sets that hold every positive integer (some of them 0 too),
-    Y triples on the sentinels included."""
-    pat = random_pattern(rng, Mode.PERMUTATION)
-
-    def full():
-        return POSITIVES | random_set(rng) if rng.random() < 0.5 else POSITIVES
-
-    y = tuple(YTriple(s, t, full()) for s, t, _ in pat.y)
-    pat = Pdvp(Mode.PERMUTATION, pat.base, pat.x, y, tuple(full() for _ in pat.z))
-    assert order_only(pat)
-    return pat
-
-
 def _by_values(pat, n):
     """`pat` with every Z set {1..n}: the same pattern on S_n, but not
     order-only, so a scan of it walks by values."""
@@ -261,8 +246,8 @@ def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
     whole = Counter()
     for counted, capped in [(False, False), (True, False), (True, True)] * 15:
         n = rng.randint(1, 6)
-        avoid = [_random_order_only(rng) for _ in range(rng.randint(not counted, 2))]
-        count = _random_order_only(rng) if counted else None
+        avoid = [random_order_only(rng) for _ in range(rng.randint(not counted, 2))]
+        count = random_order_only(rng) if counted else None
         cap = rng.choice([0, 1, 2]) if capped else None
         want = []
         for seq in _objects(Mode.PERMUTATION, n, None):
@@ -287,10 +272,28 @@ def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
     assert whole[True] >= 5 and whole[False] >= 5, whole
 
 
+def test_tree_entry_points_equal_the_per_object_recount(rng):
+    # the tree scores every child of a node with one search per pattern;
+    # two classical patterns at S_7, then random order-only ones and pairs
+    pats = [(make_classical((1, 3, 2)), 7), (parse_gp("2-31"), 7)]
+    pats += [(random_order_only(rng), rng.randint(0, 6)) for _ in range(10)]
+    for pat, n in pats:
+        other = random_order_only(rng)
+        assert plan_scan((pat, other), pat, None, n).path == "tree"
+        rows = _naive_rows([], pat, None, n)
+        assert list(perm_distribution(pat, n).counts.items()) == sorted(rows[n].items()), pat
+        assert [list(table.counts.items()) for table in perm_distributions(pat, n)] == [
+            sorted(row.items()) for row in rows], pat
+        assert perm_multi_avoiders([pat], n) == rows[n][0], pat
+        assert perm_multi_avoiders([pat, other], n) == sum(
+            1 for seq in _objects(Mode.PERMUTATION, n, None)
+            if not naive_occurrences(pat, seq) and not naive_occurrences(other, seq)), (pat, other)
+
+
 def test_every_length_perm_scans_equal_a_walk_per_length(rng):
     pats = [make_classical((1, 3, 2)), parse_gp("2-31"), _ODD_RISE]
     for _ in range(30):
-        pat = _random_order_only(rng) if rng.random() < 0.7 else random_pattern(
+        pat = random_order_only(rng) if rng.random() < 0.7 else random_pattern(
             rng, Mode.PERMUTATION)
         # half of them with a closing gap set of P
         x = pat.x[:-1] + (POSITIVES,) if rng.random() < 0.5 else pat.x
@@ -684,7 +687,7 @@ def _random_scan(rng):
 
     def pattern():
         if rng.random() < 0.5:
-            return _random_order_only(rng) if perm else _random_window_pattern(rng)
+            return random_order_only(rng) if perm else _random_window_pattern(rng)
         return random_pattern(rng, Mode.PERMUTATION if perm else Mode.WORD)
 
     count = pattern() if rng.random() < 0.5 else None

@@ -148,12 +148,12 @@ def _module_tree(name: str) -> ast.AST:
 
 def test_only_the_prefix_walk_searches_in_the_scans():
     # one walker: every scan, problem and check reaches the per-position
-    # search through `exhaustive.prefix_walk`, whose child step alone picks
-    # the value walk or the generating tree
-    users = {name: _users(_module_tree(name), {"search_ending_at"})
+    # searches through `exhaustive.prefix_walk`, whose child step alone picks
+    # the value walk or the generating tree, which scores a node's children
+    # at once
+    users = {name: _users(_module_tree(name), {"search_ending_at", "search_children"})
              for name in ("exhaustive.py", "problems.py", "checks.py")}
-    assert users == {"exhaustive.py": ["prefix_walk", "prefix_walk"],
-                     "problems.py": [], "checks.py": []}
+    assert users == {"exhaustive.py": ["prefix_walk"] * 4, "problems.py": [], "checks.py": []}
 
 
 def test_the_walker_lint_sees_a_second_caller():
@@ -168,9 +168,11 @@ def test_the_walker_lint_sees_a_second_caller():
         "    return step\n"
         "found = matcher.search_ending_at\n"
         "matcher.count_entries(p, buf, 3)\n"
+        "def third_walk(n):\n"
+        "    return matcher.search_children(p, n, n + 1)\n"
     )
-    assert _users(ast.parse(source), {"search_ending_at"}) == [
-        "<module>", "prefix_walk", "other_walk", "<module>"
+    assert _users(ast.parse(source), {"search_ending_at", "search_children"}) == [
+        "<module>", "prefix_walk", "other_walk", "<module>", "third_walk"
     ]
 
 

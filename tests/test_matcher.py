@@ -1,10 +1,11 @@
 import time
 from collections import OrderedDict
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import comb
 
 import pytest
 
-from conftest import naive_occurrences, random_pattern, random_sequence
+from conftest import naive_occurrences, random_order_only, random_pattern, random_sequence
 
 from pdvp.intset import ODDS, IntSet, finite
 
@@ -18,6 +19,7 @@ from pdvp.matcher import (
     count,
     iter_occurrences,
     occurrences,
+    search_children,
     search_ending_at,
 )
 from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
@@ -276,6 +278,51 @@ def test_thirty_slot_classical_pattern_chains_blocks():
     assert len(occurrences(pat, s32)) == 496
     assert not avoids(pat, s32)
     assert avoids(pat, PermSequence(tuple(range(32, 0, -1))))
+
+
+def _children_scores(pat, prefix, n, upper):
+    """What `search_children` gives each child of `prefix`: the prefix sums
+    of its difference array."""
+    ends = [0, *sorted(prefix)]
+    diff = [0] * len(ends)
+    search_children(pat, n, upper)(list(prefix) + [0] * (n - len(prefix)), len(ends),
+                                   dict(zip(ends, range(len(ends)))), diff)
+    return list(accumulate(diff))
+
+
+def _per_child(search, prefix, n):
+    """What `search` gives at the last position of each child of `prefix`,
+    child r placing the odd value 2r + 1 between the even prefix values."""
+    d = len(prefix)
+    return [search(list(prefix) + [2 * r + 1] + [0] * (n - d - 1), d + 1) for r in range(d + 1)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 16])
+def test_children_search_scores_each_child_as_the_per_child_searches(rng, monkeypatch, block):
+    # the prefix holds 2, 4, .., 2d in random order, and the sentinel 2d + 2
+    # tops the children's odd values; with blocks of one or two slots the
+    # rank map and the difference array pass through the chained blocks
+    monkeypatch.setattr(matcher, "_LOOPS_PER_BLOCK", block)
+    monkeypatch.setattr(matcher, "_PREP_CACHE", OrderedDict())
+    for _ in range(150):
+        pat = random_order_only(rng)
+        d = rng.randint(0, 6)
+        prefix = [2 * v for v in rng.sample(range(1, d + 1), d)]
+        n, upper = d + 1 + rng.randint(0, 2), 2 * d + 2
+        counts = _per_child(search_ending_at(pat, n, upper), prefix, n)
+        assert _children_scores(pat, prefix, n, upper) == counts, (pat, prefix, n)
+        firsts = _per_child(search_ending_at(pat, n, upper, first=True), prefix, n)
+        assert firsts == [min(c, 1) for c in counts], (pat, prefix, n)
+
+
+def test_thirty_slot_children_search_chains_blocks():
+    # child r of 2, 4, .., 62 has r prefix values below it, so C(r, 29)
+    # occurrences of 1..30 end at it
+    pat = make_classical(range(1, 31))
+    prefix = [2 * v for v in range(1, 32)]
+    want = [comb(r, 29) for r in range(32)]
+    assert _children_scores(pat, prefix, 32, 64) == want
+    assert _per_child(search_ending_at(pat, 32, 64), prefix, 32) == want
 
 
 @pytest.mark.parametrize(
