@@ -25,6 +25,7 @@ import json
 import re
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -198,7 +199,10 @@ def _cmd_problem(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(prog="pdvp", description=__doc__.split("\n\n")[0])
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", help="write output to this path instead of stdout")

@@ -12,8 +12,10 @@ pattern modes, picks one of four paths and checks that path's predicted work
   (`order_only`) walks the generating tree (West 1996): a child appends a
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
   ending at a position then depend only on how the prefix is ordered, and
-  each permutation of S_d is visited once, for every d.  A node scores all
-  its children at once, with one `matcher.search_children` per pattern.
+  each permutation of S_d is visited once, for every d.  A node holds its
+  permutation as the even numbers 2..2d, so no node sorts itself to rank
+  its values, and it scores all its children at once, with one
+  `matcher.search_children` per pattern.
 * ``values``: any other permutation scan appends an unused value, at the
   positions and from the values some occurrence can use (`_relevant`); a
   placeholder stands for the other values, and each leaf for the
@@ -21,12 +23,17 @@ pattern modes, picks one of four paths and checks that path's predicted work
 * ``words``: any other word scan appends any letter.
 
 `prefix_walk(plan)` streams the objects of every length the plan covers,
-from one walk, or a walk per length when one cannot settle them all.  A
+from one walk, or a walk per length when one cannot settle them all, a
+family at a time: a kept prefix, the occurrence counts of its kept
+children and their last values (on the tree computed only when drawn).  A
 walk goes depth first over prefixes: a prefix of length p already decides
 every occurrence that ends at p, so each step adds the occurrences ending
 at the new position, and a branch is dropped as soon as an avoided pattern
-ends there (on the tree, as soon as the parent finds that it would).  Only
-the walk's buffer is ever materialised.  The every-length scans never read
+ends there.  A prefix settles all its children at once, so the last level
+is never visited, and a scan that only counts builds nothing per leaf (on
+the tree a leaf's count is a prefix sum of its parent's search).  Only the
+walk's buffer and, per depth, the children left to visit (on the tree,
+also the node) are ever materialised.  The every-length scans never read
 the series: they are the scan oracle that `verify` (a3, d4) and the tests
 compare the automaton with, and with the per-object recounts of the tests
 the ground truth for every closed formula and generating function in the
@@ -39,10 +46,10 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate, chain, compress, repeat
 from math import comb, factorial, lgamma, log, log10, perm
-from operator import itemgetter, or_
-from typing import Iterator, Mapping, Sequence
+from operator import itemgetter, not_, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import budget, matcher, transfer
 from .intset import IntSet
@@ -296,44 +303,63 @@ def _check_printable(t: int | None, n: int) -> None:
         f"length {n} exceeds the allowed length {lo}: {objects} has more than {digits} digits")
 
 
-def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[int], int]]:
-    """Walk the objects of every length the plan covers (n, or 0..n).
+def prefix_walk(plan: ScanPlan, cap: int | None = None
+                ) -> Iterator[tuple[list[int], int, list[int], Iterable[int]]]:
+    """Walk the objects of every length the plan covers (n, or 0..n), one
+    family at a time.
 
-    Yields (entries, c) for every object that no pattern in plan.avoid occurs
-    in, c the occurrences of plan.count (0 when it is None).  A branch is
-    dropped once an avoided pattern ends at its last position, or once c
-    exceeds `cap`.  An every-length plan with `one_walk` also yields each
-    shorter prefix its walk keeps, before its extensions, as a list of its
-    own with its own count (every closing gap set is P); any other takes a
-    walk per length 0..n, in order.  An object as long as its walk is the
-    walk's own buffer, valid until the next item is drawn.  Each walk keeps
-    its own stack of candidate iterators, so the length is not bounded by
-    the recursion limit.  Drawing from it raises ValueError for a series
-    plan.
+    An object is kept when no pattern in plan.avoid occurs in it and its
+    occurrences c of plan.count (0 when it is None) are at most `cap`.  A
+    family is a kept node and its kept children, and the walk yields
+    (entries, q, counts, values) for each kept node whose children the plan
+    covers.  `entries` has the children's length and holds the node; each
+    child is `entries` with entries[q - 1] set to its value.  `counts`
+    lists the children's c and `values` their values, both in child order.
+    Where the walk does not descend to them, the tree's values are a range
+    or an iterator over one, computed only as they are drawn, so a caller
+    that reads only `counts` builds nothing per child.  On the tree
+    `entries` is the node's own list; by words and values it is the walk's
+    own buffer when the children are as long as their walk, valid until
+    the next family is drawn.  A caller may write entries[q - 1].
+
+    So the children of the families are the kept objects, each once, and
+    within each length in the order of a walk of that length alone.  The
+    empty object is kept with c = 0 and is no child: a caller that covers
+    length 0 counts it itself.  An every-length plan with `one_walk` yields
+    the family of every kept node of its walk, a node's before those below
+    it (every closing gap set is P); any other takes a walk per length
+    1..n, in order.  Each walk keeps, per depth, the children it has still
+    to visit, so the length is not bounded by the recursion limit; a node
+    with one kept child keeps none.  Drawing from it raises ValueError for a
+    series plan.
 
     Words and values come in lexicographic order.  By values a walk fills
     only the positions of its length's cut, each with an unused relevant
     value or with the placeholder `star`, at most min(p, e) times; the other
-    positions hold 0.  No occurrence uses a position or value outside the
-    cut, so the generated search rejects every index tuple through one by
-    its own X, Z, Y and order tests (two slots never pass the order test on
-    equal values), and each leaf stands for `plan.weight(entries)`
-    permutations; a caller that reads the entries themselves, as problem 4
-    and the ank check do on the tree, needs a cut that skips nothing.  With
-    every position and value relevant the walk visits every prefix of S_n
-    by values.  On the tree a child takes
-    the midpoint of a gap between consecutive values of the sorted prefix,
-    with 0 and `top` at its ends, the child of rank r before that of rank
-    r + 1, so the entries are order-isomorphic to a permutation of S_d and
-    come in generating-tree order.  With top = 2^n every gap between d placed
-    values spans at least 2^(n-d), so depth n never closes a gap; `top` is
-    also the high sentinel the patterns see.  A tree node scores its
-    children before the walk descends to them: one `matcher.search_children`
-    per avoided pattern and one for the counted pattern give, through the
-    prefix sums of their difference arrays, each child's kill flag and
-    count, and the children left are the node's row.  Words and values try
-    each candidate with `matcher.search_ending_at`, the avoided patterns'
-    first-occurrence searches before the count.
+    positions hold 0, and a cut with no position has one family, whose one
+    child sets position n to 0.  No occurrence uses a position or value
+    outside the cut, so the generated search rejects every index tuple
+    through one by its own X, Z, Y and order tests (two slots never pass the
+    order test on equal values), and each child stands for
+    `plan.weight(entries)` permutations; a caller that reads the entries
+    themselves, as problem 4 and the ank check do on the tree, needs a cut
+    that skips nothing.  With every position and value relevant the walk
+    visits every prefix of S_n by values.  On the tree a node of depth d
+    holds the even numbers 2, 4, .., 2d in the order of its permutation of
+    S_d, so the rank of a value v among them is v // 2 and no node sorts
+    itself; its child of rank r takes 2r + 1, between the r-th and the
+    (r+1)-th, the child of rank r before that of rank r + 1.  So the entries
+    are order-isomorphic to a permutation of S_d and come in generating-tree
+    order, and the child's own node adds 2 to the values above 2r + 1 and
+    takes 2r + 2.  The high sentinel the patterns see is 2n + 2.
+
+    A node's family is built once, before the walk descends to its
+    children.  On the tree one `matcher.search_children` per avoided
+    pattern and one for the counted pattern give, through the prefix sums
+    of their difference arrays, each child's kill flag and count, so the
+    deepest level is never visited: its counts come from those prefix sums.
+    Words and values try each candidate with `matcher.search_ending_at`, the
+    avoided patterns' first-occurrence searches before the count.
     """
     if plan.path == "series":
         raise ValueError(f"a series plan of length {plan.n} has no walk")
@@ -342,90 +368,103 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None) -> Iterator[tuple[list[i
     prefixes = plan.each_length and plan.one_walk
     lengths = [plan.n] if plan.one_walk else range(plan.n + 1)
     for n, cut in zip(lengths, plan.cuts or repeat(None)):
-        top = plan.t or (1 << n if tree else n + 1)
+        top = plan.t or (2 * n + 2 if tree else n + 1)  # the high sentinel
         letters = cut.values if by_value else range(1, (plan.t or n) + 1)
-        at = cut.positions if by_value else range(1, n + 1)  # at[d - 1]: the position of depth d
-        if tree:  # each parent scores all its children at once
+        at = cut.positions if by_value else tuple(range(1, n + 1))  # at[d]: depth d + 1's position
+        if tree:  # each node scores all its children at once
             stops = [matcher.search_children(p, n, top) for p in plan.avoid]
             tally = None if plan.count is None else matcher.search_children(plan.count, n, top)
         else:
             stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
             tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
-        buf = [0] * n
-        free = [0] * (n + 1)  # free[v]: the times the value walk may still place v
-        if by_value:
-            for v in letters:
-                free[v] = 1
+        buf = [0] * n  # the object being built; on the tree, the value placed at each depth
+        last = len(at) - 1  # the depth of the nodes whose children are leaves
+        if last < 0:
+            if n:  # a cut with no position: one leaf, which stands for all of S_n
+                yield buf, n, [0], (0,)
+            continue
+        if by_value:  # the times the walk may place each value
+            supply = dict.fromkeys(letters, 1)
             if cut.star:
-                free[cut.star] = len(cut.weights) - 1
-        depth = len(at)
-        within = [0] * (depth + 1)  # within[d]: the occurrences ending at depths up to d
-        if prefixes or not depth:
-            yield buf[:0] if prefixes else buf, 0
-            if not depth:
-                continue
-
-        def scored(d: int, got: int) -> Iterator[tuple[int, int]]:
-            """The children of the tree node buf[:d], which has `got`
-            occurrences, that no avoided pattern ends at and that stay
-            within `cap`, each as (its midpoint, its occurrences), by rank."""
-            ends = [0, *sorted(buf[:d])]
-            rank = dict(zip(ends, range(d + 1)))
-            ends.append(top)
-            kills, adds = [0] * (d + 1), [0] * (d + 1)
-            for stop in stops:
-                stop(buf, d + 1, rank, kills)
-            if tally:
-                tally(buf, d + 1, rank, adds)
-            kept, killed = [], 0
-            for r, kill in enumerate(kills):  # the prefix sums of kills and adds
-                killed += kill
-                got += adds[r]
-                if not killed and (cap is None or got <= cap):
-                    kept.append(((ends[r] + ends[r + 1]) >> 1, got))
-            return iter(kept)
-
-        # rows[d - 1]: the candidates for depth d
-        rows = [scored(0, 0) if tree else iter(letters)] + [None] * depth
-        d, q = 1, at[0]  # the depth being filled and its position
-        while d:
-            for v in rows[d - 1]:
-                if tree:  # scored with its siblings when the parent was placed
-                    buf[q - 1], got = v
-                    break
-                if by_value and not free[v]:
-                    continue
-                buf[q - 1] = v
-                for stop in stops:
-                    if stop(buf, q):
-                        break  # to the next candidate v
+                supply[cut.star] = len(cut.weights) - 1
+        if tree:  # nodes[d]: the node of depth d, and a slot for its children
+            ranks = [v >> 1 for v in range(top)]  # ranks[v]: the rank of a node's value v
+            nodes = [[0]] + [None] * last
+        rows: list = [None] * last  # rows[d]: the children of the depth-d node left to visit
+        d = got = 0
+        while True:  # the family of the node of depth d, which has `got` occurrences
+            q = at[d]
+            if tree:
+                if d:  # from its parent's node and the value the walk placed at d
+                    placed = buf[d - 1]
+                    node = [x + 2 if x > placed else x for x in nodes[d - 1]]
+                    node[-1] = placed + 1
+                    node.append(0)
+                    nodes[d] = node
                 else:
-                    got = within[d - 1]
-                    if tally:
-                        got += tally(buf, q)
-                        if cap is not None and got > cap:
-                            continue
-                    break  # v is placed
+                    node = nodes[0]
+                drop = None  # drop[r]: whether child r is dropped
+                if stops:
+                    kills = [0] * q
+                    for stop in stops:
+                        stop(node, q, ranks, kills)
+                    drop = list(accumulate(kills))  # the prefix sums of the difference arrays
+                if tally:
+                    adds = [0] * q
+                    adds[0] = got
+                    tally(node, q, ranks, adds)
+                    counts = list(accumulate(adds))
+                    if cap is not None:
+                        over = map(cap.__lt__, counts)
+                        drop = list(over if drop is None else map(or_, drop, over))
+                    if drop is not None:
+                        counts = list(compress(counts, map(not_, drop)))
+                else:  # with no count every c is 0
+                    counts = [0] * (q if drop is None else drop.count(0))
+                values = range(1, 2 * q, 2)
+                if drop is not None:
+                    values = compress(values, map(not_, drop))
+                    if d < last:
+                        values = list(values)
             else:
-                d -= 1
+                tried = letters
                 if by_value:
-                    q = at[d - 1]
-                    if d:
-                        free[buf[q - 1]] += 1
+                    free = supply.copy()
+                    for p in at[:d]:
+                        free[buf[p - 1]] -= 1
+                    tried = list(filter(free.get, letters))
+                counts, values = [], []
+                for v in tried:
+                    buf[q - 1] = v
+                    for stop in stops:
+                        if stop(buf, q):
+                            break
+                    else:
+                        c = got + tally(buf, q) if tally else got
+                        if cap is None or c <= cap:
+                            counts.append(c)
+                            values.append(v)
+            if d == last:
+                yield node if tree else buf, q, counts, values
+            else:
+                if prefixes:
+                    yield node if tree else buf[:q], q, counts, values
+                if len(counts) == 1:  # a lone child: descend, with no row to come back to
+                    rows[d] = ()
+                    d += 1
+                    buf[q - 1], got = values[0], counts[0]
+                    continue
+                rows[d] = zip(values, counts)
+                d += 1
+            while d:  # on to the next child of the deepest node that has one left
+                for buf[at[d - 1] - 1], got in rows[d - 1]:
+                    break
                 else:
-                    q = d
-                continue
-            if d == depth:
-                yield buf, got
-                continue
-            if prefixes:
-                yield buf[:d], got
-            if by_value:
-                free[v] -= 1
-            within[d] = got
-            rows[d] = scored(d, got) if tree else iter(letters)
-            d += 1
-            q = at[d - 1] if by_value else d
+                    d -= 1
+                    continue
+                break
+            else:
+                break
 
 
 def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
@@ -439,18 +478,19 @@ def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
         return [DistributionTable(n, transfer.series_row(sps, t, n))]
     walk = prefix_walk(plan)  # with no count every c is 0: the objects are only counted
     weighed = any(cut.weights != (1,) for cut in plan.cuts)  # some leaf stands for more
-    if not (each_length or weighed):
-        row = {0: sum(1 for _ in walk)} if count is None else Counter(map(itemgetter(1), walk))
-        return [DistributionTable(n, dict(sorted(row.items())))]
-    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    if weighed:  # a leaf of the value walk stands for plan.weight(entries) permutations
-        for entries, c in walk:
-            row = rows[len(entries)]
-            row[c] = row.get(c, 0) + plan.weight(entries)
-    else:
-        for entries, c in walk:
-            row = rows[len(entries)]
-            row[c] = row.get(c, 0) + 1
+    if not (each_length or weighed):  # one length, each of its objects once
+        row = Counter(chain.from_iterable(map(itemgetter(2), walk))) if n else {0: 1}
+        return [DistributionTable(n, dict(sorted(row.items())) if count else {0: row[0]})]
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]  # the empty object at 0
+    for entries, q, counts, values in walk:
+        row = rows[len(entries)]
+        if weighed:
+            for v, c in zip(values, counts):
+                entries[q - 1] = v
+                row[c] = row.get(c, 0) + plan.weight(entries)
+        else:
+            for c in counts:
+                row[c] = row.get(c, 0) + 1
     return [DistributionTable(k, dict(sorted(row.items())) if count else {0: row.get(0, 0)})
             for k, row in enumerate(rows) if each_length or k == n]
 

@@ -298,7 +298,7 @@ def search_ending_at(
 
 def search_children(
     pat: Pdvp, n: int, upper: int
-) -> Callable[[Sequence[int], int, Mapping[int, int], list[int]], int]:
+) -> Callable[[Sequence[int], int, Mapping[int, int] | Sequence[int], list[int]], int]:
     """Compile `pat` to score, at once, every last entry that an ordered
     prefix of a sequence of final length n with high sentinel `upper` can take.
 
@@ -307,13 +307,14 @@ def search_children(
     `upper`.  The result f(entries, p, rank, diff) scores the p children of
     the prefix entries[:p - 1], child r = 0..p-1 placing at p a value with
     exactly r prefix values below it.  `rank` maps 0 to 0 and each prefix
-    value to the number of prefix values at most it.  f adds, for each way
-    to fill the other slots, 1 at diff[r] for its least child r and -1 past
-    its greatest child unless that is p - 1, so the prefix sums of diff
-    (p entries) count the occurrences ending at p of each child.  It reads
-    only entries[:p - 1], and it visits no more index tuples than the p
-    searches of `search_ending_at` on the children would together.  f is
-    the generated search itself.
+    value to the number of prefix values at most it, as a dict or as a list
+    indexed by value.  f adds, for each way to fill the other slots, 1 at
+    diff[r] for its least child r and -1 past its greatest child unless
+    that is p - 1, so the prefix sums of diff (p entries) count the
+    occurrences ending at p of each child.  It reads only entries[:p - 1],
+    and it visits no more index tuples than the p searches of
+    `search_ending_at` on the children would together.  f is the generated
+    search itself.
     """
     return _compiled(pat, _CHILDREN)(n, upper, None)
 

@@ -171,11 +171,15 @@ def two_stack_sortable_counts(
     count = _CLASSICAL_123 if require_exactly_one_123 else None
     plan = exhaustive.plan_scan(avoid, count, None, n_max, each_length=True)
     totals = [0] * (n_max + 1)
-    for pi, c in exhaustive.prefix_walk(plan, cap=1):
-        if require_exactly_one_123 and c == 0:
-            continue  # one occurrence of 123 is required, and this has none
-        if stack_sort(stack_sort(tuple(pi))) == tuple(sorted(pi)):
-            totals[len(pi)] += 1
+    totals[0] = int(not require_exactly_one_123)  # the empty permutation, which no family holds
+    for entries, q, counts, values in exhaustive.prefix_walk(plan, cap=1):
+        for v, c in zip(values, counts):
+            if require_exactly_one_123 and c == 0:
+                continue  # one occurrence of 123 is required, and this has none
+            entries[q - 1] = v
+            pi = tuple(entries)
+            if stack_sort(stack_sort(pi)) == tuple(sorted(pi)):
+                totals[len(pi)] += 1
     return totals
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import budget, matcher
 from .pattern import Mode, Pdvp
@@ -376,10 +376,16 @@ class StatPattern:
 
 
 def _window_occurrences(pat: Pdvp, t: int):
-    """The count of occurrences that end at the last letter of a window."""
+    """The count of occurrences that end at the last letter of a window,
+    with one search per window length."""
+    searches: dict[int, Callable] = {}
 
     def ending_at_last(word: tuple[int, ...]) -> int:
-        return matcher.search_ending_at(pat, len(word), t)(word, len(word))
+        n = len(word)
+        search = searches.get(n)
+        if search is None:
+            search = searches[n] = matcher.search_ending_at(pat, n, t)
+        return search(word, n)
 
     return ending_at_last
 

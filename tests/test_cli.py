@@ -26,6 +26,41 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def _runs(capsys, argvs):
+    """(exit code, stdout, stderr) of `main` on each argv; a usage error
+    exits through SystemExit."""
+    outputs = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        outputs.append((rc, out.out, out.err))
+    return outputs
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_one_prints(capsys, monkeypatch):
+    argvs = [
+        ["match", "--pattern", "12", "--perm", "2 3 1"],
+        ["--format", "json", "dist", "--pattern", "gp:2-31", "--perm-n", "4"],
+        ["dist", "--pattern", "12", "--word-n", "3"],  # no --alphabet: a usage error
+        ["avoid", "--pattern", "gp:231", "--pattern", "gp:132", "--perm-n", "5"],
+        ["avoid", "--perm-n", "3"],
+        ["verify", "--check", "fib-bij"],
+        ["problem", "--which", "5"],  # not a choice
+        ["--help"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = _runs(capsys, argvs)
+    assert _runs(capsys, argvs) == cached
+    assert cached[2][0] == cached[6][0] == 2 and cached[7][0] == 0
+    fresh = cli.build_parser.__wrapped__
+    assert fresh() is not fresh() and fresh().format_help() == cli.build_parser().format_help()
+    monkeypatch.setattr(cli, "build_parser", fresh)
+    assert _runs(capsys, argvs) == cached
+
+
 def test_match_worked_example(capsys):
     rc, out, _ = run(
         capsys, "match", "--pattern", "12|{1},{3,4},{1,2,3}|(1,2,E)|E,P",

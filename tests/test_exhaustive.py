@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from dataclasses import replace
@@ -193,12 +194,98 @@ def test_prefix_walk_equals_per_object_filter(rng):
                     row.append((seq.entries, c))
         # an every-length plan, so that no word scan reads the automaton
         plan = plan_scan(avoid, count, t, n, each_length=True)
-        walk = prefix_walk(plan, cap=cap)
+        walk = _expanded(plan, cap)
         if _whole(plan):
             assert _by_length(walk, n, t) == [sorted(row) for row in want], (avoid, count, t, n)
         else:  # a value walk that skips positions or values: its leaves weighed
             assert _weighed(plan, walk) == [Counter(c for _, c in row) for row in want], (
                 avoid, count, t, n)
+
+
+def test_families_expand_to_the_per_object_filter():
+    # every family's children, one length or every length, on the tree, by
+    # values and over words, with and without a cap: expanded, they are the
+    # kept objects of the per-object filter, each once.  A generator of its
+    # own leaves the shared `rng` fixture's stream to the tests after this one
+    rng = random.Random(20261020)
+    seen = set()
+    for case in range(150):
+        perm = case % 3 != 2
+        mode = Mode.PERMUTATION if perm else Mode.WORD
+
+        def pattern():
+            return random_order_only(rng) if perm and case % 3 == 0 else random_pattern(rng, mode)
+
+        avoid = [pattern() for _ in range(rng.randrange(3))]
+        count = pattern() if rng.random() < 0.6 else None
+        cap = rng.choice([0, 1, 2]) if rng.random() < 0.5 else None
+        n = rng.randint(0, 5)
+        t = None if perm else rng.randint(1, 3)
+        each_length = rng.random() < 0.5
+        plan = plan_scan(avoid, count, t, n, each_length)
+        if plan.path == "series":
+            continue
+        want = [[] for _ in range(n + 1)]
+        for k, row in enumerate(want):
+            for seq in _objects(mode, k, t):
+                if not any(naive_occurrences(p, seq) for p in avoid):
+                    c = len(naive_occurrences(count, seq)) if count else 0
+                    if cap is None or c <= cap:
+                        row.append((seq.entries, c))
+        lengths = range(n + 1) if each_length else [n]
+        weighed = _weighed(plan, _expanded(plan, cap))
+        assert [weighed[k] for k in lengths] == [Counter(c for _, c in want[k]) for k in lengths], (
+            avoid, count, cap, t, n, each_length)
+        if _whole(plan):
+            rows = _by_length(_expanded(plan, cap), n, t)
+            assert [rows[k] for k in lengths] == [sorted(want[k]) for k in lengths], (
+                avoid, count, cap, t, n, each_length)
+        for k in lengths if each_length else ():  # in the order of each length's own walk
+            single = plan_scan(avoid, count, t, k)
+            if single.path != "series" and _whole(single):
+                stream = [obj for obj in _expanded(plan, cap) if len(obj[0]) == k]
+                assert stream == list(_expanded(single, cap)), (avoid, count, cap, t, k)
+        seen.add((plan.path, each_length, cap is not None))
+    assert seen == {(path, each, capped) for path in ("tree", "values", "words")
+                    for each in (False, True) for capped in (False, True)}, seen
+
+
+class _Tripwire:
+    """A family's values that count how often a consumer draws them."""
+
+    def __init__(self, values, draws, path):
+        self.values, self.draws, self.path = values, draws, path
+
+    def __iter__(self):
+        self.draws[self.path] += 1
+        return iter(self.values)
+
+
+def test_tables_draw_no_child_values_on_the_tree_or_words_path(monkeypatch):
+    # a scan that only counts reads each family's counts alone; by values it
+    # draws the values, which `ScanPlan.weight` needs
+    word = parse_pattern("12|P,P,P|-|P,P", Mode.WORD)  # not a statistic: walked
+    rise = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
+    scans = [
+        lambda: perm_distribution(parse_gp("2-31"), 6),
+        lambda: perm_distributions(make_classical((1, 3, 2)), 5),
+        lambda: perm_multi_avoiders([make_classical((1, 2, 3))], 6),
+        lambda: word_distribution(word, 3, 5),
+        lambda: word_distributions(rise, 2, 6),
+        lambda: word_avoider_counts([rise], 3, 6),
+        lambda: perm_multi_avoiders([checks.mod4_pattern()], 8),  # its leaves weighed
+        lambda: perm_distributions(parse_pattern(_K4N), 6),
+    ]
+    want = [scan() for scan in scans]
+    draws, walk = Counter(), exhaustive.prefix_walk
+
+    def tripped(plan, cap=None):
+        for entries, q, counts, values in walk(plan, cap):
+            yield entries, q, counts, _Tripwire(values, draws, plan.path)
+
+    monkeypatch.setattr(exhaustive, "prefix_walk", tripped)
+    assert [scan() for scan in scans] == want
+    assert set(draws) == {"values"}, draws
 
 
 def _whole(plan):
@@ -207,9 +294,22 @@ def _whole(plan):
     return all(cut.star is None and len(cut.positions) == cut.n for cut in plan.cuts)
 
 
+def _expanded(plan, cap=None):
+    """The (entries, c) of every object `prefix_walk(plan, cap)` streams:
+    the empty object first when the plan covers length 0 (no family holds
+    it), then each family's children in child order, entries as tuples."""
+    if plan.each_length or not plan.n:
+        yield (), 0
+    for entries, q, counts, values in prefix_walk(plan, cap=cap):
+        assert 1 <= q <= len(entries) and (plan.path == "values" or q == len(entries))
+        for v, c in zip(values, counts, strict=True):
+            entries[q - 1] = v
+            yield tuple(entries), c
+
+
 def _weighed(plan, walk):
-    """For k = 0..plan.n, {c: objects} over the (entries, c) a walk of the
-    plan yields at length k, each weighed by `plan.weight`."""
+    """For k = 0..plan.n, {c: objects} over the (entries, c) of a walk of
+    the plan (`_expanded`) at length k, each weighed by `plan.weight`."""
     rows = [Counter() for _ in range(plan.n + 1)]
     for entries, c in walk:
         rows[len(entries)][c] += plan.weight(entries)
@@ -223,8 +323,8 @@ def _standardised(entries):
 
 
 def _by_length(walk, n, t):
-    """For k = 0..n, the sorted (entries, c) a walk's stream yields at length
-    k, a permutation's entries standardised."""
+    """For k = 0..n, the sorted (entries, c) of a walk's objects
+    (`_expanded`) at length k, a permutation's entries standardised."""
     rows = [[] for _ in range(n + 1)]
     for entries, c in walk:
         rows[len(entries)].append((tuple(entries) if t else _standardised(entries), c))
@@ -260,14 +360,14 @@ def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
         twins = plan_scan([_by_values(p, n) for p in avoid], count and _by_values(count, n),
                           None, n)
         assert (plan.path, twins.path) == ("tree", "values")
-        tree = [(_standardised(e), c) for e, c in prefix_walk(plan, cap=cap)]
+        tree = [(_standardised(e), c) for e, c in _expanded(plan, cap)]
         assert sorted(tree) == want, (avoid, count, cap, n)
         whole[_whole(twins)] += 1
         if _whole(twins):
-            values = [(tuple(e), c) for e, c in prefix_walk(twins, cap=cap)]
+            values = list(_expanded(twins, cap))
             assert values == want, (avoid, count, cap, n)
         else:
-            assert _weighed(twins, prefix_walk(twins, cap=cap))[n] == Counter(
+            assert _weighed(twins, _expanded(twins, cap))[n] == Counter(
                 c for _, c in want), (avoid, count, cap, n)
     assert whole[True] >= 5 and whole[False] >= 5, whole
 
@@ -788,7 +888,7 @@ def test_every_entry_point_equals_the_per_object_filter(rng):
                 sorted(row.items()) for row in want], case
         else:  # no entry point both avoids and counts: weigh the plan's stream by length
             plan = plan_scan(avoid, count, t, n, each_length=True)
-            assert _weighed(plan, prefix_walk(plan)) == want, case
+            assert _weighed(plan, _expanded(plan)) == want, case
 
 
 def test_prefix_walk_refuses_a_walk_its_plan_did_not_check():
@@ -825,14 +925,14 @@ def test_a_plan_that_walks_each_length_streams_them_all(rng):
     for avoid, count, t, n in _per_length_scans(rng):
         case = (avoid, count, t, n)
         plan = plan_scan(avoid, count, t, n, each_length=True)
-        rows = _by_length(prefix_walk(plan), n, t)
+        rows = _by_length(_expanded(plan), n, t)
         want = _naive_rows(avoid, count, t, n)
-        weighed = _weighed(plan, prefix_walk(plan))
+        weighed = _weighed(plan, _expanded(plan))
         assert weighed == want, case
         for k, row in enumerate(rows):
             single = plan_scan(avoid, count, t, k)
             if single.path != "series":
-                assert row == _by_length(prefix_walk(single), k, t)[k], (case, k)
+                assert row == _by_length(_expanded(single), k, t)[k], (case, k)
             if count is None:
                 got = perm_multi_avoiders(avoid, k) if t is None else word_multi_avoiders(
                     avoid, t, k)
@@ -961,7 +1061,7 @@ def test_value_walks_weigh_their_leaves_as_the_per_object_filter_counts(rng):
                     if cap is None or c <= cap:
                         want[k][c] += 1
         case = (avoid, count, cap, n)
-        assert _weighed(plan, prefix_walk(plan, cap=cap)) == want, case
+        assert _weighed(plan, _expanded(plan, cap)) == want, case
         if count is None:
             assert perm_multi_avoiders(avoid, n) == want[n][0], case
         elif not avoid and cap is None:
