@@ -104,23 +104,22 @@ def _cmd_match(args) -> int:
     else:
         seq = WordSequence(_parse_ints(args.word), args.alphabet)
     occs = list(iter_occurrences(pat, seq))
-    lines = []
-    for occ in occs:
-        idx = ",".join(str(i) for i in occ.indices)
-        vals = ",".join(str(v) for v in occ.values(seq))
-        lines.append(f"({idx}) -> ({vals})")
-    obj = {
-        "pattern": render_pattern(pat),
-        "n": len(seq.entries),
-        "occurrences": [
-            {
-                "indices": list(occ.indices),
-                "values": [str(v) for v in occ.values(seq)],
-            }
-            for occ in occs
-        ],
-    }
-    _emit(args, lines or ["no occurrences"], lambda: _json(obj))
+    lines = (
+        "({}) -> ({})".format(",".join(map(str, occ.indices)), ",".join(map(str, occ.values(seq))))
+        for occ in occs
+    )
+
+    def json_chunks() -> Iterator[str]:
+        return _json({
+            "pattern": render_pattern(pat),
+            "n": len(seq.entries),
+            "occurrences": [
+                {"indices": list(occ.indices), "values": [str(v) for v in occ.values(seq)]}
+                for occ in occs
+            ],
+        })
+
+    _emit(args, lines if occs else ["no occurrences"], json_chunks)
     return 0
 
 

@@ -8,8 +8,9 @@ differences (sentinel values: 0 below; n + 1 above for permutations, the
 alphabet size for words), and every chosen value lies in its Z set.
 
 Each pattern gets one search of its own: `_generate` writes straight-line
-Python for it, one nested loop per slot, and compiles it once, as the
-standard `dataclasses` module does for its methods.  The search fixes the
+Python for it, one nested loop per slot, and compiles it once per mode while
+it stays in a bounded `functools.lru_cache`, as the standard `dataclasses`
+module compiles its methods.  The search fixes the
 last index p and fills the other slots right to left, pruning on Z
 membership, order signs, Y pairs and Y bounds as soon as the values they
 compare are placed; each gap set becomes a loop's range or member tuple.
@@ -27,8 +28,8 @@ of ranks each partial occurrence admits for that value instead.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .intset import IntSet
@@ -78,15 +79,21 @@ _COUNT, _FIRST, _LIST, _CHILDREN = "count", "first", "list", "children"
 _LOOPS_PER_BLOCK = 16  # the compiler refuses more than 20 nested blocks per function
 
 
+# One pass of a benchmark workload compiles at most 19 (pattern, mode)
+# searches: `pdvp verify` 19, scan_avoid 8-11, scan_dist 5-6, gf 3-4.  The
+# tier-1 tests compile up to 997 in one test, random patterns used once
+# each.  The bound holds three of the largest working sets.
+@lru_cache(maxsize=64)
 def _generate(pat: Pdvp, mode: str):
     """Compile the search of `pat` in `mode`; return its factory make(n, upper, found).
 
-    The factory returns search(entries, p), the occurrences whose last index
-    is p (1-based) in a sequence of final length n with high sentinel
-    `upper`.  Slot k's index is q_k + 1 and its value v_k; slot m-1 sits at
-    p and the loops fill the others from m-2 down to 0, each rejecting a
-    candidate on Z membership, order signs, Y pairs with the slots to its
-    right and then Y bounds against the sentinels; slot 0 also tests X_0.
+    The factory, cached per pattern and mode, returns search(entries, p),
+    the occurrences whose last index is p (1-based) in a sequence of final
+    length n with high sentinel `upper`.  Slot k's index is q_k + 1 and its
+    value v_k; slot m-1 sits at p and the loops fill the others from m-2
+    down to 0, each rejecting a candidate on Z membership, order signs, Y
+    pairs with the slots to its right and then Y bounds against the
+    sentinels; slot 0 also tests X_0.
     Slot k's candidates are the gaps d in X_{k+1}: a descending `range` when
     X_{k+1} is one progression (P, kP, E), otherwise a loop over its
     members, ascending, that breaks once q_k drops below k.  The members are
@@ -223,27 +230,6 @@ def _generate(pat: Pdvp, mode: str):
     return namespace["make"]
 
 
-_PREP_CACHE_SIZE = 256
-# each pattern's factories make(n, upper, found) by mode (count, first, list, children),
-# compiled at first use; least recently used pattern first
-_PREP_CACHE: OrderedDict[Pdvp, dict[str, Callable]] = OrderedDict()
-
-
-def _compiled(pat: Pdvp, mode: str) -> Callable:
-    """The factory `_generate` compiles for `pat` in `mode`, kept in the LRU."""
-    searches = _PREP_CACHE.get(pat)
-    if searches is None:
-        searches = _PREP_CACHE[pat] = {}
-        if len(_PREP_CACHE) > _PREP_CACHE_SIZE:
-            _PREP_CACHE.popitem(last=False)
-    else:
-        _PREP_CACHE.move_to_end(pat)
-    make = searches.get(mode)
-    if make is None:
-        make = searches[mode] = _generate(pat, mode)
-    return make
-
-
 def _upper_sentinel(pat: Pdvp, seq) -> int:
     if pat.mode is Mode.PERMUTATION:
         if not isinstance(seq, PermSequence):
@@ -260,7 +246,7 @@ def iter_occurrences(pat: Pdvp, seq) -> Iterator[Occurrence]:
     entries = seq.entries
     n = len(entries)
     found: list[tuple[int, ...]] = []
-    listing = _compiled(pat, _LIST)(n, upper, found)
+    listing = _generate(pat, _LIST)(n, upper, found)
     for p in range(1, n + 1):
         listing(entries, p)
     found.sort()
@@ -293,7 +279,7 @@ def search_ending_at(
     It reads only entries[:p], so a prefix walk can pass its buffer before
     the later entries are set.  f is the generated search itself.
     """
-    return _compiled(pat, _FIRST if first else _COUNT)(n, upper, None)
+    return _generate(pat, _FIRST if first else _COUNT)(n, upper, None)
 
 
 def search_children(
@@ -316,7 +302,7 @@ def search_children(
     `search_ending_at` on the children would together.  f is the generated
     search itself.
     """
-    return _compiled(pat, _CHILDREN)(n, upper, None)
+    return _generate(pat, _CHILDREN)(n, upper, None)
 
 
 def count_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import budget, matcher
 from .pattern import Mode, Pdvp
@@ -375,21 +375,6 @@ class StatPattern:
         return 1 + sum(xs.finite_bound() for xs in self.pattern.x[1:-1])
 
 
-def _window_occurrences(pat: Pdvp, t: int):
-    """The count of occurrences that end at the last letter of a window,
-    with one search per window length."""
-    searches: dict[int, Callable] = {}
-
-    def ending_at_last(word: tuple[int, ...]) -> int:
-        n = len(word)
-        search = searches.get(n)
-        if search is None:
-            search = searches[n] = matcher.search_ending_at(pat, n, t)
-        return search(word, n)
-
-    return ending_at_last
-
-
 def _shape(sps: tuple[StatPattern, ...], t: int) -> tuple[int, int, int]:
     """keep = W - 1 for the widest window W, the 1 + t + ... + t^keep states,
     and the lumping rounds allowed: at most the class count, and t * keep + 2
@@ -408,10 +393,12 @@ def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tup
     in lexicographic order, so state 0 is the empty word.  Appending c to u
     reads z^e, e = the occurrences of all the patterns in uc that end at c,
     and moves to uc, or to its last keep letters once uc is longer.  Each
-    window uc is counted once.
+    window uc is counted once, by one search per pattern for each window
+    length 1..keep+1, all compiled before the first window.
     """
-    counters = [_window_occurrences(sp.pattern, t) for sp in sps]
     letters = range(1, t + 1)
+    searches = [[matcher.search_ending_at(sp.pattern, n, t) for sp in sps]
+                for n in range(1, keep + 2)]
     states = layer = [()]
     for _ in range(keep):
         layer = [u + (c,) for u in layer for c in letters]
@@ -419,12 +406,13 @@ def _automaton(sps: tuple[StatPattern, ...], t: int, keep: int) -> list[list[tup
     index = {u: i for i, u in enumerate(states)}
     edges = []
     for u in states:
+        n, ending_at = len(u) + 1, searches[len(u)]
         out = []
         for c in letters:
             word = u + (c,)
             e = 0
-            for ending_at_last in counters:
-                e += ending_at_last(word)
+            for search in ending_at:
+                e += search(word, n)
             out.append((index[word[-keep:] if keep else ()], e))
         edges.append(out)
     return edges

@@ -146,8 +146,10 @@ def random_sequence(rng: random.Random, mode: Mode, n_max: int = 8):
     return WordSequence(tuple(rng.randint(1, t) for _ in range(n)), t)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng() -> random.Random:
+    """A fresh generator per test, so that a test draws the same cases
+    whichever tests run before it."""
     return random.Random(20240911)
 
 
@@ -169,7 +171,7 @@ class WorkMeter:
     """Counts the steps of each budgeted computation: walk nodes (each call
     of a walk's first stop or, with none, of its tally: one node per call of
     a `search_ending_at` search, one per child scored by a `search_children`
-    one), windows counted by the automaton,
+    one), windows counted by the automaton (its edges times its patterns),
     edges in each lumping round, dp edges per CHUNK_BITS of the weight they
     shift, slots `_decode` reads, a solve's recurrence terms, interpolation
     entries and certificate products, and morphism letters built.
@@ -201,7 +203,7 @@ class WorkMeter:
             (exhaustive, "matcher", lambda _: SimpleNamespace(
                 search_ending_at=self._searcher(matcher.search_ending_at, lambda p: 1),
                 search_children=self._searcher(matcher.search_children, lambda p: p))),
-            (transfer, "_window_occurrences", self._windows),
+            (transfer, "_automaton", self._windows),
             (transfer, "_lump", self._lump),
             (transfer, "_step", self._step),
             (transfer, "_decode", self._decode),
@@ -263,15 +265,12 @@ class WorkMeter:
 
         return compiled
 
-    def _windows(self, window_occurrences):
-        def windows(pat, t):
-            ending_at_last, rec = window_occurrences(pat, t), self.record()
-
-            def counted(word):
-                rec.counted += 1
-                return ending_at_last(word)
-
-            return ending_at_last if rec is None else counted
+    def _windows(self, automaton):
+        def windows(sps, t, keep):
+            rec, edges = self.record(), automaton(sps, t, keep)
+            if rec is not None:  # each edge's window, counted once per pattern
+                rec.counted += len(sps) * sum(map(len, edges))
+            return edges
 
         return windows
 

@@ -79,10 +79,14 @@ def test_match_word_input(capsys):
     assert out.strip() == "no occurrences"
 
 
-def test_match_gp_prefix(capsys):
-    rc, out, _ = run(capsys, "match", "--pattern", "gp:2-31", "--perm", "5 1 6 4 2 3")
-    assert rc == 0
-    assert out.strip() == "(1,3,4) -> (5,6,4)"
+def test_match_gp_prefix(capsys, monkeypatch):
+    argv = ["match", "--pattern", "gp:2-31", "--perm", "5 1 6 4 2 3"]
+    with monkeypatch.context() as patched:  # the text builds no JSON object
+        patched.setattr(cli, "render_pattern", lambda pat: pytest.fail("JSON built for text"))
+        assert run(capsys, *argv) == (0, "(1,3,4) -> (5,6,4)\n", "")
+    want = {"pattern": "231|P,P,{1},P|-|P,P,P", "n": 6,
+            "occurrences": [{"indices": [1, 3, 4], "values": ["5", "6", "4"]}]}
+    assert run(capsys, "--format", "json", *argv) == (0, json.dumps(want, indent=2) + "\n", "")
 
 
 def test_malformed_pattern_exits_2(capsys):

@@ -342,9 +342,15 @@ def _by_values(pat, n):
 def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
     # avoid sets alone, and with one counted pattern, with and without a cap;
     # the twins' values are all relevant, and where their gap sets leave
-    # every position relevant too, the value walk yields every object
-    whole = Counter()
-    for counted, capped in [(False, False), (True, False), (True, True)] * 15:
+    # every position relevant too, the value walk yields every object; the
+    # three kinds of case take turns, at least 15 each, until the value walk
+    # has met 5 whole and 5 partial twins, or the draws run out
+    kinds = [(False, False), (True, False), (True, True)]
+    whole, draws = Counter(), 0
+    while draws < 45 or whole[True] < 5 or whole[False] < 5:
+        assert draws < 450, f"{draws} draws left too few whole or partial twins: {whole}"
+        counted, capped = kinds[draws % 3]
+        draws += 1
         n = rng.randint(1, 6)
         avoid = [random_order_only(rng) for _ in range(rng.randint(not counted, 2))]
         count = random_order_only(rng) if counted else None
@@ -369,7 +375,6 @@ def test_generating_tree_equals_the_naive_filter_and_the_value_walk(rng):
         else:
             assert _weighed(twins, _expanded(twins, cap))[n] == Counter(
                 c for _, c in want), (avoid, count, cap, n)
-    assert whole[True] >= 5 and whole[False] >= 5, whole
 
 
 def test_tree_entry_points_equal_the_per_object_recount(rng):

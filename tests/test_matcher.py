@@ -1,5 +1,4 @@
 import time
-from collections import OrderedDict
 from itertools import accumulate, permutations
 from math import comb
 
@@ -233,25 +232,35 @@ def test_ending_at_matches_naive_and_search(rng):
 
 
 def test_prep_cache_is_bounded():
-    # the compiled searches live on the cached entries, so the LRU bounds them too
+    # one more distinct pattern than the cache holds evicts the probe's search
     probe = make_classical((2, 1))
     seq = PermSequence((3, 1, 4, 2))
+    maxsize = matcher._generate.cache_info().maxsize
     before = count(probe, seq)
-    for k in range(1000):
+    for k in range(maxsize + 1):
         count(parse_pattern(f"1|P,P|-|{{{k}}}"), seq)
-    assert len(matcher._PREP_CACHE) <= matcher._PREP_CACHE_SIZE
-    assert probe not in matcher._PREP_CACHE
+    assert matcher._generate.cache_info().currsize <= maxsize
+    misses = matcher._generate.cache_info().misses
     assert count(probe, seq) == before == 3
+    assert matcher._generate.cache_info().misses == misses + 1  # evicted, compiled again
     assert not avoids(probe, seq)
     assert [o.indices for o in occurrences(probe, seq)] == naive_occurrences(probe, seq)
 
 
-@pytest.mark.parametrize("block", [1, 2, 16])
-def test_generated_search_matches_naive_in_every_mode(rng, monkeypatch, block):
+@pytest.fixture(params=[1, 2, 16])
+def block(request, monkeypatch):
+    """The slots per generated block function for one test.  The search
+    cache is cleared before and after, so that no search compiled with
+    other blocks is reused, nor outlives the test."""
+    monkeypatch.setattr(matcher, "_LOOPS_PER_BLOCK", request.param)
+    matcher._generate.cache_clear()
+    yield request.param
+    matcher._generate.cache_clear()
+
+
+def test_generated_search_matches_naive_in_every_mode(rng, block):
     # with blocks of one or two slots every random pattern runs through the
     # chained block functions as well
-    monkeypatch.setattr(matcher, "_LOOPS_PER_BLOCK", block)
-    monkeypatch.setattr(matcher, "_PREP_CACHE", OrderedDict())
     for _ in range(150):
         mode = Mode.PERMUTATION if rng.random() < 0.5 else Mode.WORD
         pat = random_pattern(rng, mode)
@@ -297,13 +306,10 @@ def _per_child(search, prefix, n):
     return [search(list(prefix) + [2 * r + 1] + [0] * (n - d - 1), d + 1) for r in range(d + 1)]
 
 
-@pytest.mark.parametrize("block", [1, 2, 16])
-def test_children_search_scores_each_child_as_the_per_child_searches(rng, monkeypatch, block):
+def test_children_search_scores_each_child_as_the_per_child_searches(rng, block):
     # the prefix holds 2, 4, .., 2d in random order, and the sentinel 2d + 2
     # tops the children's odd values; with blocks of one or two slots the
     # rank map and the difference array pass through the chained blocks
-    monkeypatch.setattr(matcher, "_LOOPS_PER_BLOCK", block)
-    monkeypatch.setattr(matcher, "_PREP_CACHE", OrderedDict())
     for _ in range(150):
         pat = random_order_only(rng)
         d = rng.randint(0, 6)
@@ -349,15 +355,11 @@ def test_huge_set_members_compile_and_answer_fast(text):
     assert time.perf_counter() - start < 5
 
 
-def test_gap_tuples_are_built_for_each_length(rng, monkeypatch):
+def test_gap_tuples_are_built_for_each_length(rng):
     # a gap set that is neither finite nor one progression is looped over as
-    # the tuple of its members up to n, which each call builds for its own n
-    compiled = []
-    generate = matcher._generate
-    monkeypatch.setattr(matcher, "_PREP_CACHE", OrderedDict())
-    monkeypatch.setattr(
-        matcher, "_generate", lambda pat, mode: compiled.append((pat, mode)) or generate(pat, mode)
-    )
+    # the tuple of its members up to n, which each call builds for its own n;
+    # each pattern is compiled once per mode (count, first, list), whatever n
+    matcher._generate.cache_clear()
     pats = [
         parse_pattern("123|P,O+{2},2P+3P,P|-|P,P,P"),
         parse_pattern("12|P,O,P|-|P,P"),
@@ -378,7 +380,7 @@ def test_gap_tuples_are_built_for_each_length(rng, monkeypatch):
                 assert count(pat, seq) == len(naive), (pat, seq)
                 assert avoids(pat, seq) == (not naive), (pat, seq)
                 assert [o.indices for o in occurrences(pat, seq)] == naive, (pat, seq)
-    assert len(compiled) == len(set(compiled)) == 3 * len(pats)
+    assert matcher._generate.cache_info().misses == 3 * len(pats)
 
 
 def _random_odd_set(rng):
