@@ -110,17 +110,8 @@ def fib_even_gf() -> RationalGF:
 
 def parity_position_pattern(base) -> Pdvp:
     """Base pattern pinned to odd positions and even values."""
-    b = make_classical(base).base
-    m = len(b)
-    from .intset import EVENS, ODDS
-
-    return Pdvp(
-        Mode.PERMUTATION,
-        b,
-        (ODDS,) + (EVENS,) * m,
-        (),
-        (EVENS,) * m,
-    )
+    evens = ",".join("E" * len(base))
+    return parse_pattern(f"{','.join(map(str, base))}|O,{evens}|-|{evens}")
 
 
 def mod4_pattern() -> Pdvp:

@@ -2,9 +2,12 @@
 
 Subcommands: match, dist, avoid, gf, verify, problem.  Patterns are written
 in the pipe notation ("12|P,{2},P|(1,2,{2})|P,P") or as dashed patterns with
-a "gp:" prefix ("gp:2-31").  Sequences are whitespace- or comma-separated
-integers, so lengths above 9 work.  All numeric output is rendered as decimal
-strings; values can exceed 64 bits.
+a "gp:" prefix ("gp:2-31"), both read by `dsl.parse_pattern`, which ignores
+whitespace around either.  An avoid --patterns file holds one pattern per
+line; blank lines, lines whose first non-blank character is "#" and a
+leading UTF-8 byte-order mark are skipped.  Sequences are whitespace- or
+comma-separated integers, so lengths above 9 work.  All numeric output is
+rendered as decimal strings; values can exceed 64 bits.
 
 Every command but match predicts its work before it starts (gf --solve
 before each of its phases) and exits 2 when its steps (about one matcher
@@ -30,17 +33,11 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from . import checks, exhaustive, problems, transfer
-from .dsl import ParseError, parse_gp, parse_pattern, render_pattern
+from .dsl import ParseError, parse_pattern, render_pattern
 from .matcher import PermSequence, WordSequence, iter_occurrences
-from .pattern import Mode, Pdvp
+from .pattern import Mode
 
 _json = json.JSONEncoder(indent=2).iterencode  # the pieces of an object's indented JSON
-
-
-def _parse_any_pattern(text: str, mode: Mode) -> Pdvp:
-    if text.startswith("gp:"):
-        return parse_gp(text[3:], mode)
-    return parse_pattern(text, mode)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -98,7 +95,7 @@ def _zpoly_text(row: dict[int, int]) -> str:
 
 def _cmd_match(args) -> int:
     mode = Mode.PERMUTATION if args.perm is not None else Mode.WORD
-    pat = _parse_any_pattern(args.pattern, mode)
+    pat = parse_pattern(args.pattern, mode)
     if args.perm is not None:
         seq = PermSequence(_parse_ints(args.perm))
     else:
@@ -125,10 +122,10 @@ def _cmd_match(args) -> int:
 
 def _cmd_dist(args) -> int:
     if args.perm_n is not None:
-        pat = _parse_any_pattern(args.pattern, Mode.PERMUTATION)
+        pat = parse_pattern(args.pattern, Mode.PERMUTATION)
         table = exhaustive.perm_distribution(pat, args.perm_n)
     else:
-        pat = _parse_any_pattern(args.pattern, Mode.WORD)
+        pat = parse_pattern(args.pattern, Mode.WORD)
         table = exhaustive.word_distribution(pat, args.alphabet, args.word_n)
     lines = [f"{m} {table.counts[m]}" for m in sorted(table.counts)]
     _emit(args, lines, lambda: _json(_table_json(table)))
@@ -138,16 +135,14 @@ def _cmd_dist(args) -> int:
 def _cmd_avoid(args) -> int:
     texts = list(args.pattern or [])
     if args.patterns:
-        with open(args.patterns, encoding="utf-8") as fh:
-            texts.extend(
-                line.strip() for line in fh if line.strip() and not line.startswith("#")
-            )
+        with open(args.patterns, encoding="utf-8-sig") as fh:
+            texts.extend(t for t in map(str.strip, fh) if t and not t.startswith("#"))
     if args.perm_n is not None:
-        pats = [_parse_any_pattern(t, Mode.PERMUTATION) for t in texts]
+        pats = [parse_pattern(t, Mode.PERMUTATION) for t in texts]
         n = args.perm_n
         count = exhaustive.perm_multi_avoiders(pats, n)
     else:
-        pats = [_parse_any_pattern(t, Mode.WORD) for t in texts]
+        pats = [parse_pattern(t, Mode.WORD) for t in texts]
         n = args.word_n
         count = exhaustive.word_multi_avoiders(pats, args.alphabet, n)
     obj = {"n": n, "patterns": [render_pattern(p) for p in pats], "avoiders": str(count)}
@@ -156,7 +151,7 @@ def _cmd_avoid(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    pat = _parse_any_pattern(args.pattern, Mode.WORD)
+    pat = parse_pattern(args.pattern, Mode.WORD)
     sp = transfer.StatPattern(pat)
     if args.solve:
         gf = transfer.solve_transfer_system(sp, args.alphabet)
@@ -194,7 +189,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_problem(args) -> int:
     report = problems.problem_report(args.which, args.max_size)
-    _emit(args, [report.to_text()], lambda: _json(report.to_json_obj()))
+    text = (report.to_text() for _ in range(1))  # built only for text
+    _emit(args, text, lambda: _json(report.to_json_obj()))
     return 0
 
 

@@ -1,8 +1,10 @@
 """Textual notation for patterns and set expressions.
 
-Grammar (whitespace is insignificant everywhere):
+Grammar (whitespace is insignificant everywhere but inside "gp:" and the
+dashed text that follows it):
 
-    pattern  := base "|" setlist "|" ytriples "|" setlist
+    pattern  := "gp:" dashed | base "|" setlist "|" ytriples "|" setlist
+    dashed   := letter ("-"? letter)*          letters 1..9, read by parse_gp
     base     := digit+ | nat ("," nat)+
     setlist  := set ("," set)*
     set      := term ("+" term)*
@@ -12,7 +14,9 @@ Grammar (whitespace is insignificant everywhere):
 
 "+" is set union, "-" denotes an empty Y component, and "kP" is the set of
 positive multiples of k.  Example: "12|P,{2},P|(1,2,{2})|P,P" matches a rise
-by exactly 2 between positions exactly 2 apart.
+by exactly 2 between positions exactly 2 apart, and "gp:2-31" is the dashed
+pattern 2-31.  `parse_pattern` reads both spellings, so callers never strip
+the prefix themselves.
 """
 
 from __future__ import annotations
@@ -172,7 +176,11 @@ def _parse_ytriple(s: _Scanner) -> YTriple:
 
 
 def parse_pattern(text: str, mode: Mode = Mode.PERMUTATION) -> Pdvp:
-    """Parse "base|X-sets|Y-triples|Z-sets" into a pattern quadruple."""
+    """Parse "base|X-sets|Y-triples|Z-sets", or "gp:" and a dashed pattern
+    read by `parse_gp`, into a pattern quadruple."""
+    head = text.lstrip()
+    if head.startswith("gp:"):
+        return parse_gp(head[3:], mode)
     s = _Scanner(text)
     start = s.pos
     base = _parse_base(s)
@@ -199,13 +207,15 @@ def parse_pattern(text: str, mode: Mode = Mode.PERMUTATION) -> Pdvp:
 
 
 def parse_gp(text: str, mode: Mode = Mode.PERMUTATION) -> Pdvp:
-    """Parse dashed notation like "2-31" (undashed neighbours must be adjacent)."""
+    """Parse dashed notation like "2-31" (undashed neighbours must be adjacent).
+    Whitespace at either end is ignored; inside, it is an error."""
+    dashed = text.strip()
     try:
-        _gp_parts(text)
+        _gp_parts(dashed)
     except ValueError as exc:
         raise ParseError(0, "letters 1..9 separated by optional dashes", str(exc)) from exc
     try:
-        return make_gp(text, mode)
+        return make_gp(dashed, mode)
     except ValueError as exc:
         raise ParseError(0, "a valid dashed pattern", str(exc)) from exc
 

@@ -23,7 +23,7 @@ from conftest import longest_printable
 
 from pdvp import budget, checks, cli, exhaustive, problems, transfer
 from pdvp.budget import EnumerationLimitError, check_work
-from pdvp.dsl import parse_gp, parse_pattern
+from pdvp.dsl import parse_pattern
 from pdvp.pattern import Mode, make_classical
 from pdvp.transfer import StatPattern
 
@@ -41,28 +41,24 @@ def _workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
-def _parse(text, mode):
-    return parse_gp(text[3:], mode) if text.startswith("gp:") else parse_pattern(text, mode)
-
-
 def _run(job):
     """The budgeted call of one benchmark job, as perfbench/child.py makes it."""
     kind, perm, word = job["kind"], Mode.PERMUTATION, Mode.WORD
     if kind == "perm_dist":
-        exhaustive.perm_distribution(_parse(job["pattern"], perm), job["n"])
+        exhaustive.perm_distribution(parse_pattern(job["pattern"], perm), job["n"])
     elif kind == "word_dist":
-        exhaustive.word_distribution(_parse(job["pattern"], word), job["t"], job["n"])
+        exhaustive.word_distribution(parse_pattern(job["pattern"], word), job["t"], job["n"])
     elif kind == "perm_avoid":
-        exhaustive.perm_multi_avoiders([_parse(p, perm) for p in job["patterns"]], job["n"])
+        exhaustive.perm_multi_avoiders([parse_pattern(p, perm) for p in job["patterns"]], job["n"])
     elif kind == "word_avoid":
-        pats = [_parse(p, word) for p in job["patterns"]]
+        pats = [parse_pattern(p, word) for p in job["patterns"]]
         exhaustive.word_multi_avoiders(pats, job["t"], job["n"])
     elif kind == "problem":
         problems.problem_report(job["which"], job["max_size"])
     elif kind == "dp":
-        transfer.dp_series(StatPattern(_parse(job["pattern"], word)), job["t"], job["order"])
+        transfer.dp_series(StatPattern(parse_pattern(job["pattern"], word)), job["t"], job["order"])
     elif kind == "solve":
-        transfer.solve_transfer_system(StatPattern(_parse(job["pattern"], word)), job["t"])
+        transfer.solve_transfer_system(StatPattern(parse_pattern(job["pattern"], word)), job["t"])
     else:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--check", job["check_id"]]) in (0, 1)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import longest_printable
 
-from pdvp import cli, formulas, transfer
+from pdvp import cli, formulas, problems, transfer
 from pdvp.cli import _zpoly_text, main
 from pdvp.dsl import parse_pattern
 from pdvp.pattern import Mode
@@ -104,6 +104,10 @@ def test_malformed_pattern_exits_2(capsys):
          "at position 0: expected a valid pattern, found base (1, 1) is not a permutation of 1..2"),
         ("gp:11", "at position 0: expected a valid dashed pattern, found base (1, 1) is not a "
                   "permutation of 1..2"),
+        ("gp:2 31", "at position 0: expected letters 1..9 separated by optional dashes, found "
+                    "unexpected character ' ' in '2 31'"),
+        (" gp:2+31 ", "at position 0: expected letters 1..9 separated by optional dashes, found "
+                      "unexpected character '+' in '2+31'"),
         ("12|P,3,P|-|P,P", "at position 6: expected 'P' after a multiplier, found ','"),
         ("|P,P,P|-|P,P", "at position 0: expected a base letter, found '|'"),
         ("12|P,P,P|-|P,P x", "at position 15: expected end of input, found 'x'"),
@@ -112,6 +116,26 @@ def test_malformed_pattern_exits_2(capsys):
 def test_each_parse_error_exits_2_with_one_line(capsys, pattern, message):
     got = run(capsys, "match", "--pattern", pattern, "--perm", "1 2 3")
     assert got == (2, "", f"pattern parse error {message}\n")
+
+
+@pytest.mark.parametrize("plain", ["gp:231", "231|P,P,{1},P|-|P,P,P", "12|P,P,P|-|O,P"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["match", "--perm", "5 1 6 4 2 3"],
+        ["match", "--word", "1 3 2 3 1", "--alphabet", "3"],
+        ["dist", "--perm-n", "5"],
+        ["dist", "--word-n", "4", "--alphabet", "3"],
+        ["avoid", "--perm-n", "5"],
+        ["avoid", "--word-n", "4", "--alphabet", "3"],
+    ],
+)
+def test_whitespace_around_a_pattern_prints_what_the_plain_one_prints(capsys, plain, command):
+    for fmt in ("text", "json"):
+        want = run(capsys, "--format", fmt, *command, "--pattern", plain)
+        assert want[0] == 0
+        for text in (f" {plain}", f"{plain} ", f"\t{plain}\n"):
+            assert run(capsys, "--format", fmt, *command, "--pattern", text) == want
 
 
 def test_problem_notes_and_a_missing_offset_print_as_lines(capsys):
@@ -411,6 +435,26 @@ def test_avoid_pattern_file(tmp_path, capsys):
     assert out.strip() == "16"
 
 
+@pytest.mark.parametrize(
+    "listing",
+    [
+        "\ufeffgp:231\ngp:132\n",  # a UTF-8 byte-order mark
+        "  # consecutive pair\ngp:231\n\t# and its reverse\ngp:132\n",
+        "\ngp:231\n\n   \n\t\ngp:132\n\n",
+    ],
+    ids=["bom", "indented-comment", "blank-lines"],
+)
+def test_avoid_pattern_file_written_unusually(tmp_path, capsys, listing):
+    plain, unusual = tmp_path / "plain.txt", tmp_path / "unusual.txt"
+    plain.write_text("gp:231\ngp:132\n", encoding="utf-8")
+    unusual.write_text(listing, encoding="utf-8")
+    for fmt in ("text", "json"):
+        want = run(capsys, "--format", fmt, "avoid", "--patterns", str(plain), "--perm-n", "5")
+        assert want[0] == 0
+        assert run(capsys, "--format", fmt, "avoid", "--patterns", str(unusual),
+                   "--perm-n", "5") == want
+
+
 def test_avoid_word_mode(capsys):
     rc, out, _ = run(
         capsys, "avoid",
@@ -450,9 +494,12 @@ def test_verify_json_schema(capsys):
     assert obj["checks"][0]["name"] == "fib-bij"
 
 
-def test_problem_json(capsys):
-    rc, out, _ = run(capsys, "--format", "json", "problem", "--which", "3",
-                     "--max-size", "8")
+def test_problem_json(capsys, monkeypatch):
+    with monkeypatch.context() as patched:  # the JSON run builds no text report
+        patched.setattr(problems.ComparisonReport, "to_text",
+                        lambda report: pytest.fail("text built for JSON"))
+        rc, out, _ = run(capsys, "--format", "json", "problem", "--which", "3",
+                         "--max-size", "8")
     assert rc == 0
     obj = json.loads(out)
     assert obj["offset"] == 2

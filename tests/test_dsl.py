@@ -4,10 +4,11 @@ import pytest
 
 from conftest import random_pattern, random_sequence
 
+from pdvp import checks
 from pdvp.dsl import ParseError, parse_gp, parse_pattern, parse_set, render_pattern
 from pdvp.intset import EVENS, ODDS, POSITIVES, finite, multiples
 from pdvp.matcher import PermSequence, occurrences
-from pdvp.pattern import Mode, make_classical, make_des_k, make_gp
+from pdvp.pattern import Mode, Pdvp, make_classical, make_des_k, make_gp
 
 
 def test_parse_worked_example():
@@ -70,6 +71,49 @@ def test_parse_gp_examples():
     assert parse_gp("231") == make_gp("231")
     with pytest.raises(ParseError):
         parse_gp("2+31")
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_parse_pattern_reads_the_gp_prefix(mode):
+    assert parse_pattern("gp:2-31", mode) == parse_gp("2-31", mode)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("plain", ["gp:2-31", "231|P,P,{1},P|-|P,P,P"])
+def test_whitespace_around_either_spelling_is_ignored(mode, plain):
+    want = parse_pattern(plain, mode)
+    for text in (f" {plain}", f"{plain} ", f"\t{plain}\n", f"  {plain}  "):
+        assert parse_pattern(text, mode) == want
+    assert parse_pattern("gp: 2-31 ", mode) == parse_gp(" 2-31\t", mode) == parse_gp("2-31", mode)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 31", "at position 0: expected letters 1..9 separated by optional dashes, "
+                 "found unexpected character ' ' in '2 31'"),
+        ("2+31", "at position 0: expected letters 1..9 separated by optional dashes, "
+                 "found unexpected character '+' in '2+31'"),
+        ("-21", "at position 0: expected letters 1..9 separated by optional dashes, "
+                "found misplaced dash in '-21'"),
+        ("11", "at position 0: expected a valid dashed pattern, "
+               "found base (1, 1) is not a permutation of 1..2"),
+    ],
+)
+def test_bad_dashed_text_is_a_parse_error(text, message):
+    for spelled in (text, f" {text} "):
+        with pytest.raises(ParseError) as direct:
+            parse_gp(spelled)
+        with pytest.raises(ParseError) as prefixed:
+            parse_pattern(f"gp:{spelled}")
+        assert str(direct.value) == str(prefixed.value) == message
+
+
+@pytest.mark.parametrize("base", [(1, 2), (2, 1), (1, 2, 3)])
+def test_parity_position_pattern_is_the_quadruple_it_spells(base):
+    m = len(base)
+    hand_built = Pdvp(Mode.PERMUTATION, base, (ODDS,) + (EVENS,) * m, (), (EVENS,) * m)
+    assert checks.parity_position_pattern(base) == hand_built
 
 
 def test_semicolon_separated_y_triples():

@@ -771,7 +771,7 @@ def test_modes_are_checked_before_the_budget(scan, mode):
 def test_cli_names_the_mode_before_the_budget(capsys, monkeypatch):
     # the CLI parses each pattern in the scan's mode, so a mismatch can only
     # come from a caller; it exits 2 with the mode message all the same
-    monkeypatch.setattr(cli, "_parse_any_pattern", lambda text, mode: make_classical((1, 2)))
+    monkeypatch.setattr(cli, "parse_pattern", lambda text, mode: make_classical((1, 2)))
     code, out, err = _cli(capsys, ["dist", "--pattern", "12", "--word-n", "30", "--alphabet", "3"])
     assert (code, out, err) == (2, "", "error: word scan needs word-mode patterns\n")
 
