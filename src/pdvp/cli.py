@@ -79,8 +79,6 @@ def _series_json(table: transfer.ZSeriesTable) -> Iterator[str]:
 
 
 def _zpoly_text(row: dict[int, int]) -> str:
-    if not row:
-        return "0"
     parts = []
     for j in sorted(row):
         c = row[j]
@@ -256,9 +254,6 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     )
     if needs_alphabet and getattr(args, "alphabet", None) is None:
         parser.error("--alphabet is required for word input")
-    if args.command == "avoid" and not (args.pattern or args.patterns):
-        # no pattern at all is allowed: an empty list, so every object is counted
-        args.pattern = []
 
 
 def main(argv=None) -> int:

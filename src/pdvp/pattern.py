@@ -107,8 +107,6 @@ def _gp_parts(dashed: str) -> tuple[tuple[int, ...], list[bool]]:
             raise ValueError(f"unexpected character {ch!r} in {dashed!r}")
     if not prev_was_letter:
         raise ValueError(f"pattern {dashed!r} must end with a letter")
-    if len(adjacent) != len(letters) - 1:
-        raise ValueError(f"malformed dashed pattern {dashed!r}")
     return tuple(letters), adjacent
 
 

@@ -9,7 +9,7 @@ reports present evidence; they do not construct bijections.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import budget, exhaustive, transfer
@@ -73,27 +73,29 @@ class ComparisonReport:
 
 
 def _align(
-    a_start: int,
-    a_values: tuple[int, ...],
-    b_start: int,
-    b_values: tuple[int, ...],
+    label: str,
+    a: tuple[str, int, tuple[int, ...]],
+    b: tuple[str, int, tuple[int, ...]],
     shifts: range,
     min_overlap: int,
-) -> tuple[int | None, tuple[bool, ...]]:
-    """Find d with A(i) = B(i + d) wherever both are defined."""
-    for d in shifts:
-        flags = []
-        ok = True
-        for pos, av in enumerate(a_values):
-            i = a_start + pos
-            j = i + d - b_start
-            if 0 <= j < len(b_values):
-                eq = av == b_values[j]
-                flags.append(eq)
-                ok = ok and eq
-        if ok and len(flags) >= min_overlap:
-            return d, tuple(flags)
-    return None, ()
+    notes: tuple[str, ...] = (),
+) -> ComparisonReport:
+    """Report A and B, each given as (label, start, values), with the first d
+    in shifts such that A(i) = B(i + d) on at least min_overlap indices where
+    both are defined; offset None and no flags if no shift aligns them."""
+    _, a_start, a_values = a
+    _, b_start, b_values = b
+    for offset in shifts:
+        matched = tuple(
+            av == b_values[i + offset - b_start]
+            for i, av in enumerate(a_values, a_start)
+            if 0 <= i + offset - b_start < len(b_values)
+        )
+        if all(matched) and len(matched) >= min_overlap:
+            break
+    else:
+        offset, matched = None, ()
+    return ComparisonReport(label, *a, *b, offset, matched, notes)
 
 
 MORPHISM = {"1": "123", "2": "13", "3": "2"}
@@ -208,12 +210,12 @@ def _report_morphism(max_size: int) -> ComparisonReport:
     digits = sys.get_int_max_str_digits()  # the largest value, 3*2^(N-3), must print
     allowed = ((10**digits - 1) // 3).bit_length() + 2
     if digits and max_size > allowed:
-        raise ValueError(f"size {max_size} exceeds the allowed size {allowed}: "
-                         f"3*2^{max_size - 3} has more than {digits} digits")
+        raise budget.EnumerationLimitError(
+            f"size {max_size} exceeds the allowed size {allowed}: "
+            f"3*2^{max_size - 3} has more than {digits} digits")
     a_vals = tuple(a_nk(n, 2) for n in range(1, max_size + 1))
     iterations = min(max_size, 18)
     b_vals = tuple(morphism_rises(i)[1] for i in range(1, iterations + 1))
-    offset, matched = _align(1, a_vals, 1, b_vals, range(-4, 5), min_overlap=4)
     literal = "1231323"
     literal_rises = sum(1 for i in range(len(literal) - 1) if literal[i] < literal[i + 1])
     notes = (
@@ -222,18 +224,9 @@ def _report_morphism(max_size: int) -> ComparisonReport:
         f"not the third iterate (length {len(morphism_rises(3)[0])}); "
         "no equality is asserted for this problem",
     )
-    return ComparisonReport(
-        label="problem 1: V-shaped avoiders vs morphism rises",
-        a_label="avoiders a(n, 2)",
-        a_start=1,
-        a_values=a_vals,
-        b_label="rises after n iterations",
-        b_start=1,
-        b_values=b_vals,
-        offset=offset,
-        matched=matched,
-        notes=notes,
-    )
+    return _align("problem 1: V-shaped avoiders vs morphism rises",
+                  ("avoiders a(n, 2)", 1, a_vals), ("rises after n iterations", 1, b_vals),
+                  range(-4, 5), 4, notes)
 
 
 def _report_walks_exact(max_size: int) -> ComparisonReport:
@@ -241,18 +234,9 @@ def _report_walks_exact(max_size: int) -> ComparisonReport:
     b_vals = tuple(
         walk_count(7, 2 * n + 3, 1, 4, StepRule.EXACTLY_ONE) for n in range(max_size + 1)
     )
-    offset, matched = _align(0, a_vals, 0, b_vals, range(-4, 5), min_overlap=6)
-    return ComparisonReport(
-        label="problem 2: four-letter avoiders vs unit-step walks on {1..7}",
-        a_label="avoiders over t=4",
-        a_start=0,
-        a_values=a_vals,
-        b_label="walks 1 -> 4 in 2n+3 steps",
-        b_start=0,
-        b_values=b_vals,
-        offset=offset,
-        matched=matched,
-    )
+    return _align("problem 2: four-letter avoiders vs unit-step walks on {1..7}",
+                  ("avoiders over t=4", 0, a_vals), ("walks 1 -> 4 in 2n+3 steps", 0, b_vals),
+                  range(-4, 5), 6)
 
 
 def _report_walks_at_most(max_size: int) -> ComparisonReport:
@@ -261,18 +245,10 @@ def _report_walks_at_most(max_size: int) -> ComparisonReport:
         walk_count(3, length, 1, 3, StepRule.AT_MOST_ONE)
         for length in range(1, max_size + 3)
     )
-    offset, matched = _align(0, a_vals, 1, b_vals, range(-4, 5), min_overlap=6)
-    return ComparisonReport(
-        label="problem 3: three-letter avoiders vs lazy walks on {1..3}",
-        a_label="avoiders over t=3",
-        a_start=0,
-        a_values=a_vals,
-        b_label="walks 1 -> 3 with steps in {-1,0,1}",
-        b_start=1,
-        b_values=b_vals,
-        offset=offset,
-        matched=matched,
-    )
+    return _align("problem 3: three-letter avoiders vs lazy walks on {1..3}",
+                  ("avoiders over t=3", 0, a_vals),
+                  ("walks 1 -> 3 with steps in {-1,0,1}", 1, b_vals),
+                  range(-4, 5), 6)
 
 
 def _report_two_stack(max_size: int) -> ComparisonReport:
@@ -280,21 +256,14 @@ def _report_two_stack(max_size: int) -> ComparisonReport:
 
     b_vals = tuple(two_stack_sortable_counts(max_size, True, True)[1:])
     a_vals = tuple(words123_recurrence(n) for n in range(1, max_size + 1))
-    offset, matched = _align(1, a_vals, 1, b_vals, range(-3, 4), min_overlap=4)
+    report = _align(
+        "problem 4: three-letter avoiders vs filtered 2-stack-sortable permutations",
+        ("avoiders over t=3", 1, a_vals),
+        ("2-stack-sortable, 132-avoiding, exactly one 123", 1, b_vals),
+        range(-3, 4), 4)
     verdict = (
         "sequences align under the reported offset"
-        if offset is not None
+        if report.offset is not None
         else "no offset in [-3, 3] aligns the sequences"
     )
-    return ComparisonReport(
-        label="problem 4: three-letter avoiders vs filtered 2-stack-sortable permutations",
-        a_label="avoiders over t=3",
-        a_start=1,
-        a_values=a_vals,
-        b_label="2-stack-sortable, 132-avoiding, exactly one 123",
-        b_start=1,
-        b_values=b_vals,
-        offset=offset,
-        matched=matched,
-        notes=(verdict,),
-    )
+    return replace(report, notes=(verdict,))

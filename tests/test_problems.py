@@ -148,7 +148,7 @@ def test_problem_one_refuses_sizes_whose_values_cannot_print():
     allowed = lo
     start = time.perf_counter()
     for size in (allowed + 1, 200000, 10**30):
-        with pytest.raises(ValueError, match=rf"^size {size} exceeds the allowed size {allowed}: "):
+        with pytest.raises(EnumerationLimitError, match=rf"^size {size} exceeds the allowed size {allowed}: "):
             problem_report(1, size)
     assert time.perf_counter() - start < 1
 
@@ -177,6 +177,16 @@ def test_report_problem_four_shift():
     assert rep.b_values == (0, 0, 1, 3, 7, 14, 26, 46)
     assert rep.offset == 3
     assert rep.notes
+
+
+def test_align_reports_the_first_shift_with_enough_overlap():
+    a, b = ("A", 1, (1, 2, 3, 5)), ("B", 0, (9, 1, 2, 3, 5, 8))
+    rep = problems._align("L", a, b, range(-2, 3), 4, ("n",))
+    assert (rep.label, rep.a_label, rep.b_start, rep.notes) == ("L", "A", 0, ("n",))
+    assert (rep.offset, rep.matched) == (0, (True,) * 4)
+    # the same shift over fewer than min_overlap shared indices aligns nothing
+    rep = problems._align("L", a, b, range(-2, 3), 5)
+    assert (rep.offset, rep.matched, rep.notes) == (None, (), ())
 
 
 def test_report_serialisation():
