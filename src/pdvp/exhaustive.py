@@ -15,7 +15,11 @@ pattern modes, picks one of four paths and checks that path's predicted work
   each permutation of S_d is visited once, for every d.  A node holds its
   permutation as the even numbers 2..2d, so no node sorts itself to rank
   its values, and it scores all its children at once, with one
-  `matcher.search_children` per pattern.
+  `matcher.search_children` per pattern.  Of a pattern whose last two gap
+  sets are P (every classical pattern) a node inherits its parent's partial
+  occurrences and searches only for those ending at its own last entry, as
+  Marinov and Radoičić count 1324-avoiders; an avoided pattern's search
+  stops at the first completion that decides a child.
 * ``values``: any other permutation scan appends an unused value, at the
   positions and from the values some occurrence can use (`_relevant`); a
   placeholder stands for the other values, and each leaf for the
@@ -44,15 +48,15 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from math import comb, factorial, lgamma, log, log10, perm
 from operator import itemgetter, not_, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import budget, matcher, transfer
-from .intset import IntSet
+from .intset import IntSet, finite
 from .pattern import Mode, Pdvp
 
 
@@ -355,11 +359,15 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
 
     A node's family is built once, before the walk descends to its
     children.  On the tree one `matcher.search_children` per avoided
-    pattern and one for the counted pattern give, through the prefix sums
-    of their difference arrays, each child's kill flag and count, so the
-    deepest level is never visited: its counts come from those prefix sums.
-    Words and values try each candidate with `matcher.search_ending_at`, the
-    avoided patterns' first-occurrence searches before the count.
+    pattern, with `first`, and one for the counted pattern give, through
+    the prefix sums of their difference arrays, each child's kill flag and
+    count, so the deepest level is never visited: its counts come from
+    those prefix sums.  A pattern whose X_{m-1} and X_m are P (`_inherits`)
+    is not searched whole at each node: the node inherits its parent's
+    partial occurrences and searches only for those ending at its own last
+    entry (`_inheriting`).  Words and values try each candidate with
+    `matcher.search_ending_at`, the avoided patterns' first-occurrence
+    searches before the count.
     """
     if plan.path == "series":
         raise ValueError(f"a series plan of length {plan.n} has no walk")
@@ -372,8 +380,16 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
         letters = cut.values if by_value else range(1, (plan.t or n) + 1)
         at = cut.positions if by_value else tuple(range(1, n + 1))  # at[d]: depth d + 1's position
         if tree:  # each node scores all its children at once
-            stops = [matcher.search_children(p, n, top) for p in plan.avoid]
-            tally = None if plan.count is None else matcher.search_children(plan.count, n, top)
+            kills = [matcher.search_children(_node_pattern(p), n, top, first=True)
+                     for p in plan.avoid]
+            stops = [stop for stop, p in zip(kills, plan.avoid) if not _inherits(p)]
+            heirs = [stop for stop, p in zip(kills, plan.avoid) if _inherits(p)]
+            if heirs:  # one array sums their partials, as only nonzero sums matter; it goes first
+                stops.insert(0, _inheriting(heirs, n))
+            tally = None if plan.count is None else matcher.search_children(
+                _node_pattern(plan.count), n, top)
+            if tally and _inherits(plan.count):
+                tally = _inheriting([tally], n)
         else:
             stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
             tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
@@ -465,6 +481,65 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
                 break
             else:
                 break
+
+
+def _inherits(pat: Pdvp) -> bool:
+    """Whether a tree node takes the partial occurrences of `pat` (index
+    tuples for slots 0..m-2) from its parent: X_{m-1} and X_m are P, so a
+    partial admits a child wherever the child's position and the length are,
+    and the children it admits depend on the values of two of its slots
+    alone."""
+    return pat.m > 1 and pat.x[-2].steps == pat.x[-1].steps == (1,)
+
+
+_NEXT = finite([1])
+
+
+def _inheriting(searches: list, n: int
+                ) -> Callable[[list[int], int, list[int], list[int]], None]:
+    """The children search, for a walk of length n over the generating tree,
+    of patterns whose partial occurrences the nodes inherit (`_inherits`),
+    given `searches`, the children searches of their `_node_pattern`s.
+
+    It keeps, per depth, the difference array of the last node it scored
+    there, whose prefix sums count, for each child, the node's partial
+    occurrences (index tuples for slots 0..m-2) that admit it; where the
+    searches stop early, as an avoided pattern's do, the sums are nonzero
+    exactly where such a partial exists.  A node of rank r starts from its
+    parent's array with a 0 inserted at r + 1, which doubles entry r of the
+    prefix sums: the parent's gap r splits in two, and a partial that
+    admitted it admits both halves.  It adds the partials that `searches`
+    find ending at its last entry.  The walk scores every node after its
+    parent and before any other node of its parent's depth, so the array
+    kept one depth up is always the parent's.  The walk calls it first on a
+    node, on an array that holds at most the node's own count, at entry 0:
+    it sets the array to the node's, plus that count, and the walk's other
+    searches add to it from there.
+    """
+    parts: list = [None] * n  # parts[d]: the array of the depth-d node
+
+    def search(node, q, ranks, diff):
+        if q > 1:
+            own = parts[q - 2].copy()
+            own.insert(ranks[node[q - 2]], 0)  # the last entry's rank, r + 1
+        else:  # the root, which has no partial occurrence
+            own = [0]
+        for find in searches:
+            find(node, q, ranks, own)
+        parts[q - 1] = own
+        got = diff[0]
+        diff[:] = own  # a copy, so that no later search adds into the node's array
+        diff[0] += got
+
+    return search
+
+
+def _node_pattern(pat: Pdvp) -> Pdvp:
+    """What a tree node searches for `pat`: if it inherits the partial
+    occurrences of `pat` (`_inherits`), `pat` with X_{m-1} = {1}, whose
+    occurrences ending at the children's position are the partials with slot
+    m-2 at the node's last entry; else `pat` itself."""
+    return replace(pat, x=(*pat.x[:-2], _NEXT, pat.x[-1])) if _inherits(pat) else pat
 
 
 def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,

@@ -23,7 +23,10 @@ generated code.  The count, first and list searches differ only in their
 innermost statement.  The children search (`search_children`) scores every
 way of appending a last entry to an ordered prefix at once: it never reads
 the last slot's value, so it drops every test on it, and records the range
-of ranks each partial occurrence admits for that value instead.
+of ranks each partial occurrence admits for that value instead.  That range
+depends on two slots only, so its kill variant, which only has to find
+which children some occurrence ends at, stops the loops below those two
+slots at their first completion.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class Occurrence:
         return tuple(entries[i - 1] for i in self.indices)
 
 
-_COUNT, _FIRST, _LIST, _CHILDREN = "count", "first", "list", "children"
+_COUNT, _FIRST, _LIST, _CHILDREN, _KILLS = "count", "first", "list", "children", "kills"
 _LOOPS_PER_BLOCK = 16  # the compiler refuses more than 20 nested blocks per function
 
 
@@ -105,13 +108,18 @@ def _generate(pat: Pdvp, mode: str):
     innermost statement adds 1 at diff[rank[v_a]] and -1 at diff[rank[v_b]],
     a and b the slots whose base letters are next below and next above
     base[m-1]: 0 stands for a missing a, and a missing b adds nothing.
+    The kills mode is the children mode, except that the slots below
+    min(a, b), which cannot move the ranks a partial occurrence admits, are
+    a block of their own in the first mode, unless each of them has one
+    candidate gap at most: once slots a and b are placed, the innermost
+    statement adds at diff when that block finds a completion.
     Every block of _LOOPS_PER_BLOCK slots is a function of its own that the
     block above calls in its innermost statement, passing rank and diff on
-    in the children mode.  The source holds integer literals and the names
-    bound in `namespace` only.
+    to the blocks that score children.  The source holds integer literals
+    and the names bound in `namespace` only.
     """
     m, base = pat.m, pat.base
-    children = mode == _CHILDREN
+    children = mode in (_CHILDREN, _KILLS)
     live = m - 1 if children else m  # the slots whose values the search reads
     extra = ", rank, diff" if children else ""
     namespace: dict[str, object] = {}
@@ -178,19 +186,36 @@ def _generate(pat: Pdvp, mode: str):
     def guard(cond: str, action: str) -> list[str]:
         return [f"if {cond}:", f"    {action}"]
 
-    def hit(call: str | None) -> str:
+    score, cut = "", -1  # in the kills mode, the slots below cut only need one completion
+    if children:  # a and b, the slots whose values bound the ranks a partial admits
+        a = max((s for s in range(live) if base[s] < base[live]), key=base.__getitem__,
+                default=None)
+        b = min((s for s in range(live) if base[s] > base[live]), key=base.__getitem__,
+                default=None)
+        score = f"diff[{'0' if a is None else f'rank[v{a}]'}] += 1"
+        score += "" if b is None else f"; diff[rank[v{b}]] -= 1"
+        if mode == _KILLS:
+            cut = min((s for s in (a, b) if s is not None), default=-1)
+            if all(not (x.odd or x.steps) and len(x.extra - {0}) <= 1 for x in pat.x[1:cut + 1]):
+                cut = -1  # at most one completion, so a block call would stop nothing
+
+    def args(top: int) -> str:
+        """What the block whose highest slot is `top` takes after entries and
+        before the placed slots: rank and diff where it scores children."""
+        return "" if top <= cut else extra
+
+    def hit(top: int, low: int) -> str:
+        """The innermost statement of the block that fills slots top - 1
+        down to low: it calls block{low} unless low is 0."""
+        call = f"block{low}(entries{args(low)}, {placed(low)})" if low else None
         if mode == _COUNT:
             return f"total += {call or 1}"
-        if mode == _FIRST:
+        if mode == _FIRST or top <= cut:
             return f"if {call}: return 1" if call else "return 1"
         if call:
-            return call
+            return f"if {call}: {score}" if low <= cut else call
         if children:
-            below = [a for a in range(live) if base[a] < base[live]]
-            above = [a for a in range(live) if base[a] > base[live]]
-            lo = f"rank[v{max(below, key=base.__getitem__)}]" if below else "0"
-            hi = f"; diff[rank[v{min(above, key=base.__getitem__)}]] -= 1" if above else ""
-            return f"diff[{lo}] += 1{hi}"
+            return score
         return "found.append((%s,))" % ", ".join(f"q{k} + 1" for k in range(m))
 
     def placed(k: int) -> str:
@@ -203,21 +228,22 @@ def _generate(pat: Pdvp, mode: str):
     top = m - 1  # the block's highest slot, placed when the block starts
     while True:
         low = max(top - _LOOPS_PER_BLOCK, 0)
+        if low < cut < top:
+            low = cut
         if top == m - 1:
             head = [f"def search(entries, p{extra}):"]
             head += ["    " + line for cond in entry for line in guard(cond, "return 0")]
             head += [f"    q{top} = p - 1"] + [f"    v{top} = entries[q{top}]"] * (top < live)
             head += ["    " + line for cond in rejects(top) for line in guard(cond, "return 0")]
         else:
-            head = [f"def block{top}(entries{extra}, {placed(top)}):"]
+            head = [f"def block{top}(entries{args(top)}, {placed(top)}):"]
         body = ["total = 0"] if mode == _COUNT else []
         for depth, k in enumerate(range(top - 1, low - 1, -1)):
             pad = "    " * depth
             body += [pad + line for line in loop(k)]
             body.append(f"{pad}    v{k} = entries[q{k}]")
             body += [f"{pad}    {line}" for cond in rejects(k) for line in guard(cond, "continue")]
-        inner = hit(f"block{low}(entries{extra}, {placed(low)})" if low else None)
-        body += ["    " * (top - low) + inner, result]
+        body += ["    " * (top - low) + hit(top, low), result]
         blocks.append(head + ["    " + line for line in body])
         if not low:
             break
@@ -283,7 +309,7 @@ def search_ending_at(
 
 
 def search_children(
-    pat: Pdvp, n: int, upper: int
+    pat: Pdvp, n: int, upper: int, first: bool = False
 ) -> Callable[[Sequence[int], int, Mapping[int, int] | Sequence[int], list[int]], int]:
     """Compile `pat` to score, at once, every last entry that an ordered
     prefix of a sequence of final length n with high sentinel `upper` can take.
@@ -301,8 +327,15 @@ def search_children(
     and it visits no more index tuples than the p searches of
     `search_ending_at` on the children would together.  f is the generated
     search itself.
+
+    With `first` f only tells which children some occurrence ends at: the
+    prefix sums are nonzero where they would be without it, and never larger.
+    Then f fills the slots below the two whose values bound a child's rank
+    (those with the base letters next below and next above the last slot's)
+    only until it finds one completion, as `search_ending_at` does with
+    `first`.
     """
-    return _generate(pat, _CHILDREN)(n, upper, None)
+    return _generate(pat, _KILLS if first else _CHILDREN)(n, upper, None)
 
 
 def count_entries(pat: Pdvp, entries: Sequence[int], upper: int) -> int:

@@ -144,12 +144,16 @@ def walk_count(
 
 
 def stack_sort(pi: tuple[int, ...]) -> tuple[int, ...]:
-    """One pass through an increasing stack: s(L n R) = s(L) s(R) n."""
-    if len(pi) <= 1:
-        return tuple(pi)
-    top = max(pi)
-    at = pi.index(top)
-    return stack_sort(pi[:at]) + stack_sort(pi[at + 1:]) + (top,)
+    """One pass through an increasing stack, s(L n R) = s(L) s(R) n: each
+    entry pops the smaller entries on top of the stack to the output before
+    it is pushed, and the stack empties at the end."""
+    out, stack = [], []
+    for x in pi:
+        while stack and stack[-1] < x:
+            out.append(stack.pop())
+        stack.append(x)
+    out += reversed(stack)
+    return tuple(out)
 
 
 _CLASSICAL_132 = make_classical((1, 3, 2))

@@ -102,8 +102,14 @@ def random_set(rng: random.Random) -> IntSet:
     return random_set(rng) | random_set(rng)
 
 
-def random_pattern(rng: random.Random, mode: Mode) -> Pdvp:
-    m = rng.randint(1, 4)
+def random_gap(rng: random.Random) -> IntSet:
+    """A gap set that many index tuples meet: P, or small gaps, or a parity."""
+    return rng.choice([POSITIVES, POSITIVES, POSITIVES, finite([1]), finite([2]),
+                       finite([1, 2]), ODDS, EVENS])
+
+
+def random_pattern(rng: random.Random, mode: Mode, m_max: int = 4) -> Pdvp:
+    m = rng.randint(1, m_max)
     if mode is Mode.PERMUTATION:
         base = list(range(1, m + 1))
         rng.shuffle(base)
@@ -121,11 +127,12 @@ def random_pattern(rng: random.Random, mode: Mode) -> Pdvp:
     return Pdvp(mode, tuple(base), x, tuple(triples), z)
 
 
-def random_order_only(rng: random.Random) -> Pdvp:
-    """A random permutation pattern that `exhaustive.order_only` accepts:
-    random gap sets, and Z and Y sets that hold every positive integer (some
-    of them 0 too), Y triples on the sentinels included."""
-    pat = random_pattern(rng, Mode.PERMUTATION)
+def random_order_only(rng: random.Random, m_max: int = 4) -> Pdvp:
+    """A random permutation pattern of at most m_max slots that
+    `exhaustive.order_only` accepts: random gap sets, and Z and Y sets that
+    hold every positive integer (some of them 0 too), Y triples on the
+    sentinels included."""
+    pat = random_pattern(rng, Mode.PERMUTATION, m_max)
 
     def full():
         return POSITIVES | random_set(rng) if rng.random() < 0.5 else POSITIVES

@@ -7,7 +7,13 @@ from math import comb, factorial, perm
 
 import pytest
 
-from conftest import naive_occurrences, random_order_only, random_pattern, random_set
+from conftest import (
+    naive_occurrences,
+    random_gap,
+    random_order_only,
+    random_pattern,
+    random_set,
+)
 
 from pdvp import budget, checks, cli, exhaustive, formulas, problems, transfer
 from pdvp.budget import EnumerationLimitError
@@ -393,6 +399,56 @@ def test_tree_entry_points_equal_the_per_object_recount(rng):
         assert perm_multi_avoiders([pat, other], n) == sum(
             1 for seq in _objects(Mode.PERMUTATION, n, None)
             if not naive_occurrences(pat, seq) and not naive_occurrences(other, seq)), (pat, other)
+
+
+def _heir(rng):
+    """A random order-only pattern whose partial occurrences a tree node
+    mostly inherits: X_{m-1} is P four times in five and X_m every other
+    time, and the other gap sets, X_0 among them, are random ones that many
+    index tuples meet."""
+    pat = random_order_only(rng)
+    x = [random_gap(rng) for _ in pat.x]
+    if rng.random() < 0.8:
+        x[-2] = POSITIVES
+    if rng.random() < 0.5:
+        x[-1] = POSITIVES
+    return replace(pat, x=tuple(x))
+
+
+def test_inherited_partials_equal_the_per_object_recount(rng):
+    # a node takes its parent's partial occurrences of a pattern whose X_{m-1}
+    # and X_m are P and adds its own: avoid sets, counts, caps and every
+    # length, against naive_occurrences on each permutation
+    inherited = Counter()
+    for case in range(60):
+        n = 7 if case % 20 == 0 else rng.randint(1, 6)
+        avoid = [_heir(rng) for _ in range(rng.randint(0, 2))]
+        count = _heir(rng) if not avoid or rng.random() < 0.7 else None
+        cap = rng.choice([None, 0, 1, 2])
+        each_length = case % 2 == 1
+        lengths = range(n + 1) if each_length else [n]
+        pats = [p for p in (*avoid, count) if p]
+        inherited[any(map(exhaustive._inherits, pats))] += 1
+        counted = {k: [(seq.entries, [len(naive_occurrences(p, seq)) for p in pats])
+                       for seq in _objects(Mode.PERMUTATION, k, None)] for k in lengths}
+        want = [[] for _ in range(n + 1)]
+        for k in lengths:
+            for entries, found in counted[k]:
+                c = found[-1] if count else 0
+                if not any(found[:len(avoid)]) and (cap is None or c <= cap):
+                    want[k].append((entries, c))
+        case_id = (avoid, count, cap, n, each_length)
+        plan = plan_scan(avoid, count, None, n, each_length)
+        assert plan.path == "tree"
+        assert _by_length(_expanded(plan, cap), n, None) == want, case_id
+        if count:
+            rows = [Counter(found[-1] for _, found in counted[k]) for k in lengths]
+            tables = perm_distributions(count, n) if each_length else [perm_distribution(count, n)]
+            assert [table.counts for table in tables] == rows, case_id
+        if avoid:
+            assert perm_multi_avoiders(avoid, n) == sum(
+                not any(found[:len(avoid)]) for _, found in counted[n]), case_id
+    assert inherited[True] >= 30, inherited
 
 
 def test_every_length_perm_scans_equal_a_walk_per_length(rng):

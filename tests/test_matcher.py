@@ -1,12 +1,19 @@
 import time
+from dataclasses import replace
 from itertools import accumulate, permutations
 from math import comb
 
 import pytest
 
-from conftest import naive_occurrences, random_order_only, random_pattern, random_sequence
+from conftest import (
+    naive_occurrences,
+    random_gap,
+    random_order_only,
+    random_pattern,
+    random_sequence,
+)
 
-from pdvp.intset import ODDS, IntSet, finite
+from pdvp.intset import ODDS, POSITIVES, IntSet, finite
 
 from pdvp import matcher
 from pdvp.dsl import parse_gp, parse_pattern
@@ -289,13 +296,13 @@ def test_thirty_slot_classical_pattern_chains_blocks():
     assert avoids(pat, PermSequence(tuple(range(32, 0, -1))))
 
 
-def _children_scores(pat, prefix, n, upper):
+def _children_scores(pat, prefix, n, upper, first=False):
     """What `search_children` gives each child of `prefix`: the prefix sums
     of its difference array."""
     ends = [0, *sorted(prefix)]
     diff = [0] * len(ends)
-    search_children(pat, n, upper)(list(prefix) + [0] * (n - len(prefix)), len(ends),
-                                   dict(zip(ends, range(len(ends)))), diff)
+    search_children(pat, n, upper, first)(list(prefix) + [0] * (n - len(prefix)), len(ends),
+                                          dict(zip(ends, range(len(ends)))), diff)
     return list(accumulate(diff))
 
 
@@ -319,6 +326,39 @@ def test_children_search_scores_each_child_as_the_per_child_searches(rng, block)
         assert _children_scores(pat, prefix, n, upper) == counts, (pat, prefix, n)
         firsts = _per_child(search_ending_at(pat, n, upper, first=True), prefix, n)
         assert firsts == [min(c, 1) for c in counts], (pat, prefix, n)
+
+
+def test_early_stopping_kill_flags_are_the_nonzero_children_scores(rng, block):
+    # with `first` the loops below the slots that bound a child's rank stop
+    # at their first completion, so each child scores at least 1 exactly
+    # where the full search scores it, and never more; with blocks of one or
+    # two slots the stopping loops are chained blocks of their own
+    stopped = 0
+    for case in range(300):
+        pat = random_order_only(rng, m_max=5)
+        d = rng.randint(0, 7)
+        if case % 2:  # gap sets that let it occur often, in a longer prefix
+            pat = replace(pat, x=(POSITIVES, *(random_gap(rng) for _ in pat.x[2:]), POSITIVES))
+            d = rng.randint(4, 7)
+        prefix = [2 * v for v in rng.sample(range(1, d + 1), d)]
+        n, upper = d + 1 + rng.randint(0, 2), 2 * d + 2
+        full = _children_scores(pat, prefix, n, upper)
+        kills = _children_scores(pat, prefix, n, upper, first=True)
+        assert [bool(c) for c in kills] == [bool(c) for c in full], (pat, prefix, n)
+        assert all(0 <= k <= c for k, c in zip(kills, full)), (pat, prefix, n)
+        stopped += kills != full
+    assert stopped >= 10
+
+
+def test_kill_search_of_a_classical_pattern_stops_at_one_completion():
+    # 1234 on 2, 4, .., 14: the loops below slot 2 (letter 3, which bounds
+    # the child from below) stop at one completion, so child r scores the
+    # r - 2 places of slot 2 below it that have one, where the full search
+    # scores C(r, 3)
+    pat = make_classical((1, 2, 3, 4))
+    prefix = [2 * v for v in range(1, 8)]
+    assert _children_scores(pat, prefix, 8, 16) == [comb(r, 3) for r in range(8)]
+    assert _children_scores(pat, prefix, 8, 16, first=True) == [max(r - 2, 0) for r in range(8)]
 
 
 def test_thirty_slot_children_search_chains_blocks():

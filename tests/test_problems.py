@@ -75,6 +75,20 @@ def test_stack_sort_examples():
     assert stack_sort(()) == ()
 
 
+def _recursive_stack_sort(pi):
+    """The definition s(L n R) = s(L) s(R) n, n the largest entry."""
+    if len(pi) <= 1:
+        return tuple(pi)
+    at = pi.index(max(pi))
+    return _recursive_stack_sort(pi[:at]) + _recursive_stack_sort(pi[at + 1:]) + (pi[at],)
+
+
+def test_stack_sort_equals_its_recursive_definition():
+    for n in range(9):
+        for pi in permutations(range(1, n + 1)):
+            assert stack_sort(pi) == _recursive_stack_sort(pi), pi
+
+
 def test_stack_sort_preserves_content():
     assert sorted(stack_sort((4, 1, 5, 3, 2))) == [1, 2, 3, 4, 5]
 
