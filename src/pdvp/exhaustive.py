@@ -24,20 +24,23 @@ pattern modes, picks one of four paths and checks that path's predicted work
   positions and from the values some occurrence can use (`_relevant`); a
   placeholder stands for the other values, and each leaf for the
   permutations it represents (`ScanPlan.weight`).
-* ``words``: any other word scan appends any letter.
+* ``words``: any other word scan appends any letter.  A node scores all
+  its t letters at once, with one `matcher.search_children` per pattern,
+  as the tree scores its children.
 
 `prefix_walk(plan)` streams the objects of every length the plan covers,
 from one walk, or a walk per length when one cannot settle them all, a
 family at a time: a kept prefix, the occurrence counts of its kept
-children and their last values (on the tree computed only when drawn).  A
-walk goes depth first over prefixes: a prefix of length p already decides
-every occurrence that ends at p, so each step adds the occurrences ending
-at the new position, and a branch is dropped as soon as an avoided pattern
-ends there.  A prefix settles all its children at once, so the last level
-is never visited, and a scan that only counts builds nothing per leaf (on
-the tree a leaf's count is a prefix sum of its parent's search).  Only the
-walk's buffer and, per depth, the children left to visit (on the tree,
-also the node) are ever materialised.  The every-length scans never read
+children and their last values (on the tree and over words computed only
+when drawn).  A walk goes depth first over prefixes: a prefix of length p
+already decides every occurrence that ends at p, so each step adds the
+occurrences ending at the new position, and a branch is dropped as soon
+as an avoided pattern ends there.  A prefix settles all its children at
+once, so the last level is never visited, and a scan that only counts
+builds nothing per leaf (on the tree and over words a leaf's count is a
+prefix sum of its parent's search).  Only the walk's buffer and, per
+depth, the children left to visit (on the tree, also the node) are ever
+materialised.  The every-length scans never read
 the series: they are the scan oracle that `verify` (a3, d4) and the tests
 compare the automaton with, and with the per-object recounts of the tests
 the ground truth for every closed formula and generating function in the
@@ -218,8 +221,10 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     gap set is P (its occurrences do not depend on the final length) and the
     path is not ``values``, else one walk per length, and returns n + 1
     rows.  A walk of length k holds k positions, each with its count when
-    the scan counts a pattern (by values the plan also holds each length's
-    cut, its weights below 2^(k bit_length(k)) each), and has a node, a step,
+    the scan counts a pattern (over words with t >= 2 each also with a
+    family of up to t children and their counts, charged with the score
+    arrays of the node being scored; by values the plan also holds each
+    length's cut, its weights below 2^(k bit_length(k)) each), and has a node, a step,
     per prefix of length d = 1..k that it tries, counted unpruned: t^d over
     words, so W(k) = t * (1 + W(k - 1)) with W(0) = 0; on the generating
     tree d!, so W(k) = 1! + 2! + ... + k!.  By values a plan finds, for each
@@ -275,6 +280,8 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
             nodes = walk if one_walk else nodes + walk
             if nodes >= top:
                 break
+        if path == "words":  # each depth holds a family of up to t children
+            held += n * t * budget.FAMILY_CHILD_BITS
     mixed = avoid and count is not None  # the series counts one statistic
     if not (perms or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
         steps, bits = transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
@@ -319,9 +326,10 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
     covers.  `entries` has the children's length and holds the node; each
     child is `entries` with entries[q - 1] set to its value.  `counts`
     lists the children's c and `values` their values, both in child order.
-    Where the walk does not descend to them, the tree's values are a range
-    or an iterator over one, computed only as they are drawn, so a caller
-    that reads only `counts` builds nothing per child.  On the tree
+    Where the walk does not descend to them, the values on the tree and
+    over words are a range or an iterator over one, computed only as they
+    are drawn, so a caller that reads only `counts` builds nothing per
+    child.  On the tree
     `entries` is the node's own list; by words and values it is the walk's
     own buffer when the children are as long as their walk, valid until
     the next family is drawn.  A caller may write entries[q - 1].
@@ -365,9 +373,10 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
     those prefix sums.  A pattern whose X_{m-1} and X_m are P (`_inherits`)
     is not searched whole at each node: the node inherits its parent's
     partial occurrences and searches only for those ending at its own last
-    entry (`_inheriting`).  Words and values try each candidate with
-    `matcher.search_ending_at`, the avoided patterns' first-occurrence
-    searches before the count.
+    entry (`_inheriting`).  A word node scores its t letters the same way,
+    with the word patterns' own `matcher.search_children`, one array entry
+    per letter.  Values try each candidate with `matcher.search_ending_at`,
+    the avoided patterns' first-occurrence searches before the count.
     """
     if plan.path == "series":
         raise ValueError(f"a series plan of length {plan.n} has no walk")
@@ -390,9 +399,10 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
                 _node_pattern(plan.count), n, top)
             if tally and _inherits(plan.count):
                 tally = _inheriting([tally], n)
-        else:
-            stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
-            tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
+        else:  # a word node scores all its letters at once; a value walk tries each candidate
+            search = matcher.search_ending_at if by_value else matcher.search_children
+            stops = [search(p, n, top, first=True) for p in plan.avoid]
+            tally = None if plan.count is None else search(plan.count, n, top)
         buf = [0] * n  # the object being built; on the tree, the value placed at each depth
         last = len(at) - 1  # the depth of the nodes whose children are leaves
         if last < 0:
@@ -403,30 +413,35 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
             supply = dict.fromkeys(letters, 1)
             if cut.star:
                 supply[cut.star] = len(cut.weights) - 1
+        ranks = None  # on the tree, ranks[v]: the rank of a node's value v
         if tree:  # nodes[d]: the node of depth d, and a slot for its children
-            ranks = [v >> 1 for v in range(top)]  # ranks[v]: the rank of a node's value v
+            ranks = [v >> 1 for v in range(top)]
             nodes = [[0]] + [None] * last
         rows: list = [None] * last  # rows[d]: the children of the depth-d node left to visit
         d = got = 0
         while True:  # the family of the node of depth d, which has `got` occurrences
             q = at[d]
-            if tree:
-                if d:  # from its parent's node and the value the walk placed at d
-                    placed = buf[d - 1]
-                    node = [x + 2 if x > placed else x for x in nodes[d - 1]]
-                    node[-1] = placed + 1
-                    node.append(0)
-                    nodes[d] = node
+            if not by_value:  # the node scores all its children at once
+                if tree:
+                    if d:  # from its parent's node and the value the walk placed at d
+                        placed = buf[d - 1]
+                        node = [x + 2 if x > placed else x for x in nodes[d - 1]]
+                        node[-1] = placed + 1
+                        node.append(0)
+                        nodes[d] = node
+                    else:
+                        node = nodes[0]
+                    width, values = q, range(1, 2 * q, 2)
                 else:
-                    node = nodes[0]
+                    node, width, values = buf, top, letters
                 drop = None  # drop[r]: whether child r is dropped
                 if stops:
-                    kills = [0] * q
+                    kills = [0] * width
                     for stop in stops:
                         stop(node, q, ranks, kills)
                     drop = list(accumulate(kills))  # the prefix sums of the difference arrays
                 if tally:
-                    adds = [0] * q
+                    adds = [0] * width
                     adds[0] = got
                     tally(node, q, ranks, adds)
                     counts = list(accumulate(adds))
@@ -436,21 +451,17 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
                     if drop is not None:
                         counts = list(compress(counts, map(not_, drop)))
                 else:  # with no count every c is 0
-                    counts = [0] * (q if drop is None else drop.count(0))
-                values = range(1, 2 * q, 2)
+                    counts = [0] * (width if drop is None else drop.count(0))
                 if drop is not None:
                     values = compress(values, map(not_, drop))
                     if d < last:
                         values = list(values)
             else:
-                tried = letters
-                if by_value:
-                    free = supply.copy()
-                    for p in at[:d]:
-                        free[buf[p - 1]] -= 1
-                    tried = list(filter(free.get, letters))
+                free = supply.copy()
+                for p in at[:d]:
+                    free[buf[p - 1]] -= 1
                 counts, values = [], []
-                for v in tried:
+                for v in filter(free.get, letters):
                     buf[q - 1] = v
                     for stop in stops:
                         if stop(buf, q):

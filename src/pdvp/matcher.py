@@ -21,12 +21,17 @@ Counting, avoidance, the prefix walks of the exhaustive scans and the
 listing of occurrences (every last index in turn, then sorted) all call the
 generated code.  The count, first and list searches differ only in their
 innermost statement.  The children search (`search_children`) scores every
-way of appending a last entry to an ordered prefix at once: it never reads
-the last slot's value, so it drops every test on it, and records the range
-of ranks each partial occurrence admits for that value instead.  That range
-depends on two slots only, so its kill variant, which only has to find
-which children some occurrence ends at, stops the loops below those two
-slots at their first completion.
+way of appending a last entry to a prefix at once.  On an ordered prefix
+of a permutation it never reads the last slot's value, so it drops every
+test on it, and records the range of ranks each partial occurrence admits
+for that value instead.  After a word it records the letters the partial
+admits: those between the letters of the two slots that bound the last
+one, the letter of a slot with the same base letter, or the few v_s +- d a
+finite Y set allows, and where the last slot has Z, Y or sentinel tests
+it applies them to each of those letters.  What a partial admits depends
+on those few slots only, so the kill variant, which only has to find which
+children some occurrence ends at, stops the loops below them at their
+first completion.
 """
 
 from __future__ import annotations
@@ -103,16 +108,27 @@ def _generate(pat: Pdvp, mode: str):
     a tuple literal when X_{k+1} is finite and the tuple g{k}, which make
     builds once per call from the members up to n, when it is not.
     The count, first and list modes differ only in their innermost
-    statement.  The children mode's search(entries, p, rank, diff) never
-    reads v_{m-1}, so it has no test on it (see `search_children`); its
-    innermost statement adds 1 at diff[rank[v_a]] and -1 at diff[rank[v_b]],
-    a and b the slots whose base letters are next below and next above
-    base[m-1]: 0 stands for a missing a, and a missing b adds nothing.
-    The kills mode is the children mode, except that the slots below
-    min(a, b), which cannot move the ranks a partial occurrence admits, are
-    a block of their own in the first mode, unless each of them has one
-    candidate gap at most: once slots a and b are placed, the innermost
-    statement adds at diff when that block finds a completion.
+    statement.  The children mode's search(entries, p, rank, diff) fills
+    slots m-2..0 and leaves slot m-1 to its innermost statements (see
+    `search_children`); a and b are the slots whose base letters are next
+    below and next above base[m-1], the latest of equal ones.  Of a
+    permutation pattern it has no test on v_{m-1}, and adds 1 at
+    diff[rank[v_a]] and -1 at diff[rank[v_b]]: 0 stands for a missing a,
+    and a missing b adds nothing.  Of a word pattern it reads no rank and
+    places v_{m-1} on the letters a partial admits: v_e, e the latest slot
+    with base letter base[m-1]; else v_s + d or v_s - d for the members d
+    of a finite Y set tying a slot s to slot m-1, tested against v_a and
+    v_b; else every letter between v_a and v_b.  It rejects each on the Z,
+    Y and sentinel tests of slot m-1 and adds 1 at diff[v - 1] and -1 at
+    diff[v] (none past letter upper).  With no test to make, it adds 1 at
+    diff[v_a] and -1 at diff[v_b - 1] instead, as the permutation mode
+    does, after rejecting v_a = upper, above which no letter lies.
+    The kills mode is the children mode, except that the slots below the
+    least slot the innermost statements read (a, b, e, s and the slots of
+    the Y sets tested), which cannot move what a partial occurrence admits,
+    are a block of their own in the first mode, unless each of them has one
+    candidate gap at most: once the slots above are placed, the innermost
+    statements add at diff when that block finds a completion.
     Every block of _LOOPS_PER_BLOCK slots is a function of its own that the
     block above calls in its innermost statement, passing rank and diff on
     to the blocks that score children.  The source holds integer literals
@@ -121,6 +137,7 @@ def _generate(pat: Pdvp, mode: str):
     m, base = pat.m, pat.base
     children = mode in (_CHILDREN, _KILLS)
     live = m - 1 if children else m  # the slots whose values the search reads
+    words = children and pat.mode is Mode.WORD  # the children search tests the last slot's letters
     extra = ", rank, diff" if children else ""
     namespace: dict[str, object] = {}
     tables: list[str] = []  # make's statements that build the g{k}
@@ -147,11 +164,14 @@ def _generate(pat: Pdvp, mode: str):
 
     pairs: list[list[str]] = [[] for _ in range(m)]
     bounds: list[list[str]] = [[] for _ in range(m)]
+    tied: list[tuple[int, IntSet]] = []  # the Y pairs of a slot with the last, in a word's children
     entry: list[str] = [f"p < {m:d} or p > n"] + test("n + 1 - p", pat.x[m], 1)
     for s, t, dset in pat.y:
         if s >= 1 and t <= m:
             if t <= live:
                 pairs[s - 1] += test(f"abs(v{s - 1} - v{t - 1})", dset, 0)
+            elif words:
+                tied.append((s - 1, dset))
         elif s >= 1:
             bounds[s - 1] += test(f"abs(upper - v{s - 1})", dset, 0)
         elif t <= m:
@@ -161,7 +181,7 @@ def _generate(pat: Pdvp, mode: str):
 
     def rejects(k: int) -> list[str]:
         first_gap = test(f"q{k} + 1", pat.x[0], 1) if k == 0 else []
-        if k == live:  # the children mode's last slot, whose value is never read
+        if k == live:  # the children modes' last slot, whose value the score places
             return first_gap
         order = []
         for a in range(k + 1, live):
@@ -186,16 +206,60 @@ def _generate(pat: Pdvp, mode: str):
     def guard(cond: str, action: str) -> list[str]:
         return [f"if {cond}:", f"    {action}"]
 
-    score, cut = "", -1  # in the kills mode, the slots below cut only need one completion
-    if children:  # a and b, the slots whose values bound the ranks a partial admits
-        a = max((s for s in range(live) if base[s] < base[live]), key=base.__getitem__,
-                default=None)
-        b = min((s for s in range(live) if base[s] > base[live]), key=base.__getitem__,
-                default=None)
-        score = f"diff[{'0' if a is None else f'rank[v{a}]'}] += 1"
-        score += "" if b is None else f"; diff[rank[v{b}]] -= 1"
+    score: list[str] = []  # the children modes' innermost statements
+    cut = -1  # in the kills mode, the slots below cut only need one completion
+    if children:  # a and b, the slots whose values bound the children a partial admits
+        a = max((s for s in range(live) if base[s] < base[live]), default=None,
+                key=lambda s: (base[s], s))
+        b = min((s for s in range(live) if base[s] > base[live]), default=None,
+                key=lambda s: (base[s], -s))
+        reads = {a, b} - {None}  # the slots whose values the score reads
+        if not words:
+            score = [f"diff[{'0' if a is None else f'rank[v{a}]'}] += 1"
+                     + ("" if b is None else f"; diff[rank[v{b}]] -= 1")]
+        else:  # the letters v it takes: v_e, some v_s +- d, or those between v_a and v_b
+            v = f"v{live}"
+            e = max((s for s in range(live) if base[s] == base[live]), default=None)
+            fixed = None if e is not None else next(
+                ((s, dset) for s, dset in tied if not (dset.odd or dset.steps)), None)
+            checks = []
+            if e is not None:
+                reads.add(e)
+                cands = [f"v{e}"]
+            elif fixed:  # base[s] is not base[live], so the order puts v on one side of v_s
+                s, dset = fixed
+                tied.remove(fixed)
+                reads.add(s)
+                sign = "+" if base[s] < base[live] else "-"
+                cands = [f"v{s} {sign} {d:d}" for d in sorted(dset.extra) if d]
+                if a is None or base[s] != base[a]:
+                    checks.append(f"{v} < 1" if a is None else f"{v} <= v{a}")
+                if b is None or base[s] != base[b]:
+                    checks.append(f"{v} > upper" if b is None else f"{v} >= v{b}")
+            else:
+                cands = None  # every letter between v_a and v_b
+            checks += test(v, pat.z[live], 1) + bounds[live]
+            for s, dset in tied:
+                tests = test(f"abs(v{s} - {v})", dset, 0)
+                if tests:
+                    reads.add(s)
+                checks += tests
+            tail = [line for cond in checks for line in guard(cond, "continue")]
+            tail += [f"diff[{v} - 1] += 1", f"if {v} < upper: diff[{v}] -= 1"]
+            if cands is None and not checks:  # a difference array, as on the tree
+                score = [f"diff[{'0' if a is None else f'v{a}'}] += 1"
+                         + ("" if b is None else f"; diff[v{b} - 1] -= 1")]
+                if a is not None:  # no letter lies above the top one, nor an entry of diff
+                    bounds[a].append(f"v{a} >= upper")
+            elif cands and len(cands) == 1:  # inside slot 0's loop at least, for `continue`
+                score = [f"{v} = {cands[0]}"] + tail
+            else:
+                each = f"({', '.join(cands)})" if cands is not None else (
+                    f"range({'1' if a is None else f'v{a} + 1'}, "
+                    f"{'upper + 1' if b is None else f'v{b}'})")
+                score = [f"for {v} in {each}:"] + ["    " + line for line in tail]
         if mode == _KILLS:
-            cut = min((s for s in (a, b) if s is not None), default=-1)
+            cut = min(reads, default=-1)
             if all(not (x.odd or x.steps) and len(x.extra - {0}) <= 1 for x in pat.x[1:cut + 1]):
                 cut = -1  # at most one completion, so a block call would stop nothing
 
@@ -204,19 +268,23 @@ def _generate(pat: Pdvp, mode: str):
         before the placed slots: rank and diff where it scores children."""
         return "" if top <= cut else extra
 
-    def hit(top: int, low: int) -> str:
-        """The innermost statement of the block that fills slots top - 1
+    def hit(top: int, low: int) -> list[str]:
+        """The innermost statements of the block that fills slots top - 1
         down to low: it calls block{low} unless low is 0."""
         call = f"block{low}(entries{args(low)}, {placed(low)})" if low else None
         if mode == _COUNT:
-            return f"total += {call or 1}"
+            return [f"total += {call or 1}"]
         if mode == _FIRST or top <= cut:
-            return f"if {call}: return 1" if call else "return 1"
+            return [f"if {call}: return 1" if call else "return 1"]
+        if call and low > cut:
+            return [call]
         if call:
-            return f"if {call}: {score}" if low <= cut else call
+            if len(score) == 1:
+                return [f"if {call}: {score[0]}"]
+            return [f"if {call}:"] + ["    " + line for line in score]
         if children:
             return score
-        return "found.append((%s,))" % ", ".join(f"q{k} + 1" for k in range(m))
+        return ["found.append((%s,))" % ", ".join(f"q{k} + 1" for k in range(m))]
 
     def placed(k: int) -> str:
         """The indices of slots k..m-1 and the values read among them, which
@@ -243,7 +311,7 @@ def _generate(pat: Pdvp, mode: str):
             body += [pad + line for line in loop(k)]
             body.append(f"{pad}    v{k} = entries[q{k}]")
             body += [f"{pad}    {line}" for cond in rejects(k) for line in guard(cond, "continue")]
-        body += ["    " * (top - low) + hit(top, low), result]
+        body += ["    " * (top - low) + line for line in hit(top, low)] + [result]
         blocks.append(head + ["    " + line for line in body])
         if not low:
             break
@@ -310,28 +378,34 @@ def search_ending_at(
 
 def search_children(
     pat: Pdvp, n: int, upper: int, first: bool = False
-) -> Callable[[Sequence[int], int, Mapping[int, int] | Sequence[int], list[int]], int]:
-    """Compile `pat` to score, at once, every last entry that an ordered
-    prefix of a sequence of final length n with high sentinel `upper` can take.
+) -> Callable[[Sequence[int], int, Mapping[int, int] | Sequence[int] | None, list[int]], int]:
+    """Compile `pat` to score, at once, every last entry that a prefix of a
+    sequence of final length n with high sentinel `upper` can take.
 
-    `pat` must be an order-only permutation pattern: every Z and Y set holds
-    every positive integer, so its tests pass on distinct values below
-    `upper`.  The result f(entries, p, rank, diff) scores the p children of
-    the prefix entries[:p - 1], child r = 0..p-1 placing at p a value with
+    A permutation pattern must be order-only: every Z and Y set holds every
+    positive integer, so its tests pass on distinct values below `upper`.
+    Then the prefix is ordered, and the result f(entries, p, rank, diff)
+    scores its p children, child r = 0..p-1 placing at p a value with
     exactly r prefix values below it.  `rank` maps 0 to 0 and each prefix
     value to the number of prefix values at most it, as a dict or as a list
     indexed by value.  f adds, for each way to fill the other slots, 1 at
     diff[r] for its least child r and -1 past its greatest child unless
     that is p - 1, so the prefix sums of diff (p entries) count the
-    occurrences ending at p of each child.  It reads only entries[:p - 1],
-    and it visits no more index tuples than the p searches of
-    `search_ending_at` on the children would together.  f is the generated
-    search itself.
+    occurrences ending at p of each child.  A word pattern may have any
+    sets: f scores the `upper` children of a word, child r placing the
+    letter r + 1, reads no `rank`, and adds for each way to fill the other
+    slots 1 at diff[r] and -1 at diff[r + 1] for each letter it admits, or
+    for a run of them at its ends, so the prefix sums of diff (`upper`
+    entries) count the occurrences ending at p of each child.  f reads only
+    entries[:p - 1], and it visits each index tuple of slots 0..m-2 at most
+    once, where the searches of `search_ending_at` on the children may each
+    visit it.  f is the generated search itself.
 
     With `first` f only tells which children some occurrence ends at: the
     prefix sums are nonzero where they would be without it, and never larger.
-    Then f fills the slots below the two whose values bound a child's rank
-    (those with the base letters next below and next above the last slot's)
+    Then f fills the slots below those whose values decide what a partial
+    occurrence admits (those with the base letters next below and next above
+    the last slot's, and of a word pattern those its last slot's tests read)
     only until it finds one completion, as `search_ending_at` does with
     `first`.
     """

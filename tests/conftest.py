@@ -178,10 +178,11 @@ class WorkMeter:
     """Counts the steps of each budgeted computation: walk nodes (each call
     of a walk's first stop or, with none, of its tally: one node per call of
     a `search_ending_at` search, one per child scored by a `search_children`
-    one), windows counted by the automaton (its edges times its patterns),
-    edges in each lumping round, dp edges per CHUNK_BITS of the weight they
-    shift, slots `_decode` reads, a solve's recurrence terms, interpolation
-    entries and certificate products, and morphism letters built.
+    one, a word node's t letters among them), windows counted by the
+    automaton (its edges times its patterns), edges in each lumping round,
+    dp edges per CHUNK_BITS of the weight they shift, slots `_decode` reads,
+    a solve's recurrence terms, interpolation entries and certificate
+    products, and morphism letters built.
 
     Every admitted `budget.check_work` call opens a record for the nearest
     budgeted entry point on the stack; the work done under that entry point
@@ -208,8 +209,10 @@ class WorkMeter:
         for module, name, wrap in (
             (budget, "check_work", self._check),
             (exhaustive, "matcher", lambda _: SimpleNamespace(
-                search_ending_at=self._searcher(matcher.search_ending_at, lambda p: 1),
-                search_children=self._searcher(matcher.search_children, lambda p: p))),
+                search_ending_at=self._searcher(matcher.search_ending_at, lambda pat, t, p: 1),
+                search_children=self._searcher(
+                    matcher.search_children,
+                    lambda pat, t, p: t if pat.mode is Mode.WORD else p))),
             (transfer, "_automaton", self._windows),
             (transfer, "_lump", self._lump),
             (transfer, "_step", self._step),
@@ -249,11 +252,12 @@ class WorkMeter:
 
     def _searcher(self, compile_search, nodes):
         """`compile_search` for the walks, the first search of each walk
-        counting nodes(p) per call at position p: a walk calls its first
-        stop, or with none its tally, once per node, or once per node whose
-        children it scores, p of them.  A walk is its `prefix_walk` frame
-        and its length n, since one frame walks each length of a plan that
-        needs a walk per length."""
+        counting nodes(pat, upper, p) per call at position p: a walk calls
+        its first stop, or with none its tally, once per node, or once per
+        node whose children it scores, p of them on the tree and the t
+        letters (upper) over words.  A walk is its `prefix_walk` frame and
+        its length n, since one frame walks each length of a plan that needs
+        a walk per length."""
 
         def compiled(pat, n, upper, **flags):
             search = compile_search(pat, n, upper, **flags)
@@ -265,7 +269,7 @@ class WorkMeter:
             self.walk = (frame, n)  # the frame held, so that no later walk reuses its id
 
             def counted(buf, p, *scores):
-                rec.counted += nodes(p)
+                rec.counted += nodes(pat, upper, p)
                 return search(buf, p, *scores)
 
             return counted

@@ -157,6 +157,17 @@ def test_the_meter_counts_every_child_the_tree_scores(work_meter):
     assert [(rec.counted, rec.steps) for rec in work_meter.records] == [(153, 153), (99, 153)]
 
 
+def test_the_meter_counts_every_letter_a_word_node_scores(work_meter):
+    # a word node scores its t letters at once: counting 12 over {1,2,3}^4
+    # prunes nothing, 3 + 9 + 27 + 81 = 120 letters; avoiding it scores only
+    # the letters after the 1 + 3 + 6 + 10 weakly decreasing words of length
+    # 0..3, 20 * 3 = 60
+    rise = make_classical((1, 2), Mode.WORD)
+    exhaustive.word_distributions(rise, 3, 4)
+    exhaustive.word_avoider_counts([rise], 3, 4)
+    assert [(rec.counted, rec.steps) for rec in work_meter.records] == [(120, 120), (60, 120)]
+
+
 def test_the_meter_sees_work_past_a_prediction(work_meter, monkeypatch):
     # a prediction cut to a tenth is caught: the meter is not vacuous
     work = transfer.series_work
@@ -208,6 +219,11 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
         # a counting walk keeps a count of about 6000 at each position
         "counting walk": lambda: exhaustive.word_distribution(odd_repeat, 1, 12000),
         "every-length walk": lambda: exhaustive.word_distributions(repeat, 1, 5000),
+        # a word walk over many letters holds a family of up to t children
+        # per depth, and the score arrays of the node it scores
+        "walk over many letters": lambda: exhaustive.word_multi_avoiders([anchored], 300000, 1),
+        "two-deep walk over many letters":
+            lambda: exhaustive.word_multi_avoiders([anchored], 1000, 2),
         # a value walk over every position and one value: its plan holds the
         # cut of each length, with up to k weights below k!
         "every-length value walk": lambda: exhaustive.perm_distributions(one_value, 50),

@@ -328,6 +328,57 @@ def test_children_search_scores_each_child_as_the_per_child_searches(rng, block)
         assert firsts == [min(c, 1) for c in counts], (pat, prefix, n)
 
 
+def _letter_scores(pat, prefix, n, t, first=False):
+    """What `search_children` gives each letter 1..t placed after the word
+    `prefix`: the prefix sums of its difference array."""
+    diff = [0] * t
+    search_children(pat, n, t, first)(list(prefix) + [0] * (n - len(prefix)), len(prefix) + 1,
+                                      None, diff)
+    return list(accumulate(diff))
+
+
+def _per_letter(search, prefix, n, t):
+    """What `search` gives at the last position of each child of the word
+    `prefix`, child c - 1 placing the letter c."""
+    d = len(prefix)
+    return [search(list(prefix) + [c] + [0] * (n - d - 1), d + 1) for c in range(1, t + 1)]
+
+
+def test_word_children_search_scores_each_letter_as_the_per_letter_searches(rng, block):
+    # random word patterns with repeated base letters, Z sets and Y triples,
+    # on the sentinels too, and half the time a Y pair of a slot with the
+    # last one whose D set is finite, so that a partial admits the letters
+    # v_s +- d; with `first` each letter scores at least 1 exactly where the
+    # full search scores it, and never more
+    scored = stopped = 0
+    for case in range(400):
+        pat = random_pattern(rng, Mode.WORD, m_max=5 - case % 2)
+        t, d = rng.randint(1, 4), rng.randint(0, 6)
+        if case % 2:  # sets that let it occur often, in a longer prefix over more letters
+            x = (POSITIVES, *(random_gap(rng) for _ in pat.x[2:]), POSITIVES)
+            y = tuple(YTriple(tri.s, tri.t, rng.choice([POSITIVES | finite([0]), tri.diffs]))
+                      for tri in pat.y)
+            z = tuple(rng.choice([POSITIVES, POSITIVES, zset]) for zset in pat.z)
+            pat = replace(pat, x=x, y=y, z=z)
+            t, d = rng.randint(2, 4), 6
+        if pat.m > 1 and rng.random() < 0.5:
+            diffs = finite(rng.sample(range(4), rng.randint(1, 2)))
+            tie = YTriple(rng.randrange(1, pat.m), pat.m, diffs)
+            pat = replace(pat, y=(*pat.y, tie))
+        prefix = [rng.randint(1, t) for _ in range(d)]
+        n = d + 1 + rng.randint(0, 2)
+        counts = _per_letter(search_ending_at(pat, n, t), prefix, n, t)
+        assert _letter_scores(pat, prefix, n, t) == counts, (pat, prefix, n)
+        firsts = _per_letter(search_ending_at(pat, n, t, first=True), prefix, n, t)
+        assert firsts == [min(c, 1) for c in counts], (pat, prefix, n)
+        kills = _letter_scores(pat, prefix, n, t, first=True)
+        assert [min(k, 1) for k in kills] == firsts, (pat, prefix, n)
+        assert all(0 <= k <= c for k, c in zip(kills, counts)), (pat, prefix, n)
+        scored += any(counts)
+        stopped += kills != counts
+    assert scored >= 80 and stopped >= 3, (scored, stopped)
+
+
 def test_early_stopping_kill_flags_are_the_nonzero_children_scores(rng, block):
     # with `first` the loops below the slots that bound a child's rank stop
     # at their first completion, so each child scores at least 1 exactly
