@@ -18,7 +18,7 @@ FAMILY_CHILD_BITS = 8 * 64  # per letter and depth of a word walk: its family, a
 ROW_BITS = 8 * 600  # per row an every-length scan returns
 EDGE_BITS = 8 * 160  # per automaton edge, with its lumping and its quotient
 COEFF_BITS = 8 * 112  # per decoded series coefficient, beside its value
-CHUNK_BITS = 4096  # a dp edge costs a step per this many bits it shifts
+CHUNK_BITS = 4096  # a dp edge costs a step per this many bits it adds
 LETTER_BITS = 8 * 8  # per letter of a morphism iterate
 
 DEFAULT_BUDGET = 10**8  # steps, when PDVP_BUDGET is unset

@@ -567,6 +567,11 @@ def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     if not (each_length or weighed):  # one length, each of its objects once
         row = Counter(chain.from_iterable(map(itemgetter(2), walk))) if n else {0: 1}
         return [DistributionTable(n, dict(sorted(row.items())) if count else {0: row[0]})]
+    if count is None and not weighed:  # every length, each object once, every c 0
+        totals = [1] + [0] * n  # the empty object at 0
+        for entries, _, counts, _ in walk:
+            totals[len(entries)] += len(counts)
+        return [DistributionTable(k, {0: total}) for k, total in enumerate(totals)]
     rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]  # the empty object at 0
     for entries, q, counts, values in walk:
         row = rows[len(entries)]

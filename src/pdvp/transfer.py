@@ -7,7 +7,10 @@ W - 1, and appending a letter reads z^e, e = the occurrences that end at that
 letter.  `_automaton` lists its edges once, and `_lump` merges the states
 with the same future (exact lumpability), which leaves the series as it is.
 A forward dynamic program over the c classes expands it: every row, or
-only the last one for a word scan.  The closed form is read from the same
+only the last one for a word scan.  A step adds each class's weight into
+the target of each edge, shifted by e; a class's edges are grouped by e
+once per dp, so a step shifts a weight once per distinct e >= 1 and never
+by 0: at most as many shifts as adds.  The closed form is read from the same
 rows: the lumped automaton is a linear representation of the series, so its
 lowest-terms form P / Q has q-degrees at most c, and 2c + 1 rows determine
 it.  `solve_transfer_system` runs Berlekamp-Massey on those rows over GF(p)
@@ -473,8 +476,9 @@ def _dp_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int,
     classes, keeping `rows` rows.  At order k a weight has at most k*c + 1
     slots of B bits (c = sum C(W-1, m-1): that many occurrences can end at
     one letter; B holds t^n, or n * t.bit_length() bits when t^n is too
-    large to compute), and each of its t edges shifts it at a step per
-    CHUNK_BITS.  `_decode` takes a step per slot.  The weights and five
+    large to compute), and each of its t edges adds it into a target at a
+    step per CHUNK_BITS; a step's shifts, at most one per edge, ride on
+    those adds.  `_decode` takes a step per slot.  The weights and five
     values of `_decode` hold n*c + 1 slots each, and the kept rows their
     nonzero coefficients, at most one per slot and t^n per row, of B bits
     each.
@@ -507,24 +511,34 @@ def _weights(lumped: list[list[tuple[int, int]]], width: int, n_max: int) -> Ite
     carried at z = 2^B, B = 8 * width, so appending a letter that reads z^e
     is a shift by e*B bits.  Every coefficient at order n counts words of
     length n, so it is at most t^n, and the width must leave room for t^n_max.
+    Once per dp, each class's edges are grouped by e into (e*B, targets), so
+    a step shifts the weight once per distinct e >= 1, and not for e = 0.
     """
     bits = 8 * width
-    edges = [[(v, e * bits) for v, e in out] for out in lumped]
-    weights = [1] + [0] * (len(edges) - 1)
+    groups = []
+    for out in lumped:
+        by_e: dict[int, list[int]] = {}
+        for v, e in out:
+            by_e.setdefault(e, []).append(v)
+        groups.append([(e * bits, tuple(targets)) for e, targets in by_e.items()])
+    weights = [1] + [0] * (len(groups) - 1)
     yield weights
     for _ in range(n_max):
-        weights = _step(weights, edges)
+        weights = _step(weights, groups)
         yield weights
 
 
-def _step(weights: list[int], edges: list[list[tuple[int, int]]]) -> list[int]:
+def _step(weights: list[int], groups: list[list[tuple[int, tuple[int, ...]]]]) -> list[int]:
     """The packed weights after one more letter: each class's weight, shifted
-    by each of its edges, added into the edge's target."""
+    once for each of its groups (shift, targets) of `_weights`, added into
+    each target; the shift-0 group adds the weight itself."""
     nxt = [0] * len(weights)
-    for w, out in zip(weights, edges):
+    for w, out in zip(weights, groups):
         if w:
-            for target, shift in out:
-                nxt[target] += w << shift
+            for shift, targets in out:
+                x = w << shift if shift else w
+                for target in targets:
+                    nxt[target] += x
     return nxt
 
 

@@ -180,7 +180,8 @@ class WorkMeter:
     a `search_ending_at` search, one per child scored by a `search_children`
     one, a word node's t letters among them), windows counted by the
     automaton (its edges times its patterns), edges in each lumping round,
-    dp edges per CHUNK_BITS of the weight they shift, slots `_decode` reads,
+    dp edges (the targets of a class's groups, each one add) per CHUNK_BITS
+    of the weight, slots `_decode` reads,
     a solve's recurrence terms, interpolation entries and certificate
     products, and morphism letters built.
 
@@ -295,12 +296,13 @@ class WorkMeter:
         return lumped
 
     def _step(self, step):
-        def stepped(weights, edges):
+        def stepped(weights, groups):
             rec = self.record()
-            if rec is not None:
-                rec.counted += sum(len(out) * -(-w.bit_length() // budget.CHUNK_BITS)
-                                   for w, out in zip(weights, edges) if w)
-            return step(weights, edges)
+            if rec is not None:  # each edge, a target of a group, per chunk of the weight
+                rec.counted += sum(sum(len(targets) for _, targets in out)
+                                   * -(-w.bit_length() // budget.CHUNK_BITS)
+                                   for w, out in zip(weights, groups) if w)
+            return step(weights, groups)
 
         return stepped
 

@@ -905,8 +905,17 @@ def test_lumped_dp_equals_the_full_state_dp():
         assert dp_series(sp, t, order) == ZSeriesTable(_full_state_rows([sp], t, order)), (
             sp.pattern, t, order)
     w4 = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
-    for t in (2, 3, 4):
-        assert dp_series(w4, t, 10) == ZSeriesTable(_full_state_rows([w4], t, 10))
+    # at t = 5 and 6 a class of W4 shifts one weight into several targets
+    # for one e, and e reaches 3
+    for t in (5, 6):
+        lumped = _quotient((w4,), t)
+        assert max(e for out in lumped for _, e in out) == 3
+        assert any(Counter(e for _, e in out)[k] > 1 for out in lumped for k in (1, 2))
+    for t, order in ((1, 10), (2, 10), (3, 10), (4, 10), (5, 16), (6, 16)):
+        assert dp_series(w4, t, order) == ZSeriesTable(_full_state_rows([w4], t, order)), t
+    one = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))  # W = 1: keep = 0, one state
+    for t in (1, 3):
+        assert dp_series(one, t, 12) == ZSeriesTable(_full_state_rows([one], t, 12)), t
 
 
 def test_lumped_series_row_equals_the_full_state_dp():
@@ -917,9 +926,13 @@ def test_lumped_series_row_equals_the_full_state_dp():
         if rng.random() < 0.3:
             sps.append(StatPattern(parse_pattern(W4_PATTERN, Mode.WORD)))
         mixed += len({sp.window_width for sp in sps}) > 1
-        t, n = rng.randint(1, 4), rng.randint(0, 12)
+        t, n = rng.randint(1, 6), rng.randint(0, 12)
         assert series_row(sps, t, n) == _full_state_rows(sps, t, n)[n], (sps, t, n)
     assert mixed >= 10
+    w4 = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
+    one = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
+    for sps, t, n in (([w4], 6, 12), ([w4], 1, 9), ([one], 1, 9), ([one], 4, 9)):
+        assert series_row(sps, t, n) == _full_state_rows(sps, t, n)[n], (sps, t, n)
 
 
 def _lump_cases():
