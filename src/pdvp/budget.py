@@ -14,7 +14,7 @@ import sys
 
 WALK_POSITION_BITS = 8 * 96  # per position of a walk
 COUNT_POSITION_BITS = 8 * 128  # per position of a walk that counts, with its count
-FAMILY_CHILD_BITS = 8 * 64  # per letter and depth of a word walk: its family, and the score arrays
+FAMILY_CHILD_BITS = 8 * 64  # per letter and depth of a word walk: its family, score and inherited arrays
 ROW_BITS = 8 * 600  # per row an every-length scan returns
 EDGE_BITS = 8 * 160  # per automaton edge, with its lumping and its quotient
 COEFF_BITS = 8 * 112  # per decoded series coefficient, beside its value

@@ -17,7 +17,8 @@ pattern modes, picks one of four paths and checks that path's predicted work
   its values, and it scores all its children at once, with one
   `matcher.search_children` per pattern.  Of a pattern whose last two gap
   sets are P (every classical pattern) a node inherits its parent's partial
-  occurrences and searches only for those ending at its own last entry, as
+  occurrences, with a 0 inserted where its own entry splits its parent's
+  gap, and searches only for those ending at its own last entry, as
   Marinov and Radoičić count 1324-avoiders; an avoided pattern's search
   stops at the first completion that decides a child.
 * ``values``: any other permutation scan appends an unused value, at the
@@ -26,7 +27,8 @@ pattern modes, picks one of four paths and checks that path's predicted work
   permutations it represents (`ScanPlan.weight`).
 * ``words``: any other word scan appends any letter.  A node scores all
   its t letters at once, with one `matcher.search_children` per pattern,
-  as the tree scores its children.
+  and inherits the partial occurrences of the same patterns, as the tree
+  does; it inserts no 0, as appending a letter moves no other letter.
 
 `prefix_walk(plan)` streams the objects of every length the plan covers,
 from one walk, or a walk per length when one cannot settle them all, a
@@ -39,7 +41,8 @@ as an avoided pattern ends there.  A prefix settles all its children at
 once, so the last level is never visited, and a scan that only counts
 builds nothing per leaf (on the tree and over words a leaf's count is a
 prefix sum of its parent's search).  Only the walk's buffer and, per
-depth, the children left to visit (on the tree, also the node) are ever
+depth, the children left to visit (on the tree, also the node, and on the
+tree and over words the array of partials a node inherits) are ever
 materialised.  The every-length scans never read
 the series: they are the scan oracle that `verify` (a3, d4) and the tests
 compare the automaton with, and with the per-object recounts of the tests
@@ -223,7 +226,8 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     rows.  A walk of length k holds k positions, each with its count when
     the scan counts a pattern (over words with t >= 2 each also with a
     family of up to t children and their counts, charged with the score
-    arrays of the node being scored; by values the plan also holds each
+    arrays of the node being scored and the array of partials each depth
+    inherits; by values the plan also holds each
     length's cut, its weights below 2^(k bit_length(k)) each), and has a node, a step,
     per prefix of length d = 1..k that it tries, counted unpruned: t^d over
     words, so W(k) = t * (1 + W(k - 1)) with W(0) = 0; on the generating
@@ -370,13 +374,15 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
     pattern, with `first`, and one for the counted pattern give, through
     the prefix sums of their difference arrays, each child's kill flag and
     count, so the deepest level is never visited: its counts come from
-    those prefix sums.  A pattern whose X_{m-1} and X_m are P (`_inherits`)
-    is not searched whole at each node: the node inherits its parent's
-    partial occurrences and searches only for those ending at its own last
-    entry (`_inheriting`).  A word node scores its t letters the same way,
-    with the word patterns' own `matcher.search_children`, one array entry
-    per letter.  Values try each candidate with `matcher.search_ending_at`,
-    the avoided patterns' first-occurrence searches before the count.
+    those prefix sums.  A word node scores its t letters the same way, with
+    the word patterns' own `matcher.search_children`, one array entry per
+    letter, from the same set-up.  On both, a pattern whose X_{m-1} and X_m
+    are P (`_inherits`) is not searched whole at each node: the node
+    inherits its parent's partial occurrences and searches only for those
+    ending at its own last entry (`_inheriting`); a word node inserts no 0
+    into its parent's array.  Values try each candidate with
+    `matcher.search_ending_at`, the avoided patterns' first-occurrence
+    searches before the count.
     """
     if plan.path == "series":
         raise ValueError(f"a series plan of length {plan.n} has no walk")
@@ -388,7 +394,10 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
         top = plan.t or (2 * n + 2 if tree else n + 1)  # the high sentinel
         letters = cut.values if by_value else range(1, (plan.t or n) + 1)
         at = cut.positions if by_value else tuple(range(1, n + 1))  # at[d]: depth d + 1's position
-        if tree:  # each node scores all its children at once
+        if by_value:  # a value walk tries each candidate
+            stops = [matcher.search_ending_at(p, n, top, first=True) for p in plan.avoid]
+            tally = None if plan.count is None else matcher.search_ending_at(plan.count, n, top)
+        else:  # a tree or word node scores all its children at once
             kills = [matcher.search_children(_node_pattern(p), n, top, first=True)
                      for p in plan.avoid]
             stops = [stop for stop, p in zip(kills, plan.avoid) if not _inherits(p)]
@@ -399,10 +408,6 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
                 _node_pattern(plan.count), n, top)
             if tally and _inherits(plan.count):
                 tally = _inheriting([tally], n)
-        else:  # a word node scores all its letters at once; a value walk tries each candidate
-            search = matcher.search_ending_at if by_value else matcher.search_children
-            stops = [search(p, n, top, first=True) for p in plan.avoid]
-            tally = None if plan.count is None else search(plan.count, n, top)
         buf = [0] * n  # the object being built; on the tree, the value placed at each depth
         last = len(at) - 1  # the depth of the nodes whose children are leaves
         if last < 0:
@@ -495,11 +500,11 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
 
 
 def _inherits(pat: Pdvp) -> bool:
-    """Whether a tree node takes the partial occurrences of `pat` (index
-    tuples for slots 0..m-2) from its parent: X_{m-1} and X_m are P, so a
-    partial admits a child wherever the child's position and the length are,
-    and the children it admits depend on the values of two of its slots
-    alone."""
+    """Whether a tree or word node takes the partial occurrences of `pat`
+    (index tuples for slots 0..m-2) from its parent: X_{m-1} and X_m are P,
+    so a partial admits a child wherever the child's position and the
+    length are, and the children it admits depend on the values of its
+    slots alone (on the tree, of two of them)."""
     return pat.m > 1 and pat.x[-2].steps == pat.x[-1].steps == (1,)
 
 
@@ -507,34 +512,40 @@ _NEXT = finite([1])
 
 
 def _inheriting(searches: list, n: int
-                ) -> Callable[[list[int], int, list[int], list[int]], None]:
-    """The children search, for a walk of length n over the generating tree,
-    of patterns whose partial occurrences the nodes inherit (`_inherits`),
-    given `searches`, the children searches of their `_node_pattern`s.
+                ) -> Callable[[list[int], int, list[int] | None, list[int]], None]:
+    """The children search, for a walk of length n over the generating tree
+    or over words, of patterns whose partial occurrences the nodes inherit
+    (`_inherits`), given `searches`, the children searches of their
+    `_node_pattern`s.
 
     It keeps, per depth, the difference array of the last node it scored
     there, whose prefix sums count, for each child, the node's partial
     occurrences (index tuples for slots 0..m-2) that admit it; where the
     searches stop early, as an avoided pattern's do, the sums are nonzero
-    exactly where such a partial exists.  A node of rank r starts from its
-    parent's array with a 0 inserted at r + 1, which doubles entry r of the
-    prefix sums: the parent's gap r splits in two, and a partial that
-    admitted it admits both halves.  It adds the partials that `searches`
-    find ending at its last entry.  The walk scores every node after its
-    parent and before any other node of its parent's depth, so the array
-    kept one depth up is always the parent's.  The walk calls it first on a
-    node, on an array that holds at most the node's own count, at entry 0:
-    it sets the array to the node's, plus that count, and the walk's other
-    searches add to it from there.
+    exactly where such a partial exists.  A node starts from a copy of its
+    parent's array.  On the tree (`ranks` given) a node of rank r has a 0
+    inserted at r + 1, which doubles entry r of the prefix sums: the
+    parent's gap r splits in two, and a partial that admitted it admits
+    both halves.  A word node inserts none: appending a letter moves no
+    other letter, and a partial admits the same letters as in the parent.
+    The root starts from zeros, as wide as the array it is called on.  A
+    node adds the partials that `searches` find ending at its last entry.
+    The walk scores every node after its parent and before any other node
+    of its parent's depth, so the array kept one depth up is always the
+    parent's.  The walk calls it first on a node, on an array that holds at
+    most the node's own count, at entry 0: it sets the array to the
+    node's, plus that count, and the walk's other searches add to it from
+    there.
     """
     parts: list = [None] * n  # parts[d]: the array of the depth-d node
 
     def search(node, q, ranks, diff):
         if q > 1:
             own = parts[q - 2].copy()
-            own.insert(ranks[node[q - 2]], 0)  # the last entry's rank, r + 1
+            if ranks is not None:  # on the tree, the last entry's rank, r + 1
+                own.insert(ranks[node[q - 2]], 0)
         else:  # the root, which has no partial occurrence
-            own = [0]
+            own = [0] * len(diff)
         for find in searches:
             find(node, q, ranks, own)
         parts[q - 1] = own
@@ -546,10 +557,10 @@ def _inheriting(searches: list, n: int
 
 
 def _node_pattern(pat: Pdvp) -> Pdvp:
-    """What a tree node searches for `pat`: if it inherits the partial
-    occurrences of `pat` (`_inherits`), `pat` with X_{m-1} = {1}, whose
-    occurrences ending at the children's position are the partials with slot
-    m-2 at the node's last entry; else `pat` itself."""
+    """What a tree or word node searches for `pat`: if it inherits the
+    partial occurrences of `pat` (`_inherits`), `pat` with X_{m-1} = {1},
+    whose occurrences ending at the children's position are the partials
+    with slot m-2 at the node's last entry; else `pat` itself."""
     return replace(pat, x=(*pat.x[:-2], _NEXT, pat.x[-1])) if _inherits(pat) else pat
 
 

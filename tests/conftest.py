@@ -143,6 +143,21 @@ def random_order_only(rng: random.Random, m_max: int = 4) -> Pdvp:
     return pat
 
 
+def reversed_pattern(pat: Pdvp) -> Pdvp:
+    """The pattern whose occurrences in the reverse of a sequence are those
+    of `pat` in the sequence, read backwards: the base, the gap sets X and
+    the value sets Z reversed, and each Y slot s mapped to m + 1 - s, while
+    the sentinels 0 and m + 1 stay put, as they stand for values.  So a
+    scan of it has the same occurrence distribution as one of `pat`."""
+    m = pat.m
+
+    def slot(s: int) -> int:
+        return s if s in (0, m + 1) else m + 1 - s
+
+    y = tuple(YTriple(*sorted((slot(s), slot(t))), diffs) for s, t, diffs in pat.y)
+    return Pdvp(pat.mode, pat.base[::-1], pat.x[::-1], y, pat.z[::-1])
+
+
 def random_sequence(rng: random.Random, mode: Mode, n_max: int = 8):
     n = rng.randint(1, n_max)
     if mode is Mode.PERMUTATION:

@@ -209,6 +209,7 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
     anchored = parse_pattern("11|P,{1},{1}|-|P,P", word)  # not a statistic: walked
     repeat = parse_pattern("11|P,{1},P|-|P,P", word)
     odd_repeat = parse_pattern("11|O,{1},P|-|P,P", word)  # not a statistic: walked
+    classical = parse_pattern("12|P,P,P|-|P,P", word)  # its partials are inherited
     one_value = parse_pattern("1|P,P|-|{1}")
     w4 = StatPattern(parse_pattern("12|P,{1,2,3},P|(1,2,{2})|P,P", word))
     single = StatPattern(parse_pattern("1|P,P|-|{2}", word))
@@ -224,6 +225,11 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
         "walk over many letters": lambda: exhaustive.word_multi_avoiders([anchored], 300000, 1),
         "two-deep walk over many letters":
             lambda: exhaustive.word_multi_avoiders([anchored], 1000, 2),
+        # an inheriting walk also holds, per depth, the array of its partials
+        "inheriting walk over many letters":
+            lambda: exhaustive.word_multi_avoiders([classical], 300000, 1),
+        "two-deep inheriting walk over many letters":
+            lambda: exhaustive.word_multi_avoiders([classical], 1000, 2),
         # a value walk over every position and one value: its plan holds the
         # cut of each length, with up to k weights below k!
         "every-length value walk": lambda: exhaustive.perm_distributions(one_value, 50),

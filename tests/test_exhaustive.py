@@ -13,6 +13,7 @@ from conftest import (
     random_order_only,
     random_pattern,
     random_set,
+    reversed_pattern,
 )
 
 from pdvp import budget, checks, cli, exhaustive, formulas, problems, transfer
@@ -449,6 +450,89 @@ def test_inherited_partials_equal_the_per_object_recount(rng):
             assert perm_multi_avoiders(avoid, n) == sum(
                 not any(found[:len(avoid)]) for _, found in counted[n]), case_id
     assert inherited[True] >= 30, inherited
+
+
+def _word_heir(rng):
+    """A random word pattern whose partial occurrences a word node mostly
+    inherits: repeated base letters, Z sets and Y triples with finite and
+    infinite D, on the sentinels too, most of them holding every positive
+    integer so that the pattern occurs often, and half the time a finite Y
+    pair of a slot with the last one; X_{m-1} is P four times in five and
+    X_m every other time, and the other gap sets are ones that many index
+    tuples meet."""
+    pat = random_pattern(rng, Mode.WORD)
+    x = [random_gap(rng) for _ in pat.x]
+    if rng.random() < 0.8:
+        x[-2] = POSITIVES
+    if rng.random() < 0.5:
+        x[-1] = POSITIVES
+    y = tuple(YTriple(tri.s, tri.t, rng.choice([POSITIVES | finite([0]), tri.diffs]))
+              for tri in pat.y)
+    if pat.m > 1 and rng.random() < 0.5:
+        y += (YTriple(rng.randrange(1, pat.m), pat.m, finite(rng.sample(range(4), 2))),)
+    z = tuple(rng.choice([POSITIVES, POSITIVES, zset]) for zset in pat.z)
+    return replace(pat, x=tuple(x), y=y, z=z)
+
+
+def test_inherited_word_partials_equal_the_per_object_recount(rng):
+    # a word node copies its parent's array of partial occurrences and adds
+    # those ending at its own last letter: avoid sets, counts, caps and
+    # every length, against naive_occurrences on each word
+    inherited = Counter()
+    for case in range(60):
+        t = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        avoid = [_word_heir(rng) for _ in range(rng.randint(0, 2))]
+        count = _word_heir(rng) if not avoid or rng.random() < 0.7 else None
+        cap = rng.choice([None, 0, 1, 2])
+        each_length = case % 2 == 1
+        lengths = range(n + 1) if each_length else [n]
+        pats = [p for p in (*avoid, count) if p]
+        heir = any(map(exhaustive._inherits, pats))
+        inherited[heir] += 1
+        counted = {k: [(seq.entries, [len(naive_occurrences(p, seq)) for p in pats])
+                       for seq in _objects(Mode.WORD, k, t)] for k in lengths}
+        want = [[] for _ in range(n + 1)]
+        for k in lengths:
+            for entries, found in counted[k]:
+                c = found[-1] if count else 0
+                if not any(found[:len(avoid)]) and (cap is None or c <= cap):
+                    want[k].append((entries, c))
+        case_id = (avoid, count, cap, t, n, each_length)
+        plan = plan_scan(avoid, count, t, n, each_length)
+        assert plan.path == "words" or not heir, case_id
+        if plan.path == "words":
+            assert _by_length(_expanded(plan, cap), n, t) == want, case_id
+        if count:
+            rows = [Counter(found[-1] for _, found in counted[k]) for k in lengths]
+            tables = word_distributions(count, t, n) if each_length else [
+                word_distribution(count, t, n)]
+            assert [table.counts for table in tables] == rows, case_id
+        if avoid:
+            avoiders = [sum(not any(found[:len(avoid)]) for _, found in counted[k])
+                        for k in lengths]
+            assert (word_avoider_counts(avoid, t, n) if each_length
+                    else [word_multi_avoiders(avoid, t, n)]) == avoiders, case_id
+    assert inherited[True] >= 30, inherited
+
+
+def test_reversed_patterns_have_the_same_word_distributions(rng):
+    # reversal keeps every occurrence distribution; a pattern whose X_{m-1}
+    # and X_m are P, and whose X_0 and X_1 are not both P, reverses to one
+    # that the nodes do not inherit, so the two walks score by different
+    # searches, at a length no per-object recount reaches
+    inherited = 0
+    for case in range(16):
+        pat = _word_heir(rng)
+        if pat.m > 1:
+            pat = replace(pat, x=(rng.choice([finite([1]), finite([1, 2]), ODDS]),
+                                  *pat.x[1:-2], POSITIVES, POSITIVES))
+        twin = reversed_pattern(pat)
+        assert reversed_pattern(twin) == pat
+        inherited += exhaustive._inherits(pat) and not exhaustive._inherits(twin)
+        t = case % 4 + 1
+        assert word_distributions(pat, t, 8) == word_distributions(twin, t, 8), (pat, t)
+    assert inherited >= 8, inherited
 
 
 def test_every_length_perm_scans_equal_a_walk_per_length(rng):

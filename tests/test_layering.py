@@ -149,14 +149,15 @@ def _module_tree(name: str) -> ast.AST:
 def test_only_the_prefix_walk_searches_in_the_scans():
     # one walker: every scan, problem and check reaches the per-position
     # searches through `exhaustive.prefix_walk`, whose child step alone picks
-    # the path: a tree node scores its children at once (its kills and its
-    # count), and so does a word node, while a value walk tries each candidate
+    # the path: a tree or word node scores its children at once (its kills
+    # and its count, from one set-up for both), while a value walk tries
+    # each candidate (its stops and its count)
     searches = ("search_ending_at", "search_children")
     users = {(name, search): _users(_module_tree(name), {search})
              for name in ("exhaustive.py", "problems.py", "checks.py") for search in searches}
     assert users == {
-        ("exhaustive.py", "search_ending_at"): ["prefix_walk"],
-        ("exhaustive.py", "search_children"): ["prefix_walk"] * 3,
+        ("exhaustive.py", "search_ending_at"): ["prefix_walk"] * 2,
+        ("exhaustive.py", "search_children"): ["prefix_walk"] * 2,
     } | {(name, search): [] for name in ("problems.py", "checks.py") for search in searches}
 
 
