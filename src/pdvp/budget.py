@@ -20,6 +20,8 @@ EDGE_BITS = 8 * 160  # per automaton edge, with its lumping and its quotient
 COEFF_BITS = 8 * 112  # per decoded series coefficient, beside its value
 CHUNK_BITS = 4096  # a dp edge costs a step per this many bits it adds
 LETTER_BITS = 8 * 8  # per letter of a morphism iterate
+RANK_STATE_BITS = 8 * 160  # per state of the rank dp, beside its ranks and weight
+RANK_BITS = 8 * 40  # per rank a state of the rank dp keeps
 
 DEFAULT_BUDGET = 10**8  # steps, when PDVP_BUDGET is unset
 DEFAULT_BITS_BUDGET = 2**30

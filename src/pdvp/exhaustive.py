@@ -1,14 +1,20 @@
 """Exhaustive enumeration over all permutations of S_n or words of {1..t}^n.
 
 Every scan starts from its plan (`plan_scan`): it validates the sizes and the
-pattern modes, picks one of four paths and checks that path's predicted work
+pattern modes, picks one of five paths and checks that path's predicted work
 (see `budget`), all before any work starts.
 
 * ``series``: a single-length word scan that avoids a set of bounded-window
   statistics (`transfer.StatPattern`), or counts one, reads row n of the
   series of their window automaton (`transfer.series_row`) when that is
   predicted to take no more steps than the word walk has nodes, and fits.
-* ``tree``: a permutation scan whose patterns are all order-only
+* ``ranks``: a permutation scan that counts one order-only pattern and
+  avoids none, whose X_0 and X_m are P, X_2..X_{m-1} finite and X_1 finite
+  or P (`transfer.rank_window`; the paper's dashed patterns among them),
+  steps the rank dp of `transfer.rank_rows` over d = 0..n: a state is the
+  ranks of the last K entries among the d placed, at most d! of them, so it
+  never takes more transitions than the tree has nodes.
+* ``tree``: any other permutation scan whose patterns are all order-only
   (`order_only`) walks the generating tree (West 1996): a child appends a
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
   ending at a position then depend only on how the prefix is ordered, and
@@ -110,7 +116,7 @@ class ScanPlan:
     count: Pdvp | None
     t: int | None
     n: int
-    path: str  # "series", "tree", "values" or "words"
+    path: str  # "series", "ranks", "tree", "values" or "words"
     each_length: bool  # the scan asks for every length 0..n, not n alone
     one_walk: bool  # one walk settles every length the scan asks for
     cuts: tuple[Cut, ...] = ()  # on the values path, the cut of each length walked
@@ -219,6 +225,11 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     walk has nodes, and work that fits; else it walks the words.  Since a
     series the budget refuses then predicts more steps than the budget, so
     does the walk, and an admitted scan's path depends on its input alone.
+    A permutation scan that counts one order-only pattern `transfer.rank_window`
+    admits and avoids none takes the rank dp, which gives every length from
+    one dp, predicted by `transfer.rank_work`: its transitions never
+    outnumber the tree's nodes.  It walks the tree only when the dp's work
+    does not fit and the walk's does; when neither fits, the dp's is refused.
 
     A walked every-length scan takes one walk when every pattern's closing
     gap set is P (its occurrences do not depend on the final length) and the
@@ -286,6 +297,11 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
                 break
         if path == "words":  # each depth holds a family of up to t children
             held += n * t * budget.FAMILY_CHILD_BITS
+    if path == "tree" and not avoid and count and transfer.rank_window(count) is not None:
+        steps, bits = transfer.rank_work(count, n, n + 1 if each_length else 1)
+        if (budget.check_work("scan", steps, bits, refuse=False)
+                or not budget.check_work("scan", nodes, held, refuse=False)):
+            path, nodes, held = "ranks", steps, bits
     mixed = avoid and count is not None  # the series counts one statistic
     if not (perms or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
         steps, bits = transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
@@ -347,7 +363,9 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
     1..n, in order.  Each walk keeps, per depth, the children it has still
     to visit, so the length is not bounded by the recursion limit; a node
     with one kept child keeps none.  Drawing from it raises ValueError for a
-    series plan.
+    series or ranks plan, which no walk serves: a scan that reads the
+    entries, as problem 4 and the ank check do, avoids some pattern and so
+    walks.
 
     Words and values come in lexicographic order.  By values a walk fills
     only the positions of its length's cut, each with an unused relevant
@@ -384,8 +402,8 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
     `matcher.search_ending_at`, the avoided patterns' first-occurrence
     searches before the count.
     """
-    if plan.path == "series":
-        raise ValueError(f"a series plan of length {plan.n} has no walk")
+    if plan.path in ("series", "ranks"):
+        raise ValueError(f"a {plan.path} plan of length {plan.n} has no walk")
     tree = plan.path == "tree"
     by_value = plan.path == "values"
     prefixes = plan.each_length and plan.one_walk
@@ -573,6 +591,9 @@ def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     if plan.path == "series":
         sps = tuple(transfer.StatPattern(p) for p in (*plan.avoid, count) if p is not None)
         return [DistributionTable(n, transfer.series_row(sps, t, n))]
+    if plan.path == "ranks":
+        rows = transfer.rank_rows(count, n, n + 1 if each_length else 1)
+        return [DistributionTable(k, row) for k, row in enumerate(rows, n + 1 - len(rows))]
     walk = prefix_walk(plan)  # with no count every c is 0: the objects are only counted
     weighed = any(cut.weights != (1,) for cut in plan.cuts)  # some leaf stands for more
     if not (each_length or weighed):  # one length, each of its objects once

@@ -17,10 +17,11 @@ compare are placed; each gap set becomes a loop's range or member tuple.
 It reads only the entries up to p and needs the final length n only for
 the closing gap, so a prefix of length p already decides every occurrence
 that ends at p.
-Counting, avoidance, the prefix walks of the exhaustive scans and the
-listing of occurrences (every last index in turn, then sorted) all call the
-generated code.  The count, first and list searches differ only in their
-innermost statement.  The children search (`search_children`) scores every
+Counting, avoidance, the prefix walks of the exhaustive scans, the window
+automaton and the rank dp of `transfer`, and the listing of occurrences
+(every last index in turn, then sorted) all call the generated code.  The
+count, first and list searches differ only in their innermost statement.
+The children search (`search_children`) scores every
 way of appending a last entry to a prefix at once.  On an ordered prefix
 of a permutation it never reads the last slot's value, so it drops every
 test on it, and records the range of ranks each partial occurrence admits

@@ -1,4 +1,5 @@
-"""Exact generating-function machinery for word statistics.
+"""Exact generating-function machinery for word statistics, and the rank dp
+that counts bounded-window patterns over permutations.
 
 A statistic here is "number of occurrences of a fixed bounded-window pattern"
 in a word over {1..t}, or the sum of several such counts.  The bivariate series sum_w q^|w| z^stat(w) is the
@@ -22,28 +23,38 @@ a solve, go through `budget.check_work`.  Everything is exact integer
 arithmetic, the modular steps included: they only propose a Q, and the
 certificate proves it over Z.
 
+The rank dp (`rank_rows`) does for a permutation pattern what the window
+automaton does for a word pattern, when the pattern compares values only
+and its occurrences ending at a position lie in the last K + 1 positions,
+but for a first slot that may sit anywhere before the second
+(`rank_window`).  A state is the ranks of the last K entries among those
+placed, so the states change with the length and are stepped, not solved;
+a child appends a rank and reads z^e, e from one generated search on a
+permutation with the child's last entries.  Row d of the dp is the
+distribution over S_d.
+
 Polynomials in q and z are stored as polynomials in q over Z[z], one
 z-polynomial {z-degree: coefficient} per q-degree, as series rows are; their
 products go through one kernel, `_mul_acc`.
 
-Inside the dynamic program, the certificate and the expansion of a rational
-series, z is carried as an integer: a z-polynomial is replaced by its value
-at z = 2^B (Kronecker substitution), so its arithmetic is one big-integer
-operation.  z -> 2^B is a ring homomorphism, so sums and products of the
-images are the images of the true results.  The slot width B is fixed
-before any work from a proven bound on the coefficients (t^n for the dp,
-|Q|_1 t^(2c) for the certificate, a recurrence on the rows' 1-norms for the
-expansion), with 2^(B-1) above it, so balanced base-2^B digits give back
-every coefficient exactly, and a packed value is 0 only when its polynomial
-is.
+Inside both dynamic programs, the certificate and the expansion of a
+rational series, z is carried as an integer: a z-polynomial is replaced by
+its value at z = 2^B (Kronecker substitution), so its arithmetic is one
+big-integer operation.  z -> 2^B is a ring homomorphism, so sums and
+products of the images are the images of the true results.  The slot width
+B is fixed before any work from a proven bound on the coefficients (t^n for
+the dp, n! for the rank dp, |Q|_1 t^(2c) for the certificate, a recurrence
+on the rows' 1-norms for the expansion), with 2^(B-1) above it, so balanced
+base-2^B digits give back every coefficient exactly, and a packed value is
+0 only when its polynomial is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, prod
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import budget, matcher
 from .pattern import Mode, Pdvp
@@ -574,6 +585,145 @@ def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
     for weights in _weights(_quotient(sps, t), width, n):
         pass
     return _decode(sum(weights), width)
+
+
+# ---------------------------------------------------------------------------
+# the rank dp over permutations
+
+
+def rank_window(pat: Pdvp) -> int | None:
+    """K, the entries before the last of a permutation whose ranks decide the
+    occurrences of `pat` that end at its last entry, or None when the rank
+    dp cannot count `pat`.  The caller checks that `pat` compares values
+    only (`exhaustive.order_only`).
+
+    X_0 and X_m must be P and X_2..X_{m-1} finite, so slots 1..m-1 lie in
+    the last K + 1 positions, K the sum of the maxima of X_2..X_{m-1}.  X_1
+    must be finite, and then slot 0 lies there too and its maximum counts,
+    or P: then slot 0 floats, at any position before slot 1, and the values
+    it can take there are the values placed before, a set that the ranks
+    of the last K + 1 entries fix.
+    """
+    x = pat.x
+    if not x[0].steps == x[-1].steps == (1,):
+        return None
+    maxima = [gaps.finite_bound() for gaps in x[1:-1]]
+    if maxima and maxima[0] is None and x[1].steps == (1,):
+        maxima[0] = 0  # slot 0 floats
+    return None if None in maxima else sum(maxima)
+
+
+def _floats(pat: Pdvp) -> bool:
+    """Whether slot 0 of a pattern `rank_window` admits floats (X_1 is P)."""
+    return pat.m > 1 and pat.x[1].finite_bound() is None
+
+
+def _falling(x: int, k: int, top: int) -> int:
+    """x (x - 1) .. (x - k + 1), or `top` once the product reaches it."""
+    out = 1
+    for j in range(x, x - k, -1):
+        out *= j
+        if out >= top:
+            return top
+    return out
+
+
+def rank_work(pat: Pdvp, n: int, rows: int) -> tuple[int, int]:
+    """The steps and bits (see `budget`) of `rank_rows` of length n keeping
+    `rows` rows.
+
+    Depth d = 0..n-1 has P(d, min(d, K)) <= d! states, each with d + 1
+    children, so the transitions, summed only up to `budget.ceiling()`, are
+    at most the generating tree's 1! + .. + n! nodes: sum_j j! for j <=
+    min(n, K) and, past K, the falling factorials (j)_(K+1), which sum to
+    (n+1)_(K+2) / (K+2).  An occurrence ending at position p places slots
+    1..m-1 in at most L ways, L the product of the maxima that make K, and
+    a floating slot 0 at one of p - 1 positions, so a weight has at most
+    c + 1 slots of B bits, c = L n(n-1)/2 or L n and 2^(B-1) above n!.  A
+    transition costs a step per L m iterations of its search's loops (per
+    L (m + n) when slot 0 floats) and one per CHUNK_BITS of the weight it
+    adds; a decoded row costs a step per slot.  Two depths of states are
+    held, each with its ranks and weight (an int takes 32 bits per 30 it
+    holds), a few weights more, the representative prefix and the kept
+    rows.
+    """
+    top = budget.ceiling()
+    keep = rank_window(pat)
+    floats = _floats(pat)
+    transitions, fact = 0, 1
+    for j in range(1, min(n, keep) + 1):
+        fact *= j
+        transitions += fact
+        if transitions >= top:
+            break
+    if n > keep:
+        transitions += _falling(n + 1, keep + 2, top * (keep + 2)) // (keep + 2)
+    fact = _falling(n, n, top)
+    slot = 8 * _slot_bytes(fact.bit_length() if fact < top else n * n.bit_length())
+    ways = min(prod(gaps.finite_bound() for gaps in pat.x[1 + floats:-1]), top)
+    c = ways * n * (n - 1) // 2 if floats else ways * n
+    weight = (c + 1) * slot
+    per = 1 + ways * (pat.m + n * floats) + -(-weight // budget.CHUNK_BITS)
+    states = _falling(n, min(n, keep), top)
+    held = 2 * states * (budget.RANK_STATE_BITS + min(n, keep) * budget.RANK_BITS)
+    held += (2 * states + 4) * weight * 17 // 16 + n * budget.RANK_BITS
+    held += rows * ((c + 1) * (budget.COEFF_BITS + slot) + budget.ROW_BITS)
+    return min(transitions, top) * per + rows * (c + 1), held
+
+
+def rank_rows(pat: Pdvp, n: int, rows: int) -> list[ZPoly]:
+    """The last `rows` of the rows d = 0..n: for each s, the permutations of
+    S_d with s occurrences of `pat`, which `rank_window` admits and whose
+    tests compare values only.
+
+    A forward dp over d: a state is the ranks, among the d entries placed,
+    of the last min(d, K) entries, and its weight sums z^s over the
+    permutations of S_d that end so, carried at z = 2^B (B from n!).  A
+    child appends an entry of rank r in 1..d+1 (`_rank_step`).  The sum of
+    the weights at depth d is row d.  Its predicted work (`rank_work`) is
+    checked by the plan.
+    """
+    keep = rank_window(pat)
+    width = _slot_bytes(factorial(n).bit_length())
+    search = matcher.search_ending_at(pat, n, n + 1)
+    floats = _floats(pat)
+    weights = {(): 1}
+    sums = [1]
+    for j in range(1, n + 1):
+        weights = _rank_step(weights, j, keep, search, 8 * width, floats)
+        if j > n - rows:
+            sums.append(sum(weights.values()))
+    return [_decode(x, width) for x in sums[-rows:]]
+
+
+def _rank_step(weights: dict[tuple[int, ...], int], j: int, keep: int,
+               search: Callable[[Sequence[int], int], int], bits: int,
+               floats: bool) -> dict[tuple[int, ...], int]:
+    """The weights of the rank dp after its j-th entry: each state's
+    weight, shifted by e B bits, added into the state of each child.
+
+    Appending rank r shifts every kept rank >= r up by one; the window is
+    the shifted ranks and r, and the child keeps its last K.  e, the
+    occurrences ending at the new entry, is `search` on one permutation
+    whose last entries are the window: with slot 0 floating, the other
+    ranks in increasing order and then the window; else the window alone,
+    which holds every slot.  The tests compare values only and the window
+    fixes the set of values before each of its positions, so every
+    permutation with that window has e occurrences there.
+    """
+    nxt: dict[tuple[int, ...], int] = {}
+    for state, w in weights.items():
+        for r in range(1, j + 1):
+            window = [x + (x >= r) for x in state]
+            window.append(r)
+            if floats:
+                placed = set(window)
+                e = search([v for v in range(1, j + 1) if v not in placed] + window, j)
+            else:
+                e = search(window, len(window))
+            child = tuple(window[-keep:]) if keep else ()
+            nxt[child] = nxt.get(child, 0) + (w << e * bits if e else w)
+    return nxt
 
 
 # ---------------------------------------------------------------------------

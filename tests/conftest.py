@@ -196,7 +196,8 @@ class WorkMeter:
     one, a word node's t letters among them), windows counted by the
     automaton (its edges times its patterns), edges in each lumping round,
     dp edges (the targets of a class's groups, each one add) per CHUNK_BITS
-    of the weight, slots `_decode` reads,
+    of the weight, rank dp transitions (each state's children, each one
+    add) per CHUNK_BITS of the weight, slots `_decode` reads,
     a solve's recurrence terms, interpolation entries and certificate
     products, and morphism letters built.
 
@@ -232,6 +233,7 @@ class WorkMeter:
             (transfer, "_automaton", self._windows),
             (transfer, "_lump", self._lump),
             (transfer, "_step", self._step),
+            (transfer, "_rank_step", self._rank_step),
             (transfer, "_decode", self._decode),
             (transfer, "_berlekamp_massey", self._recurrence),
             (transfer, "_interpolate", self._interpolation),
@@ -318,6 +320,16 @@ class WorkMeter:
                                    * -(-w.bit_length() // budget.CHUNK_BITS)
                                    for w, out in zip(weights, groups) if w)
             return step(weights, groups)
+
+        return stepped
+
+    def _rank_step(self, rank_step):
+        def stepped(weights, j, *rest):
+            rec = self.record()
+            if rec is not None:  # the j children of each state, per chunk of its weight
+                rec.counted += j * sum(-(-w.bit_length() // budget.CHUNK_BITS)
+                                       for w in weights.values())
+            return rank_step(weights, j, *rest)
 
         return stepped
 

@@ -157,6 +157,20 @@ def test_the_meter_counts_every_child_the_tree_scores(work_meter):
     assert [(rec.counted, rec.steps) for rec in work_meter.records] == [(153, 153), (99, 153)]
 
 
+def test_the_meter_counts_every_transition_of_the_rank_dp(work_meter):
+    # gp:2-31 keeps one rank: 1 + 2*1 + 3*2 + 4*3 + 5*4 + 6*5 = 71 transitions,
+    # each weight within one chunk, then the 7 slots of row 6 (up to 6
+    # occurrences) or the 1 + 1 + 1 + 2 + 3 + 5 + 7 of rows 0..6; predicted,
+    # 71 transitions of 1 + (3 + 6) + 1 steps and 16 slots per row.  The plan
+    # opens a record when it finds that the dp fits, and one as it checks it
+    pat = parse_pattern("gp:2-31")
+    exhaustive.perm_distribution(pat, 6)
+    exhaustive.perm_distributions(pat, 6)
+    counted = [(rec.counted, rec.steps) for rec in work_meter.records if rec.counted]
+    assert counted == [(78, 797), (91, 893)]
+    assert [rec.what for rec in work_meter.records] == ["scan"] * 4
+
+
 def test_the_meter_counts_every_letter_a_word_node_scores(work_meter):
     # a word node scores its t letters at once: counting 12 over {1,2,3}^4
     # prunes nothing, 3 + 9 + 27 + 81 = 120 letters; avoiding it scores only
@@ -233,6 +247,14 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
         # a value walk over every position and one value: its plan holds the
         # cut of each length, with up to k weights below k!
         "every-length value walk": lambda: exhaustive.perm_distributions(one_value, 50),
+        # the rank dp: classical 12 keeps one state whose weight holds up to
+        # C(n, 2) + 1 slots (admitted up to S_191), gp:2-31 n states of up to
+        # n(n-1)/2 + 1 slots and every row (up to S_85), consecutive 123
+        # n(n-1) states of up to n + 1 slots (up to S_76, where the peak
+        # measured 0.89 of the prediction)
+        "rank dp": lambda: exhaustive.perm_distribution(make_classical((1, 2)), 100),
+        "every-length rank dp": lambda: exhaustive.perm_distributions(parse_pattern("gp:2-31"), 50),
+        "rank dp of many states": lambda: exhaustive.perm_distribution(parse_pattern("gp:123"), 30),
         "series row": lambda: transfer.series_row([StatPattern(repeat)], 1, 12000),
         "dp": lambda: transfer.dp_series(w4, 6, 60),
         "one-state dp": lambda: transfer.dp_series(single, 2, 300),

@@ -169,6 +169,14 @@ def test_dist_json_golden(capsys):
     assert json.loads(out) == json.loads((GOLDEN / "dist_gp231_s4.json").read_text())
 
 
+def test_dist_of_a_dashed_pattern_equals_its_walked_golden(capsys):
+    # the rank dp's text and JSON, byte for byte, against the output of the
+    # generating tree's walk, written before the dp counted these scans
+    for argv, golden in (["--format", "json"], "dist_gp2-31_s9.json"), ([], "dist_gp2-31_s9.txt"):
+        rc, out, _ = run(capsys, *argv, "dist", "--pattern", "gp:2-31", "--perm-n", "9")
+        assert rc == 0 and out.encode() == (GOLDEN / golden).read_bytes(), golden
+
+
 def test_gf_dp_json_golden(capsys):
     for pattern, alphabet, max_n, golden in [
         ("12|P,{1},P|(1,2,{2})|P,P", "3", "6", "gf_dp_adjacent_rise2_t3.json"),
@@ -332,8 +340,13 @@ def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
         (["avoid", "--pattern", "gp:231", "--pattern", "12|P,P,P|-|O,P", "--perm-n", "6"], 1956),
         (["avoid", "--pattern", "gp:12", "--word-n", "7", "--alphabet", "3"], 3279),
         # order-only: the generating tree, 1! + 2! + ... + 6! nodes
-        (["dist", "--pattern", "gp:2-31", "--perm-n", "6"], 873),
+        (["dist", "--pattern", "gp:2-31-4", "--perm-n", "6"], 873),
         (["avoid", "--pattern", "gp:231", "--perm-n", "6"], 873),
+        # a count with one finite interior gap set after X_0 = X_1 = P: the
+        # rank dp, whose 71 transitions (1 + 7*6*5/3) each cost 1 + (3 + 6)
+        # loop steps + 1 chunk, and 16 slots decoded, since the walk does
+        # not fit either
+        (["dist", "--pattern", "gp:2-31", "--perm-n", "6"], 797),
     ],
 )
 def test_scans_obey_the_budget_env_var(monkeypatch, capsys, argv, nodes):

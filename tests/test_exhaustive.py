@@ -73,13 +73,20 @@ def test_zero_entry_at_m0_equals_single_avoider_count():
 def test_perm_limit_error_names_limit(monkeypatch):
     monkeypatch.delenv("PDVP_BUDGET", raising=False)
     # the value walk over S_11 (Z_1 = O is not order-only), then the
-    # generating tree over S_12: 1! + 2! + ... + 12!
+    # generating tree over S_12: 1! + 2! + ... + 12!; classical 123 has an
+    # infinite interior gap set, so no rank dp counts it
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 108505111 steps exceeds the budget 100000000$"):
         perm_distribution(_ODD_RISE, 11)
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 522956313 steps exceeds the budget 100000000$"):
-        perm_distribution(make_classical((1, 2)), 12)
+        perm_distribution(make_classical((1, 2, 3)), 12)
+    # the rank dp of gp:2-31 fits up to S_85; at S_86 neither it nor the walk
+    # does, and the dp's steps are named
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^scan of 102395309 steps exceeds the budget 100000000$"):
+        perm_distribution(parse_gp("2-31"), 86)
+    assert plan_scan([], parse_gp("2-31"), None, 85).path == "ranks"
     monkeypatch.setenv("PDVP_BUDGET", "63")
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 64 steps exceeds the budget 63$"):
@@ -87,7 +94,7 @@ def test_perm_limit_error_names_limit(monkeypatch):
     monkeypatch.setenv("PDVP_BUDGET", "32")
     with pytest.raises(EnumerationLimitError,
                        match=r"^scan of 33 steps exceeds the budget 32$"):
-        perm_distribution(make_classical((1, 2)), 4)
+        perm_distribution(make_classical((1, 2, 3)), 4)
 
 
 def test_word_budget_error(monkeypatch):
@@ -416,6 +423,60 @@ def _heir(rng):
     return replace(pat, x=tuple(x))
 
 
+def _rank_pattern(rng):
+    """A random order-only pattern with X_m = P and interior gap sets {1},
+    {2} or {1, 2}.  Half the time X_0 and X_1 are P, so slot 0 floats; else
+    X_0 is a random gap set that many index tuples meet, P or not, and X_1
+    is P or finite, so the rank dp counts some and not others."""
+    pat = random_order_only(rng)
+    interior = [finite(rng.sample((1, 2), rng.randint(1, 2))) for _ in range(pat.m - 1)]
+    x = [random_gap(rng), *interior, POSITIVES]
+    if rng.random() < 0.5:
+        x[0] = x[1] = POSITIVES
+    elif pat.m > 1 and rng.random() < 0.5:
+        x[1] = POSITIVES
+    return replace(pat, x=tuple(x))
+
+
+def _walked_rows(pat, n, each_length):
+    """The count rows of `pat` over S_n, or S_0..S_n, by a forced tree walk:
+    its count scan's plan with the path set to "tree", drained through
+    `prefix_walk`."""
+    plan = replace(plan_scan([], pat, None, n, each_length), path="tree")
+    rows = [Counter() for _ in range(n + 1)]
+    rows[0][0] = 1
+    for entries, _, counts, _ in prefix_walk(plan):
+        rows[len(entries)].update(counts)
+    return [row for k, row in enumerate(rows) if each_length or k == n]
+
+
+def test_rank_dp_equals_the_walk_and_the_per_object_recount(rng):
+    # count scans the rank dp takes, a floating slot 0 among them, and some
+    # it does not, of one length and of every length
+    paths = Counter()
+    for case in range(200):
+        pat = _rank_pattern(rng) if case % 2 else random_order_only(rng)
+        while case % 4 == 2 and _rank_keep(pat) is None:  # filtered by the route rule
+            pat = random_order_only(rng)
+        n = 7 if case % 40 == 0 else rng.randint(0, 6)
+        each_length = case % 8 < 4
+        plan = plan_scan([], pat, None, n, each_length)
+        paths[plan.path, plan.path == "ranks" and pat.x[1] == POSITIVES and pat.m > 1] += 1
+        tables = perm_distributions(pat, n) if each_length else [perm_distribution(pat, n)]
+        got = [table.counts for table in tables]
+        assert got == _walked_rows(pat, n, each_length), (pat, n)
+        naive = _naive_rows([], pat, None, n)
+        assert got == (naive if each_length else naive[n:]), (pat, n)
+    assert paths["ranks", True] >= 40 and paths["ranks", False] >= 40 and paths["tree", False] >= 40
+    # the paper's dashed patterns, a consecutive one and a classical one at S_9
+    for text in ("gp:2-31", "gp:1-23", "gp:123", "gp:1-2"):
+        pat = parse_gp(text[3:])
+        assert plan_scan([], pat, None, 9, True).path == "ranks"
+        walked = _walked_rows(pat, 9, True)
+        assert [table.counts for table in perm_distributions(pat, 9)] == walked, text
+        assert perm_distribution(pat, 9).counts == walked[9], text
+
+
 def test_inherited_partials_equal_the_per_object_recount(rng):
     # a node takes its parent's partial occurrences of a pattern whose X_{m-1}
     # and X_m are P and adds its own: avoid sets, counts, caps and every
@@ -440,8 +501,10 @@ def test_inherited_partials_equal_the_per_object_recount(rng):
                     want[k].append((entries, c))
         case_id = (avoid, count, cap, n, each_length)
         plan = plan_scan(avoid, count, None, n, each_length)
-        assert plan.path == "tree"
-        assert _by_length(_expanded(plan, cap), n, None) == want, case_id
+        ranks = not avoid and transfer.rank_window(count) is not None
+        assert plan.path == ("ranks" if ranks else "tree"), case_id
+        walk = replace(plan, path="tree")  # the walk's caps and partials, on the ranks' counts too
+        assert _by_length(_expanded(walk, cap), n, None) == want, case_id
         if count:
             rows = [Counter(found[-1] for _, found in counted[k]) for k in lengths]
             tables = perm_distributions(count, n) if each_length else [perm_distribution(count, n)]
@@ -670,9 +733,13 @@ def test_scan_budget_boundaries(monkeypatch):
         (lambda: perm_multi_avoiders([make_classical((1, 2)), _ODD_RISE], 5), 325),
         (lambda: perm_distributions(_ODD_RISE, 5), 408),
         # the generating tree: 1! + 2! + 3! + 4! + 5!, every length at once
-        (lambda: perm_distribution(make_classical((1, 2)), 5), 153),
+        (lambda: perm_distribution(make_classical((1, 2, 3)), 5), 153),
         (lambda: perm_multi_avoiders([make_classical((1, 2))], 5), 153),
-        (lambda: perm_distributions(make_classical((1, 2)), 5), 153),
+        (lambda: perm_distributions(make_classical((1, 2, 3)), 5), 153),
+        # the rank dp of classical 12, which keeps no rank: 15 transitions
+        # (1 + .. + 5), each 1 + (2 + 5) loop steps and 1 chunk, and 11
+        # decoded slots
+        (lambda: perm_distribution(make_classical((1, 2)), 5), 146),
         (lambda: two_stack_sortable_counts(5, True, True), 153),
         (lambda: problem_report(4, 5), 153),
         (lambda: word_distribution(parse_pattern(_FREE, Mode.WORD), 3, 4), 120),
@@ -940,23 +1007,42 @@ def _random_scan(rng):
     return avoid, count, None if perm else rng.randint(1, 3), rng.randint(0, 6), rng.random() < 0.5
 
 
+def _rank_keep(pat):
+    """K for a pattern the rank dp counts, or None: X_0 and X_m hold every
+    gap, X_2..X_{m-1} are finite, and X_1 is finite or holds every gap,
+    when slot 0 floats and X_1 adds nothing to K, the sum of the maxima."""
+    every = [all(g in gaps for g in range(1, 50)) for gaps in pat.x]
+    maxima = [gaps.finite_bound() for gaps in pat.x[1:-1]]
+    if pat.m > 1 and every[1]:
+        maxima[0] = 0
+    return sum(maxima) if every[0] and every[-1] and None not in maxima else None
+
+
 def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
     seen = set()
-    for _ in range(300):
+    for case in range(300):
         avoid, count, t, n, each_length = _random_scan(rng)
+        if case % 5 == 0:  # a count that the rank dp may take
+            avoid, count, t = [], _rank_pattern(rng), None
         pats = avoid + [count] * (count is not None)
         plan = plan_scan(avoid, count, t, n, each_length)
         assert (plan.avoid, plan.count, plan.t, plan.n) == (tuple(avoid), count, t, n)
-        assert (plan.path == "tree") == (t is None and all(map(order_only, pats)))
+        keep = _rank_keep(count) if t is None and count and not avoid else None
+        ranks = keep is not None and order_only(count)
+        if ranks:  # P(d, min(d, K)) <= d! states at depth d: never more transitions than nodes
+            assert sum((d + 1) * perm(d, min(d, keep)) for d in range(n)) <= sum(
+                map(factorial, range(1, n + 1)))
+        assert (plan.path == "ranks") == ranks, (count, n)
+        assert (plan.path == "tree") == (t is None and all(map(order_only, pats)) and not ranks)
         single = not each_length and not (avoid and count)
         series = t is not None and single and all(map(_statistic, pats)) and _series_wins(
             pats, t, n)
         assert (plan.path == "series") == series, (avoid, count, t, n, each_length)
-        assert plan.path in (("tree", "values") if t is None else ("series", "words"))
+        assert plan.path in (("ranks", "tree", "values") if t is None else ("series", "words"))
         closing_p = all(pat.x[-1].steps == (1,) for pat in pats)
         assert plan.one_walk == (not each_length or plan.path != "values" and closing_p)
         seen.add((plan.path, plan.one_walk))
-    assert seen == {(path, True) for path in ("series", "tree", "values", "words")} | {
+    assert seen == {(path, True) for path in ("ranks", "series", "tree", "values", "words")} | {
         ("tree", False), ("values", False), ("words", False)}
     # a series whose work does not fit walks: at n = 0 the walk has no node
     monkeypatch.setenv("PDVP_BUDGET", "0")
@@ -1042,6 +1128,10 @@ def test_prefix_walk_refuses_a_walk_its_plan_did_not_check():
     assert series.path == "series"
     with pytest.raises(ValueError, match="^a series plan of length 8 has no walk$"):
         next(prefix_walk(series))
+    ranks = plan_scan([], parse_gp("2-31"), None, 8)
+    assert ranks.path == "ranks"
+    with pytest.raises(ValueError, match="^a ranks plan of length 8 has no walk$"):
+        next(prefix_walk(ranks))
 
 
 def _per_length_scans(rng):

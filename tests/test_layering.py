@@ -183,16 +183,18 @@ def test_the_walker_lint_sees_a_second_caller():
 
 # What decides a scan's path and work: whether its patterns are order-only
 # or statistics, and the work check.
-_DECIDERS = {"order_only", "statistic_refusal", "check_work"}
+_DECIDERS = {"order_only", "statistic_refusal", "rank_window", "check_work"}
 
 
 def test_only_the_plan_decides_a_scan():
     # one planner: in the modules that scan, `exhaustive.plan_scan` alone
-    # picks a path and checks a scan's work; problems' one other work check
-    # is the morphism word's, which is no scan
+    # picks a path and checks a scan's work (order_only, rank_window,
+    # statistic_refusal, and check_work for the rank dp, for the walk it
+    # falls back to, for the series and for the path picked); problems'
+    # one other work check is the morphism word's, which is no scan
     users = {name: _users(_module_tree(name), _DECIDERS)
              for name in ("exhaustive.py", "problems.py", "checks.py", "cli.py")}
-    assert users == {"exhaustive.py": ["plan_scan"] * 4, "problems.py": ["morphism_rises"],
+    assert users == {"exhaustive.py": ["plan_scan"] * 7, "problems.py": ["morphism_rises"],
                      "checks.py": [], "cli.py": []}
 
 
