@@ -11,9 +11,10 @@ pattern modes, picks one of five paths and checks that path's predicted work
 * ``ranks``: a permutation scan that counts one order-only pattern and
   avoids none, whose X_0 and X_m are P, X_2..X_{m-1} finite and X_1 finite
   or P (`transfer.rank_window`; the paper's dashed patterns among them),
-  steps the rank dp of `transfer.rank_rows` over d = 0..n: a state is the
-  ranks of the last K entries among the d placed, at most d! of them, so it
-  never takes more transitions than the tree has nodes.
+  steps the rank dp of `transfer.rank_rows` over d = 0..n (a state is the
+  ranks of the last K entries among the d placed) when that is predicted to
+  take no more steps than the tree walk has nodes, unless only the walk
+  fits.
 * ``tree``: any other permutation scan whose patterns are all order-only
   (`order_only`) walks the generating tree (West 1996): a child appends a
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
@@ -227,9 +228,9 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     does the walk, and an admitted scan's path depends on its input alone.
     A permutation scan that counts one order-only pattern `transfer.rank_window`
     admits and avoids none takes the rank dp, which gives every length from
-    one dp, predicted by `transfer.rank_work`: its transitions never
-    outnumber the tree's nodes.  It walks the tree only when the dp's work
-    does not fit and the walk's does; when neither fits, the dp's is refused.
+    one dp, when `transfer.rank_work` predicts at most as many steps as the
+    tree walk has nodes, unless only the walk's work fits; when neither
+    fits, the one with fewer steps is refused.
 
     A walked every-length scan takes one walk when every pattern's closing
     gap set is P (its occurrences do not depend on the final length) and the
@@ -299,8 +300,8 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
             held += n * t * budget.FAMILY_CHILD_BITS
     if path == "tree" and not avoid and count and transfer.rank_window(count) is not None:
         steps, bits = transfer.rank_work(count, n, n + 1 if each_length else 1)
-        if (budget.check_work("scan", steps, bits, refuse=False)
-                or not budget.check_work("scan", nodes, held, refuse=False)):
+        if steps <= nodes and (budget.check_work("scan", steps, bits, refuse=False)
+                               or not budget.check_work("scan", nodes, held, refuse=False)):
             path, nodes, held = "ranks", steps, bits
     mixed = avoid and count is not None  # the series counts one statistic
     if not (perms or each_length or mixed or any(map(transfer.statistic_refusal, pats))):

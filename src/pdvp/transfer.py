@@ -591,11 +591,12 @@ def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
 # the rank dp over permutations
 
 
-def rank_window(pat: Pdvp) -> int | None:
-    """K, the entries before the last of a permutation whose ranks decide the
-    occurrences of `pat` that end at its last entry, or None when the rank
-    dp cannot count `pat`.  The caller checks that `pat` compares values
-    only (`exhaustive.order_only`).
+def rank_window(pat: Pdvp) -> tuple[int, bool] | None:
+    """(K, floats): K the entries before the last of a permutation whose
+    ranks decide the occurrences of `pat` that end at its last entry, and
+    whether slot 0 floats; or None when the rank dp cannot count `pat`.
+    The caller checks that `pat` compares values only
+    (`exhaustive.order_only`).
 
     X_0 and X_m must be P and X_2..X_{m-1} finite, so slots 1..m-1 lie in
     the last K + 1 positions, K the sum of the maxima of X_2..X_{m-1}.  X_1
@@ -608,14 +609,10 @@ def rank_window(pat: Pdvp) -> int | None:
     if not x[0].steps == x[-1].steps == (1,):
         return None
     maxima = [gaps.finite_bound() for gaps in x[1:-1]]
-    if maxima and maxima[0] is None and x[1].steps == (1,):
-        maxima[0] = 0  # slot 0 floats
-    return None if None in maxima else sum(maxima)
-
-
-def _floats(pat: Pdvp) -> bool:
-    """Whether slot 0 of a pattern `rank_window` admits floats (X_1 is P)."""
-    return pat.m > 1 and pat.x[1].finite_bound() is None
+    floats = bool(maxima) and maxima[0] is None and x[1].steps == (1,)
+    if floats:
+        maxima[0] = 0
+    return None if None in maxima else (sum(maxima), floats)
 
 
 def _falling(x: int, k: int, top: int) -> int:
@@ -633,10 +630,11 @@ def rank_work(pat: Pdvp, n: int, rows: int) -> tuple[int, int]:
     `rows` rows.
 
     Depth d = 0..n-1 has P(d, min(d, K)) <= d! states, each with d + 1
-    children, so the transitions, summed only up to `budget.ceiling()`, are
-    at most the generating tree's 1! + .. + n! nodes: sum_j j! for j <=
-    min(n, K) and, past K, the falling factorials (j)_(K+1), which sum to
-    (n+1)_(K+2) / (K+2).  An occurrence ending at position p places slots
+    children, so the transitions are sum_j j! for j <= min(n, K) and, past
+    K, the falling factorials (j)_(K+1), which sum to (n+1)_(K+2) / (K+2).
+    Each product and sum stops at `budget.ceiling()`, so that the
+    prediction takes no longer for a huge n or K than the budget lets a
+    scan run.  An occurrence ending at position p places slots
     1..m-1 in at most L ways, L the product of the maxima that make K, and
     a floating slot 0 at one of p - 1 positions, so a weight has at most
     c + 1 slots of B bits, c = L n(n-1)/2 or L n and 2^(B-1) above n!.  A
@@ -648,8 +646,7 @@ def rank_work(pat: Pdvp, n: int, rows: int) -> tuple[int, int]:
     rows.
     """
     top = budget.ceiling()
-    keep = rank_window(pat)
-    floats = _floats(pat)
+    keep, floats = rank_window(pat)
     transitions, fact = 0, 1
     for j in range(1, min(n, keep) + 1):
         fact *= j
@@ -683,10 +680,9 @@ def rank_rows(pat: Pdvp, n: int, rows: int) -> list[ZPoly]:
     the weights at depth d is row d.  Its predicted work (`rank_work`) is
     checked by the plan.
     """
-    keep = rank_window(pat)
+    keep, floats = rank_window(pat)
     width = _slot_bytes(factorial(n).bit_length())
     search = matcher.search_ending_at(pat, n, n + 1)
-    floats = _floats(pat)
     weights = {(): 1}
     sums = [1]
     for j in range(1, n + 1):

@@ -175,6 +175,27 @@ def rng() -> random.Random:
     return random.Random(20240911)
 
 
+def loop_candidates(pat: Pdvp, p: int) -> int:
+    """The candidates the loops of a generated search ending at index p try
+    when no test rejects one, counted by a walk of its own over the gaps:
+    slot m-1 sits at p, and from each placement of slots k+1..m-1 the loop
+    of slot k tries every gap d in X_{k+1} that leaves slot k an index of
+    at least k + 1, and, when X_{k+1} is finite with a larger member, the
+    one that breaks the loop.  A test rejecting a candidate only skips the
+    loops below it, so the search tries at most this many."""
+    placed, tried = {p: 1}, 0  # each index of slot k + 1, with the placements reaching it
+    for k in range(pat.m - 2, -1, -1):
+        gaps, below = pat.x[k + 1], {}
+        top = gaps.finite_bound()
+        for index, ways in placed.items():
+            fits = [d for d in range(1, index - k) if d in gaps]
+            tried += ways * (len(fits) + (top is not None and top >= index - k))
+            for d in fits:
+                below[index - d] = below.get(index - d, 0) + ways
+        placed = below
+    return tried
+
+
 def lumping_rounds(edges) -> int:
     """The rounds Moore refinement takes to find the partition of
     `transfer._lump` stable, counted by a loop of its own."""
@@ -197,7 +218,8 @@ class WorkMeter:
     automaton (its edges times its patterns), edges in each lumping round,
     dp edges (the targets of a class's groups, each one add) per CHUNK_BITS
     of the weight, rank dp transitions (each state's children, each one
-    add) per CHUNK_BITS of the weight, slots `_decode` reads,
+    add) per CHUNK_BITS of the weight and the loop candidates of each
+    child's search (`loop_candidates`), slots `_decode` reads,
     a solve's recurrence terms, interpolation entries and certificate
     products, and morphism letters built.
 
@@ -223,6 +245,7 @@ class WorkMeter:
         self.current: dict[int, SimpleNamespace] = {}
         self.morphism = SimpleNamespace(counted=0)
         self.walk, self.walk_code = None, exhaustive.prefix_walk.__code__
+        self.compiled: dict[object, Pdvp] = {}  # each search transfer compiled, with its pattern
         for module, name, wrap in (
             (budget, "check_work", self._check),
             (exhaustive, "matcher", lambda _: SimpleNamespace(
@@ -230,6 +253,8 @@ class WorkMeter:
                 search_children=self._searcher(
                     matcher.search_children,
                     lambda pat, t, p: t if pat.mode is Mode.WORD else p))),
+            (transfer, "matcher", lambda _: SimpleNamespace(
+                search_ending_at=self._compiled_for_ranks)),
             (transfer, "_automaton", self._windows),
             (transfer, "_lump", self._lump),
             (transfer, "_step", self._step),
@@ -323,13 +348,28 @@ class WorkMeter:
 
         return stepped
 
+    def _compiled_for_ranks(self, pat, n, upper, **flags):
+        search = matcher.search_ending_at(pat, n, upper, **flags)
+        self.compiled[search] = pat
+        return search
+
     def _rank_step(self, rank_step):
-        def stepped(weights, j, *rest):
+        def stepped(weights, j, keep, search, *rest):
             rec = self.record()
-            if rec is not None:  # the j children of each state, per chunk of its weight
-                rec.counted += j * sum(-(-w.bit_length() // budget.CHUNK_BITS)
-                                       for w in weights.values())
-            return rank_step(weights, j, *rest)
+            if rec is None:
+                return rank_step(weights, j, keep, search, *rest)
+            # the j children of each state, per chunk of its weight
+            rec.counted += j * sum(-(-w.bit_length() // budget.CHUNK_BITS)
+                                   for w in weights.values())
+            pat, tried = self.compiled[search], {}
+
+            def counted(entries, p):  # and the loop candidates of each child's search
+                if p not in tried:
+                    tried[p] = loop_candidates(pat, p)
+                rec.counted += tried[p]
+                return search(entries, p)
+
+            return rank_step(weights, j, keep, counted, *rest)
 
         return stepped
 

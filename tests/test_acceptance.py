@@ -104,17 +104,12 @@ def test_criterion_04_avoidance_specialisations():
 
 def test_eq1_walks_each_parity_table_once(monkeypatch):
     # the specialisations read the per-base tables: one value walk per base
-    # and length, beside one scan of each base's classical rows: the rank dp
-    # for 12 and 21 (no interior gap set), the tree walk for 123
+    # and length, beside the one tree walk of each base's classical rows
     walk, paths = exhaustive.prefix_walk, []
-    plan_scan, plans = exhaustive.plan_scan, []
     monkeypatch.setattr(exhaustive, "prefix_walk",
                         lambda plan, *a, **k: paths.append(plan.path) or walk(plan, *a, **k))
-    monkeypatch.setattr(exhaustive, "plan_scan",
-                        lambda *a, **k: plans.append(plan_scan(*a, **k)) or plans[-1])
     result = checks.check_eq1()
-    assert Counter(paths) == {"values": 9, "tree": 1}
-    assert Counter(plan.path for plan in plans) == {"values": 9, "tree": 1, "ranks": 2}
+    assert Counter(paths) == {"values": 9, "tree": 3}
     assert result.ok
 
 

@@ -158,16 +158,19 @@ def test_the_meter_counts_every_child_the_tree_scores(work_meter):
 
 
 def test_the_meter_counts_every_transition_of_the_rank_dp(work_meter):
-    # gp:2-31 keeps one rank: 1 + 2*1 + 3*2 + 4*3 + 5*4 + 6*5 = 71 transitions,
-    # each weight within one chunk, then the 7 slots of row 6 (up to 6
-    # occurrences) or the 1 + 1 + 1 + 2 + 3 + 5 + 7 of rows 0..6; predicted,
-    # 71 transitions of 1 + (3 + 6) + 1 steps and 16 slots per row.  The plan
+    # gp:2-31 keeps one rank: 1 + 2*1 + 3*2 + 4*3 + 5*4 + 6*5 = 71 transitions
+    # to S_6, and 7*6 more to S_7, each weight within one chunk.  A child at
+    # j searches with p = j: slot 1 tries its one gap and slot 0 the j - 2
+    # before it, so 1 + 2*1 + 6*2 + 12*3 + 20*4 + 30*5 = 281 loop candidates,
+    # and 42*6 more.  Then the 7 slots of row 6 (up to 6 occurrences), or the
+    # 30 of rows 0..7.  Predicted: 71 transitions of 1 + (3 + 6) + 1 steps
+    # and 16 slots, or 113 of 1 + (3 + 7) + 1 and 8 rows of 22.  The plan
     # opens a record when it finds that the dp fits, and one as it checks it
     pat = parse_pattern("gp:2-31")
     exhaustive.perm_distribution(pat, 6)
-    exhaustive.perm_distributions(pat, 6)
+    exhaustive.perm_distributions(pat, 7)
     counted = [(rec.counted, rec.steps) for rec in work_meter.records if rec.counted]
-    assert counted == [(78, 797), (91, 893)]
+    assert counted == [(71 + 281 + 7, 797), (113 + 281 + 252 + 30, 1532)]
     assert [rec.what for rec in work_meter.records] == ["scan"] * 4
 
 

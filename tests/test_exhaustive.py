@@ -451,23 +451,30 @@ def _walked_rows(pat, n, each_length):
 
 
 def test_rank_dp_equals_the_walk_and_the_per_object_recount(rng):
-    # count scans the rank dp takes, a floating slot 0 among them, and some
-    # it does not, of one length and of every length
-    paths = Counter()
+    # count scans the rank dp admits, a floating slot 0 among them, and some
+    # it does not, of one length and of every length: the plan's tables, and
+    # the dp's rows on every admitted one, whichever path its plan takes
+    paths, admitted = Counter(), Counter()
     for case in range(200):
         pat = _rank_pattern(rng) if case % 2 else random_order_only(rng)
         while case % 4 == 2 and _rank_keep(pat) is None:  # filtered by the route rule
             pat = random_order_only(rng)
-        n = 7 if case % 40 == 0 else rng.randint(0, 6)
+        n = 7 if case % 20 == 0 else rng.randint(0, 6)
         each_length = case % 8 < 4
-        plan = plan_scan([], pat, None, n, each_length)
-        paths[plan.path, plan.path == "ranks" and pat.x[1] == POSITIVES and pat.m > 1] += 1
+        paths[plan_scan([], pat, None, n, each_length).path] += 1
         tables = perm_distributions(pat, n) if each_length else [perm_distribution(pat, n)]
         got = [table.counts for table in tables]
-        assert got == _walked_rows(pat, n, each_length), (pat, n)
+        walked = _walked_rows(pat, n, each_length)
+        assert got == walked, (pat, n)
         naive = _naive_rows([], pat, None, n)
         assert got == (naive if each_length else naive[n:]), (pat, n)
-    assert paths["ranks", True] >= 40 and paths["ranks", False] >= 40 and paths["tree", False] >= 40
+        window = transfer.rank_window(pat)
+        if window is not None:
+            admitted[window[1]] += 1
+            rows = transfer.rank_rows(pat, n, n + 1 if each_length else 1)
+            assert list(map(dict, rows)) == list(map(dict, walked)), (pat, n)
+    assert admitted[True] >= 40 and admitted[False] >= 40, admitted
+    assert paths["ranks"] >= 10 and paths["tree"] >= 40, paths
     # the paper's dashed patterns, a consecutive one and a classical one at S_9
     for text in ("gp:2-31", "gp:1-23", "gp:123", "gp:1-2"):
         pat = parse_gp(text[3:])
@@ -501,7 +508,8 @@ def test_inherited_partials_equal_the_per_object_recount(rng):
                     want[k].append((entries, c))
         case_id = (avoid, count, cap, n, each_length)
         plan = plan_scan(avoid, count, None, n, each_length)
-        ranks = not avoid and transfer.rank_window(count) is not None
+        ranks = not avoid and transfer.rank_window(count) is not None and _ranks_win(
+            count, n, each_length)
         assert plan.path == ("ranks" if ranks else "tree"), case_id
         walk = replace(plan, path="tree")  # the walk's caps and partials, on the ranks' counts too
         assert _by_length(_expanded(walk, cap), n, None) == want, case_id
@@ -1028,10 +1036,7 @@ def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
         plan = plan_scan(avoid, count, t, n, each_length)
         assert (plan.avoid, plan.count, plan.t, plan.n) == (tuple(avoid), count, t, n)
         keep = _rank_keep(count) if t is None and count and not avoid else None
-        ranks = keep is not None and order_only(count)
-        if ranks:  # P(d, min(d, K)) <= d! states at depth d: never more transitions than nodes
-            assert sum((d + 1) * perm(d, min(d, keep)) for d in range(n)) <= sum(
-                map(factorial, range(1, n + 1)))
+        ranks = keep is not None and order_only(count) and _ranks_win(count, n, each_length)
         assert (plan.path == "ranks") == ranks, (count, n)
         assert (plan.path == "tree") == (t is None and all(map(order_only, pats)) and not ranks)
         single = not each_length and not (avoid and count)
@@ -1047,6 +1052,37 @@ def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
     # a series whose work does not fit walks: at n = 0 the walk has no node
     monkeypatch.setenv("PDVP_BUDGET", "0")
     assert plan_scan([_random_window_pattern(rng)], None, 2, 0).path == "words"
+    # the rank dp of gp:2-31 predicts 421 steps over S_5 and 797 over S_6,
+    # the walk 153 and 873 nodes: the path with fewer steps, unless only the
+    # other fits, and when neither fits, the one with fewer steps is refused
+    dashed = parse_gp("2-31")
+    for budget_steps, n, path in ((10**8, 5, "tree"), (10**8, 6, "ranks"), (152, 5, 153),
+                                  (872, 6, "ranks"), (796, 6, 797)):
+        monkeypatch.setenv("PDVP_BUDGET", str(budget_steps))
+        if isinstance(path, int):
+            with pytest.raises(EnumerationLimitError, match=rf"^scan of {path} steps "):
+                plan_scan([], dashed, None, n)
+        else:
+            assert plan_scan([], dashed, None, n).path == path, (budget_steps, n)
+    # K = 6 when both interior gap sets are {1, 2, 3}: the dp predicts more
+    # steps than the walk has nodes up to S_11, so the walk counts it as far
+    # as it fits; over S_12 neither fits, and the dp's fewer steps are named
+    monkeypatch.delenv("PDVP_BUDGET")
+    wide = replace(parse_gp("123"), x=(POSITIVES, finite([1, 2, 3]), finite([1, 2, 3]), POSITIVES))
+    assert [plan_scan([], wide, None, n).path for n in (8, 11)] == ["tree", "tree"]
+    with pytest.raises(EnumerationLimitError, match=r"^scan of 188133346 steps "):
+        plan_scan([], wide, None, 12)
+
+
+def _ranks_win(pat, n, each_length):
+    """Whether a count of `pat` over S_n, or S_0..S_n, that the rank dp
+    admits takes it: the dp predicts at most as many steps as the tree walk
+    has nodes, 1! + .. + n!, and it fits or the walk does not (the walk's
+    bits, a few per position, always fit here)."""
+    steps, bits = transfer.rank_work(pat, n, n + 1 if each_length else 1)
+    nodes = sum(map(factorial, range(1, n + 1)))
+    return steps <= nodes and (budget.check_work("scan", steps, bits, refuse=False)
+                               or not budget.check_work("scan", nodes, 0, refuse=False))
 
 
 def _word_walk_nodes(t, n):
