@@ -4,7 +4,8 @@ one matcher call (2-7 us per window, 3 us per walk node), and the bits it
 holds, at the sizes below (measured).  `check_work` refuses steps above
 PDVP_BUDGET (10^8 when unset) and bits above 2^30.  Predictions stop
 counting at `ceiling()`, so an input of any size is refused at once, and a
-refusal prints an amount of more than 30 digits as a power of ten below it.
+refusal prints an amount of more than 30 digits (the ceiling for one at or
+above it) as a power of ten below it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,6 @@ def check_work(what: str, steps: int, bits: int, refuse: bool = True) -> bool:
         if amount > limit or amount >= top:
             if not refuse:
                 return False
-            size = f"at least 2^{top.bit_length() - 1}" if amount >= top else _shown(amount)
+            size = _shown(min(amount, top))
             raise EnumerationLimitError(f"{what} of {size} {unit} exceeds the {name} {limit}")
     return True

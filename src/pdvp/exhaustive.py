@@ -6,15 +6,14 @@ pattern modes, picks one of five paths and checks that path's predicted work
 
 * ``series``: a single-length word scan that avoids a set of bounded-window
   statistics (`transfer.StatPattern`), or counts one, reads row n of the
-  series of their window automaton (`transfer.series_row`) when that is
-  predicted to take no more steps than the word walk has nodes, and fits.
+  series of their window automaton (`transfer.series_rows`).
 * ``ranks``: a permutation scan that counts one order-only pattern and
   avoids none, whose X_0 and X_m are P, X_2..X_{m-1} finite and X_1 finite
   or P (`transfer.rank_window`; the paper's dashed patterns among them),
   steps the rank dp of `transfer.rank_rows` over d = 0..n (a state is the
-  ranks of the last K entries among the d placed) when that is predicted to
-  take no more steps than the tree walk has nodes, unless only the walk
-  fits.
+  ranks of the last K entries among the d placed).  Both dps are taken by
+  one rule (`plan_scan`), and both readers return the last rows asked for
+  and leave the work check to the plan.
 * ``tree``: any other permutation scan whose patterns are all order-only
   (`order_only`) walks the generating tree (West 1996): a child appends a
   last entry of rank r in 1..d+1 to a permutation of S_d.  The occurrences
@@ -221,16 +220,17 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
               each_length: bool = False) -> ScanPlan:
     """The plan of a scan of length n or, with `each_length`, of every length
     0..n: validate t, n and the pattern modes, pick the path and check its
-    predicted work, in that order.  A scan the series can answer takes it
-    when `transfer.series_work` predicts at most as many steps as the word
-    walk has nodes, and work that fits; else it walks the words.  Since a
-    series the budget refuses then predicts more steps than the budget, so
-    does the walk, and an admitted scan's path depends on its input alone.
-    A permutation scan that counts one order-only pattern `transfer.rank_window`
-    admits and avoids none takes the rank dp, which gives every length from
-    one dp, when `transfer.rank_work` predicts at most as many steps as the
-    tree walk has nodes, unless only the walk's work fits; when neither
-    fits, the one with fewer steps is refused.
+    predicted work, in that order.  Two scans have a dp: a single-length
+    word scan of statistics their series (`transfer.series_work`), and a
+    permutation scan that counts one order-only pattern `transfer.rank_window`
+    admits and avoids none the rank dp, which gives every length at once
+    (`transfer.rank_work`).  Either takes its dp when the dp predicts at most
+    as many steps as the walk has nodes and fits, or when the walk does not
+    fit, and one `budget.check_work` that may raise checks the path picked:
+    when neither fits, the one with fewer steps is refused.  PDVP_BUDGET
+    bounds steps alone, and a dp with no more steps than the walk fits it
+    whenever the walk does, so an admitted scan's path depends on its input
+    alone.
 
     A walked every-length scan takes one walk when every pattern's closing
     gap set is P (its occurrences do not depend on the final length) and the
@@ -298,18 +298,16 @@ def plan_scan(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
                 break
         if path == "words":  # each depth holds a family of up to t children
             held += n * t * budget.FAMILY_CHILD_BITS
+    dp = None
     if path == "tree" and not avoid and count and transfer.rank_window(count) is not None:
-        steps, bits = transfer.rank_work(count, n, n + 1 if each_length else 1)
-        if steps <= nodes and (budget.check_work("scan", steps, bits, refuse=False)
-                               or not budget.check_work("scan", nodes, held, refuse=False)):
-            path, nodes, held = "ranks", steps, bits
-    mixed = avoid and count is not None  # the series counts one statistic
-    if not (perms or each_length or mixed or any(map(transfer.statistic_refusal, pats))):
-        steps, bits = transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
-        if steps <= nodes and budget.check_work("series", steps, bits, refuse=False):
-            path = "series"
-    if path != "series":
-        budget.check_work("scan", nodes, held)
+        dp = "ranks", *transfer.rank_work(count, n, n + 1 if each_length else 1)
+    elif not (perms or each_length or avoid and count  # the series counts one statistic
+              or any(map(transfer.statistic_refusal, pats))):
+        dp = "series", *transfer.series_work(tuple(map(transfer.StatPattern, pats)), t, n, 1)
+    if dp and dp[1] <= nodes and (budget.check_work("scan", *dp[1:], refuse=False)
+                                  or not budget.check_work("scan", nodes, held, refuse=False)):
+        path, nodes, held = dp
+    budget.check_work("scan", nodes, held)
     _check_printable(t, n)
     cuts = tuple(_cut(k, *pair) for k, pair in zip(range(n + 1 - len(masks), n + 1), masks))
     return ScanPlan(avoid, count, t, n, path, each_length, one_walk, cuts)
@@ -589,12 +587,11 @@ def _tables(avoid: Sequence[Pdvp], count: Pdvp | None, t: int | None, n: int,
     or with `each_length` of every length 0..n, that avoid every pattern of
     `avoid`, by the path of their plan."""
     plan = plan_scan(avoid, count, t, n, each_length)
-    if plan.path == "series":
-        sps = tuple(transfer.StatPattern(p) for p in (*plan.avoid, count) if p is not None)
-        return [DistributionTable(n, transfer.series_row(sps, t, n))]
-    if plan.path == "ranks":
-        rows = transfer.rank_rows(count, n, n + 1 if each_length else 1)
-        return [DistributionTable(k, row) for k, row in enumerate(rows, n + 1 - len(rows))]
+    if plan.path in ("series", "ranks"):  # the last rows of a dp, whose work the plan checked
+        k = n + 1 if each_length else 1
+        rows = transfer.rank_rows(count, n, k) if plan.path == "ranks" else transfer.series_rows(
+            tuple(transfer.StatPattern(p) for p in (*plan.avoid, count) if p is not None), t, n, k)
+        return [DistributionTable(j, row) for j, row in enumerate(rows, n + 1 - k)]
     walk = prefix_walk(plan)  # with no count every c is 0: the objects are only counted
     weighed = any(cut.weights != (1,) for cut in plan.cuts)  # some leaf stands for more
     if not (each_length or weighed):  # one length, each of its objects once

@@ -31,7 +31,9 @@ but for a first slot that may sit anywhere before the second
 placed, so the states change with the length and are stepped, not solved;
 a child appends a rank and reads z^e, e from one generated search on a
 permutation with the child's last entries.  Row d of the dp is the
-distribution over S_d.
+distribution over S_d.  `rank_rows` and `series_rows` share one contract:
+each returns the last rows asked for, and the scan's plan, which predicts
+their work, checks it, so neither checks it again.
 
 Polynomials in q and z are stored as polynomials in q over Z[z], one
 z-polynomial {z-degree: coefficient} per q-degree, as series rows are; their
@@ -514,34 +516,36 @@ def series_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int) -> tupl
     return steps + more_steps, bits + more_bits
 
 
-def _weights(lumped: list[list[tuple[int, int]]], width: int, n_max: int) -> Iterator[list[int]]:
-    """The packed dp over the lumped automaton: the weight of each class
-    after 0, 1, .., n_max letters.
+def _rows(lumped: list[list[tuple[int, int]]], t: int, n: int, rows: int) -> Iterator[ZPoly]:
+    """The last `rows` of the rows 0..n of the packed dp over the lumped
+    automaton, each decoded when the dp reaches it: row k sums the weights
+    of the classes after k letters.
 
     A class's weight sums z^stat over the words that end in its states,
-    carried at z = 2^B, B = 8 * width, so appending a letter that reads z^e
-    is a shift by e*B bits.  Every coefficient at order n counts words of
-    length n, so it is at most t^n, and the width must leave room for t^n_max.
-    Once per dp, each class's edges are grouped by e into (e*B, targets), so
-    a step shifts the weight once per distinct e >= 1, and not for e = 0.
+    carried at z = 2^B, so appending a letter that reads z^e is a shift by
+    e*B bits.  Every coefficient at order k counts words of length k, so it
+    is at most t^k, and B leaves room for t^n.  Once per dp, each class's
+    edges are grouped by e into (e*B, targets), so a step shifts the weight
+    once per distinct e >= 1, and not for e = 0.
     """
-    bits = 8 * width
+    width = _slot_bytes((t**n).bit_length())
     groups = []
     for out in lumped:
         by_e: dict[int, list[int]] = {}
         for v, e in out:
             by_e.setdefault(e, []).append(v)
-        groups.append([(e * bits, tuple(targets)) for e, targets in by_e.items()])
+        groups.append([(8 * width * e, tuple(targets)) for e, targets in by_e.items()])
     weights = [1] + [0] * (len(groups) - 1)
-    yield weights
-    for _ in range(n_max):
-        weights = _step(weights, groups)
-        yield weights
+    for k in range(n + 1):
+        if k:
+            weights = _step(weights, groups)
+        if k > n - rows:
+            yield _decode(sum(weights), width)
 
 
 def _step(weights: list[int], groups: list[list[tuple[int, tuple[int, ...]]]]) -> list[int]:
     """The packed weights after one more letter: each class's weight, shifted
-    once for each of its groups (shift, targets) of `_weights`, added into
+    once for each of its groups (shift, targets) of `_rows`, added into
     each target; the shift-0 group adds the weight itself."""
     nxt = [0] * len(weights)
     for w, out in zip(weights, groups):
@@ -561,30 +565,26 @@ def dp_series(sp: StatPattern, t: int, n_max: int) -> ZSeriesTable:
     letter multiplies it by z^e, where e counts the occurrences inside the
     window that use its final position.  Words shorter than W - 1 are states
     of their own, so occurrences inside short words are exact as well.  The
-    dp steps one weight per class of states with the same future
-    (`_weights`), and its predicted work (`series_work`, keeping all
-    n_max + 1 rows) is checked first.
+    dp steps one weight per class of states with the same future (`_rows`),
+    and its predicted work (`series_work`, keeping all n_max + 1 rows) is
+    checked first.
     """
     budget.check_work("series", *series_work((sp,), t, n_max, n_max + 1))
-    width = _slot_bytes((t**n_max).bit_length())
-    return ZSeriesTable(_decode(sum(w), width) for w in _weights(_quotient((sp,), t), width, n_max))
+    return ZSeriesTable(_rows(_quotient((sp,), t), t, n_max, n_max + 1))
 
 
-def series_row(sps: Sequence[StatPattern], t: int, n: int) -> ZPoly:
-    """Row n of the series of the summed statistic of `sps`: for each s, the
-    number of words in {1..t}^n with s occurrences of the patterns together.
+def series_rows(sps: Sequence[StatPattern], t: int, n: int, rows: int) -> list[ZPoly]:
+    """The last `rows` of the rows 0..n of the series of the summed
+    statistic of `sps`: for each s, the words in {1..t}^k with s
+    occurrences of the patterns together.
 
     The dp of `dp_series` over the lumped automaton of all the patterns at
-    once (the widest window sets the states); only the last row is kept and
-    decoded, so the predicted bits are the weights and that one row.  Its
-    z^0 coefficient counts the words that avoid them all.
+    once (the widest window sets the states), which keeps and decodes only
+    the rows asked for; the z^0 coefficient of row k counts the words of
+    length k that avoid them all.  Its predicted work (`series_work`) is
+    checked by the plan, as `rank_rows`'s is.
     """
-    sps = tuple(sps)
-    budget.check_work("series", *series_work(sps, t, n, 1))
-    width = _slot_bytes((t**n).bit_length())
-    for weights in _weights(_quotient(sps, t), width, n):
-        pass
-    return _decode(sum(weights), width)
+    return list(_rows(_quotient(sps, t), t, n, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +678,7 @@ def rank_rows(pat: Pdvp, n: int, rows: int) -> list[ZPoly]:
     permutations of S_d that end so, carried at z = 2^B (B from n!).  A
     child appends an entry of rank r in 1..d+1 (`_rank_step`).  The sum of
     the weights at depth d is row d.  Its predicted work (`rank_work`) is
-    checked by the plan.
+    checked by the plan, as `series_rows`'s is.
     """
     keep, floats = rank_window(pat)
     width = _slot_bytes(factorial(n).bit_length())
@@ -902,11 +902,8 @@ def solve_transfer_system(sp: StatPattern, t: int) -> RationalGF:
     classes, order = len(lumped), 2 * len(lumped)
     steps, held = _dp_work(sps, t, order, order + 1, classes)
     budget.check_work("solve", steps, held)
-    width = _slot_bytes((t**order).bit_length())
-    rows = []
-    for weights in _weights(lumped, width, order):
-        row = _decode(sum(weights), width)
-        rows.append([row.get(j, 0) for j in range(max(row) + 1)])
+    rows = [[row.get(j, 0) for j in range(max(row) + 1)]
+            for row in _rows(lumped, t, order, order + 1)]
     need = sum(max(e for _, e in out) for out in lumped) + 1
     slots, span = sum(map(len, rows)), max(map(len, rows))
     held += slots * budget.COEFF_BITS

@@ -223,11 +223,14 @@ class WorkMeter:
     a solve's recurrence terms, interpolation entries and certificate
     products, and morphism letters built.
 
-    Every admitted `budget.check_work` call opens a record for the nearest
-    budgeted entry point on the stack; the work done under that entry point
-    is charged to its latest record, so a nested entry point (series_row in
-    word_distribution) keeps its own.  Work outside any entry point, such as
-    a test calling `prefix_walk` itself, is not charged.
+    Every admitted `budget.check_work` call that may raise opens a record
+    for the nearest budgeted entry point on the stack (a call with `refuse`
+    false only asks whether some work would fit, as the plan asks of a dp
+    and of the walk it falls back to); the work done under that entry point
+    is charged to its latest record, so a nested entry point keeps its own,
+    and a scan that reads a dp's rows charges them to its plan's one record.
+    Work outside any entry point, such as a test calling `prefix_walk` or
+    `transfer.series_rows` itself, is not charged.
     """
 
     ENTRY_POINTS = [
@@ -236,7 +239,7 @@ class WorkMeter:
         exhaustive.perm_multi_avoiders,
         exhaustive.word_multi_avoiders, exhaustive.word_avoider_counts,
         problems.two_stack_sortable_counts, problems.morphism_rises, checks._ank_scan,
-        transfer.dp_series, transfer.series_row, transfer.solve_transfer_system,
+        transfer.dp_series, transfer.solve_transfer_system,
     ]
 
     def __init__(self, monkeypatch):
@@ -280,7 +283,7 @@ class WorkMeter:
         def check(what, steps, bits, refuse=True):
             fits = check_work(what, steps, bits, refuse)
             frame = sys._getframe(1)
-            while fits and frame is not None:
+            while fits and refuse and frame is not None:
                 if frame.f_code in self.entries:
                     rec = SimpleNamespace(what=what, steps=steps, bits=bits, counted=0)
                     self.records.append(rec)

@@ -72,6 +72,8 @@ def test_benchmark_jobs_stay_within_their_predictions(monkeypatch, work_meter):
     jobs = [job for name in workloads.WORKLOADS for job in workloads.fixed_jobs(name)]
     jobs += [job for seed in (0, 1) for name in workloads.WORKLOADS
              for job in workloads.seeded_jobs(name, seed)]
+    reads, rows = [], transfer.series_rows
+    monkeypatch.setattr(transfer, "series_rows", lambda *a: reads.append(a) or rows(*a))
     for job in jobs:
         start = len(work_meter.records)
         _run(job)
@@ -79,9 +81,10 @@ def test_benchmark_jobs_stay_within_their_predictions(monkeypatch, work_meter):
         # fib-bij compares closed formulas only
         assert made or job["id"] == "verify_fib-bij", job["id"]
         assert all(rec.counted <= rec.steps for rec in made), job["id"]
-        if job["kind"] in ("word_dist", "word_avoid"):
-            want = "series" if job["id"] in AUTOMATON_JOBS else "scan"
-            assert made[-1].what == want, job["id"]
+        if job["kind"] in ("word_dist", "word_avoid"):  # one plan, which reads a series or walks
+            assert [rec.what for rec in made] == ["scan"], job["id"]
+            assert bool(reads) == (job["id"] in AUTOMATON_JOBS), job["id"]
+        reads.clear()
     assert {rec.what for rec in work_meter.records} == {"scan", "series", "solve"}
 
 
@@ -94,8 +97,12 @@ def test_every_kind_of_work_is_counted(work_meter):
     checks._ank_scan(6)
     problems.morphism_rises(12)
     kinds = {rec.what: rec for rec in work_meter.records if rec.counted}
-    assert set(kinds) == {"scan", "series", "solve", "morphism word"}
+    assert set(kinds) == {"scan", "solve", "morphism word"}
     assert work_meter.over() == []
+    # the walk and the automaton's row are each charged to their plan's record
+    walk, row = work_meter.records[:2]
+    assert walk.counted and row.counted
+    assert row.steps == transfer.series_work((StatPattern(rise),), 3, 40, 1)[0]
     # the solve's phases, each checked before it starts: the 30 windows of
     # its 1 + 5 states and 5 lumping rounds of 30 edges; the dp to order 2c;
     # the first prime's recurrences and interpolation; the certificate
@@ -165,13 +172,27 @@ def test_the_meter_counts_every_transition_of_the_rank_dp(work_meter):
     # and 42*6 more.  Then the 7 slots of row 6 (up to 6 occurrences), or the
     # 30 of rows 0..7.  Predicted: 71 transitions of 1 + (3 + 6) + 1 steps
     # and 16 slots, or 113 of 1 + (3 + 7) + 1 and 8 rows of 22.  The plan
-    # opens a record when it finds that the dp fits, and one as it checks it
+    # opens one record, as it checks the dp it picked
     pat = parse_pattern("gp:2-31")
     exhaustive.perm_distribution(pat, 6)
     exhaustive.perm_distributions(pat, 7)
-    counted = [(rec.counted, rec.steps) for rec in work_meter.records if rec.counted]
+    counted = [(rec.counted, rec.steps) for rec in work_meter.records]
     assert counted == [(71 + 281 + 7, 797), (113 + 281 + 252 + 30, 1532)]
-    assert [rec.what for rec in work_meter.records] == ["scan"] * 4
+    assert [rec.what for rec in work_meter.records] == ["scan"] * 2
+
+
+def test_a_word_scan_predicts_its_series_once(work_meter, monkeypatch):
+    # the plan predicts the series once and checks it once, and the rows it
+    # reads are charged to that one record
+    pat = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
+    predictions = []
+    work = transfer.series_work
+    monkeypatch.setattr(transfer, "series_work", lambda *a: predictions.append(a) or work(*a))
+    assert exhaustive.word_distribution(pat, 4, 8).total() == 4**8
+    steps = work((StatPattern(pat),), 4, 8, 1)[0]
+    assert len(predictions) == 1
+    assert [(rec.what, rec.steps) for rec in work_meter.records] == [("scan", steps)]
+    assert 0 < work_meter.records[0].counted <= steps
 
 
 def test_the_meter_counts_every_letter_a_word_node_scores(work_meter):
@@ -258,7 +279,9 @@ def test_peak_memory_within_the_predicted_bits(monkeypatch):
         "rank dp": lambda: exhaustive.perm_distribution(make_classical((1, 2)), 100),
         "every-length rank dp": lambda: exhaustive.perm_distributions(parse_pattern("gp:2-31"), 50),
         "rank dp of many states": lambda: exhaustive.perm_distribution(parse_pattern("gp:123"), 30),
-        "series row": lambda: transfer.series_row([StatPattern(repeat)], 1, 12000),
+        # a word scan's series keeps one row: one state, and a row of up to
+        # n + 1 coefficients as large as C(n, n/2)
+        "series row": lambda: exhaustive.word_distribution(single.pattern, 2, 1500),
         "dp": lambda: transfer.dp_series(w4, 6, 60),
         "one-state dp": lambda: transfer.dp_series(single, 2, 300),
         "morphism word": lambda: problems.morphism_rises(17),
@@ -288,6 +311,6 @@ def test_predictions_saturate_at_once():
     top = budget.ceiling()
     assert budget.power(3, 10**12) == top and budget.power(1, 10**12) == 1
     assert budget.power(2, 10) == 1024
-    with pytest.raises(EnumerationLimitError, match=r"^x of at least 2\^\d+ steps exceeds the budget"):
+    with pytest.raises(EnumerationLimitError, match=r"^x of at least 10\^5177 steps exceeds the budget"):
         check_work("x", top, 0)
     assert time.perf_counter() - start < 1

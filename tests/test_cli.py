@@ -338,7 +338,8 @@ def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
         (["dist", "--pattern", "12|P,{2},P|(1,2,{2})|P,P", "--word-n", "5", "--alphabet", "4"],
          1364),
         (["avoid", "--pattern", "gp:231", "--pattern", "12|P,P,P|-|O,P", "--perm-n", "6"], 1956),
-        (["avoid", "--pattern", "gp:12", "--word-n", "7", "--alphabet", "3"], 3279),
+        # the rise at any distance, no statistic: 3 + 9 + ... + 3^7 nodes
+        (["avoid", "--pattern", "gp:1-2", "--word-n", "7", "--alphabet", "3"], 3279),
         # order-only: the generating tree, 1! + 2! + ... + 6! nodes
         (["dist", "--pattern", "gp:2-31-4", "--perm-n", "6"], 873),
         (["avoid", "--pattern", "gp:231", "--perm-n", "6"], 873),
@@ -347,6 +348,9 @@ def test_problem_four_above_the_scan_limit_exits_2(monkeypatch, capsys):
         # loop steps + 1 chunk, and 16 slots decoded, since the walk does
         # not fit either
         (["dist", "--pattern", "gp:2-31", "--perm-n", "6"], 797),
+        # gp:12 is the adjacent rise, a statistic: its series' 164 steps are
+        # fewer than the walk's 3279 nodes, and when neither fits, named
+        (["avoid", "--pattern", "gp:12", "--word-n", "7", "--alphabet", "3"], 164),
     ],
 )
 def test_scans_obey_the_budget_env_var(monkeypatch, capsys, argv, nodes):
@@ -412,9 +416,9 @@ def test_gf_dp_series_budget_exits_2_at_once(capsys):
          ("error: series of ", " bits exceeds the bound 1073741824")),
         # 2^(10^12) states: refused before they are counted
         (["--pattern", "12|P,{1000000000000},P|-|P,P", "--alphabet", "2", "--dp"],
-         ("error: series of at least 2^", " steps exceeds the budget 100000000")),
+         ("error: series of at least 10^5177", " steps exceeds the budget 100000000")),
         (["--pattern", "12|P,{1000000000000},P|-|P,P", "--alphabet", "2", "--solve"],
-         ("error: solve of at least 2^", " steps exceeds the budget 100000000")),
+         ("error: solve of at least 10^5177", " steps exceeds the budget 100000000")),
     ],
 )
 def test_gf_budgets_exit_2_before_the_work(capsys, argv, sizes):

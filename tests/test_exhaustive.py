@@ -37,7 +37,7 @@ from pdvp.intset import EVENS, ODDS, POSITIVES, finite, multiples
 from pdvp.matcher import PermSequence, WordSequence
 from pdvp.pattern import Mode, Pdvp, YTriple, make_classical
 from pdvp.problems import problem_report, stack_sort, two_stack_sortable_counts
-from pdvp.transfer import StatPattern, series_row
+from pdvp.transfer import StatPattern, series_rows
 
 
 def test_distribution_partitions_the_symmetric_group():
@@ -104,11 +104,12 @@ def test_word_budget_error(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(exhaustive, "prefix_walk", _no_walk)
         assert word_distribution(pat, 3, 9).total() == 3**9
-    # under 100 steps neither fits, and the walk's refusal is reported:
-    # 3 + 9 + ... + 3^9 prefixes
+    # under 100 steps neither fits, and the series' refusal is reported, as
+    # it predicts fewer steps than the walk's 3 + 9 + ... + 3^9 = 29523
     monkeypatch.setenv("PDVP_BUDGET", "100")
+    assert transfer.series_work((StatPattern(pat),), 3, 9, 1)[0] == 760
     with pytest.raises(EnumerationLimitError,
-                       match=r"^scan of 29523 steps exceeds the budget 100$"):
+                       match=r"^scan of 760 steps exceeds the budget 100$"):
         word_distribution(pat, 3, 9)
 
 
@@ -508,8 +509,8 @@ def test_inherited_partials_equal_the_per_object_recount(rng):
                     want[k].append((entries, c))
         case_id = (avoid, count, cap, n, each_length)
         plan = plan_scan(avoid, count, None, n, each_length)
-        ranks = not avoid and transfer.rank_window(count) is not None and _ranks_win(
-            count, n, each_length)
+        ranks = not avoid and transfer.rank_window(count) is not None and _dp_wins(
+            transfer.rank_work(count, n, n + 1 if each_length else 1), _tree_nodes(n))
         assert plan.path == ("ranks" if ranks else "tree"), case_id
         walk = replace(plan, path="tree")  # the walk's caps and partials, on the ranks' counts too
         assert _by_length(_expanded(walk, cap), n, None) == want, case_id
@@ -709,7 +710,7 @@ def test_scan_budget_boundaries(monkeypatch):
     # inputs far past the budget are refused as fast; a count too long to
     # print is named by its lower bound
     for t, n in ((None, 10**12), (3, 10**9), (10**50, 10**9)):
-        with pytest.raises(EnumerationLimitError, match=r"^scan of at least 2\^\d+ steps"):
+        with pytest.raises(EnumerationLimitError, match=r"^scan of at least 10\^5177 steps "):
             plan_scan(() if t is None else anchored, None, t, n, each_length=True)
     with pytest.raises(EnumerationLimitError, match=_refusal(10**9 * (10**9 + 1) // 2, 10**8)):
         plan_scan(anchored, None, 1, 10**9, each_length=True)
@@ -803,8 +804,9 @@ def test_ank_scan_equals_per_object_recount():
     assert _ank_scan(7) == _ank_recount([parse_gp("231"), parse_gp("132")], 7)
 
 
-# Word scans of bounded-window patterns read the window automaton when its
-# predicted steps are at most the walk's nodes; the tests call `series_row`
+# Word scans of bounded-window patterns read the window automaton by the
+# rule the rank dp follows: when its predicted steps are at most the walk's
+# nodes and it fits, or the walk does not.  The tests call `series_rows`
 # itself wherever the plan walks, so the series is compared at every size.
 # The walks, every-length ones included, are its oracle here, beside the
 # per-word naive recount.
@@ -835,10 +837,10 @@ def _no_walk(*args, **kwargs):
 
 
 def test_long_one_letter_words_read_one_row():
-    # series_row keeps one row, so its bits budget charges one row, not 12001
+    # series_rows keeps and decodes only the rows asked for, here one of 12001
     adjacent_equal = parse_pattern("11|P,{1},P|-|P,P", Mode.WORD)
     start = time.perf_counter()
-    assert series_row([StatPattern(adjacent_equal)], 1, 12000) == {11999: 1}
+    assert series_rows([StatPattern(adjacent_equal)], 1, 12000, 1) == [{11999: 1}]
     assert time.perf_counter() - start < 1
     # the walk's 12000 nodes are fewer than the series' steps, so the plan walks
     assert plan_scan([], adjacent_equal, 1, 12000).path == "words"
@@ -852,7 +854,7 @@ def test_window_pattern_scans_equal_the_walks_and_the_naive_recount(rng):
         hist = _naive_histogram(pat, _objects(Mode.WORD, n, t))
         walked = word_distributions(pat, t, n)[n]
         avoiders = word_avoider_counts([pat], t, n)[n]
-        row = series_row([StatPattern(pat)], t, n)
+        [row] = series_rows([StatPattern(pat)], t, n, 1)
         got = word_distribution(pat, t, n)  # by the path of its plan
         assert word_multi_avoiders([pat], t, n) == avoiders == row.get(0, 0) == hist.get(0, 0), (
             pat, t, n)
@@ -878,15 +880,20 @@ def test_window_avoid_sets_equal_the_walks_and_the_naive_recount(rng):
             if not any(naive_occurrences(p, seq) for p in pats)
         )
         walked = word_avoider_counts(pats, t, n)[n]
-        row = series_row([StatPattern(p) for p in pats], t, n)
+        [row] = series_rows([StatPattern(p) for p in pats], t, n, 1)
         assert word_multi_avoiders(pats, t, n) == walked == row.get(0, 0) == naive, (pats, t, n)
 
 
 def test_series_refusals_fall_back_to_the_walk(monkeypatch):
+    # over 4097 letters the series of the rise does not fit, the walk's 4097
+    # nodes do: the plan walks, and the series alone is refused at once
     pat = parse_pattern("12|P,{1},P|(1,2,{1})|P,P", Mode.WORD)
     start = time.perf_counter()
+    assert not budget.check_work(
+        "scan", *transfer.series_work((StatPattern(pat),), 4097, 1, 1), refuse=False)
+    assert plan_scan([], pat, 4097, 1).path == "words"
     with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget"):
-        series_row([StatPattern(pat)], 4097, 1)
+        transfer.dp_series(StatPattern(pat), 4097, 1)
     assert time.perf_counter() - start < 1
     walks = []
     walk = exhaustive.prefix_walk
@@ -935,22 +942,28 @@ def test_cli_word_scans_print_what_the_walk_prints(rng, capsys, monkeypatch):
         t, n = rng.randint(1, 3), rng.randint(0, 7)
         flags = [arg for p in pats for arg in ("--pattern", render_pattern(p))]
         runs.append(["avoid", *flags, "--word-n", str(n), "--alphabet", str(t)])
-    walk, check, plan_of = exhaustive.prefix_walk, budget.check_work, exhaustive.plan_scan
+    walk, plan_of = exhaustive.prefix_walk, exhaustive.plan_scan
+
+    def series_plan(avoid, count, t, n, *rest):  # checks the series' work last, as a plan would
+        plan = plan_of(avoid, count, t, n, *rest)
+        sps = tuple(StatPattern(p) for p in (*avoid, count) if p is not None)
+        budget.check_work("scan", *transfer.series_work(sps, t, n, 1))
+        return replace(plan, path="series")
+
     for argv in runs:
         for fmt in ("text", "json"):
             routed = _cli(capsys, ["--format", fmt, *argv])  # by the path of its plan
             # a plan sent to the series reads its row
             with monkeypatch.context() as patched:
                 patched.setattr(exhaustive, "prefix_walk", _no_walk)
-                patched.setattr(exhaustive, "plan_scan",
-                                lambda *a, **k: replace(plan_of(*a, **k), path="series"))
+                patched.setattr(exhaustive, "plan_scan", series_plan)
                 series = _cli(capsys, ["--format", fmt, *argv])
-            # the plan takes the series only when its work fits: a check that
-            # admits no series forces the word walk
+            # the plan takes the series only when it predicts no more steps
+            # than the walk: a series predicted past every budget forces the
+            # word walk
             walks = []
             with monkeypatch.context() as patched:
-                patched.setattr(budget, "check_work",
-                                lambda *a, refuse=True, **k: refuse and check(*a, **k))
+                patched.setattr(transfer, "series_work", lambda *a: (budget.ceiling(), 0))
                 patched.setattr(exhaustive, "prefix_walk",
                                 lambda plan, *a, **k: walks.append(plan) or walk(plan, *a, **k))
                 walked = _cli(capsys, ["--format", fmt, *argv])
@@ -1036,12 +1049,13 @@ def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
         plan = plan_scan(avoid, count, t, n, each_length)
         assert (plan.avoid, plan.count, plan.t, plan.n) == (tuple(avoid), count, t, n)
         keep = _rank_keep(count) if t is None and count and not avoid else None
-        ranks = keep is not None and order_only(count) and _ranks_win(count, n, each_length)
+        ranks = keep is not None and order_only(count) and _dp_wins(
+            transfer.rank_work(count, n, n + 1 if each_length else 1), _tree_nodes(n))
         assert (plan.path == "ranks") == ranks, (count, n)
         assert (plan.path == "tree") == (t is None and all(map(order_only, pats)) and not ranks)
         single = not each_length and not (avoid and count)
-        series = t is not None and single and all(map(_statistic, pats)) and _series_wins(
-            pats, t, n)
+        series = t is not None and single and all(map(_statistic, pats)) and _dp_wins(
+            transfer.series_work(tuple(map(StatPattern, pats)), t, n, 1), _word_walk_nodes(t, n))
         assert (plan.path == "series") == series, (avoid, count, t, n, each_length)
         assert plan.path in (("ranks", "tree", "values") if t is None else ("series", "words"))
         closing_p = all(pat.x[-1].steps == (1,) for pat in pats)
@@ -1072,29 +1086,40 @@ def test_the_plan_picks_the_path_by_its_rules(rng, monkeypatch):
     assert [plan_scan([], wide, None, n).path for n in (8, 11)] == ["tree", "tree"]
     with pytest.raises(EnumerationLimitError, match=r"^scan of 188133346 steps "):
         plan_scan([], wide, None, 12)
+    # the same rule for a word scan: the rise by 2 at distance 2 over 4
+    # letters predicts more series steps than the walk's nodes up to n = 5,
+    # fewer from n = 6; at n = 40 only the series fits the default budget,
+    # and under a budget of 100 neither does, and the series' steps are named
+    rise = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
+    sps = (StatPattern(rise),)
+    for n in range(1, 7):
+        steps = transfer.series_work(sps, 4, n, 1)[0]
+        assert (steps <= _word_walk_nodes(4, n)) == (n == 6), n
+        assert plan_scan([], rise, 4, n).path == ("series" if n == 6 else "words"), n
+    assert plan_scan([], rise, 4, 40).path == "series"
+    assert transfer.series_work(sps, 4, 40, 1)[0] == 7305
+    monkeypatch.setenv("PDVP_BUDGET", "100")
+    with pytest.raises(EnumerationLimitError, match=r"^scan of 7305 steps exceeds the budget 100$"):
+        plan_scan([], rise, 4, 40)
 
 
-def _ranks_win(pat, n, each_length):
-    """Whether a count of `pat` over S_n, or S_0..S_n, that the rank dp
-    admits takes it: the dp predicts at most as many steps as the tree walk
-    has nodes, 1! + .. + n!, and it fits or the walk does not (the walk's
-    bits, a few per position, always fit here)."""
-    steps, bits = transfer.rank_work(pat, n, n + 1 if each_length else 1)
-    nodes = sum(map(factorial, range(1, n + 1)))
-    return steps <= nodes and (budget.check_work("scan", steps, bits, refuse=False)
-                               or not budget.check_work("scan", nodes, 0, refuse=False))
+def _tree_nodes(n):
+    return sum(map(factorial, range(1, n + 1)))
 
 
 def _word_walk_nodes(t, n):
     return sum(t**d for d in range(1, n + 1))
 
 
-def _series_wins(pats, t, n):
-    """Whether the series of these statistics fits, and predicts at most as
-    many steps as the word walk of length n has nodes."""
-    steps, bits = transfer.series_work(tuple(map(StatPattern, pats)), t, n, 1)
-    return steps <= _word_walk_nodes(t, n) and budget.check_work(
-        "series", steps, bits, refuse=False)
+def _dp_wins(work, nodes):
+    """Whether a scan that a dp admits takes it, given the dp's predicted
+    (steps, bits) and the nodes of the walk it would replace: the dp
+    predicts at most as many steps as the walk has nodes, and it fits or
+    the walk does not (the walk's bits, a few per position, always fit
+    here)."""
+    steps, bits = work
+    return steps <= nodes and (budget.check_work("scan", steps, bits, refuse=False)
+                               or not budget.check_work("scan", nodes, 0, refuse=False))
 
 
 def test_word_scans_take_the_path_predicted_to_do_less(rng, monkeypatch):
@@ -1108,7 +1133,9 @@ def test_word_scans_take_the_path_predicted_to_do_less(rng, monkeypatch):
         monkeypatch.delenv("PDVP_BUDGET", raising=False)
         plan = plan_scan(avoid, count, t, n)
         stats = [count] if count else avoid
-        assert (plan.path == "series") == _series_wins(stats, t, n), case
+        assert (plan.path == "series") == _dp_wins(
+            transfer.series_work(tuple(map(StatPattern, stats)), t, n, 1),
+            _word_walk_nodes(t, n)), case
         seen[plan.path] += 1
         # under a budget of exactly the chosen path's steps, the path is the same
         sps = tuple(map(StatPattern, stats))

@@ -23,7 +23,7 @@ GUARDS = {
         ValueError, "alphabet size must be positive"),
     "value walk of at least the ceiling": (
         lambda: exhaustive.perm_multi_avoiders([checks.mod4_pattern()], 3000),
-        EnumerationLimitError, "scan of at least 2^17200 steps exceeds the budget 100000000"),
+        EnumerationLimitError, "scan of at least 10^5177 steps exceeds the budget 100000000"),
     "dp over no letters": (
         lambda: transfer.dp_series(_finite_gap_rise(), 0, 3),
         ValueError, "alphabet size must be positive"),

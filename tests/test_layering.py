@@ -189,13 +189,22 @@ _DECIDERS = {"order_only", "statistic_refusal", "rank_window", "check_work"}
 def test_only_the_plan_decides_a_scan():
     # one planner: in the modules that scan, `exhaustive.plan_scan` alone
     # picks a path and checks a scan's work (order_only, rank_window,
-    # statistic_refusal, and check_work for the rank dp, for the walk it
-    # falls back to, for the series and for the path picked); problems'
+    # statistic_refusal, and check_work for the dp, for the walk it falls
+    # back to and, the one that may raise, for the path picked); problems'
     # one other work check is the morphism word's, which is no scan
     users = {name: _users(_module_tree(name), _DECIDERS)
              for name in ("exhaustive.py", "problems.py", "checks.py", "cli.py")}
-    assert users == {"exhaustive.py": ["plan_scan"] * 7, "problems.py": ["morphism_rises"],
+    assert users == {"exhaustive.py": ["plan_scan"] * 6, "problems.py": ["morphism_rises"],
                      "checks.py": [], "cli.py": []}
+
+
+def test_only_the_tables_read_the_rows_of_a_dp():
+    # the readers of the two dps leave their work check to the plan, so only
+    # the scan that planned them, `exhaustive._tables`, may call them
+    readers = {"series_rows", "rank_rows"}
+    users = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+             if (found := _users(ast.parse(path.read_text()), readers))}
+    assert users == {"exhaustive.py": ["_tables", "_tables"]}
 
 
 def test_the_planner_lint_sees_a_second_decider():

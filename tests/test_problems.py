@@ -36,7 +36,7 @@ def test_morphism_budget(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError, match=r"^morphism word of \d+ steps exceeds the budget"):
         morphism_rises(40)
-    with pytest.raises(EnumerationLimitError, match=r"^morphism word of at least 2\^\d+ steps"):
+    with pytest.raises(EnumerationLimitError, match=r"^morphism word of at least 10\^5177 steps "):
         morphism_rises(10**18)
     assert time.perf_counter() - start < 1
 

@@ -12,7 +12,7 @@ from conftest import fib_series_gf, naive_occurrences
 from pdvp import checks, transfer
 from pdvp.budget import EnumerationLimitError
 from pdvp.dsl import parse_pattern
-from pdvp.exhaustive import word_distributions
+from pdvp.exhaustive import word_distribution, word_distributions
 from pdvp.matcher import WordSequence
 from pdvp.pattern import Mode
 from pdvp.transfer import (
@@ -35,7 +35,7 @@ from pdvp.transfer import (
     dp_series,
     expand_rational,
     gf_equal_series,
-    series_row,
+    series_rows,
     series_work,
     solve_transfer_system,
 )
@@ -479,9 +479,9 @@ W4_PATTERN = "12|P,{1,2,3},P|(1,2,{2})|P,P"
          r"^solve of 1851820 steps exceeds the budget 1000000$"),
         # 2^(10^12) states: counted only up to the ceiling, never computed
         (_HUGE_GAP, 2, "dp", None,
-         r"^series of at least 2\^\d+ steps exceeds the budget 100000000$"),
+         r"^series of at least 10\^5177 steps exceeds the budget 100000000$"),
         (_HUGE_GAP, 2, "solve", None,
-         r"^solve of at least 2\^\d+ steps exceeds the budget 100000000$"),
+         r"^solve of at least 10\^5177 steps exceeds the budget 100000000$"),
     ],
     ids=["dp-one-state-t1e9", "dp-t4097", "solve-4000", "solve-dp-t10", "solve-dp-bits-t10",
          "solve-recurrences-t6", "dp-huge-gap", "solve-huge-gap"],
@@ -927,12 +927,16 @@ def test_lumped_series_row_equals_the_full_state_dp():
             sps.append(StatPattern(parse_pattern(W4_PATTERN, Mode.WORD)))
         mixed += len({sp.window_width for sp in sps}) > 1
         t, n = rng.randint(1, 6), rng.randint(0, 12)
-        assert series_row(sps, t, n) == _full_state_rows(sps, t, n)[n], (sps, t, n)
+        full = _full_state_rows(sps, t, n)
+        for k in (1, n + 1):  # the last row, and every row
+            assert series_rows(sps, t, n, k) == full[n + 1 - k:], (sps, t, n, k)
     assert mixed >= 10
     w4 = StatPattern(parse_pattern(W4_PATTERN, Mode.WORD))
     one = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
     for sps, t, n in (([w4], 6, 12), ([w4], 1, 9), ([one], 1, 9), ([one], 4, 9)):
-        assert series_row(sps, t, n) == _full_state_rows(sps, t, n)[n], (sps, t, n)
+        full = _full_state_rows(sps, t, n)
+        for k in (1, n + 1):
+            assert series_rows(sps, t, n, k) == full[n + 1 - k:], (sps, t, n, k)
 
 
 def _lump_cases():
@@ -987,16 +991,18 @@ def test_lumping_past_its_rounds_keeps_every_state():
 
 
 def test_series_row_budget_charges_one_row():
-    # dp_series keeps every row, series_row only the weights and the last row
+    # dp_series keeps every row, a word scan's series only the weights and
+    # the last row; the scan's plan refuses the series' steps, fewer than
+    # the walk's nodes, before any work
     single = StatPattern(parse_pattern("1|P,P|-|{2}", Mode.WORD))
     start = time.perf_counter()
     rows = series_work((single,), 2, 49999, 50000)[1]
-    one_row = series_work((single,), 2, 49999, 1)[1]
+    steps, one_row = series_work((single,), 2, 49999, 1)
     assert rows > 1000 * one_row
     with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
         dp_series(single, 2, 49999)
-    with pytest.raises(EnumerationLimitError, match=r"^series of \d+ steps exceeds the budget 100000000$"):
-        series_row([single], 2, 49999)
+    with pytest.raises(EnumerationLimitError, match=rf"^scan of {steps} steps exceeds the budget 100000000$"):
+        word_distribution(single.pattern, 2, 49999)
     assert time.perf_counter() - start < 1
 
 
