@@ -247,12 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    needs_alphabet = (
-        getattr(args, "word", None) is not None
-        or getattr(args, "word_n", None) is not None
-        or args.command == "gf"
-    )
-    if needs_alphabet and getattr(args, "alphabet", None) is None:
+    words = getattr(args, "word", None) is not None or getattr(args, "word_n", None) is not None
+    if words and getattr(args, "alphabet", None) is None:
         parser.error("--alphabet is required for word input")
 
 

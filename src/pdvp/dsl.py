@@ -1,7 +1,8 @@
 """Textual notation for patterns and set expressions.
 
-Grammar (whitespace is insignificant everywhere but inside "gp:" and the
-dashed text that follows it):
+Grammar (whitespace may separate any two tokens, but a run of digits is one
+token, so "1 2|.." is not the base 12 and "{1 0}" is not {10}; the dashed
+text after "gp:" takes whitespace only at either end):
 
     pattern  := "gp:" dashed | base "|" setlist "|" ytriples "|" setlist
     dashed   := letter ("-"? letter)*          letters 1..9, read by parse_gp
@@ -20,6 +21,10 @@ the prefix themselves.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
+from typing import Callable
 
 from .intset import EVENS, IntSet, ODDS, POSITIVES, finite, multiples
 from .pattern import Mode, Pdvp, YTriple, _gp_parts, make_gp
@@ -67,33 +72,39 @@ class _Scanner:
         found = self.peek() or "end of input"
         raise ParseError(self.pos, expected, repr(found) if found != "end of input" else found)
 
-    def nat(self) -> int:
+    def digits(self, expected: str) -> str:
+        """The run of digits at the next token: one token, so "1 2" is two."""
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            self.fail("a number")
-        return int(self.text[start:self.pos])
+            self.fail(expected)
+        return self.text[start:self.pos]
+
+    def nat(self) -> int:
+        return int(self.digits("a number"))
+
+    def items(self, item: Callable[[_Scanner], object], sep: str) -> list:
+        """item (sep item)*"""
+        out = [item(self)]
+        while self.peek() == sep:
+            self.pos += 1
+            out.append(item(self))
+        return out
+
+
+_NAMED = {"P": POSITIVES, "E": EVENS, "O": ODDS}
 
 
 def _parse_term(s: _Scanner) -> IntSet:
     ch = s.peek()
-    if ch == "P":
+    if ch in _NAMED:
         s.take()
-        return POSITIVES
-    if ch == "E":
-        s.take()
-        return EVENS
-    if ch == "O":
-        s.take()
-        return ODDS
+        return _NAMED[ch]
     if ch == "{":
         s.take()
-        members = [s.nat()]
-        while s.peek() == ",":
-            s.take()
-            members.append(s.nat())
+        members = s.items(_Scanner.nat, ",")
         s.expect("}")
         return finite(members)
     if ch.isdigit():
@@ -118,34 +129,15 @@ def parse_set(text: str) -> IntSet:
 
 
 def _parse_set(s: _Scanner) -> IntSet:
-    out = _parse_term(s)
-    while s.peek() == "+":
-        s.take()
-        out = out | _parse_term(s)
-    return out
-
-
-def _parse_setlist(s: _Scanner) -> list[IntSet]:
-    sets = [_parse_set(s)]
-    while s.peek() == ",":
-        s.take()
-        sets.append(_parse_set(s))
-    return sets
+    return reduce(or_, s.items(_parse_term, "+"))
 
 
 def _parse_base(s: _Scanner) -> tuple[int, ...]:
-    s._skip_ws()
-    start = s.pos
-    while s.pos < len(s.text) and s.text[s.pos].isdigit():
-        s.pos += 1
-    if s.pos == start:
-        s.fail("a base letter")
-    token = s.text[start:s.pos]
+    token = s.digits("a base letter")
+    start = s.pos - len(token)
     if s.peek() == ",":
-        letters = [int(token)]
-        while s.peek() == ",":
-            s.take()
-            letters.append(s.nat())
+        s.pos += 1
+        letters = [int(token), *s.items(_Scanner.nat, ",")]
     else:
         letters = [int(ch) for ch in token]
     if any(v < 1 for v in letters):
@@ -157,11 +149,7 @@ def _parse_ytriples(s: _Scanner) -> list[YTriple]:
     if s.peek() == "-":
         s.take()
         return []
-    triples = [_parse_ytriple(s)]
-    while s.peek() == ";":
-        s.take()
-        triples.append(_parse_ytriple(s))
-    return triples
+    return s.items(_parse_ytriple, ";")
 
 
 def _parse_ytriple(s: _Scanner) -> YTriple:
@@ -185,11 +173,11 @@ def parse_pattern(text: str, mode: Mode = Mode.PERMUTATION) -> Pdvp:
     start = s.pos
     base = _parse_base(s)
     s.expect("|")
-    xs = _parse_setlist(s)
+    xs = s.items(_parse_set, ",")
     s.expect("|")
     ys = _parse_ytriples(s)
     s.expect("|")
-    zs = _parse_setlist(s)
+    zs = s.items(_parse_set, ",")
     if not s.at_end():
         s.fail("end of input")
     m = len(base)

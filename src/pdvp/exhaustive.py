@@ -361,10 +361,11 @@ def prefix_walk(plan: ScanPlan, cap: int | None = None
     it (every closing gap set is P); any other takes a walk per length
     1..n, in order.  Each walk keeps, per depth, the children it has still
     to visit, so the length is not bounded by the recursion limit; a node
-    with one kept child keeps none.  Drawing from it raises ValueError for a
-    series or ranks plan, which no walk serves: a scan that reads the
-    entries, as problem 4 and the ank check do, avoids some pattern and so
-    walks.
+    with one kept child keeps none, which holds a walk of lone children, as
+    over one letter, within `plan_scan`'s charge per position.  Drawing from
+    it raises ValueError for a series or ranks plan, which no walk serves: a
+    scan that reads the entries, as problem 4 and the ank check do, avoids
+    some pattern and so walks.
 
     Words and values come in lexicographic order.  By values a walk fills
     only the positions of its length's cut, each with an unused relevant

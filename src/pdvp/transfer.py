@@ -54,6 +54,7 @@ base-2^B digits give back every coefficient exactly, and a packed value is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -463,16 +464,18 @@ def _lump(edges: list[list[tuple[int, int]]], rounds: int) -> list[int]:
     return list(range(len(edges)))
 
 
-def _quotient(sps: tuple[StatPattern, ...], t: int) -> list[list[tuple[int, int]]]:
+@lru_cache(maxsize=8)
+def _quotient(sps: tuple[StatPattern, ...], t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The lumped automaton: for each class of `_lump`, the edges (target
-    class, e) of its first state."""
+    class, e) of its first state.  The last 8 built are kept, as tuples
+    no caller can change, so a dp and a solve of one statistic share one."""
     keep, _, rounds = _shape(sps, t)
     edges = _automaton(sps, t, keep)
     classes = _lump(edges, rounds)
     first: dict[int, int] = {}
     for state, c in enumerate(classes):
         first.setdefault(c, state)
-    return [[(classes[v], e) for v, e in edges[state]] for state in first.values()]
+    return tuple(tuple((classes[v], e) for v, e in edges[state]) for state in first.values())
 
 
 def _automaton_work(sps: tuple[StatPattern, ...], t: int) -> tuple[int, int]:
@@ -516,7 +519,7 @@ def series_work(sps: tuple[StatPattern, ...], t: int, n: int, rows: int) -> tupl
     return steps + more_steps, bits + more_bits
 
 
-def _rows(lumped: list[list[tuple[int, int]]], t: int, n: int, rows: int) -> Iterator[ZPoly]:
+def _rows(lumped: Sequence[Sequence[tuple[int, int]]], t: int, n: int, rows: int) -> Iterator[ZPoly]:
     """The last `rows` of the rows 0..n of the packed dp over the lumped
     automaton, each decoded when the dp reaches it: row k sums the weights
     of the classes after k letters.
@@ -584,7 +587,7 @@ def series_rows(sps: Sequence[StatPattern], t: int, n: int, rows: int) -> list[Z
     length k that avoid them all.  Its predicted work (`series_work`) is
     checked by the plan, as `rank_rows`'s is.
     """
-    return list(_rows(_quotient(sps, t), t, n, rows))
+    return list(_rows(_quotient(tuple(sps), t), t, n, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,7 @@ class WorkMeter:
 
 @pytest.fixture(autouse=True)
 def work_meter(monkeypatch):
+    transfer._quotient.cache_clear()  # so that no test's counts depend on the tests before it
     meter = WorkMeter(monkeypatch)
     yield meter
     assert meter.over() == []

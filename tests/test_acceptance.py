@@ -11,6 +11,7 @@ lines: a check that stops reporting one, or reports a new one, fails them.
 
 from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
@@ -313,3 +314,54 @@ def test_criterion_15d_totals_normalisation():
     for name, (_, t) in checks.STAT_ALPHABETS.items():
         table = checks._dp_table(name)
         assert table.totals() == [t**n for n in range(15)]
+
+
+# The two results the paper's abstract cites, stated as PDVPs.
+
+
+def _times(a: list[int], b: list[int], n_max: int) -> list[int]:
+    """The product of two coefficient lists, through x^n_max."""
+    out = [0] * (n_max + 1)
+    for i, x in enumerate(a[:n_max + 1]):
+        for j, y in enumerate(b[:n_max + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_cited_bcdk_avoiders_are_the_fishburn_numbers():
+    """Bousquet-Mélou, Claesson, Dukes and Kitaev: the permutations avoiding
+    the bivincular 231 whose 2 and 3 are adjacent in place and whose 1 and 2
+    are adjacent in value are counted by sum_k prod_{i<=k} (1 - (1 - x)^i)."""
+    fishburn = parse_pattern("231|P,{1},P,P|(1,3,{1})|P,P,P")
+    n_max = 8
+    series, term = [0] * (n_max + 1), [1] + [0] * n_max
+    for k in range(n_max + 1):  # term k starts at x^k, so later ones add nothing
+        series = [a + b for a, b in zip(series, term)]
+        factor = [0] + [(-1) ** (j + 1) * comb(k + 1, j) for j in range(1, k + 2)]
+        term = _times(term, factor, n_max)
+    assert series == [1, 1, 2, 5, 15, 53, 217, 1014, 5335]
+    assert [exhaustive.perm_multi_avoiders([fishburn], n) for n in range(n_max + 1)] == series
+    for n in range(7):
+        avoiders = sum(not naive_occurrences(fishburn, PermSequence(p))
+                       for p in permutations(range(1, n + 1)))
+        assert avoiders == series[n], n
+
+
+def test_cited_maj_is_a_sum_of_dashed_pattern_counts():
+    """Babson and Steingrímsson: maj = (1-32) + (2-31) + (3-21) + (21) on
+    every permutation, so its distribution over S_n is [n]_q!."""
+    pats = [parse_gp(text) for text in ("1-32", "2-31", "3-21", "21")]
+    q_factorial = [1]  # [n]_q! = [1]_q [2]_q .. [n]_q, with [i]_q = 1 + q + .. + q^(i-1)
+    for n in range(7):
+        if n:
+            q_factorial = _times(q_factorial, [1] * n, n * (n - 1) // 2)
+        row = Counter()
+        for p in permutations(range(1, n + 1)):
+            seq = PermSequence(p)
+            counts = [count(pat, seq) for pat in pats]
+            if n <= 5:
+                assert counts == [len(naive_occurrences(pat, seq)) for pat in pats], p
+            maj = sum(counts)
+            assert maj == sum(i for i in range(1, n) if p[i - 1] > p[i]), p
+            row[maj] += 1
+        assert [row[k] for k in range(len(q_factorial))] == q_factorial, n

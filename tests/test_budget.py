@@ -306,11 +306,23 @@ def test_malformed_budgets_are_named(monkeypatch):
     assert check_work("scan", 0, 0) and not check_work("scan", 1, 0, refuse=False)
 
 
-def test_predictions_saturate_at_once():
+def test_predictions_saturate_at_once(monkeypatch):
     start = time.perf_counter()
     top = budget.ceiling()
     assert budget.power(3, 10**12) == top and budget.power(1, 10**12) == 1
     assert budget.power(2, 10) == 1024
     with pytest.raises(EnumerationLimitError, match=r"^x of at least 10\^5177 steps exceeds the budget"):
         check_work("x", top, 0)
+    # a rank dp window of 10^6 + 1 entries over S_(10^6): the sum of j! and
+    # the falling factorials stop once they reach the top
+    wide = parse_pattern("123|P,{1},{1000000},P|-|P,P,P")
+    assert all(amount >= top for amount in transfer.rank_work(wide, 10**6, 1))
+    assert transfer._falling(10, 5, 100) == 100  # 10 * 9 * 8 >= 100
+    assert exhaustive._value_work(6, 6, 6, 10) == 36  # 6 + 30 nodes at d <= 2, of 1956
+    # a value walk's plan stops at the length whose nodes reach the top,
+    # before the k! test would: 15 nodes to S_3, and with S_4's 64 they reach 50
+    fishburn = parse_pattern("231|P,{1},P,P|(1,3,{1})|P,P,P")
+    monkeypatch.setattr(budget, "ceiling", lambda: 50)
+    with pytest.raises(EnumerationLimitError, match=r"^scan of 50 steps exceeds the budget"):
+        exhaustive.plan_scan([fishburn], None, None, 5, each_length=True)
     assert time.perf_counter() - start < 1

@@ -52,6 +52,17 @@ def test_whitespace_insignificant():
     a = parse_pattern("12|P, {2} ,P | (1,2,{2}) | P,P", Mode.WORD)
     b = parse_pattern("12|P,{2},P|(1,2,{2})|P,P", Mode.WORD)
     assert a == b
+    assert parse_pattern(" 12 | P , { 1 , 0 } , P | ( 1 , 2 , { 2 } ) | P , P ") == parse_pattern(
+        "12|P,{0,1},P|(1,2,{2})|P,P")
+    # but a run of digits is one token: neither 1 2 nor 1 0 reads as one number
+    for text, error in (
+        ("1 2|P,P,P|-|P,P", (2, "'|'", "'2'")),
+        ("12|P,{1 0},P|-|P,P", (8, "'}'", "'0'")),
+        ("12|P,1 0P,P|-|P,P", (7, "'P' after a multiplier", "'0'")),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_pattern(text)
+        assert (exc.value.position, exc.value.expected, exc.value.found) == error
 
 
 def test_set_grammar():

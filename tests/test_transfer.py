@@ -179,6 +179,14 @@ def test_ring_basics():
     assert p + ZERO == p
     assert p - p == ZERO
     assert (Q + Z) ** 2 == Q**2 + 2 * Q * Z + Z**2
+    assert 1 - Q == ONE - Q and 2 - p == 2 * ONE - p
+    assert repr(ZERO) == "0" and repr(p - p) == "0"
+    for other in (0.5, "q"):  # no coercion: NotImplemented, so Python raises TypeError
+        assert p.__add__(other) is NotImplemented and p.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            other * p
 
 
 def _random_poly(rng):
@@ -1009,6 +1017,22 @@ def test_series_row_budget_charges_one_row():
 def test_solver_matches_dp_for_all_fixtures():
     for name in checks.STAT_ALPHABETS:
         assert expand_rational(checks._solver_gf(name), 14) == checks._dp_table(name)
+
+
+def test_the_window_automaton_is_built_once_per_patterns_and_t(monkeypatch):
+    built = []
+    automaton = transfer._automaton
+    monkeypatch.setattr(transfer, "_automaton", lambda *a: built.append(a[1]) or automaton(*a))
+    for name in ("a4", "b3"):
+        sp, t = checks.stat_pattern(name), checks.STAT_ALPHABETS[name][1]
+        table = dp_series(sp, t, 14)
+        assert expand_rational(solve_transfer_system(sp, t), 14) == table
+        assert series_rows([sp], t, 14, 1) == [table.z_poly(14)]
+    assert built == [checks.STAT_ALPHABETS["a4"][1], checks.STAT_ALPHABETS["b3"][1]]
+    dp_series(sp, t + 1, 3)  # another alphabet is another automaton
+    assert built[-1] == t + 1
+    lumped = _quotient((sp,), t)  # shared, so no caller can change it
+    assert isinstance(lumped, tuple) and all(isinstance(out, tuple) for out in lumped)
 
 
 def test_single_letter_statistic_window():
